@@ -582,31 +582,6 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
   return true;
 }
 
-bool saveCheckpoint(const std::string& path, const CheckpointState& st) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return false;
-    const std::string text = serializeCheckpoint(st);
-    f.write(text.data(), static_cast<std::streamsize>(text.size()));
-    f.flush();
-    if (!f) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-bool loadCheckpoint(const std::string& path, CheckpointState* out,
-                    std::string* error) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    if (error) *error = "checkpoint: cannot open " + path;
-    return false;
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return parseCheckpoint(ss.str(), out, error);
-}
-
 namespace {
 
 /// Rollback window: current frame plus up to this many predecessors. Two
@@ -639,7 +614,17 @@ bool saveCheckpointFramed(const std::string& path, const CheckpointState& st) {
 bool loadCheckpointAny(const std::string& path, CheckpointState* out,
                        std::string* error, JournalLoadInfo* info) {
   if (info) *info = JournalLoadInfo{};
-  if (!isFramedFile(path)) return loadCheckpoint(path, out, error);
+  if (!isFramedFile(path)) {
+    // Legacy reader: one plain JSON checkpoint per file.
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+      if (error) *error = "checkpoint: cannot open " + path;
+      return false;
+    }
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    return parseCheckpoint(ss.str(), out, error);
+  }
 
   if (info) info->framed = true;
   util::FramedReadResult r = util::readFrames(path);

@@ -107,7 +107,7 @@ void CorrelatedMfMoboOptimizer::record(const runtime::EvalResult& res) {
 }
 
 std::vector<FidelityObs> CorrelatedMfMoboOptimizer::buildObsFrom(
-    const std::array<FidelityData, kNumFidelities>& data) const {
+    const Datasets& data) const {
   std::vector<FidelityObs> obs(kNumFidelities);
   for (int f = 0; f < kNumFidelities; ++f) {
     const FidelityData& d = data[f];
@@ -122,8 +122,8 @@ std::vector<FidelityObs> CorrelatedMfMoboOptimizer::buildObsFrom(
 }
 
 CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
-    const std::array<FidelityData, kNumFidelities>& data,
-    const std::vector<std::size_t>& cand, const std::vector<char>& taken,
+    const Datasets& data, const std::vector<std::size_t>& cand,
+    const std::vector<char>& taken,
     const std::array<double, kNumFidelities>& stage_seconds,
     const std::vector<std::vector<double>>& z, int only_fidelity,
     std::vector<diag::FidelityAudit>* audit) const {
@@ -298,12 +298,11 @@ std::uint64_t CorrelatedMfMoboOptimizer::checkpointFingerprint() const {
 }
 
 CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
-    int next_round, int t, const runtime::ToolScheduler& scheduler,
-    const runtime::EvalCache& cache, const OptimizeResult& result) const {
+    int next_round) const {
   CheckpointState st;
   st.fingerprint = checkpointFingerprint();
   st.next_round = next_round;
-  st.t = t;
+  st.t = t_;
   st.rng = rng_.state();
   for (int f = 0; f < kNumFidelities; ++f) {
     st.data[f].configs = data_[f].configs;
@@ -312,24 +311,21 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   st.cs.reserve(cs_.size());
   for (const SampleRecord& rec : cs_)
     st.cs.push_back({rec.config, static_cast<int>(rec.fidelity), rec.report});
-  st.iterations.reserve(result.iterations.size());
-  for (const IterationLog& it : result.iterations)
+  st.iterations.reserve(result_.iterations.size());
+  for (const IterationLog& it : result_.iterations)
     st.iterations.push_back({it.iteration, static_cast<int>(it.fidelity),
                              it.config, it.peipv, it.round});
-  st.picks_per_fidelity = result.picks_per_fidelity;
-  st.totals = scheduler.totals();
-  // Async: the simulator's own accumulator already holds the charges of
-  // jobs that REALLY finished but are still in flight in simulated time
-  // (nextCompletion harvests everything before event-ordering); journaling
-  // it would double-charge after resume re-runs them. The scheduler's
-  // deterministic per-completion accumulator excludes exactly those jobs —
-  // and is bit-stable across thread interleavings.
-  st.sim_tool_seconds = opts_.async ? scheduler.deterministicToolSeconds()
-                                    : sim_->totalToolSeconds();
-  if (opts_.async)
-    for (const AsyncInflight& j : inflight_meta_)
-      st.async_inflight.push_back(
-          {j.config, static_cast<int>(j.fidelity), j.sim_start});
+  st.picks_per_fidelity = result_.picks_per_fidelity;
+  st.totals = scheduler_->totals();
+  // The scheduler's job-ordered ledger, not the simulator's accumulator:
+  // the latter sums attempts in thread-completion order and, in async
+  // mode, already holds the charges of jobs that REALLY finished but are
+  // still in flight in simulated time (journaling those would double-charge
+  // after the resume re-runs them).
+  st.sim_tool_seconds = scheduler_->deterministicToolSeconds();
+  for (const AsyncInflight& j : inflight_meta_)
+    st.async_inflight.push_back(
+        {j.config, static_cast<int>(j.fidelity), j.sim_start});
   // Only this campaign's cache slice and counters enter the journal; under
   // a shared server cache other tenants' artifacts are not ours to persist.
   // In-flight configs must NOT journal their current cache state: their
@@ -341,8 +337,8 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   // prefix was in the cache before the dispatch (the original run's job
   // only paid for the stages above it), so journal the config at its
   // committed CS fidelity instead of dropping it outright.
-  const std::uint64_t ns = scheduler.cacheNamespace();
-  for (const auto& [config, fid] : cache.contents(ns)) {
+  const std::uint64_t ns = scheduler_->cacheNamespace();
+  for (const auto& [config, fid] : cache_->contents(ns)) {
     bool in_flight = false;
     for (const AsyncInflight& j : inflight_meta_)
       if (j.config == config) {
@@ -360,7 +356,7 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
       }
   }
   const runtime::EvalCache::Stats cstats =
-      cache.stats(ns, scheduler.cacheLedger());
+      cache_->stats(ns, scheduler_->cacheLedger());
   st.cache_hits = cstats.hits;
   st.cache_misses = cstats.misses;
   st.surrogate_hypers = surrogate_.hyperState();
@@ -385,9 +381,7 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   return st;
 }
 
-void CorrelatedMfMoboOptimizer::restoreCheckpoint(
-    const CheckpointState& st, runtime::ToolScheduler& scheduler,
-    runtime::EvalCache& cache, OptimizeResult& result) {
+void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   if (st.fingerprint != checkpointFingerprint())
     throw std::runtime_error(
         "checkpoint: fingerprint mismatch — journal was written by a run "
@@ -404,6 +398,9 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(
     sampled_[e.config] = true;
   }
   rng_.setState(st.rng);
+  t_ = st.t;
+  round_ = st.next_round;
+  result_.resumed = true;
   if (!st.surrogate_hypers.empty())
     surrogate_.setHyperState(st.surrogate_hypers);
   if (!st.surrogate_base.empty()) {
@@ -424,32 +421,32 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(
     surrogate_.restoreRecoveryState(rs, buildObsFrom(data_));
   }
 
-  result.iterations.clear();
+  result_.iterations.clear();
   for (const CheckpointState::IterEntry& it : st.iterations)
-    result.iterations.push_back({it.iteration,
-                                 static_cast<Fidelity>(it.fidelity), it.config,
-                                 it.peipv, it.round});
-  result.picks_per_fidelity = st.picks_per_fidelity;
+    result_.iterations.push_back({it.iteration,
+                                  static_cast<Fidelity>(it.fidelity),
+                                  it.config, it.peipv, it.round});
+  result_.picks_per_fidelity = st.picks_per_fidelity;
 
-  scheduler.restoreTotals(st.totals);
+  scheduler_->restoreTotals(st.totals);
   sim_->setAccounting(st.sim_tool_seconds);
-  if (opts_.async) scheduler.restoreDeterministicToolSeconds(st.sim_tool_seconds);
+  scheduler_->restoreDeterministicToolSeconds(st.sim_tool_seconds);
   // Re-materialize the evaluation cache: reports are pure functions of
   // (config, stage), so the journal only stores the keys. Under a shared
   // cache the flows land in this campaign's namespace (a no-op for slots
   // another tenant already warmed — the tool is deterministic).
-  const std::uint64_t ns = scheduler.cacheNamespace();
+  const std::uint64_t ns = scheduler_->cacheNamespace();
   for (const auto& [config, fid] : st.cache) {
     std::array<sim::Report, kNumFidelities> stages{};
     const hls::DirectiveConfig cfg = space_->config(config);
     for (int f = 0; f <= fid; ++f)
       stages[f] = sim_->run(cfg, static_cast<Fidelity>(f));
-    cache.storeFlow(config, static_cast<Fidelity>(fid), stages, ns);
+    cache_->storeFlow(config, static_cast<Fidelity>(fid), stages, ns);
   }
   // Counters land on this campaign's ledger only — a co-tenant sharing the
   // artifact namespace keeps its own hit/miss accounting untouched.
-  cache.restoreCounters(st.cache_hits, st.cache_misses,
-                        scheduler.cacheLedger());
+  cache_->restoreCounters(st.cache_hits, st.cache_misses,
+                          scheduler_->cacheLedger());
   if (obs::metrics().enabled() && !st.metrics.empty())
     obs::metrics().restore(st.metrics);
   if (st.has_diag && diag::recorder().enabled())
@@ -459,30 +456,39 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(
   // nothing above): re-dispatch the journaled in-flight believers at their
   // ORIGINAL simulated start times — possibly before the restored clock —
   // so the simulated completion order, and the whole trajectory, replays
-  // exactly. Their charges re-accrue as the re-runs complete.
-  if (opts_.async) {
-    inflight_meta_.clear();
-    for (const CheckpointState::InflightEntry& e : st.async_inflight) {
-      const runtime::EvalJob job{e.config, static_cast<Fidelity>(e.fidelity)};
-      const std::uint64_t seq = scheduler.submitAsyncAt(job, e.sim_start);
-      inflight_meta_.push_back(
-          {e.config, static_cast<Fidelity>(e.fidelity), e.sim_start, seq});
-    }
+  // exactly. Their charges re-accrue as the re-runs complete. (Sync
+  // journals never carry any: the fingerprint keeps modes apart.)
+  inflight_meta_.clear();
+  for (const CheckpointState::InflightEntry& e : st.async_inflight) {
+    const runtime::EvalJob job{e.config, static_cast<Fidelity>(e.fidelity)};
+    const std::uint64_t seq = scheduler_->submitAsyncAt(job, e.sim_start);
+    inflight_meta_.push_back(
+        {e.config, static_cast<Fidelity>(e.fidelity), e.sim_start, seq});
   }
 }
 
 void CorrelatedMfMoboOptimizer::writeCheckpoint(int next_round) {
   if (opts_.checkpoint_path.empty()) return;
-  const CheckpointState st =
-      captureCheckpoint(next_round, t_, *scheduler_, *cache_, result_);
-  if (opts_.framed_journal)
-    saveCheckpointFramed(opts_.checkpoint_path, st);
-  else
-    saveCheckpoint(opts_.checkpoint_path, st);
+  // A run that cannot write its journal only looks durable: fail loudly
+  // (the server supervises a throwing step as a campaign failure).
+  if (!saveCheckpointFramed(opts_.checkpoint_path,
+                            captureCheckpoint(next_round)))
+    throw std::runtime_error("checkpoint: cannot write journal " +
+                             opts_.checkpoint_path);
+}
+
+double CorrelatedMfMoboOptimizer::topHypervolume(int round) const {
+  const FidelityData& top = data_[kNumFidelities - 1];
+  if (top.y.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
+  obs::ScopedPhase hv_phase("hypervolume", round);
+  return pareto::hypervolume(pareto::paretoFilter(pts),
+                             pareto::referencePoint(pts));
 }
 
 RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
-    int round, const std::vector<runtime::EvalResult>& results) {
+    int round, const std::vector<runtime::EvalResult>& results,
+    std::optional<double> hv) {
   RoundOutcome o;
   o.round = round;
   o.proposals = t_;
@@ -498,13 +504,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
   o.cache_hits = cstats.hits;
   o.cache_misses = cstats.misses;
   if (shared_.collect_outcomes) {
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume");
-      o.hypervolume = pareto::hypervolume(pareto::paretoFilter(pts),
-                                          pareto::referencePoint(pts));
-    }
+    o.hypervolume = hv ? *hv : topHypervolume(round);
     // Worker occupancy of this round's tool runs (cache hits occupy no
     // worker), in job order — the server's shared-farm placement input.
     o.job_seconds.reserve(results.size());
@@ -530,14 +530,12 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
 bool CorrelatedMfMoboOptimizer::done() const {
   if (finished_) return true;
   if (!started_) return false;
-  const bool budget_done = stopped_ || t_ >= opts_.n_iter;
-  // Async: the proposal budget being spent stops NEW proposals, but the
-  // pipeline drains the in-flight believers first (each is a completion
-  // event / checkpoint boundary of its own) — except on a max_rounds
-  // preemption, which mimics a kill and leaves them journaled.
-  if (opts_.async && !preempted_)
-    return budget_done && inflight_meta_.empty();
-  return budget_done;
+  // A spent proposal budget stops NEW proposals, but async admission drains
+  // the in-flight believers first (each is a completion event / checkpoint
+  // boundary of its own) — except on a max_rounds preemption, which mimics
+  // a kill and leaves them journaled. Sync steps never leave jobs in flight.
+  return (stopped_ || t_ >= opts_.n_iter) &&
+         (preempted_ || inflight_meta_.empty());
 }
 
 RoundOutcome CorrelatedMfMoboOptimizer::start() {
@@ -586,10 +584,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
       loaded = false;
     }
     if (loaded) {
-      restoreCheckpoint(st, *scheduler_, *cache_, result_);
-      t_ = st.t;
-      round_ = st.next_round;
-      result_.resumed = true;
+      restoreCheckpoint(st);
     } else if (file_exists && resume_note_.empty()) {
       // The journal exists but cannot be loaded (empty file, corrupt
       // beyond every frame, unparseable JSON). Strict mode throws — a
@@ -660,482 +655,330 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
   return makeOutcome(result_.resumed ? round_ - 1 : -1, init_results);
 }
 
-RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
-  assert(started_ && !finished_);
-  if (opts_.async) return stepRoundAsync();
-  if (done()) return makeOutcome(round_ - 1, {});
-  const std::size_t n = space_->size();
-  const int batch = std::max(opts_.batch_size, 1);
-  const int round = round_;
-
-  // ---- One round of the optimization loop (lines 6-15), batched. ----
-  obs::ScopedPhase round_phase("round", round);
-  // Remaining pool.
-  std::vector<std::size_t> pool;
-  pool.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    if (!sampled_[i]) pool.push_back(i);
-  if (pool.empty()) {
-    stopped_ = true;  // space exhausted before the proposal budget
-    return makeOutcome(round - 1, {});
+std::vector<std::size_t> CorrelatedMfMoboOptimizer::openConfigs() const {
+  std::vector<std::size_t> open;
+  open.reserve(space_->size());
+  for (std::size_t i = 0; i < space_->size(); ++i) {
+    if (sampled_[i]) continue;
+    bool in_flight = false;
+    for (const AsyncInflight& j : inflight_meta_)
+      in_flight = in_flight || j.config == i;
+    if (!in_flight) open.push_back(i);
   }
+  return open;
+}
 
-  const bool hypers = round % std::max(opts_.refit_every, 1) == 0;
-  const bool did_mle = hypers || !surrogate_.fitted();
+std::vector<std::size_t> CorrelatedMfMoboOptimizer::candidates() {
+  std::vector<std::size_t> cand = openConfigs();
+  if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
+    rng_.shuffle(cand);
+    cand.resize(opts_.max_candidates);
+  }
+  return cand;
+}
+
+void CorrelatedMfMoboOptimizer::commitPosterior(int round) {
+  const bool did_mle =
+      round % std::max(opts_.refit_every, 1) == 0 || !surrogate_.fitted();
   {
     obs::ScopedPhase fit_phase("gp_fit", round);
     if (did_mle)
       surrogate_.fit(buildObsFrom(data_), rng_, true);
     else
       // Between MLE refits the new observations enter via O(n^2)
-      // rank-append posterior updates; commit also rolls back any
-      // Kriging-believer speculation left from the previous round.
+      // rank-append posterior updates; the commit also rolls back every
+      // stacked Kriging-believer fantasy (the invalidation half of the
+      // async protocol — fresh fantasies are re-derived on this posterior).
       surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
   }
-  const bool diag_on = diag::recorder().enabled();
-  diag_round_ = round;
-  if (diag_on) {
-    // Per-level surrogate state for the journal: learned K_task (Eq. 9),
-    // MLE convergence, Gram conditioning, lower-fidelity relevance. All
-    // read-only accessors — nothing feeds back into the run.
-    for (int l = 0; l < kNumFidelities; ++l) {
-      diag::ModelRecord mr;
-      mr.round = round;
-      mr.level = l;
-      mr.correlated = surrogate_.correlated();
-      if (mr.correlated) {
-        const linalg::Matrix c = surrogate_.taskCorrelation(l);
-        mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
-        for (std::size_t i = 0; i < c.rows(); ++i)
-          for (std::size_t j = 0; j < c.cols(); ++j)
-            mr.task_corr[i][j] = c(i, j);
-      }
-      mr.lml = surrogate_.logMarginalLikelihood(l);
-      mr.fit_iters = surrogate_.lastFitIterations(l);
-      // Budget is only meaningful on rounds that actually ran the MLE;
-      // 0 disables the non-convergence check on rank-append rounds.
-      mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
-      mr.cond_log10 = surrogate_.gramConditionLog10(l);
-      mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
-      diag::recorder().addModelRecord(std::move(mr));
+  believer_invalidations_ += static_cast<long long>(inflight_meta_.size());
+  if (!diag::recorder().enabled()) return;
+  // Per-level surrogate state for the journal: learned K_task (Eq. 9), MLE
+  // convergence, Gram conditioning, lower-fidelity relevance. All read-only
+  // accessors — nothing feeds back into the run.
+  for (int l = 0; l < kNumFidelities; ++l) {
+    diag::ModelRecord mr;
+    mr.round = round;
+    mr.level = l;
+    mr.correlated = surrogate_.correlated();
+    if (mr.correlated) {
+      const linalg::Matrix c = surrogate_.taskCorrelation(l);
+      mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
+      for (std::size_t i = 0; i < c.rows(); ++i)
+        for (std::size_t j = 0; j < c.cols(); ++j) mr.task_corr[i][j] = c(i, j);
     }
+    mr.lml = surrogate_.logMarginalLikelihood(l);
+    mr.fit_iters = surrogate_.lastFitIterations(l);
+    // Budget is only meaningful on rounds that actually ran the MLE; 0
+    // disables the non-convergence check on rank-append rounds.
+    mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
+    mr.cond_log10 = surrogate_.gramConditionLog10(l);
+    mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
+    diag::recorder().addModelRecord(std::move(mr));
   }
+}
 
-  // Candidate subset, shared across fidelities this round.
-  std::vector<std::size_t> cand = pool;
-  if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
-    rng_.shuffle(cand);
-    cand.resize(opts_.max_candidates);
-  }
+namespace {
 
-  const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
-
-  // Greedy q-PEIPV batch via Kriging believer: argmax, condition the
-  // posterior on the predicted mean of the pick, re-argmax. With q = 1
-  // no fantasy step runs and this is exactly the paper's line 11.
-  //
-  // The first pick decides the round's fidelity (the Eq. 10 cost/value
-  // trade-off is a per-round investment decision); believer picks fill
-  // the rest of the batch with diverse configs at that same stage. A
-  // homogeneous round parallelizes cleanly on the farm — one impl job
-  // mixed into a batch of hls jobs would dominate the round's makespan.
-  const int q = std::min<int>({batch, opts_.n_iter - t_,
-                               static_cast<int>(cand.size())});
-  std::vector<char> taken(n, 0);
-  std::vector<runtime::EvalJob> jobs;
-  std::array<FidelityData, kNumFidelities> fantasy;
-  std::optional<obs::ScopedPhase> acq_phase;
-  acq_phase.emplace("acquisition", round);
-  for (int b = 0; b < q; ++b) {
-    obs::Span pick_span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                        "acq_pick", "optimizer");
-    const bool prop_timed = obs::metrics().enabled();
-    const auto prop_start = prop_timed ? std::chrono::steady_clock::now()
-                                       : std::chrono::steady_clock::time_point{};
-    const int round_fidelity =
-        b == 0 ? -1 : static_cast<int>(jobs.front().fidelity);
-    std::vector<diag::FidelityAudit> audit;
-    const Pick pick = scanBest(b == 0 ? data_ : fantasy, cand, taken,
-                               stage_seconds_, z, round_fidelity,
-                               diag_on ? &audit : nullptr);
-    taken[pick.config] = 1;
-    jobs.push_back({pick.config, pick.fidelity});
-    ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
-    result_.iterations.push_back(
-        {t_ + b, pick.fidelity, pick.config, pick.peipv, round});
-    pick_span.round(round)
-        .fidelity(static_cast<int>(pick.fidelity))
-        .id(static_cast<std::int64_t>(pick.config))
-        .value(pick.peipv);
-    if (obs::metrics().enabled())
-      obs::metrics().observe(std::string("acq.peipv.") +
-                                 sim::fidelityName(pick.fidelity),
-                             pick.peipv);
-
-    if (diag_on) {
-      diag::DecisionRecord dr;
-      dr.round = round;
-      dr.winner_config = pick.config;
-      dr.winner_fidelity = static_cast<int>(pick.fidelity);
-      dr.winner_peipv = pick.peipv;
-      dr.believer_depth = b;
-      dr.rationale =
-          b == 0 ? "argmax cost-penalized EIPV across fidelities (Eq. 10)"
-                 : "Kriging-believer batch fill at the round fidelity";
-      dr.fidelities = std::move(audit);
-      diag::recorder().addDecision(std::move(dr));
-      // Predict-before-observe: snapshot the posterior at every stage the
-      // job will run, before its observation can enter the model. Extra
-      // predict() calls only — no RNG, no state change, so the trajectory
-      // is bit-identical with diagnostics off.
-      for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-        const gp::MultiPosterior post =
-            surrogate_.predict(f, space_->features(pick.config));
-        PendingPrediction pp;
-        pp.mu = post.mean;
-        pp.var.resize(kNumObjectives);
-        for (int m = 0; m < kNumObjectives; ++m) pp.var[m] = post.cov(m, m);
-        pp.believer = b > 0;
-        pending_pred_[{pick.config, f}] = std::move(pp);
-      }
-    }
-
-    if (b + 1 < q) {
-      // Believe the model: append its predicted means at every stage the
-      // job will run, then refit the posterior (hyperparameters are not
-      // touched; the next round's fit on real data discards the fantasy).
-      if (b == 0) fantasy = data_;
-      for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-        fantasy[f].configs.push_back(pick.config);
-        fantasy[f].y.push_back(
-            surrogate_.predict(f, space_->features(pick.config)).mean);
-      }
-      // Speculative (uncommitted) rank-appends: the next commit or full
-      // fit rolls the fantasy back by exact factor truncation.
-      surrogate_.appendObservations(buildObsFrom(fantasy), /*commit=*/false);
-    }
-    if (prop_timed)
+/// Host-side telemetry of one proposal: the acq_pick span (causal parent of
+/// the scan phases) and its slo.proposal_seconds latency, both closed once
+/// the pick's believer bookkeeping is done.
+struct ProposalScope {
+  obs::Span span{obs::tracer().enabled() ? &obs::tracer() : nullptr,
+                 "acq_pick", "optimizer"};
+  bool timed = obs::metrics().enabled();
+  std::chrono::steady_clock::time_point start =
+      timed ? std::chrono::steady_clock::now()
+            : std::chrono::steady_clock::time_point{};
+  ~ProposalScope() {
+    if (timed)
       obs::metrics().observe(
           "slo.proposal_seconds",
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        prop_start)
+                                        start)
               .count());
   }
+};
 
-  acq_phase.reset();
+}  // namespace
 
-  std::vector<runtime::EvalResult> results;
-  {
-    obs::ScopedPhase eval_phase("evaluate", round);
-    results = scheduler_->runBatch(jobs);
-    for (const runtime::EvalResult& res : results) record(res);
+void CorrelatedMfMoboOptimizer::logPick(
+    obs::Span& span, const Pick& pick, int round, int iteration, int depth,
+    std::vector<diag::FidelityAudit> audit) {
+  ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
+  result_.iterations.push_back(
+      {iteration, pick.fidelity, pick.config, pick.peipv, round});
+  span.round(round)
+      .fidelity(static_cast<int>(pick.fidelity))
+      .id(static_cast<std::int64_t>(pick.config))
+      .value(pick.peipv);
+  if (obs::metrics().enabled())
+    obs::metrics().observe(
+        std::string("acq.peipv.") + sim::fidelityName(pick.fidelity),
+        pick.peipv);
+  if (!diag::recorder().enabled()) return;
+  diag::DecisionRecord dr;
+  dr.round = round;
+  dr.winner_config = pick.config;
+  dr.winner_fidelity = static_cast<int>(pick.fidelity);
+  dr.winner_peipv = pick.peipv;
+  dr.believer_depth = depth;
+  dr.believer_invalidations = believer_invalidations_;
+  dr.rationale =
+      depth == 0 ? "argmax cost-penalized EIPV across fidelities (Eq. 10)"
+      : opts_.async
+          ? "async argmax cost-penalized EIPV conditioned on " +
+                std::to_string(depth) + " in-flight believer(s)"
+          : "Kriging-believer batch fill at the round fidelity";
+  dr.fidelities = std::move(audit);
+  diag::recorder().addDecision(std::move(dr));
+  // Predict-before-observe: snapshot the posterior at every stage the job
+  // will run, before its observation (or fantasy) can enter the model.
+  // Extra predict() calls only — no RNG, no state change, so the
+  // trajectory is bit-identical with diagnostics off.
+  for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
+    const gp::MultiPosterior post =
+        surrogate_.predict(f, space_->features(pick.config));
+    PendingPrediction pp;
+    pp.mu = post.mean;
+    pp.var.resize(kNumObjectives);
+    for (int m = 0; m < kNumObjectives; ++m) pp.var[m] = post.cov(m, m);
+    pp.believer = depth > 0;
+    pending_pred_[{pick.config, f}] = std::move(pp);
   }
-  t_ += q;
-  ++result_.rounds_run;
-
-  if (diag_on) {
-    // Convergence record: hypervolume of the current top-fidelity set,
-    // cumulative charged tool-seconds, cache counters; ADRS comes from
-    // the recorder's oracle (set by the harness) when available.
-    double hv = std::numeric_limits<double>::quiet_NaN();
-    const FidelityData& top_data = data_[kNumFidelities - 1];
-    if (!top_data.y.empty()) {
-      const std::vector<pareto::Point> pts(top_data.y.begin(),
-                                           top_data.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      hv = pareto::hypervolume(pareto::paretoFilter(pts),
-                               pareto::referencePoint(pts));
-    }
-    std::vector<std::size_t> selected;
-    selected.reserve(cs_.size());
-    for (const SampleRecord& rec : cs_) selected.push_back(rec.config);
-    const runtime::EvalCache::Stats cstats =
-        cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
-    diag::recorder().endRound(round, hv, selected, sim_->totalToolSeconds(),
-                              cstats.hits, cstats.misses);
-    pending_pred_.clear();
-  }
-
-  // Diagnostics-only progression metrics: computed from already-recorded
-  // data when enabled, never read back by the algorithm.
-  if (obs::metrics().enabled()) {
-    obs::metrics().set("opt.round", static_cast<double>(round));
-    obs::metrics().set("opt.proposals", static_cast<double>(t_));
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      obs::metrics().set(
-          "opt.hypervolume.impl",
-          pareto::hypervolume(pareto::paretoFilter(pts),
-                              pareto::referencePoint(pts)));
-    }
-  }
-
-  {
-    obs::ScopedPhase ckpt_phase("checkpoint", round);
-    writeCheckpoint(round + 1);
-  }
-  if (opts_.max_rounds > 0 && result_.rounds_run >= opts_.max_rounds)
-    stopped_ = true;  // preemption point; the journal resumes from here
-  if (opts_.max_charged_seconds > 0.0 &&
-      scheduler_->totals().charged_seconds >= opts_.max_charged_seconds)
-    stopped_ = true;  // tool-time budget exhausted
-  ++round_;
-  return makeOutcome(round, results);
 }
 
-RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
-  if (done()) return makeOutcome(round_ - 1, {});
-  const std::size_t n = space_->size();
-  const int round = round_;
-  obs::ScopedPhase round_phase("round", round);
-  const bool diag_on = diag::recorder().enabled();
-  diag_round_ = round;
+void CorrelatedMfMoboOptimizer::believe(std::optional<Datasets>& fantasy,
+                                        std::size_t config,
+                                        Fidelity fidelity) {
+  if (!fantasy) fantasy = data_;
+  for (int f = 0; f <= static_cast<int>(fidelity); ++f) {
+    (*fantasy)[f].configs.push_back(config);
+    (*fantasy)[f].y.push_back(
+        surrogate_.predict(f, space_->features(config)).mean);
+  }
+  // Speculative (uncommitted) rank-appends: the next commit or full fit
+  // rolls the fantasy back by exact factor truncation.
+  surrogate_.appendObservations(buildObsFrom(*fantasy), /*commit=*/false);
+}
+
+std::vector<runtime::EvalJob> CorrelatedMfMoboOptimizer::admitBatch(
+    int round) {
+  // Greedy q-PEIPV batch via Kriging believer on one candidate subset and
+  // one z draw: argmax, condition the posterior on the predicted mean of
+  // the pick, re-argmax. With q = 1 no fantasy step runs and this is
+  // exactly the paper's line 11.
+  //
+  // The first pick decides the round's fidelity (the Eq. 10 cost/value
+  // trade-off is a per-round investment decision); believer picks fill the
+  // rest of the batch with diverse configs at that same stage. A
+  // homogeneous round parallelizes cleanly on the farm — one impl job
+  // mixed into a batch of hls jobs would dominate the round's makespan.
+  const std::vector<std::size_t> cand = candidates();
+  const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
+  const int q = std::min<int>({std::max(opts_.batch_size, 1),
+                               opts_.n_iter - t_,
+                               static_cast<int>(cand.size())});
+  std::vector<char> taken(space_->size(), 0);
+  std::vector<runtime::EvalJob> jobs;
+  std::optional<Datasets> fantasy;
+  obs::ScopedPhase acq_phase("acquisition", round);
+  for (int b = 0; b < q; ++b) {
+    ProposalScope scope;
+    std::vector<diag::FidelityAudit> audit;
+    const Pick pick = scanBest(
+        fantasy ? *fantasy : data_, cand, taken, stage_seconds_, z,
+        b == 0 ? -1 : static_cast<int>(jobs.front().fidelity),
+        diag::recorder().enabled() ? &audit : nullptr);
+    taken[pick.config] = 1;
+    jobs.push_back({pick.config, pick.fidelity});
+    logPick(scope.span, pick, round, t_ + b, b, std::move(audit));
+    if (b + 1 < q) believe(fantasy, pick.config, pick.fidelity);
+  }
+  return jobs;
+}
+
+void CorrelatedMfMoboOptimizer::admitAsync(int round) {
   const int cap = std::max(opts_.n_workers, 1);
   const auto inflight = [this] {
     return static_cast<int>(inflight_meta_.size());
   };
-  const auto isInFlight = [this](std::size_t config) {
+  // Re-derive believer fantasies for everything still in flight, in
+  // dispatch order, each predicted on the posterior INCLUDING the
+  // previously stacked fantasies (the greedy Kriging-believer chain).
+  std::optional<Datasets> fantasy;
+  if (!inflight_meta_.empty()) {
+    obs::ScopedPhase believe_phase("believers", round);
     for (const AsyncInflight& j : inflight_meta_)
-      if (j.config == config) return true;
-    return false;
-  };
-
-  // ---- Proposal phase: top the farm back up. ----
-  bool can_propose = !stopped_ && t_ + inflight() < opts_.n_iter &&
-                     inflight() < cap;
-  if (can_propose) {
-    // Space exhaustion check BEFORE any RNG is consumed, mirroring the
-    // synchronous early-out, so the two paths stay bit-identical at W=1.
-    bool any_open = false;
-    for (std::size_t i = 0; i < n && !any_open; ++i)
-      if (!sampled_[i] && !isInFlight(i)) any_open = true;
-    if (!any_open) {
-      if (inflight_meta_.empty()) {
-        stopped_ = true;  // space exhausted before the proposal budget
-        return makeOutcome(round - 1, {});
-      }
-      can_propose = false;  // drain what's flying, then stop
-    }
+      believe(fantasy, j.config, j.fidelity);
   }
 
-  if (can_propose) {
-    // Commit the posterior on the REAL datasets. This rolls back every
-    // stacked believer fantasy (the invalidation half of the protocol);
-    // fresh fantasies are re-derived from the committed posterior below,
-    // so a landed result immediately re-informs the in-flight believers.
-    const bool hypers = round % std::max(opts_.refit_every, 1) == 0;
-    const bool did_mle = hypers || !surrogate_.fitted();
-    {
-      obs::ScopedPhase fit_phase("gp_fit", round);
-      if (did_mle)
-        surrogate_.fit(buildObsFrom(data_), rng_, true);
-      else
-        surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
+  obs::ScopedPhase acq_phase("acquisition", round);
+  const std::vector<char> no_taken(space_->size(), 0);
+  while (inflight() < cap && t_ + inflight() < opts_.n_iter) {
+    // Candidates are redrawn per proposal because each dispatch shrinks the
+    // open pool.
+    const std::vector<std::size_t> cand = candidates();
+    if (cand.empty()) break;  // in-flight jobs hold the rest of the space
+    const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
+    ProposalScope scope;
+    std::vector<diag::FidelityAudit> audit;
+    // Every pick re-decides the fidelity (Eq. 10) against the believer-
+    // augmented posterior — heterogeneous fidelities in flight is the whole
+    // point of killing the round barrier.
+    const Pick pick =
+        scanBest(fantasy ? *fantasy : data_, cand, no_taken, stage_seconds_,
+                 z, -1, diag::recorder().enabled() ? &audit : nullptr);
+    logPick(scope.span, pick, round, t_ + inflight(), inflight(),
+            std::move(audit));
+    const double sim_start = scheduler_->simNow();
+    const std::uint64_t seq =
+        scheduler_->submitAsync({pick.config, pick.fidelity});
+    inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
+    // Stack this pick's own fantasy only if another proposal follows in
+    // this step — at W=1 the loop exits here, so the sequential path never
+    // speculates and stays bit-identical to Algorithm 2.
+    if (inflight() < cap && t_ + inflight() < opts_.n_iter)
+      believe(fantasy, pick.config, pick.fidelity);
+  }
+}
+
+RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
+  assert(started_ && !finished_);
+  if (done()) return makeOutcome(round_ - 1, {});
+  const int round = round_;
+  obs::ScopedPhase round_phase("round", round);
+  diag_round_ = round;
+
+  // 1. Space exhaustion, checked BEFORE any RNG is consumed so both
+  //    admission policies stay bit-identical to Algorithm 2 at width 1.
+  //    Sync steps always propose here (done() is false, nothing in flight).
+  const int in_flight = static_cast<int>(inflight_meta_.size());
+  bool propose = !stopped_ && t_ + in_flight < opts_.n_iter &&
+                 in_flight < std::max(opts_.n_workers, 1);
+  if (propose && openConfigs().empty()) {
+    if (in_flight == 0) {
+      stopped_ = true;  // space exhausted before the proposal budget
+      return makeOutcome(round - 1, {});
     }
-    believer_invalidations_ += inflight();
-    if (diag_on) {
-      for (int l = 0; l < kNumFidelities; ++l) {
-        diag::ModelRecord mr;
-        mr.round = round;
-        mr.level = l;
-        mr.correlated = surrogate_.correlated();
-        if (mr.correlated) {
-          const linalg::Matrix c = surrogate_.taskCorrelation(l);
-          mr.task_corr.assign(c.rows(), std::vector<double>(c.cols(), 0.0));
-          for (std::size_t i = 0; i < c.rows(); ++i)
-            for (std::size_t j = 0; j < c.cols(); ++j)
-              mr.task_corr[i][j] = c(i, j);
-        }
-        mr.lml = surrogate_.logMarginalLikelihood(l);
-        mr.fit_iters = surrogate_.lastFitIterations(l);
-        mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
-        mr.cond_log10 = surrogate_.gramConditionLog10(l);
-        mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
-        diag::recorder().addModelRecord(std::move(mr));
-      }
-    }
-
-    // Re-derive believer fantasies for everything still in flight, in
-    // dispatch order, each predicted on the posterior INCLUDING the
-    // previously stacked fantasies (the greedy Kriging-believer chain).
-    std::array<FidelityData, kNumFidelities> fantasy;
-    bool have_fantasy = false;
-    if (!inflight_meta_.empty()) {
-      obs::ScopedPhase believe_phase("believers", round);
-      fantasy = data_;
-      have_fantasy = true;
-      for (const AsyncInflight& j : inflight_meta_) {
-        for (int f = 0; f <= static_cast<int>(j.fidelity); ++f) {
-          fantasy[f].configs.push_back(j.config);
-          fantasy[f].y.push_back(
-              surrogate_.predict(f, space_->features(j.config)).mean);
-        }
-        surrogate_.appendObservations(buildObsFrom(fantasy),
-                                      /*commit=*/false);
-      }
-    }
-
-    obs::ScopedPhase acq_phase("acquisition", round);
-    const std::vector<char> no_taken(n, 0);
-    while (!stopped_ && inflight() < cap &&
-           t_ + inflight() < opts_.n_iter) {
-      // Open pool: unsampled and not currently in flight. Rebuilt per
-      // proposal because each dispatch shrinks it.
-      std::vector<std::size_t> cand;
-      cand.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        if (!sampled_[i] && !isInFlight(i)) cand.push_back(i);
-      if (cand.empty()) break;  // in-flight jobs hold the rest of the space
-      if (cand.size() > static_cast<std::size_t>(opts_.max_candidates)) {
-        rng_.shuffle(cand);
-        cand.resize(opts_.max_candidates);
-      }
-      const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
-
-      obs::Span pick_span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                          "acq_pick", "optimizer");
-      const bool prop_timed = obs::metrics().enabled();
-      const auto prop_start =
-          prop_timed ? std::chrono::steady_clock::now()
-                     : std::chrono::steady_clock::time_point{};
-      std::vector<diag::FidelityAudit> audit;
-      // Every pick re-decides the fidelity (Eq. 10) against the believer-
-      // augmented posterior — heterogeneous fidelities in flight is the
-      // whole point of killing the round barrier.
-      const Pick pick =
-          scanBest(have_fantasy ? fantasy : data_, cand, no_taken,
-                   stage_seconds_, z, -1, diag_on ? &audit : nullptr);
-      const int iter_index = t_ + inflight();
-      ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
-      result_.iterations.push_back(
-          {iter_index, pick.fidelity, pick.config, pick.peipv, round});
-      pick_span.round(round)
-          .fidelity(static_cast<int>(pick.fidelity))
-          .id(static_cast<std::int64_t>(pick.config))
-          .value(pick.peipv);
-      if (obs::metrics().enabled())
-        obs::metrics().observe(std::string("acq.peipv.") +
-                                   sim::fidelityName(pick.fidelity),
-                               pick.peipv);
-      if (diag_on) {
-        diag::DecisionRecord dr;
-        dr.round = round;
-        dr.winner_config = pick.config;
-        dr.winner_fidelity = static_cast<int>(pick.fidelity);
-        dr.winner_peipv = pick.peipv;
-        dr.believer_depth = inflight();
-        dr.believer_invalidations = believer_invalidations_;
-        dr.rationale =
-            have_fantasy
-                ? "async argmax cost-penalized EIPV conditioned on " +
-                      std::to_string(inflight()) + " in-flight believer(s)"
-                : "argmax cost-penalized EIPV across fidelities (Eq. 10)";
-        dr.fidelities = std::move(audit);
-        diag::recorder().addDecision(std::move(dr));
-        for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-          const gp::MultiPosterior post =
-              surrogate_.predict(f, space_->features(pick.config));
-          PendingPrediction pp;
-          pp.mu = post.mean;
-          pp.var.resize(kNumObjectives);
-          for (int m = 0; m < kNumObjectives; ++m) pp.var[m] = post.cov(m, m);
-          pp.believer = have_fantasy;
-          pending_pred_[{pick.config, f}] = std::move(pp);
-        }
-      }
-
-      const double sim_start = scheduler_->simNow();
-      const std::uint64_t seq =
-          scheduler_->submitAsync({pick.config, pick.fidelity});
-      inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
-
-      // Stack this pick's own fantasy only if another proposal follows in
-      // this step — at W=1 the loop exits here, so the sequential path
-      // never speculates and stays bit-identical to Algorithm 2.
-      if (inflight() < cap && t_ + inflight() < opts_.n_iter) {
-        if (!have_fantasy) {
-          fantasy = data_;
-          have_fantasy = true;
-        }
-        for (int f = 0; f <= static_cast<int>(pick.fidelity); ++f) {
-          fantasy[f].configs.push_back(pick.config);
-          fantasy[f].y.push_back(
-              surrogate_.predict(f, space_->features(pick.config)).mean);
-        }
-        surrogate_.appendObservations(buildObsFrom(fantasy),
-                                      /*commit=*/false);
-      }
-      if (prop_timed)
-        obs::metrics().observe(
-            "slo.proposal_seconds",
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          prop_start)
-                .count());
-    }
+    propose = false;  // drain what's flying, then stop
   }
 
-  if (inflight_meta_.empty()) return makeOutcome(round - 1, {});
+  // 2. Commit the posterior on the REAL datasets.
+  if (propose) commitPosterior(round);
 
-  // ---- Completion event: the earliest in-flight job (simulated time). ----
-  runtime::ToolScheduler::AsyncCompletion ev;
+  // 3. Admission.
+  std::vector<runtime::EvalJob> batch;
+  if (!opts_.async)
+    batch = admitBatch(round);
+  else if (propose)
+    admitAsync(round);
+  if (opts_.async && inflight_meta_.empty()) return makeOutcome(round - 1, {});
+
+  // 4. Harvest: the barrier'd batch, or the earliest simulated completion.
+  std::vector<runtime::EvalResult> results;
   {
     obs::ScopedPhase eval_phase("evaluate", round);
-    ev = scheduler_->nextCompletion();
-    for (auto it = inflight_meta_.begin(); it != inflight_meta_.end(); ++it)
-      if (it->seq == ev.seq) {
-        inflight_meta_.erase(it);
-        break;
-      }
-    record(ev.result);
-    // Predictions for still-in-flight jobs must survive this boundary (the
-    // synchronous path clears the whole map per round instead); drop only
-    // the consumed config's entries.
-    for (int f = 0; f < kNumFidelities; ++f)
-      pending_pred_.erase({ev.result.job.config, f});
+    if (!opts_.async) {
+      results = scheduler_->runBatch(batch);
+    } else {
+      runtime::ToolScheduler::AsyncCompletion ev = scheduler_->nextCompletion();
+      std::erase_if(inflight_meta_, [&ev](const AsyncInflight& j) {
+        return j.seq == ev.seq;
+      });
+      results.push_back(std::move(ev.result));
+    }
+    for (const runtime::EvalResult& res : results) record(res);
   }
-  t_ += 1;
+
+  // 5. The shared tail.
+  return commitStep(round, results);
+}
+
+RoundOutcome CorrelatedMfMoboOptimizer::commitStep(
+    int round, const std::vector<runtime::EvalResult>& results) {
+  // Predictions of still-in-flight jobs must survive this boundary; a sync
+  // step consumes every prediction it made.
+  for (const runtime::EvalResult& res : results)
+    for (int f = 0; f < kNumFidelities; ++f)
+      pending_pred_.erase({res.job.config, f});
+  t_ += static_cast<int>(results.size());
   ++result_.rounds_run;
 
+  // One hypervolume per committed step, shared by every consumer (diag
+  // convergence, metrics, the server's outcome). Pure observation.
+  const bool diag_on = diag::recorder().enabled();
+  const bool metrics_on = obs::metrics().enabled();
+  const double hv = diag_on || metrics_on || shared_.collect_outcomes
+                        ? topHypervolume(round)
+                        : std::numeric_limits<double>::quiet_NaN();
+
   if (diag_on) {
-    double hv = std::numeric_limits<double>::quiet_NaN();
-    const FidelityData& top_data = data_[kNumFidelities - 1];
-    if (!top_data.y.empty()) {
-      const std::vector<pareto::Point> pts(top_data.y.begin(),
-                                           top_data.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      hv = pareto::hypervolume(pareto::paretoFilter(pts),
-                               pareto::referencePoint(pts));
-    }
+    // Convergence record: hypervolume of the current top-fidelity set,
+    // cumulative charged tool-seconds, cache counters; ADRS comes from the
+    // recorder's oracle (set by the harness) when available.
     std::vector<std::size_t> selected;
     selected.reserve(cs_.size());
     for (const SampleRecord& rec : cs_) selected.push_back(rec.config);
     const runtime::EvalCache::Stats cstats =
         cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
-    // Deterministic accumulator, not the simulator's (worker threads may
-    // still be charging in-flight attempts while this record is cut).
     diag::recorder().endRound(round, hv, selected,
                               scheduler_->deterministicToolSeconds(),
                               cstats.hits, cstats.misses);
   }
-
-  if (obs::metrics().enabled()) {
+  // Diagnostics-only progression metrics: computed from already-recorded
+  // data when enabled, never read back by the algorithm.
+  if (metrics_on) {
     obs::metrics().set("opt.round", static_cast<double>(round));
     obs::metrics().set("opt.proposals", static_cast<double>(t_));
-    obs::metrics().set("opt.believer_depth",
-                       static_cast<double>(inflight_meta_.size()));
-    obs::metrics().set("opt.believer_invalidations",
-                       static_cast<double>(believer_invalidations_));
-    const FidelityData& top = data_[kNumFidelities - 1];
-    if (!top.y.empty()) {
-      const std::vector<pareto::Point> pts(top.y.begin(), top.y.end());
-      obs::ScopedPhase hv_phase("hypervolume", round);
-      obs::metrics().set(
-          "opt.hypervolume.impl",
-          pareto::hypervolume(pareto::paretoFilter(pts),
-                              pareto::referencePoint(pts)));
+    if (opts_.async) {
+      obs::metrics().set("opt.believer_depth",
+                         static_cast<double>(inflight_meta_.size()));
+      obs::metrics().set("opt.believer_invalidations",
+                         static_cast<double>(believer_invalidations_));
     }
+    if (!data_[kNumFidelities - 1].y.empty())
+      obs::metrics().set("opt.hypervolume.impl", hv);
   }
 
   {
@@ -1143,29 +986,29 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRoundAsync() {
     writeCheckpoint(round + 1);
   }
   if (opts_.max_rounds > 0 && result_.rounds_run >= opts_.max_rounds) {
-    // Preemption mimics a kill: stop WITHOUT draining, leaving the
-    // in-flight believers journaled for the resume to re-dispatch.
+    // Preemption point; the journal resumes from here. Like a kill, it
+    // stops WITHOUT draining: in-flight believers stay journaled for the
+    // resume to re-dispatch.
     stopped_ = true;
     preempted_ = true;
   }
   if (opts_.max_charged_seconds > 0.0 &&
       scheduler_->totals().charged_seconds >= opts_.max_charged_seconds)
-    stopped_ = true;  // tool-time budget exhausted; the pipeline drains
+    stopped_ = true;  // tool-time budget exhausted; in-flight jobs drain
   ++round_;
-  return makeOutcome(round, {ev.result});
+  return makeOutcome(round, results, hv);
 }
 
 OptimizeResult CorrelatedMfMoboOptimizer::finish() {
   assert(started_ && !finished_);
   finished_ = true;
   result_.cs = cs_;
-  // Async: the deterministic per-completion accumulator — bit-stable under
-  // thread interleaving and consistent with what the journal carries (a
-  // preempted run's unprocessed in-flight charges are excluded on both
-  // sides). Bitwise equal to the simulator's accumulator in the healthy
-  // sequential regime.
-  result_.tool_seconds = opts_.async ? scheduler_->deterministicToolSeconds()
-                                     : sim_->totalToolSeconds();
+  // The job-ordered ledger: bit-stable under thread interleaving (so across
+  // farm widths) and consistent with what the journal carries (a preempted
+  // run's unprocessed in-flight charges are excluded on both sides).
+  // Bitwise equal to the simulator's accumulator in the healthy sequential
+  // regime.
+  result_.tool_seconds = scheduler_->deterministicToolSeconds();
   const runtime::SchedulerStats totals = scheduler_->totals();
   result_.wall_seconds = totals.wall_seconds;
   result_.tool_runs = totals.tool_runs;

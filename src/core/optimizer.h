@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,10 @@
 #include "hls/design_space.h"
 #include "runtime/scheduler.h"
 #include "sim/tool.h"
+
+namespace cmmfo::obs {
+class Span;
+}  // namespace cmmfo::obs
 
 namespace cmmfo::core {
 
@@ -87,7 +93,9 @@ struct OptimizerOptions {
   runtime::RetryPolicy retry;
   /// Journal file for crash-safe checkpoint/resume; empty disables
   /// checkpointing. The full BO state is written (atomically) after the
-  /// initialization round and after every BO round.
+  /// initialization round and after every BO round, as a CRC-32C framed
+  /// log holding the current state plus up to two predecessors (torn
+  /// tails are detected and rolled back on load). A write failure throws.
   std::string checkpoint_path;
   /// Resume from `checkpoint_path` if it holds a valid journal for this
   /// exact (options, seed, space) — otherwise start cold. Resumed runs are
@@ -106,10 +114,6 @@ struct OptimizerOptions {
   double max_charged_seconds = 0.0;
 
   // ---- Durability & self-healing (the server's crash-only regime). ----
-  /// Write the journal as a CRC-32C framed multi-frame log (the current
-  /// state plus a small rollback window) instead of one plain JSON file.
-  /// Loads accept either format; torn tails are detected and quarantined.
-  bool framed_journal = false;
   /// Resume survivability: a corrupt, truncated, empty, or
   /// fingerprint-mismatched journal is quarantined and the run starts cold
   /// with a RoundOutcome::resume_note, instead of throwing. The daemon sets
@@ -261,14 +265,19 @@ class CorrelatedMfMoboOptimizer {
   /// initialization round, and write checkpoint 0. Must be called exactly
   /// once, before the first stepRound().
   RoundOutcome start();
-  /// One BO round: fit/append the surrogate, propose the q-PEIPV batch,
-  /// execute it, record, checkpoint. Requires start(); no-op when done().
-  /// In async mode one "round" is one COMPLETION EVENT instead: commit the
-  /// posterior, refresh believer fantasies for in-flight jobs, top the farm
-  /// up with fresh argmax-PEIPV proposals, then process the earliest
-  /// simulated completion — record, checkpoint (in-flight believers
-  /// journaled), account. The server's FairScheduler therefore charges
-  /// async campaigns per completion, not per barrier'd batch.
+  /// One step of Algorithm 2's loop (lines 6-15): commit the posterior on
+  /// the real datasets, admit proposals, harvest results, then one shared
+  /// tail records them, logs diagnostics/metrics, checkpoints and applies
+  /// the preemption and budget stops. Requires start(); no-op when done().
+  /// Two admission policies share everything else:
+  ///  - sync (default): one fidelity-homogeneous Kriging-believer batch of
+  ///    batch_size picks, harvested behind a barrier — one step per round;
+  ///  - async: re-derive believers for the jobs still in flight, top the
+  ///    farm up with one proposal per free worker, then harvest the earliest
+  ///    simulated completion — one step per completion event, so the
+  ///    server's FairScheduler charges async campaigns per completion.
+  /// Charged tool-seconds come from one ledger in both modes, the
+  /// scheduler's job-ordered ToolScheduler::deterministicToolSeconds().
   RoundOutcome stepRound();
   /// True once the proposal budget is spent, the space is exhausted, or
   /// OptimizerOptions::max_rounds stopped this process.
@@ -287,6 +296,7 @@ class CorrelatedMfMoboOptimizer {
     std::vector<std::size_t> configs;
     std::vector<gp::Vec> y;  // objectives, invalid entries already penalized
   };
+  using Datasets = std::array<FidelityData, sim::kNumFidelities>;
   /// Argmax of the cost-penalized acquisition over (fidelity x candidate).
   struct Pick {
     std::size_t config = 0;
@@ -312,17 +322,11 @@ class CorrelatedMfMoboOptimizer {
   /// exact (options, seed, space, fault model); resuming against anything
   /// else throws.
   std::uint64_t checkpointFingerprint() const;
-  CheckpointState captureCheckpoint(int next_round, int t,
-                                    const runtime::ToolScheduler& scheduler,
-                                    const runtime::EvalCache& cache,
-                                    const OptimizeResult& result) const;
-  void restoreCheckpoint(const CheckpointState& st,
-                         runtime::ToolScheduler& scheduler,
-                         runtime::EvalCache& cache, OptimizeResult& result);
+  CheckpointState captureCheckpoint(int next_round) const;
+  void restoreCheckpoint(const CheckpointState& st);
   /// Penalized objective vector for an invalid report at a fidelity.
   gp::Vec penalizedObjectives(const FidelityData& data) const;
-  std::vector<FidelityObs> buildObsFrom(
-      const std::array<FidelityData, sim::kNumFidelities>& data) const;
+  std::vector<FidelityObs> buildObsFrom(const Datasets& data) const;
   /// Scan (fidelity x candidates \ taken) for the PEIPV argmax against the
   /// given (possibly fantasy-augmented) datasets and the current surrogate.
   /// `only_fidelity` >= 0 restricts the scan to that one fidelity (used to
@@ -330,24 +334,52 @@ class CorrelatedMfMoboOptimizer {
   /// When `audit` is non-null the scan additionally collects a per-fidelity
   /// acquisition audit (cost penalty + top-k candidates by PEIPV) for the
   /// flight recorder. Pure observation: the argmax is unchanged.
-  Pick scanBest(const std::array<FidelityData, sim::kNumFidelities>& data,
-                const std::vector<std::size_t>& cand,
+  Pick scanBest(const Datasets& data, const std::vector<std::size_t>& cand,
                 const std::vector<char>& taken,
                 const std::array<double, sim::kNumFidelities>& stage_seconds,
                 const std::vector<std::vector<double>>& z,
                 int only_fidelity = -1,
                 std::vector<diag::FidelityAudit>* audit = nullptr) const;
 
-  /// One completion event of the asynchronous pipeline (see stepRound).
-  RoundOutcome stepRoundAsync();
+  // ---- The step loop (see stepRound). ----
+  /// Configs neither sampled nor in flight, in index order (RNG-free).
+  std::vector<std::size_t> openConfigs() const;
+  /// openConfigs() subsampled to max_candidates by one shuffle.
+  std::vector<std::size_t> candidates();
+  /// Fit (MLE rounds) or rank-append the real datasets, rolling back every
+  /// stacked believer fantasy, plus the diag per-level ModelRecords.
+  void commitPosterior(int round);
+  /// Sync admission: one fidelity-homogeneous Kriging-believer batch.
+  std::vector<runtime::EvalJob> admitBatch(int round);
+  /// Async admission: re-derive in-flight believers, then dispatch one
+  /// proposal per free worker.
+  void admitAsync(int round);
+  /// Book one pick: per-fidelity counts, IterationLog, acq_pick span,
+  /// acq.peipv metric, DecisionRecord and the predict-before-observe
+  /// snapshot. `depth` = believer fantasies the pick was conditioned on.
+  void logPick(obs::Span& span, const Pick& pick, int round, int iteration,
+               int depth, std::vector<diag::FidelityAudit> audit);
+  /// Kriging believer: append the posterior mean of (config, fidelity) at
+  /// every stage the job will run to `fantasy` (seeded from the real data
+  /// on first use) and condition the surrogate on it, uncommitted.
+  void believe(std::optional<Datasets>& fantasy, std::size_t config,
+               sim::Fidelity fidelity);
+  /// The shared tail of every step: drop consumed predictions, advance the
+  /// counters, diag/metrics records, checkpoint, preemption/budget stops.
+  RoundOutcome commitStep(int round,
+                          const std::vector<runtime::EvalResult>& results);
+  /// Hypervolume of the top-fidelity observations (NaN while empty).
+  double topHypervolume(int round) const;
 
   /// Write the journal for a resume at `next_round` (no-op without a
-  /// checkpoint path).
+  /// checkpoint path); throws std::runtime_error when the write fails.
   void writeCheckpoint(int next_round);
   /// Assemble the post-round snapshot (ledgers, cache counters, optional
-  /// hypervolume + per-job seconds from `results`).
+  /// hypervolume + per-job seconds from `results`); `hv` reuses a
+  /// hypervolume the caller already computed.
   RoundOutcome makeOutcome(int round,
-                           const std::vector<runtime::EvalResult>& results);
+                           const std::vector<runtime::EvalResult>& results,
+                           std::optional<double> hv = std::nullopt);
 
   const hls::DesignSpace* space_;
   sim::FpgaToolSim* sim_;
@@ -373,7 +405,7 @@ class CorrelatedMfMoboOptimizer {
   bool stopped_ = false;  ///< space exhausted or max_rounds hit
   bool finished_ = false;
 
-  std::array<FidelityData, sim::kNumFidelities> data_;
+  Datasets data_;
   std::vector<bool> sampled_;
   std::vector<SampleRecord> cs_;
 
@@ -389,7 +421,7 @@ class CorrelatedMfMoboOptimizer {
   std::map<std::pair<std::size_t, int>, PendingPrediction> pending_pred_;
   int diag_round_ = -1;  ///< current BO round; -1 outside the round loop
 
-  // ---- Async pipeline state (unused when opts_.async is false). ----
+  // ---- Async admission state (always empty when opts_.async is false). ----
   /// One dispatched-but-unprocessed proposal: the believer observation it
   /// contributes is re-derived from the committed posterior at every step
   /// (invalidate-and-refresh), so only the job identity and its simulated
@@ -404,9 +436,8 @@ class CorrelatedMfMoboOptimizer {
   /// Cumulative believer observations rolled back by posterior commits
   /// (every real result invalidates ALL stacked fantasies; diagnostics).
   long long believer_invalidations_ = 0;
-  /// max_rounds preemption in async mode stops WITHOUT draining: in-flight
-  /// believers stay journaled, exactly like a kill, so done() must not wait
-  /// for them.
+  /// max_rounds preemption stops WITHOUT draining: in-flight believers stay
+  /// journaled, exactly like a kill, so done() must not wait for them.
   bool preempted_ = false;
 };
 

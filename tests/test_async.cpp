@@ -385,7 +385,7 @@ TEST(AsyncResume, PreemptionJournalsInflightAndResumesIdentically) {
 
   core::CheckpointState st;
   std::string err;
-  ASSERT_TRUE(core::loadCheckpoint(path, &st, &err)) << err;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &st, &err)) << err;
   // A 4-wide window preempted mid-flight has speculative work outstanding.
   EXPECT_FALSE(st.async_inflight.empty());
 
@@ -434,7 +434,7 @@ TEST(AsyncResume, ResumeCarriesSurrogateRecoveryState) {
 
   core::CheckpointState st;
   std::string err;
-  ASSERT_TRUE(core::loadCheckpoint(path, &st, &err)) << err;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &st, &err)) << err;
   ASSERT_FALSE(st.surrogate_mle_streak.empty());
   EXPECT_TRUE(std::any_of(st.surrogate_mle_streak.begin(),
                           st.surrogate_mle_streak.end(),
@@ -487,7 +487,7 @@ TEST(AsyncResume, ResumeKeepsCommittedCachePrefixOfInflightRefinements) {
 
   core::CheckpointState st;
   std::string err;
-  ASSERT_TRUE(core::loadCheckpoint(path, &st, &err)) << err;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &st, &err)) << err;
   // Journal invariant: an in-flight config whose earlier (lower-fidelity)
   // pick already committed must keep that cache entry.
   for (const auto& e : st.async_inflight)

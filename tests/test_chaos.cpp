@@ -223,8 +223,11 @@ TEST(ChaosCheckpoint, CorruptTailRollsBackToPreviousGeneration) {
   EXPECT_FALSE(info.rolled_back);
   EXPECT_EQ(got.next_round, 2);
 
-  // Plain single-JSON journals (the CLI's historical format) still load.
-  ASSERT_TRUE(core::saveCheckpoint(path, st));
+  // Plain single-JSON journals (the legacy unframed format) still load.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << core::serializeCheckpoint(st);
+  }
   ASSERT_TRUE(core::loadCheckpointAny(path, &got, nullptr, &info));
   EXPECT_FALSE(info.framed);
   EXPECT_EQ(got.next_round, 3);

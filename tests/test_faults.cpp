@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -436,10 +437,10 @@ TEST(Checkpoint, SaveLoadIsAtomicAndRoundTrips) {
   core::CheckpointState st;
   st.fingerprint = 99;
   st.t = 5;
-  ASSERT_TRUE(core::saveCheckpoint(path, st));
+  ASSERT_TRUE(core::saveCheckpointFramed(path, st));
   core::CheckpointState back;
   std::string err;
-  ASSERT_TRUE(core::loadCheckpoint(path, &back, &err)) << err;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &back, &err)) << err;
   EXPECT_EQ(back.fingerprint, 99u);
   EXPECT_EQ(back.t, 5);
   std::remove(path.c_str());
@@ -576,6 +577,72 @@ TEST(Checkpoint, MissingJournalMeansColdStartNotError) {
   EXPECT_FALSE(res.resumed);
   EXPECT_EQ(static_cast<int>(res.iterations.size()), o.n_iter);
   std::remove(path.c_str());
+}
+
+std::string firstBytes(const std::string& path, std::size_t n) {
+  std::ifstream f(path, std::ios::binary);
+  std::string head(n, '\0');
+  f.read(head.data(), static_cast<std::streamsize>(n));
+  head.resize(static_cast<std::size_t>(f.gcount()));
+  return head;
+}
+
+TEST(Checkpoint, LegacyPlainJournalResumesAndUpgradesToFrames) {
+  const std::string path = tempCheckpointPath("cmmfo_ckpt_legacy.json");
+  std::remove(path.c_str());
+
+  core::OptimizerOptions o = fastOpts();
+  o.seed = 77;
+
+  Fixture f1;
+  core::CorrelatedMfMoboOptimizer full(f1.space, f1.sim, o);
+  const auto golden = full.run();
+
+  // A preempted campaign's state, rewritten in the legacy unframed format
+  // (one plain JSON document, as journals were before framing).
+  Fixture f2;
+  core::OptimizerOptions o_kill = o;
+  o_kill.checkpoint_path = path;
+  o_kill.max_rounds = 3;
+  core::CorrelatedMfMoboOptimizer killed(f2.space, f2.sim, o_kill);
+  (void)killed.run();
+  core::CheckpointState st;
+  std::string err;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &st, &err)) << err;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << core::serializeCheckpoint(st);
+  }
+  ASSERT_NE(firstBytes(path, 4), "CMJ1");
+
+  Fixture f3;
+  core::OptimizerOptions o_resume = o;
+  o_resume.checkpoint_path = path;
+  o_resume.resume = true;
+  core::CorrelatedMfMoboOptimizer resumed(f3.space, f3.sim, o_resume);
+  const auto finished = resumed.run();
+  EXPECT_TRUE(finished.resumed);
+  expectSameTrajectory(golden, finished);
+  EXPECT_EQ(golden.tool_seconds, finished.tool_seconds);  // exact bits
+  // The first write after the legacy load upgraded the file to frames.
+  EXPECT_EQ(firstBytes(path, 4), "CMJ1");
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, UnwritableJournalThrowsInsteadOfRunningUndurably) {
+  const std::string path =
+      tempCheckpointPath("cmmfo_no_such_dir") + "/journal.json";
+  core::OptimizerOptions o = fastOpts();
+  o.checkpoint_path = path;
+  Fixture f;
+  core::CorrelatedMfMoboOptimizer opt(f.space, f.sim, o);
+  try {
+    (void)opt.start();
+    FAIL() << "start() must refuse a journal it cannot write";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -441,8 +441,8 @@ TEST(BatchedOptimizer, TrajectoryIndependentOfWorkerCount) {
       EXPECT_EQ(runs[w].cs[i].fidelity, runs[0].cs[i].fidelity);
     }
     EXPECT_EQ(runs[w].tool_runs, runs[0].tool_runs);
-    EXPECT_NEAR(runs[w].tool_seconds, runs[0].tool_seconds,
-                1e-9 * runs[0].tool_seconds);
+    // One job-ordered ledger: bit-stable across farm widths.
+    EXPECT_EQ(runs[w].tool_seconds, runs[0].tool_seconds);
   }
   // More workers can only shrink the simulated wall-clock.
   EXPECT_GE(runs[0].wall_seconds, runs[1].wall_seconds);

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -355,7 +356,15 @@ int cmdTcl(const Args& args) {
 int main(int argc, char** argv) {
   const Args args = parseArgs(argc, argv);
   if (args.command == "list") return cmdList();
-  if (args.command == "run") return cmdRun(args, argc, argv);
+  if (args.command == "run") {
+    try {
+      return cmdRun(args, argc, argv);
+    } catch (const std::exception& e) {
+      // An unwritable journal or a strict --resume mismatch ends the run.
+      std::fprintf(stderr, "cmmfo: %s\n", e.what());
+      return 1;
+    }
+  }
   if (args.command == "prune") return cmdPrune(args);
   if (args.command == "tcl") return cmdTcl(args);
   return usage();
