@@ -1,10 +1,11 @@
 #!/bin/sh
 # Runs every bench binary (the repo's reproduction sweep).
 #
-#   ./run_benches.sh               run all benches from build/bench; micro
-#                                  benches additionally emit JSON, merged
-#                                  into BENCH_10.json (the perf trajectory
-#                                  archive)
+#   ./run_benches.sh [ARCHIVE]     run all benches from build/bench; micro
+#                                  and gated benches additionally emit JSON,
+#                                  merged into ARCHIVE (e.g. BENCH_15.json,
+#                                  the perf trajectory archive); without
+#                                  ARCHIVE the merge is skipped
 #   ./run_benches.sh --tsan-smoke  build the test binary under ThreadSanitizer
 #                                  (CMMFO_SANITIZE=thread) and run the
 #                                  parallel-runtime tests under it
@@ -59,8 +60,10 @@ for b in build/bench/*; do
 done
 
 # Merge the per-binary JSON files into one archive keyed by binary name.
-if command -v python3 > /dev/null 2>&1 && [ -n "$(ls "$OUTDIR" 2>/dev/null)" ]; then
-  python3 - "$OUTDIR" BENCH_10.json <<'EOF'
+if [ -z "$1" ]; then
+  echo "no archive name given: per-bench JSON left in $OUTDIR/, nothing merged"
+elif command -v python3 > /dev/null 2>&1 && [ -n "$(ls "$OUTDIR" 2>/dev/null)" ]; then
+  python3 - "$OUTDIR" "$1" <<'EOF'
 import json, os, sys
 outdir, dest = sys.argv[1], sys.argv[2]
 merged = {}

@@ -371,8 +371,12 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   for (const std::size_t b : surrogate_.committedBaseCounts())
     st.surrogate_base.push_back(static_cast<std::uint64_t>(b));
   // Journal the metrics ledger so a resumed run's dump continues where the
-  // crashed run left off instead of restarting the counters from zero.
-  if (obs::metrics().enabled()) st.metrics = obs::metrics().snapshot();
+  // crashed run left off instead of restarting the counters from zero. Not
+  // on a shared pool: the process-wide registry then holds every
+  // co-tenant's series too, and restoring it from one campaign's journal
+  // would rewind them all.
+  if (obs::metrics().enabled() && shared_.pool == nullptr)
+    st.metrics = obs::metrics().snapshot();
   // Same for the flight recorder's calibration aggregates and warnings.
   if (diag::recorder().enabled()) {
     st.diag = diag::recorder().state();
@@ -447,7 +451,8 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   // artifact namespace keeps its own hit/miss accounting untouched.
   cache_->restoreCounters(st.cache_hits, st.cache_misses,
                           scheduler_->cacheLedger());
-  if (obs::metrics().enabled() && !st.metrics.empty())
+  if (obs::metrics().enabled() && shared_.pool == nullptr &&
+      !st.metrics.empty())
     obs::metrics().restore(st.metrics);
   if (st.has_diag && diag::recorder().enabled())
     diag::recorder().restore(st.diag);

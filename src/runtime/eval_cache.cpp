@@ -9,51 +9,22 @@ namespace cmmfo::runtime {
 
 const EvalCache::Flow* EvalCache::findLocked(std::size_t config,
                                              sim::Fidelity fidelity,
-                                             std::uint64_t ns,
-                                             std::uint64_t ledger,
-                                             bool count) const {
-  const std::uint64_t key = ledger != 0 ? ledger : ns;
+                                             std::uint64_t ns) const {
   const auto it = map_.find({ns, static_cast<std::uint64_t>(config)});
-  if (it == map_.end() || it->second.upto < static_cast<int>(fidelity)) {
-    if (count) ++counters_[key].misses;
+  if (it == map_.end() || it->second.upto < static_cast<int>(fidelity))
     return nullptr;
-  }
-  if (count) ++counters_[key].hits;
   // Touch: a hit makes this flow the most recently used.
   lru_.splice(lru_.begin(), lru_, it->second.lru);
   return &it->second;
 }
 
-std::optional<sim::Report> EvalCache::find(std::size_t config,
-                                           sim::Fidelity fidelity,
-                                           std::uint64_t ns,
-                                           std::uint64_t ledger) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Flow* flow = findLocked(config, fidelity, ns, ledger);
-  if (flow == nullptr) return std::nullopt;
-  return flow->stages[static_cast<int>(fidelity)];
-}
-
 std::optional<std::array<sim::Report, sim::kNumFidelities>>
 EvalCache::findFlow(std::size_t config, sim::Fidelity fidelity,
-                    std::uint64_t ns, std::uint64_t ledger) const {
+                    std::uint64_t ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const Flow* flow = findLocked(config, fidelity, ns, ledger);
+  const Flow* flow = findLocked(config, fidelity, ns);
   if (flow == nullptr) return std::nullopt;
-  // Stages beyond the cached ladder stay default-constructed, exactly like
-  // the per-stage map used to return them.
-  std::array<sim::Report, sim::kNumFidelities> stages{};
-  for (int f = 0; f <= static_cast<int>(fidelity); ++f)
-    stages[f] = flow->stages[f];
-  return stages;
-}
-
-std::optional<std::array<sim::Report, sim::kNumFidelities>>
-EvalCache::findFlowUncounted(std::size_t config, sim::Fidelity fidelity,
-                             std::uint64_t ns) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const Flow* flow = findLocked(config, fidelity, ns, 0, /*count=*/false);
-  if (flow == nullptr) return std::nullopt;
+  // Stages beyond the requested rung stay default-constructed.
   std::array<sim::Report, sim::kNumFidelities> stages{};
   for (int f = 0; f <= static_cast<int>(fidelity); ++f)
     stages[f] = flow->stages[f];
@@ -98,7 +69,7 @@ EvalCache::FlightJoin EvalCache::joinFlight(
   // both send the caller back around the probe/join loop.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const Flow* flow = findLocked(config, fidelity, ns, 0, /*count=*/false);
+    const Flow* flow = findLocked(config, fidelity, ns);
     if (flow == nullptr) return FlightJoin::kRetry;
     std::array<sim::Report, sim::kNumFidelities> out{};
     for (int f = 0; f <= static_cast<int>(fidelity); ++f)

@@ -41,33 +41,18 @@ namespace cmmfo::runtime {
 ///    default) never evicts.
 class EvalCache {
  public:
-  /// Report at (config, fidelity) if present. Counts a hit or a miss
-  /// against `ledger` (0 = use `ns`) and refreshes the flow's LRU position
-  /// on a hit.
-  std::optional<sim::Report> find(std::size_t config, sim::Fidelity fidelity,
-                                  std::uint64_t ns = 0,
-                                  std::uint64_t ledger = 0) const;
-
-  /// The whole stage ladder [0..fidelity] in one lookup (one hit or miss
-  /// counted). Present either fully or not at all, by the storeFlow
-  /// invariant.
-  std::optional<std::array<sim::Report, sim::kNumFidelities>> findFlow(
-      std::size_t config, sim::Fidelity fidelity, std::uint64_t ns = 0,
-      std::uint64_t ledger = 0) const;
-
-  /// findFlow without touching the hit/miss counters (the LRU position is
-  /// still refreshed — the lookup is real usage). The asynchronous
-  /// scheduler probes with this from worker threads, whose real-time
-  /// interleaving is nondeterministic, and books the hit/miss later via
-  /// countLookup() in deterministic completion-processing order, so
+  /// The whole stage ladder [0..fidelity] in one lookup, or nothing — by
+  /// the storeFlow invariant it is present either fully or not at all.
+  /// Refreshes the flow's LRU position on a hit but leaves the hit/miss
+  /// counters alone: the scheduler probes from worker threads, whose
+  /// real-time interleaving is nondeterministic, and books each lookup via
+  /// countLookup() on its driving thread in a deterministic order, so
   /// checkpointed counters stay bit-stable across runs and resumes.
-  std::optional<std::array<sim::Report, sim::kNumFidelities>>
-  findFlowUncounted(std::size_t config, sim::Fidelity fidelity,
-                    std::uint64_t ns = 0) const;
+  std::optional<std::array<sim::Report, sim::kNumFidelities>> findFlow(
+      std::size_t config, sim::Fidelity fidelity, std::uint64_t ns = 0) const;
 
-  /// Deterministic counter hook paired with findFlowUncounted: books one
-  /// hit or miss against counter key `ledger` (passed resolved — no
-  /// ns fallback here).
+  /// Deterministic counter hook paired with findFlow: books one hit or miss
+  /// against counter key `ledger` (passed resolved — no ns fallback here).
   void countLookup(bool hit, std::uint64_t ledger);
 
   // ---- Single-flight coalescing ------------------------------------------
@@ -200,11 +185,9 @@ class EvalCache {
     std::uint64_t coalesced = 0;
   };
 
-  /// Lookup + LRU touch + per-ledger count (skipped when `count` is
-  /// false); requires mu_ held.
+  /// Lookup + LRU touch on a hit; requires mu_ held.
   const Flow* findLocked(std::size_t config, sim::Fidelity fidelity,
-                         std::uint64_t ns, std::uint64_t ledger,
-                         bool count = true) const;
+                         std::uint64_t ns) const;
   /// Evict LRU flows beyond capacity; requires mu_ held. Returns how many
   /// flows were dropped (for the metrics emission outside the lock).
   int enforceCapacityLocked();
@@ -212,7 +195,7 @@ class EvalCache {
   mutable std::mutex mu_;
   std::unordered_map<Key, Flow, KeyHash> map_;
   mutable std::list<Key> lru_;
-  mutable std::unordered_map<std::uint64_t, Counters> counters_;
+  std::unordered_map<std::uint64_t, Counters> counters_;
   std::size_t capacity_ = 0;  // flows; 0 = unbounded
   std::size_t entries_ = 0;   // sum over flows of (upto + 1)
   std::uint64_t evictions_ = 0;

@@ -1,10 +1,9 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstddef>
-#include <future>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -56,27 +55,10 @@ ToolScheduler::ToolScheduler(const hls::DesignSpace& space,
 }
 
 ToolScheduler::~ToolScheduler() {
-  std::size_t unharvested = 0;
-  for (const Inflight& e : inflight_)
-    if (!e.harvested) ++unharvested;
   // Every accepted task eventually pushes (ThreadPool finishes queued work
   // before joining; a stopped pool made submitAsyncAt run inline), so this
   // drain terminates.
-  while (unharvested > 0) {
-    done_.pop();
-    --unharvested;
-  }
-}
-
-void ToolScheduler::resetAccounting() {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    totals_ = {};
-    last_ = {};
-  }
-  sim_now_ = 0.0;
-  det_tool_seconds_ = 0.0;
-  sim_->resetAccounting();
+  harvest();
 }
 
 SchedulerStats ToolScheduler::totals() const {
@@ -84,12 +66,7 @@ SchedulerStats ToolScheduler::totals() const {
   return totals_;
 }
 
-SchedulerStats ToolScheduler::lastBatch() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return last_;
-}
-
-EvalResult ToolScheduler::execute(const EvalJob& job, bool counted) {
+EvalResult ToolScheduler::execute(const EvalJob& job) {
   // Worker-side span: pure timing/labeling, never feeds back into the run.
   obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr, "job",
                  "scheduler");
@@ -99,25 +76,24 @@ EvalResult ToolScheduler::execute(const EvalJob& job, bool counted) {
   res.job = job;
   // Probe/join loop: a miss is followed by a single-flight join, so two
   // workers (or co-tenant campaigns sharing a namespace) asking for the
-  // same flow concurrently launch ONE tool run. Only the first probe is
-  // counted — logically this is one lookup, however many times a too-
-  // shallow or failed leader sends us back around.
-  bool first_probe = true;
-  for (;;) {
-    std::optional<std::array<sim::Report, sim::kNumFidelities>> cached;
-    if (counted && first_probe)
-      cached = cache_->findFlow(job.config, job.fidelity, cache_ns_,
-                                cache_ledger_);
-    else
-      cached = cache_->findFlowUncounted(job.config, job.fidelity, cache_ns_);
-    first_probe = false;
+  // same flow concurrently launch ONE tool run. Only the first probe's
+  // outcome is booked — logically this is one lookup, however many times a
+  // too-shallow or failed leader sends us back around.
+  bool leading = false;
+  for (bool first_probe = true;; first_probe = false) {
+    const auto cached = cache_->findFlow(job.config, job.fidelity, cache_ns_);
     if (cached) {
+      // Release a flight we won only after a previous leader had stored:
+      // anyone who joined it meanwhile finds these artifacts too.
+      if (leading) cache_->finishFlight(job.config, cache_ns_);
       res.stages = *cached;
       res.cache_hit = true;
+      res.first_probe_hit = first_probe;
       res.completed_fidelity = static_cast<int>(job.fidelity);
       span.outcome("cache_hit");
       return res;  // the artifacts already exist; nothing to charge
     }
+    if (leading) break;
     std::array<sim::Report, sim::kNumFidelities> served{};
     EvalCache::FlightLink leader_link;
     const EvalCache::FlightJoin join = cache_->joinFlight(
@@ -133,9 +109,11 @@ EvalResult ToolScheduler::execute(const EvalJob& job, bool counted) {
           .outcome("coalesced");
       return res;  // the leader's run charged the leader; we pay nothing
     }
-    if (join == EvalCache::FlightJoin::kLeader) break;
+    // kLeader: probe once more before running — a leader that stored and
+    // finished between our probe and our join left its ladder behind.
     // kRetry: the flight we waited out was too shallow, failed, or its
     // flow was evicted before we looked — re-probe and join again.
+    leading = join == EvalCache::FlightJoin::kLeader;
   }
   // One charged invocation runs the flow up to the requested fidelity; the
   // intermediate stage reports come with it for free (a real tool run emits
@@ -221,50 +199,103 @@ EvalResult ToolScheduler::execute(const EvalJob& job, bool counted) {
 
 std::vector<EvalResult> ToolScheduler::runBatch(
     const std::vector<EvalJob>& jobs) {
+  assert(inflight_.empty());
   obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
                  "run_batch", "scheduler");
-  std::vector<std::future<EvalResult>> futures;
-  futures.reserve(jobs.size());
+  for (const EvalJob& job : jobs) submitAsync(job);
+  if (obs::metrics().enabled()) {
+    obs::MetricsRegistry& m = obs::metrics();
+    m.defineHistogram("sched.queue_depth", obs::MetricsRegistry::countBounds());
+    m.observe("sched.queue_depth", static_cast<double>(pool_->queueDepth()));
+    m.defineHistogram("sched.batch_size", obs::MetricsRegistry::countBounds());
+    m.observe("sched.batch_size", static_cast<double>(jobs.size()));
+  }
+  harvest();
+  // inflight_ was empty, so it holds exactly this round in job order.
+  std::vector<EvalResult> results;
+  results.reserve(jobs.size());
+  for (Inflight& e : inflight_) results.push_back(std::move(e.result));
+  inflight_.clear();
+
+  const SchedulerStats round = fold(results);
+  sim_now_ += round.wall_seconds;  // round barrier: the clock jumps a makespan
+  commit(round);
+  span.id(static_cast<std::int64_t>(jobs.size()))
+      .value(round.charged_seconds);
+  return results;
+}
+
+std::uint64_t ToolScheduler::submitAsync(const EvalJob& job) {
+  return submitAsyncAt(job, sim_now_);
+}
+
+std::uint64_t ToolScheduler::submitAsyncAt(const EvalJob& job,
+                                           double sim_start) {
+  const std::uint64_t seq = next_seq_++;
+  inflight_.push_back(Inflight{job, seq, sim_start, false, {}});
   // Capture the driving thread's causal context at submit time and
-  // re-install it on the worker, so job spans parent to the round that
-  // proposed them; host-clock queue wait is observational only (never fed
-  // back) and is skipped entirely while metrics are off.
+  // re-install it on the worker, so job spans parent to the round or
+  // proposal that dispatched them (surviving the async fantasy/invalidate
+  // cycle); host-clock queue wait is observational only (never fed back)
+  // and is skipped entirely while metrics are off.
   const obs::TraceContext ctx =
       obs::tracer().enabled() ? obs::currentContext() : obs::TraceContext{};
   const bool timed = obs::metrics().enabled();
-  for (const EvalJob& job : jobs) {
-    const auto submitted = timed ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{};
-    futures.push_back(pool_->submit([this, job, ctx, timed, submitted] {
-      obs::ContextGuard guard(
-          obs::tracer().enabled() ? &obs::tracer() : nullptr, ctx);
-      if (timed)
-        obs::metrics().observe(
-            "slo.queue_wait_seconds",
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          submitted)
-                .count());
-      return execute(job);
-    }));
+  const auto submitted = timed ? std::chrono::steady_clock::now()
+                               : std::chrono::steady_clock::time_point{};
+  const bool accepted =
+      pool_->submitTo(done_, [this, job, seq, ctx, timed, submitted] {
+        obs::ContextGuard guard(
+            obs::tracer().enabled() ? &obs::tracer() : nullptr, ctx);
+        if (timed)
+          obs::metrics().observe(
+              "slo.queue_wait_seconds",
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - submitted)
+                  .count());
+        return std::make_pair(seq, execute(job));
+      });
+  if (!accepted) {
+    // Pool stopped (server shutdown race): run inline so the result still
+    // materializes and the harvest cannot deadlock.
+    Inflight& e = inflight_.back();
+    e.result = execute(job);
+    e.harvested = true;
   }
+  return seq;
+}
 
-  if (obs::metrics().enabled()) {
-    obs::metrics().defineHistogram("sched.queue_depth",
-                                   obs::MetricsRegistry::countBounds());
-    obs::metrics().observe("sched.queue_depth",
-                           static_cast<double>(pool_->queueDepth()));
+void ToolScheduler::harvest() {
+  std::size_t unharvested = 0;
+  for (const Inflight& e : inflight_)
+    if (!e.harvested) ++unharvested;
+  while (unharvested > 0) {
+    auto [seq, result] = done_.pop();
+    for (Inflight& e : inflight_) {
+      if (e.seq != seq) continue;
+      e.result = std::move(result);
+      e.harvested = true;
+      --unharvested;
+      break;
+    }
   }
+}
 
-  std::vector<EvalResult> results;
-  results.reserve(jobs.size());
-  for (auto& f : futures) results.push_back(f.get());
+namespace {
+/// Simulated worker occupancy of a finished job: a tool run holds its
+/// worker for every attempt plus the backoff waits between them; cache
+/// hits and coalesced joins occupy nothing.
+double simDuration(const EvalResult& r) {
+  if (r.cache_hit || r.coalesced) return 0.0;
+  return r.charged_seconds + r.backoff_seconds;
+}
+}  // namespace
 
-  // Accounting (main thread, deterministic). Wall clock: greedy list
-  // scheduling of the round's charges onto the farm in job order; the
-  // round costs its makespan. A job occupies its worker for every attempt
-  // plus the backoff waits between them. With one worker and no faults this
-  // degenerates to the plain sum, i.e. wall == charged, the sequential
-  // regime.
+SchedulerStats ToolScheduler::fold(std::span<const EvalResult> results) {
+  // Wall clock: greedy list scheduling of the harvest's charges onto the
+  // farm in order; the harvest costs its makespan. With one worker and no
+  // faults this degenerates to the plain sum, i.e. wall == charged, the
+  // sequential regime.
   SchedulerStats round;
   std::vector<double> load(pool_->numWorkers(), 0.0);
   for (const EvalResult& r : results) {
@@ -286,22 +317,25 @@ std::vector<EvalResult> ToolScheduler::runBatch(
       ++round.coalesced;  // zero charge, zero occupancy: the leader pays
     } else {
       ++round.tool_runs;
-      auto slot = std::min_element(load.begin(), load.end());
-      *slot += r.charged_seconds + r.backoff_seconds;
+      *std::min_element(load.begin(), load.end()) += simDuration(r);
     }
-    // Deterministic per-job mirror of the simulator's accumulator (job
-    // order — matches the single-worker attempt order bitwise).
+    // Deterministic per-job mirror of the simulator's accumulator (matches
+    // the single-worker attempt order bitwise).
     det_tool_seconds_ += r.charged_seconds;
+    // The worker probed UNCOUNTED; book the lookup here, in deterministic
+    // order, so the checkpointed ledger is bit-stable. A coalesced join
+    // still counts as the miss it was when the worker asked.
+    cache_->countLookup(r.first_probe_hit, cacheLedger());
   }
   round.wall_seconds = *std::max_element(load.begin(), load.end());
-  sim_now_ += round.wall_seconds;  // round barrier: the clock jumps a makespan
+  return round;
+}
 
+void ToolScheduler::commit(const SchedulerStats& round) {
   SchedulerStats after;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    last_ = round;
     totals_.charged_seconds += round.charged_seconds;
-    totals_.wall_seconds += round.wall_seconds;
     totals_.tool_runs += round.tool_runs;
     totals_.cache_hits += round.cache_hits;
     totals_.coalesced += round.coalesced;
@@ -312,87 +346,37 @@ std::vector<EvalResult> ToolScheduler::runBatch(
     totals_.degraded_jobs += round.degraded_jobs;
     totals_.retry_seconds_wasted += round.retry_seconds_wasted;
     totals_.backoff_seconds += round.backoff_seconds;
+    // Wall clock IS the simulated clock: a batch advanced it by its
+    // makespan, a completion to its sim_end (overlapping completions' walls
+    // don't add up).
+    totals_.wall_seconds = sim_now_;
     after = totals_;
   }
 
   // Metrics mirror the ledgers exactly: gauges are SET from the very totals
-  // the scheduler reports (not re-accumulated), on the main thread, in job
-  // order, so the metrics dump ties out with totals() bit-for-bit.
-  if (obs::metrics().enabled()) {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.set("sched.charged_seconds", after.charged_seconds);
-    m.set("sched.wall_seconds", after.wall_seconds);
-    m.set("sched.retry_seconds_wasted", after.retry_seconds_wasted);
-    m.set("sched.backoff_seconds", after.backoff_seconds);
-    m.set("sched.tool_runs", static_cast<double>(after.tool_runs));
-    m.set("sched.cache_hits", static_cast<double>(after.cache_hits));
-    m.set("sched.attempts", static_cast<double>(after.attempts));
-    m.set("sched.transient_failures",
-          static_cast<double>(after.transient_failures));
-    m.set("sched.timeouts", static_cast<double>(after.timeouts));
-    m.set("sched.persistent_failures",
-          static_cast<double>(after.persistent_failures));
-    m.set("sched.degraded_jobs", static_cast<double>(after.degraded_jobs));
-    const double lookups =
-        static_cast<double>(after.cache_hits + after.tool_runs);
-    m.set("sched.cache_hit_rate",
-          lookups > 0.0 ? static_cast<double>(after.cache_hits) / lookups
-                        : 0.0);
-    m.defineHistogram("sched.batch_size",
-                      obs::MetricsRegistry::countBounds());
-    m.observe("sched.batch_size", static_cast<double>(jobs.size()));
-  }
-  span.id(static_cast<std::int64_t>(jobs.size()))
-      .value(round.charged_seconds);
-  return results;
+  // the scheduler reports (not re-accumulated), on the driving thread, so
+  // the metrics dump ties out with totals() bit-for-bit.
+  if (!obs::metrics().enabled()) return;
+  obs::MetricsRegistry& m = obs::metrics();
+  m.set("sched.charged_seconds", after.charged_seconds);
+  m.set("sched.wall_seconds", after.wall_seconds);
+  m.set("sched.retry_seconds_wasted", after.retry_seconds_wasted);
+  m.set("sched.backoff_seconds", after.backoff_seconds);
+  m.set("sched.tool_runs", static_cast<double>(after.tool_runs));
+  m.set("sched.cache_hits", static_cast<double>(after.cache_hits));
+  m.set("sched.coalesced", static_cast<double>(after.coalesced));
+  m.set("sched.attempts", static_cast<double>(after.attempts));
+  m.set("sched.transient_failures",
+        static_cast<double>(after.transient_failures));
+  m.set("sched.timeouts", static_cast<double>(after.timeouts));
+  m.set("sched.persistent_failures",
+        static_cast<double>(after.persistent_failures));
+  m.set("sched.degraded_jobs", static_cast<double>(after.degraded_jobs));
+  const double lookups = static_cast<double>(after.cache_hits + after.tool_runs);
+  m.set("sched.cache_hit_rate",
+        lookups > 0.0 ? static_cast<double>(after.cache_hits) / lookups : 0.0);
+  m.set("sched.in_flight", static_cast<double>(inflight_.size()));
 }
-
-std::uint64_t ToolScheduler::submitAsync(const EvalJob& job) {
-  return submitAsyncAt(job, sim_now_);
-}
-
-std::uint64_t ToolScheduler::submitAsyncAt(const EvalJob& job,
-                                           double sim_start) {
-  const std::uint64_t seq = next_seq_++;
-  inflight_.push_back(Inflight{job, seq, sim_start, false, {}});
-  // Same propagation as runBatch: the proposal's context travels with the
-  // closure and survives the event loop's fantasy/invalidate cycle.
-  const obs::TraceContext ctx =
-      obs::tracer().enabled() ? obs::currentContext() : obs::TraceContext{};
-  const bool timed = obs::metrics().enabled();
-  const auto submitted = timed ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  const bool accepted =
-      pool_->submitTo(done_, [this, job, seq, ctx, timed, submitted] {
-        obs::ContextGuard guard(
-            obs::tracer().enabled() ? &obs::tracer() : nullptr, ctx);
-        if (timed)
-          obs::metrics().observe(
-              "slo.queue_wait_seconds",
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - submitted)
-                  .count());
-        return std::make_pair(seq, execute(job, /*counted=*/false));
-      });
-  if (!accepted) {
-    // Pool stopped (server shutdown race): run inline so the completion
-    // still materializes and nextCompletion() cannot deadlock.
-    Inflight& e = inflight_.back();
-    e.result = execute(job, /*counted=*/false);
-    e.harvested = true;
-  }
-  return seq;
-}
-
-namespace {
-/// Simulated worker occupancy of a finished job: a tool run holds its
-/// worker for every attempt plus the backoff waits between them; cache
-/// hits and coalesced joins occupy nothing.
-double simDuration(const EvalResult& r) {
-  if (r.cache_hit || r.coalesced) return 0.0;
-  return r.charged_seconds + r.backoff_seconds;
-}
-}  // namespace
 
 ToolScheduler::AsyncCompletion ToolScheduler::nextCompletion() {
   obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
@@ -401,19 +385,7 @@ ToolScheduler::AsyncCompletion ToolScheduler::nextCompletion() {
   // event cannot be identified until every in-flight duration is known.
   // The jobs already ran concurrently on the pool, so this preserves real
   // parallelism; only the event-processing order is serialized.
-  std::size_t unharvested = 0;
-  for (const Inflight& e : inflight_)
-    if (!e.harvested) ++unharvested;
-  while (unharvested > 0) {
-    auto [seq, result] = done_.pop();
-    for (Inflight& e : inflight_) {
-      if (e.seq != seq) continue;
-      e.result = std::move(result);
-      e.harvested = true;
-      --unharvested;
-      break;
-    }
-  }
+  harvest();
   // Earliest simulated completion wins; ties break on submission order.
   std::size_t best = 0;
   double best_end = inflight_[0].sim_start + simDuration(inflight_[0].result);
@@ -436,70 +408,7 @@ ToolScheduler::AsyncCompletion ToolScheduler::nextCompletion() {
   // before the checkpoint can complete "in the past" relative to events
   // already journaled.
   sim_now_ = std::max(sim_now_, out.sim_end);
-  const EvalResult& r = out.result;
-  det_tool_seconds_ += r.charged_seconds;
-  // The async lookup was UNCOUNTED on the worker; book it now, in event
-  // order, so the checkpointed ledger is bit-stable. A coalesced join still
-  // counts as the miss it was when the worker asked.
-  cache_->countLookup(r.cache_hit, cacheLedger());
-
-  SchedulerStats after;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    SchedulerStats one;  // per-completion "round" for lastBatch() observers
-    one.charged_seconds = r.charged_seconds;
-    one.attempts = r.attempts;
-    one.transient_failures = r.transient_crashes;
-    one.timeouts = r.timeout_attempts;
-    one.retry_seconds_wasted = r.wasted_seconds;
-    one.backoff_seconds = r.backoff_seconds;
-    if (r.persistent_failure) one.persistent_failures = 1;
-    if (!r.cache_hit && !r.persistent_failure && r.degraded() &&
-        r.completed_fidelity >= 0)
-      one.degraded_jobs = 1;
-    if (r.cache_hit)
-      one.cache_hits = 1;
-    else if (r.coalesced)
-      one.coalesced = 1;
-    else
-      one.tool_runs = 1;
-    one.wall_seconds = out.sim_end - out.sim_start;
-    last_ = one;
-    totals_.charged_seconds += one.charged_seconds;
-    totals_.tool_runs += one.tool_runs;
-    totals_.cache_hits += one.cache_hits;
-    totals_.coalesced += one.coalesced;
-    totals_.attempts += one.attempts;
-    totals_.transient_failures += one.transient_failures;
-    totals_.timeouts += one.timeouts;
-    totals_.persistent_failures += one.persistent_failures;
-    totals_.degraded_jobs += one.degraded_jobs;
-    totals_.retry_seconds_wasted += one.retry_seconds_wasted;
-    totals_.backoff_seconds += one.backoff_seconds;
-    // Wall clock IS the simulated clock in the async regime — overlap means
-    // per-completion walls don't add up.
-    totals_.wall_seconds = sim_now_;
-    after = totals_;
-  }
-
-  if (obs::metrics().enabled()) {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.set("sched.charged_seconds", after.charged_seconds);
-    m.set("sched.wall_seconds", after.wall_seconds);
-    m.set("sched.retry_seconds_wasted", after.retry_seconds_wasted);
-    m.set("sched.backoff_seconds", after.backoff_seconds);
-    m.set("sched.tool_runs", static_cast<double>(after.tool_runs));
-    m.set("sched.cache_hits", static_cast<double>(after.cache_hits));
-    m.set("sched.coalesced", static_cast<double>(after.coalesced));
-    m.set("sched.attempts", static_cast<double>(after.attempts));
-    m.set("sched.transient_failures",
-          static_cast<double>(after.transient_failures));
-    m.set("sched.timeouts", static_cast<double>(after.timeouts));
-    m.set("sched.persistent_failures",
-          static_cast<double>(after.persistent_failures));
-    m.set("sched.degraded_jobs", static_cast<double>(after.degraded_jobs));
-    m.set("sched.in_flight", static_cast<double>(inflight_.size()));
-  }
+  commit(fold({&out.result, 1}));
   span.id(static_cast<std::int64_t>(out.result.job.config))
       .value(out.sim_end);
   return out;

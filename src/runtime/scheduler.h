@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,10 @@ struct EvalResult {
   EvalJob job;
   std::array<sim::Report, sim::kNumFidelities> stages{};
   bool cache_hit = false;
+  /// The job's FIRST cache probe hit. That probe is the one lookup booked on
+  /// the cache hit/miss ledger; a re-probe after a failed flight join is
+  /// not a new lookup. Differs from cache_hit only when such a re-probe hit.
+  bool first_probe_hit = false;
   /// Served by joining another requester's concurrent tool run on the same
   /// (config, fidelity) — single-flight coalescing. Like a cache hit this
   /// charges nothing and occupies no worker in the simulated-wall model
@@ -120,13 +125,19 @@ struct SchedulerStats {
   double backoff_seconds = 0.0;       // wall-only wait between attempts
 };
 
-/// Worker-pool executor for batches of FPGA-tool runs.
+/// Worker-pool executor for FPGA-tool runs.
 ///
-/// Jobs of one runBatch() round execute concurrently on the thread pool.
-/// Results are returned in job order and all model-visible state is
-/// deterministic in (jobs, cache contents, fault/retry knobs) alone —
-/// worker count and thread interleaving can only affect the floating-point
-/// summation order of the simulator's global accounting, never the reports.
+/// One dispatch path serves both modes: every job is handed to the pool via
+/// submitAsyncAt() and its result lands on a completion queue. runBatch()
+/// dispatches a whole round and harvests it behind a barrier; the async
+/// interface (submitAsync / nextCompletion) hands back one completion at a
+/// time. Either way the driving thread folds each harvest into the ledgers
+/// in a deterministic order (job order for a batch, simulated-event order
+/// for completions) and books one cache lookup per job, so all
+/// model-visible state is deterministic in (jobs, cache contents,
+/// fault/retry knobs) alone. Worker count and thread interleaving can only
+/// affect the floating-point summation order of the simulator's global
+/// accumulator, never the reports.
 ///
 /// Failure handling: each job retries up to policy.max_attempts times with
 /// deterministic backoff; a persistent fault aborts the loop immediately.
@@ -154,14 +165,16 @@ class ToolScheduler {
   /// them on resume, so nothing is lost.
   ~ToolScheduler();
 
-  /// Execute one round of jobs; results come back in job order.
+  /// Execute one round of jobs behind a barrier; results come back in job
+  /// order. Requires inFlight() == 0. The round costs its makespan on the
+  /// simulated clock (greedy list scheduling of the jobs in job order).
   std::vector<EvalResult> runBatch(const std::vector<EvalJob>& jobs);
 
   // ---- Asynchronous (event-driven) farm interface ------------------------
-  // The synchronous runBatch() drains a whole round before the optimizer
-  // sees anything. The async interface instead hands back ONE completion at
-  // a time, in deterministic SIMULATED-time order: each job is dispatched at
-  // an absolute simulated start time (the clock simNow() at submission — a
+  // runBatch() drains a whole round before the optimizer sees anything. The
+  // async interface instead hands back ONE completion at a time, in
+  // deterministic SIMULATED-time order: each job is dispatched at an
+  // absolute simulated start time (the clock simNow() at submission — a
   // worker that just freed), occupies its simulated worker for
   // charged + backoff seconds (zero for cache hits and coalesced joins),
   // and completes at sim_end = sim_start + duration. nextCompletion()
@@ -213,12 +226,11 @@ class ToolScheduler {
     det_tool_seconds_ = seconds;
   }
 
-  /// Accounting snapshots, returned BY VALUE under the stats lock so that a
+  /// Accounting snapshot, returned BY VALUE under the stats lock so that a
   /// concurrent observer (metrics scraper, progress UI) polling during
   /// runBatch() never sees a torn ledger — e.g. retry_seconds_wasted from
   /// one round paired with charged_seconds from the previous one.
   SchedulerStats totals() const;
-  SchedulerStats lastBatch() const;
   const RetryPolicy& policy() const { return policy_; }
   int numWorkers() const { return pool_->numWorkers(); }
   std::uint64_t cacheNamespace() const { return cache_ns_; }
@@ -226,12 +238,6 @@ class ToolScheduler {
   std::uint64_t cacheLedger() const {
     return cache_ledger_ != 0 ? cache_ledger_ : cache_ns_;
   }
-
-  /// Reset BOTH the scheduler totals and the simulator's tool-seconds
-  /// accumulator, keeping the two ledgers tied out. (A bare
-  /// FpgaToolSim::resetAccounting() desyncs them — always reset through
-  /// the scheduler once one exists.)
-  void resetAccounting();
 
   /// Restore totals from a checkpoint (the caller restores the simulator's
   /// own accumulator, which can differ in the last bits under parallel
@@ -246,11 +252,19 @@ class ToolScheduler {
 
  private:
   /// Worker-side execution of one job (cache probe, single-flight join,
-  /// retry loop, store). `counted` probes bump the cache hit/miss ledger
-  /// inline (the synchronous path, where worker traffic is ordered by the
-  /// batch drain); async workers probe UNCOUNTED and the lookup is booked
-  /// later in nextCompletion(), in deterministic event order.
-  EvalResult execute(const EvalJob& job, bool counted = true);
+  /// retry loop, store). Every probe is uncounted: worker interleaving is
+  /// nondeterministic, so the lookup is booked later by fold() on the
+  /// driving thread.
+  EvalResult execute(const EvalJob& job);
+  /// Pop completions until every in-flight job's real result has landed.
+  void harvest();
+  /// Fold a harvest, in the given order, into round-local stats: counters,
+  /// the round's makespan on the farm, the deterministic tool-seconds
+  /// mirror and one cache lookup per job. A completion is a harvest of one.
+  SchedulerStats fold(std::span<const EvalResult> results);
+  /// Add a folded round to the totals, re-seat totals_.wall_seconds on the
+  /// simulated clock and write the sched.* gauges from the new totals.
+  void commit(const SchedulerStats& round);
 
   const hls::DesignSpace* space_;
   sim::FpgaToolSim* sim_;
@@ -262,14 +276,12 @@ class ToolScheduler {
   /// injected; pool_ always points at the pool actually in use.
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
-  /// Guards totals_ and last_: written by runBatch()/resetAccounting()/
-  /// restoreTotals() on the driving thread, read by totals()/lastBatch()
-  /// possibly from observer threads.
+  /// Guards totals_: written by commit()/restoreTotals() on the driving
+  /// thread, read by totals() possibly from observer threads.
   mutable std::mutex stats_mu_;
   SchedulerStats totals_;
-  SchedulerStats last_;
 
-  // ---- Async state (driving thread only, except done_) -------------------
+  // ---- Dispatch state (driving thread only, except done_) ----------------
   struct Inflight {
     EvalJob job;
     std::uint64_t seq = 0;

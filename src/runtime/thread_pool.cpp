@@ -41,8 +41,7 @@ void ThreadPool::workerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    task();  // a throwing task is a packaged_task: the exception lands in
-             // its future, never on this thread
+    task();  // submitTo's contract: tasks do not throw
   }
 }
 

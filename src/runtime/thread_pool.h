@@ -2,10 +2,9 @@
 
 #include <condition_variable>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
-#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -15,8 +14,8 @@ namespace cmmfo::runtime {
 /// Unbounded MPMC handoff queue for completion notifications: workers push
 /// results the moment they finish (real completion order, NOT submission
 /// order) and a consumer blocks in pop() until one arrives. This is what
-/// lets the asynchronous scheduler react to the first finished job instead
-/// of draining a whole batch of futures in submission order.
+/// lets the scheduler react to the first finished job instead of waiting on
+/// each job in submission order.
 template <typename T>
 class CompletionQueue {
  public:
@@ -61,17 +60,13 @@ class CompletionQueue {
 ///
 /// Tasks are executed FIFO; with one worker the pool therefore runs tasks in
 /// exactly the order they were submitted, which is what lets the runtime
-/// reproduce the sequential optimizer's accounting bit-for-bit. Exceptions
-/// thrown by a task are captured in its future and rethrown at get();
-/// shutdown() (and the destructor) finishes every already-queued task before
-/// joining, so no accepted work is silently dropped.
+/// reproduce the sequential optimizer's accounting bit-for-bit. shutdown()
+/// (and the destructor) finishes every already-queued task before joining,
+/// so no accepted work is silently dropped.
 ///
-/// Shutdown contract: submit() never throws on a stopped pool — it returns a
-/// future that carries a std::runtime_error instead, so a submitter racing
-/// shutdown() observes the failure at get() rather than as an exception on
-/// its own thread. submit() concurrent with shutdown() is well-defined:
-/// each submission is either fully accepted (and will run) or fully
-/// rejected (failed future).
+/// Shutdown contract: submitTo() concurrent with shutdown() is
+/// well-defined — each submission is either fully accepted (it will run and
+/// push its result) or fully rejected (submitTo returns false).
 class ThreadPool {
  public:
   explicit ThreadPool(int n_workers);
@@ -83,7 +78,7 @@ class ThreadPool {
   int numWorkers() const { return num_workers_; }
 
   /// Tasks accepted but not yet picked up by a worker, read under the pool
-  /// lock (same synchronization as submit/worker handoff, so an observer
+  /// lock (same synchronization as submitTo/worker handoff, so an observer
   /// thread polling the depth mid-batch never races the queue).
   std::size_t queueDepth() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -91,39 +86,15 @@ class ThreadPool {
   }
 
   /// Drain the queue, join the workers and reject all future submissions.
-  /// Idempotent and safe to race with submit(); must not be called from a
+  /// Idempotent and safe to race with submitTo(); must not be called from a
   /// worker thread.
   void shutdown();
 
-  /// Enqueue a nullary callable; its result (or exception) arrives through
-  /// the returned future. On a stopped pool the returned future is already
-  /// failed (std::runtime_error) — the task is never run.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        std::promise<R> failed;
-        failed.set_exception(std::make_exception_ptr(
-            std::runtime_error("submit on stopped ThreadPool")));
-        return failed.get_future();
-      }
-      queue_.push([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
-
   /// Completion-notification submit: run `fn` on a worker and push its
-  /// result into `done` the moment it finishes. Unlike submit()+get(),
-  /// results become visible in COMPLETION order across tasks, which is the
-  /// primitive the asynchronous scheduler is built on. Returns false (task
-  /// never runs, nothing is pushed) on a stopped pool, so a consumer that
-  /// counts expected completions must check the return value.
+  /// result into `done` the moment it finishes, so results become visible
+  /// in COMPLETION order across tasks. Returns false (task never runs,
+  /// nothing is pushed) on a stopped pool, so a consumer that counts
+  /// expected completions must check the return value.
   /// `fn` must be noexcept-equivalent: an escaping exception would be lost
   /// with the notification, so callers wrap fallible work themselves.
   template <typename F, typename T>

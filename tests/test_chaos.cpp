@@ -823,7 +823,7 @@ TEST(EvalCacheLru, EvictionCounterTieOutIsExact) {
 
   // A hit refreshes LRU position: after touching 6, storing a new flow
   // evicts 7 (now the oldest), not 6.
-  EXPECT_TRUE(cache.find(6, sim::Fidelity::kHls, 1).has_value());
+  EXPECT_TRUE(cache.findFlow(6, sim::Fidelity::kHls, 1).has_value());
   cache.storeFlow(10, sim::Fidelity::kHls, stages, 1);
   bool has6 = false, has7 = false;
   for (const auto& [config, fid] : cache.contents(1)) {
@@ -850,7 +850,8 @@ TEST(EvalCacheLru, ConcurrentMultiNamespaceLedgersStayIsolated) {
       const std::uint64_t ns = 1000 + t, ledger = 2000 + t;
       for (int pass = 0; pass < kPasses; ++pass)
         for (std::size_t i = 0; i < kConfigs; ++i) {
-          (void)cache.find(i, sim::Fidelity::kHls, ns, ledger);
+          cache.countLookup(
+              cache.findFlow(i, sim::Fidelity::kHls, ns).has_value(), ledger);
           cache.storeFlow(i, sim::Fidelity::kHls, stages, ns);
         }
     });

@@ -817,23 +817,23 @@ TEST(ObsThreadPool, QueueDepthReadableWhileWorkersRun) {
       EXPECT_LE(d, 512u);
     }
   });
-  std::vector<std::future<int>> futures;
+  runtime::CompletionQueue<int> done;
   for (int i = 0; i < 256; ++i)
-    futures.push_back(pool.submit([i] {
+    ASSERT_TRUE(pool.submitTo(done, [i] {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
       return i;
     }));
-  for (auto& f : futures) (void)f.get();
+  for (int i = 0; i < 256; ++i) (void)done.pop();
   stop.store(true);
   observer.join();
   EXPECT_EQ(pool.queueDepth(), 0u);
 }
 
-// An observer thread hammers totals()/lastBatch()/metrics snapshots while
-// runBatch() executes faulty jobs. Under TSan this proves the stats mutex
-// covers every ledger access; the assertions prove snapshots are never torn
-// (wasted retries can never exceed total charged seconds within ONE
-// consistent snapshot).
+// An observer thread hammers totals()/metrics snapshots while runBatch()
+// executes faulty jobs. Under TSan this proves the stats mutex covers every
+// ledger access; the assertions prove snapshots are never torn (wasted
+// retries can never exceed charged seconds, neither within ONE consistent
+// snapshot nor in the delta between two).
 TEST(ObsScheduler, ConcurrentStatsSnapshotsAreNeverTorn) {
   GlobalObsGuard guard;
   obs::metrics().setEnabled(true);
@@ -851,12 +851,15 @@ TEST(ObsScheduler, ConcurrentStatsSnapshotsAreNeverTorn) {
 
   std::atomic<bool> stop{false};
   std::thread observer([&] {
+    runtime::SchedulerStats prev;
     while (!stop.load()) {
       const runtime::SchedulerStats t = sched.totals();
       EXPECT_LE(t.retry_seconds_wasted, t.charged_seconds + 1e-9);
       EXPECT_GE(t.attempts, t.tool_runs);
-      const runtime::SchedulerStats lb = sched.lastBatch();
-      EXPECT_LE(lb.retry_seconds_wasted, lb.charged_seconds + 1e-9);
+      EXPECT_LE(t.retry_seconds_wasted - prev.retry_seconds_wasted,
+                t.charged_seconds - prev.charged_seconds + 1e-9);
+      EXPECT_GE(t.attempts, prev.attempts);
+      prev = t;
       (void)obs::metrics().snapshot();
     }
   });

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -26,83 +25,41 @@ using sim::Fidelity;
 
 // ------------------------------------------------------------ ThreadPool ----
 
-TEST(ThreadPool, RunsSubmittedTasksAndReturnsValues) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i)
-    futures.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFutureAndPoolSurvives) {
-  ThreadPool pool(2);
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  auto good = pool.submit([] { return 7; });
-  EXPECT_EQ(good.get(), 7);
-}
-
 TEST(ThreadPool, DestructorDrainsEveryQueuedTask) {
-  std::atomic<int> done{0};
+  runtime::CompletionQueue<int> done;
   {
     ThreadPool pool(2);
     for (int i = 0; i < 50; ++i)
-      pool.submit([&done] {
+      ASSERT_TRUE(pool.submitTo(done, [i] {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
-        done.fetch_add(1);
-      });
+        return i;
+      }));
     // Destructor runs here with most tasks still queued.
   }
-  EXPECT_EQ(done.load(), 50);
+  EXPECT_EQ(done.size(), 50u);
 }
 
-TEST(ThreadPool, SingleWorkerExecutesFifo) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 20; ++i)
-    futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
-  for (auto& f : futures) f.get();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, SubmitOnStoppedPoolReturnsFailedFuture) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  auto f = pool.submit([] { return 1; });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // numWorkers() stays meaningful after shutdown, and shutdown is idempotent.
-  EXPECT_EQ(pool.numWorkers(), 2);
-  pool.shutdown();
-}
-
-TEST(ThreadPool, SubmitRacingShutdownNeverLosesAFuture) {
-  // Satellite regression: submit used to push into the queue of a pool
-  // whose workers had already been told to stop, silently stranding the
-  // task (a broken_promise on get). Now every submit either runs or fails
-  // fast. Run under TSan via run_benches.sh --tsan-smoke.
+TEST(ThreadPool, SubmitRacingShutdownNeverLosesAnAcceptedTask) {
+  // A submitTo racing shutdown() either runs (and pushes its result) or
+  // reports rejection; it never strands a task in a queue no worker will
+  // drain. Run under TSan via run_benches.sh --tsan-smoke.
   for (int iter = 0; iter < 20; ++iter) {
     auto pool = std::make_unique<ThreadPool>(2);
+    runtime::CompletionQueue<int> done;
     std::atomic<bool> go{false};
-    std::vector<std::future<int>> futures;
+    std::size_t accepted = 0;
     std::thread submitter([&] {
       while (!go.load()) {}
       for (int i = 0; i < 64; ++i)
-        futures.push_back(pool->submit([i] { return i; }));
+        if (pool->submitTo(done, [i] { return i; })) ++accepted;
     });
     go.store(true);
     std::this_thread::sleep_for(std::chrono::microseconds(iter * 10));
     pool->shutdown();
     submitter.join();
-    // Every future we did get must settle: either a value or the
-    // stopped-pool exception — never a hang or a broken promise.
-    for (auto& f : futures) {
-      try {
-        (void)f.get();
-      } catch (const std::runtime_error&) {
-      }
-    }
+    // shutdown() joined the workers after they drained the queue, and
+    // nothing is accepted once it has begun.
+    EXPECT_EQ(done.size(), accepted);
   }
 }
 
@@ -145,16 +102,16 @@ std::array<sim::Report, sim::kNumFidelities> flowOf(const Fixture& f,
 TEST(EvalCache, StoreFlowPopulatesEveryStageUpToCharged) {
   Fixture f;
   EvalCache cache;
-  EXPECT_FALSE(cache.find(0, Fidelity::kHls).has_value());
+  EXPECT_FALSE(cache.findFlow(0, Fidelity::kHls).has_value());
 
   cache.storeFlow(0, Fidelity::kImpl, flowOf(f, 0, Fidelity::kImpl));
   // The impl flow left every intermediate artifact behind.
   for (int s = 0; s < sim::kNumFidelities; ++s)
-    EXPECT_TRUE(cache.find(0, static_cast<Fidelity>(s)).has_value());
+    EXPECT_TRUE(cache.findFlow(0, static_cast<Fidelity>(s)).has_value());
   EXPECT_EQ(cache.size(), 3u);
 
-  const auto hls = cache.find(0, Fidelity::kHls);
-  EXPECT_DOUBLE_EQ(hls->delay_us,
+  const auto hls = cache.findFlow(0, Fidelity::kHls);
+  EXPECT_DOUBLE_EQ((*hls)[0].delay_us,
                    f.sim.run(f.space.config(0), Fidelity::kHls).delay_us);
 }
 
@@ -162,21 +119,22 @@ TEST(EvalCache, PartialFlowDoesNotFakeHigherStages) {
   Fixture f;
   EvalCache cache;
   cache.storeFlow(1, Fidelity::kSyn, flowOf(f, 1, Fidelity::kSyn));
-  EXPECT_TRUE(cache.find(1, Fidelity::kHls).has_value());
-  EXPECT_TRUE(cache.find(1, Fidelity::kSyn).has_value());
-  EXPECT_FALSE(cache.find(1, Fidelity::kImpl).has_value());
-  EXPECT_FALSE(cache.findFlow(1, Fidelity::kImpl).has_value());
+  EXPECT_TRUE(cache.findFlow(1, Fidelity::kHls).has_value());
   EXPECT_TRUE(cache.findFlow(1, Fidelity::kSyn).has_value());
+  EXPECT_FALSE(cache.findFlow(1, Fidelity::kImpl).has_value());
 }
 
 TEST(EvalCache, CountsHitsAndMisses) {
   Fixture f;
   EvalCache cache;
-  cache.find(5, Fidelity::kHls);
+  // Probes never count; the caller books each lookup.
+  cache.countLookup(cache.findFlow(5, Fidelity::kHls).has_value(), 0);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   cache.storeFlow(5, Fidelity::kHls, flowOf(f, 5, Fidelity::kHls));
-  cache.find(5, Fidelity::kHls);
+  EXPECT_TRUE(cache.findFlow(5, Fidelity::kHls).has_value());
+  EXPECT_EQ(cache.hits(), 0u);
+  cache.countLookup(true, 0);
   EXPECT_EQ(cache.hits(), 1u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -199,9 +157,9 @@ TEST(EvalCache, ConcurrentSameKeyInsertStaysConsistent) {
     });
   for (auto& t : threads) t.join();
   EXPECT_EQ(cache.size(), 3u);  // one entry per stage, no duplicates
-  const auto got = cache.find(4, Fidelity::kImpl);
+  const auto got = cache.findFlow(4, Fidelity::kImpl);
   ASSERT_TRUE(got.has_value());
-  EXPECT_DOUBLE_EQ(got->delay_us, flow[2].delay_us);
+  EXPECT_DOUBLE_EQ((*got)[2].delay_us, flow[2].delay_us);
 }
 
 TEST(EvalCache, StatsSnapshotMatchesCountersAndContentsSorted) {
@@ -209,8 +167,8 @@ TEST(EvalCache, StatsSnapshotMatchesCountersAndContentsSorted) {
   EvalCache cache;
   cache.storeFlow(9, Fidelity::kSyn, flowOf(f, 9, Fidelity::kSyn));
   cache.storeFlow(2, Fidelity::kImpl, flowOf(f, 2, Fidelity::kImpl));
-  cache.find(9, Fidelity::kSyn);   // hit
-  cache.find(50, Fidelity::kHls);  // miss
+  cache.countLookup(cache.findFlow(9, Fidelity::kSyn).has_value(), 0);
+  cache.countLookup(cache.findFlow(50, Fidelity::kHls).has_value(), 0);
   const EvalCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, cache.size());
   EXPECT_EQ(s.hits, 1u);
@@ -275,13 +233,17 @@ TEST(Scheduler, ImplRunSeedsLowerFidelityHits) {
   EvalCache cache;
   ToolScheduler sched(f.space, f.sim, cache, 2);
   sched.runBatch({{9, Fidelity::kImpl}});
+  const runtime::SchedulerStats before = sched.totals();
   // Flow nesting: hls and syn proposals of the same config are now free.
   const auto res = sched.runBatch({{9, Fidelity::kHls}, {9, Fidelity::kSyn}});
   EXPECT_TRUE(res[0].cache_hit);
   EXPECT_TRUE(res[1].cache_hit);
   EXPECT_EQ(sched.totals().tool_runs, 1);
   EXPECT_EQ(sched.totals().cache_hits, 2);
-  EXPECT_DOUBLE_EQ(sched.lastBatch().charged_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(sched.totals().charged_seconds - before.charged_seconds,
+                   0.0);
+  EXPECT_EQ(cache.hits(), 2u);  // one booked lookup per job
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 // The satellite regression: accounting through the scheduler must agree
@@ -339,11 +301,12 @@ TEST(Scheduler, AccountingTiesOutAcrossAllRegimes) {
   // Sequential farm: both ledgers sum the same charges in the same order.
   EXPECT_DOUBLE_EQ(sched.totals().charged_seconds, f.sim.totalToolSeconds());
 
-  // resetAccounting clears BOTH sides together, so they stay tied.
-  sched.resetAccounting();
-  EXPECT_DOUBLE_EQ(sched.totals().charged_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(f.sim.totalToolSeconds(), 0.0);
+  // A later round moves both sides by the same charge.
+  const double sched_before = sched.totals().charged_seconds;
+  const double sim_before = f.sim.totalToolSeconds();
   sched.runBatch(someJobs(f, 6));
+  EXPECT_DOUBLE_EQ(sched.totals().charged_seconds - sched_before,
+                   f.sim.totalToolSeconds() - sim_before);
   EXPECT_DOUBLE_EQ(sched.totals().charged_seconds, f.sim.totalToolSeconds());
 }
 
@@ -359,6 +322,36 @@ TEST(Scheduler, ParallelWallClockIsMakespanBounded) {
   EXPECT_LT(s.wall_seconds, s.charged_seconds);       // it actually overlaps
   EXPECT_GE(s.wall_seconds, s.charged_seconds / 4.0 - 1e-9);  // <= farm width
   EXPECT_GE(s.wall_seconds, max_job - 1e-9);          // critical path
+}
+
+// A shut-down shared pool (the server's stop racing a campaign step) runs
+// each job inline on the driving thread: same results, same ledgers.
+TEST(Scheduler, StoppedSharedPoolRunsBatchInline) {
+  Fixture live_f, stopped_f;
+  EvalCache live_cache, stopped_cache;
+  ThreadPool live_pool(2), stopped_pool(2);
+  stopped_pool.shutdown();
+  stopped_pool.shutdown();  // idempotent
+  ToolScheduler live(live_f.space, live_f.sim, live_cache, live_pool);
+  ToolScheduler stopped(stopped_f.space, stopped_f.sim, stopped_cache,
+                        stopped_pool);
+  const auto jobs = someJobs(live_f, 12);
+  const auto rl = live.runBatch(jobs);
+  const auto rs = stopped.runBatch(jobs);
+  ASSERT_EQ(rs.size(), rl.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(rs[i].job.config, rl[i].job.config);
+    EXPECT_EQ(rs[i].cache_hit, rl[i].cache_hit);
+    EXPECT_DOUBLE_EQ(rs[i].charged_seconds, rl[i].charged_seconds);
+    EXPECT_DOUBLE_EQ(rs[i].report().delay_us, rl[i].report().delay_us);
+  }
+  // numWorkers() stays meaningful after shutdown, so the makespan matches.
+  EXPECT_EQ(stopped_pool.numWorkers(), 2);
+  EXPECT_DOUBLE_EQ(stopped.totals().charged_seconds,
+                   live.totals().charged_seconds);
+  EXPECT_DOUBLE_EQ(stopped.totals().wall_seconds, live.totals().wall_seconds);
+  EXPECT_EQ(stopped.totals().tool_runs, live.totals().tool_runs);
+  EXPECT_EQ(stopped_cache.misses(), live_cache.misses());
 }
 
 // Direct hammer on the atomic accumulator (the concurrent-use fix).

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
@@ -125,11 +126,19 @@ TEST(ServerCacheLedger, CountersArePerLedgerWithinSharedNamespace) {
   const std::uint64_t ns = 7, la = 100, lb = 200;
   const std::array<sim::Report, sim::kNumFidelities> stages{};
 
+  // One booked lookup, as a scheduler books it for its campaign's ledger.
+  const auto lookup = [&cache, ns](std::size_t config, std::uint64_t ledger) {
+    const bool hit =
+        cache.findFlow(config, sim::Fidelity::kHls, ns).has_value();
+    cache.countLookup(hit, ledger);
+    return hit;
+  };
+
   // Tenant A misses, the flow is stored, then both tenants hit it.
-  EXPECT_FALSE(cache.find(1, sim::Fidelity::kHls, ns, la).has_value());
+  EXPECT_FALSE(lookup(1, la));
   cache.storeFlow(1, sim::Fidelity::kHls, stages, ns);
-  EXPECT_TRUE(cache.find(1, sim::Fidelity::kHls, ns, la).has_value());
-  EXPECT_TRUE(cache.find(1, sim::Fidelity::kHls, ns, lb).has_value());
+  EXPECT_TRUE(lookup(1, la));
+  EXPECT_TRUE(lookup(1, lb));
 
   const auto sa = cache.stats(ns, la);
   const auto sb = cache.stats(ns, lb);
@@ -149,7 +158,7 @@ TEST(ServerCacheLedger, CountersArePerLedgerWithinSharedNamespace) {
 
   // Ledger 0 falls back to the namespace key (single-campaign regime).
   EXPECT_EQ(cache.stats(ns).hits, 0u);
-  EXPECT_FALSE(cache.find(2, sim::Fidelity::kHls, ns).has_value());
+  EXPECT_FALSE(lookup(2, ns));
   EXPECT_EQ(cache.stats(ns).misses, 1u);
 }
 
@@ -525,6 +534,61 @@ TEST(ServerProtocol, MetricsVerbExposesSloSeries) {
   EXPECT_TRUE(saw_step);
   EXPECT_TRUE(saw_labeled);
   EXPECT_TRUE(saw_fanout);
+}
+
+// A supervised restart resumes ONE campaign from its journal. The metrics
+// registry is process-wide, so that restore must not rewind it: co-tenants'
+// series (and the failed step's own observation) have moved on since the
+// journal was written. The seeded chaos coin faults campaign "ma" exactly
+// once, on its third step attempt, after its journal holds two rounds.
+TEST(ServerDaemon, SupervisedRestartNeverRewindsSharedMetrics) {
+  ObsReset reset_on_exit;
+  obs::metrics().setEnabled(true);
+  const std::string dir = testing::TempDir() + "/cmmfo_server_metrics_rs";
+  fs::remove_all(dir);
+
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.slots = 2;
+  opts.journal_dir = dir;
+  opts.max_restarts = 4;
+  opts.restart_backoff_ms = 1;
+  opts.chaos.seed = 178;
+  opts.chaos.step_fault_prob = 0.25;
+  opts.chaos.only_id = "ma";
+  OptimizationServer srv(opts);
+
+  const auto stepCount = [] {
+    for (const obs::MetricPoint& p : obs::metrics().snapshot())
+      if (p.name == "slo.step_seconds") return p.count;
+    return std::uint64_t{0};
+  };
+  std::atomic<bool> stop{false};
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    while (!stop.load()) {
+      const std::uint64_t now = stepCount();
+      EXPECT_GE(now, last);
+      last = now;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  srv.start();
+  std::string err;
+  ASSERT_TRUE(srv.submit(fastSpec("ma", 7, 41, 6), &err)) << err;
+  ASSERT_TRUE(srv.submit(fastSpec("mb", 9, 43, 6), &err)) << err;
+  srv.drain();
+  stop.store(true);
+  poller.join();
+
+  EXPECT_EQ(srv.campaign("ma")->snapshot().state, CampaignState::kDone);
+  EXPECT_EQ(srv.campaign("ma")->snapshot().restarts, 1);
+  EXPECT_EQ(srv.campaign("mb")->snapshot().state, CampaignState::kDone);
+  // Every executed step was observed once (the failed attempt too), and
+  // nothing was rolled back.
+  EXPECT_GE(stepCount(), srv.stats().steps_executed);
+  srv.stop();
+  fs::remove_all(dir);
 }
 
 // Follows one campaign's trace through a coalesced job shared with a
