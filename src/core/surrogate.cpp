@@ -659,15 +659,14 @@ long long MultiFidelitySurrogate::lastFitIterations(std::size_t level) const {
 }
 
 long long MultiFidelitySurrogate::mleIterBudget(std::size_t level) const {
-  // The MLE multi-start list is: current parameters, two data-informed
-  // initializations, and mle_restarts random perturbations — so the total
-  // L-BFGS budget is max_mle_iters * (mle_restarts + 3) per model.
+  // Each model reports the budget of the start list its last fit actually
+  // ran, so this cannot drift from the multi-start lists in gp/.
   if (level >= levels_) return 0;
   if (opts_.obj == ObjModelKind::kCorrelated)
-    return static_cast<long long>(opts_.mtgp.max_mle_iters) *
-           (opts_.mtgp.mle_restarts + 3);
-  return static_cast<long long>(opts_.gp.max_mle_iters) *
-         (opts_.gp.mle_restarts + 3) * static_cast<long long>(m_);
+    return mt_models_[level].lastFitBudget();
+  long long sum = 0;
+  for (const auto& model : ind_models_[level]) sum += model.lastFitBudget();
+  return sum;
 }
 
 double MultiFidelitySurrogate::gramConditionLog10(std::size_t level) const {

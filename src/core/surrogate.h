@@ -127,8 +127,9 @@ class MultiFidelitySurrogate {
   /// L-BFGS iterations spent by the last MLE at a level (summed over
   /// objectives for the independent variant).
   long long lastFitIterations(std::size_t level) const;
-  /// Per-fit iteration budget at a level: max_mle_iters * (restarts + 1),
-  /// times M for the independent variant (matching lastFitIterations).
+  /// Iteration budget of the last MLE at a level: max_mle_iters x the
+  /// starts that fit ran (summed over objectives for the independent
+  /// variant, matching lastFitIterations). 0 before the first MLE.
   long long mleIterBudget(std::size_t level) const;
   /// log10 condition estimate of the fitted Gram at a level (max over
   /// objectives for the independent variant). NaN before the first fit.

@@ -120,6 +120,32 @@ linalg::Matrix ArdKernelBase::gramGrad(const Dataset& x, std::size_t p) const {
   return g;
 }
 
+void ArdKernelBase::gramGradTrace(const Dataset& x, const linalg::Matrix& w,
+                                  Vec& tr) const {
+  const std::size_t n = x.size();
+  tr.assign(numParams(), 0.0);
+  // The same per-parameter terms gramGrad writes, each added to its own
+  // accumulator in row-major order: bit-identical to the default trace.
+  Vec inv_l2(dim_);
+  for (std::size_t d = 0; d < dim_; ++d) inv_l2[d] = std::exp(-2.0 * log_ls_[d]);
+  const double sf2 = signalVariance();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* wi = w.rowPtr(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      const Vec& a = x[std::min(i, j)];
+      const Vec& b = x[std::max(i, j)];
+      const double r2 = scaledSqDist(a, b);
+      const double g = sf2 * shapeGradR2(r2);
+      for (std::size_t d = 0; d < dim_; ++d) {
+        const double diff = a[d] - b[d];
+        const double sd = diff * diff * inv_l2[d];
+        tr[d] += wi[j] * (g * (-2.0 * sd));
+      }
+      if (!unit_variance_) tr[dim_] += wi[j] * (2.0 * (sf2 * shape(r2)));
+    }
+  }
+}
+
 double RbfArd::shape(double r2) const { return std::exp(-0.5 * r2); }
 
 double RbfArd::shapeGradR2(double r2) const { return -0.5 * std::exp(-0.5 * r2); }

@@ -27,6 +27,12 @@ class ArdKernelBase : public Kernel {
 
   double eval(const Vec& x, const Vec& y) const override;
   linalg::Matrix gramGrad(const Dataset& x, std::size_t p) const override;
+  /// One pass over the pairs for all parameters: each pair's scaled
+  /// distance and shape derivative are computed once (as gramGrad does, on
+  /// (x[min(i,j)], x[max(i,j)])) instead of once per parameter, with no
+  /// n x n derivative matrices.
+  void gramGradTrace(const Dataset& x, const linalg::Matrix& w,
+                     Vec& tr) const override;
   /// Median-distance heuristic: per-dimension lengthscale = median of the
   /// non-zero pairwise |x_d - y_d| (subsampled), floored at 1e-3.
   void initFromData(const Dataset& x) override;

@@ -4,11 +4,12 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 
 #include "linalg/vec_ops.h"
-#include "opt/lbfgs.h"
+#include "opt/multistart.h"
 
 namespace cmmfo::gp {
 
@@ -28,6 +29,7 @@ GpRegressor::GpRegressor(const GpRegressor& o)
       opts_(o.opts_),
       log_noise_(o.log_noise_),
       last_fit_iters_(o.last_fit_iters_),
+      last_fit_budget_(o.last_fit_budget_),
       x_(o.x_),
       y_raw_(o.y_raw_),
       state_(o.state_) {}
@@ -38,6 +40,7 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& o) {
   opts_ = o.opts_;
   log_noise_ = o.log_noise_;
   last_fit_iters_ = o.last_fit_iters_;
+  last_fit_budget_ = o.last_fit_budget_;
   x_ = o.x_;
   y_raw_ = o.y_raw_;
   state_ = o.state_;
@@ -58,44 +61,47 @@ void GpRegressor::applyPacked(const Vec& packed) {
   if (opts_.optimize_noise) log_noise_ = clampLogNoise(packed[nk], opts_);
 }
 
-double GpRegressor::negLml(const Vec& packed, Vec& grad) const {
+struct GpRegressor::LmlWorkspace {
+  explicit LmlWorkspace(const Kernel& k) : kernel(k.clone()) {}
+  KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
+  linalg::Matrix gram;   // noise-augmented Gram, then W
+  linalg::Cholesky chol; // refactorized in place
+  Vec tr;                // gramGradTrace output
+};
+
+double GpRegressor::negLml(const Vec& packed, Vec& grad,
+                           LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
   const std::size_t nk = kernel_->numParams();
   grad.assign(packed.size(), 0.0);
 
-  // Work on a clone so the const contract holds while scanning parameters.
-  KernelPtr k = kernel_->clone();
-  k->setParams(Vec(packed.begin(), packed.begin() + nk));
+  ws.kernel->setParams(Vec(packed.begin(), packed.begin() + nk));
   const double log_noise =
       opts_.optimize_noise ? clampLogNoise(packed[nk], opts_) : log_noise_;
   const double noise_var = std::exp(2.0 * log_noise);
 
-  linalg::Matrix gram = k->gram(x_);
-  for (std::size_t i = 0; i < n; ++i) gram(i, i) += noise_var;
-  auto chol = linalg::Cholesky::factorizeWithJitter(gram);
-  if (!chol) return std::numeric_limits<double>::infinity();
+  ws.gram = ws.kernel->gram(x_);
+  for (std::size_t i = 0; i < n; ++i) ws.gram(i, i) += noise_var;
+  if (!ws.chol.refactorize(ws.gram))
+    return std::numeric_limits<double>::infinity();
 
-  const Vec alpha = chol->solve(state_.y_std);
+  const Vec alpha = ws.chol.solve(state_.y_std);
   const double data_fit = 0.5 * linalg::dot(state_.y_std, alpha);
-  const double nll = data_fit + 0.5 * chol->logDet() +
+  const double nll = data_fit + 0.5 * ws.chol.logDet() +
                      0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
 
-  // dNLL/dtheta = -1/2 tr((alpha alpha^T - K^{-1}) dK/dtheta).
-  const linalg::Matrix kinv = chol->inverse();
-  auto traceTerm = [&](const linalg::Matrix& dk) {
-    double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        tr += (alpha[i] * alpha[j] - kinv(i, j)) * dk(i, j);
-    return -0.5 * tr;
-  };
-  for (std::size_t p = 0; p < nk; ++p)
-    grad[p] = traceTerm(k->gramGrad(x_, p));
+  // dNLL/dtheta = -1/2 tr(W dK/dtheta), W = alpha alpha^T - K^{-1}, built
+  // in the Gram buffer (the factor no longer needs it).
+  linalg::Matrix& w = ws.gram;
+  ws.chol.inverseInto(w);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) w(i, j) = alpha[i] * alpha[j] - w(i, j);
+  ws.kernel->gramGradTrace(x_, w, ws.tr);
+  for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
   if (opts_.optimize_noise) {
     // dK/d log_noise = 2 * noise_var * I.
     double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      tr += alpha[i] * alpha[i] - kinv(i, i);
+    for (std::size_t i = 0; i < n; ++i) tr += w(i, i);
     grad[nk] = -0.5 * tr * 2.0 * noise_var;
     // At a clamp boundary, zero the gradient component pointing outward so
     // the line search does not chase an inert direction.
@@ -108,8 +114,9 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad) const {
 
 double GpRegressor::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
+  LmlWorkspace ws(*kernel_);
   Vec g;
-  const double v = negLml(packed, g);
+  const double v = negLml(packed, g, ws);
   if (grad != nullptr) *grad = std::move(g);
   return v;
 }
@@ -121,16 +128,11 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   state_.standardizers.assign(1, linalg::Standardizer::fit(y));
   state_.y_std = state_.standardizers[0].transform(y);
 
-  opt::GradObjectiveFn objective = [this](const Vec& p, Vec& g) {
-    return negLml(p, g);
-  };
-  opt::LbfgsOptions lopts;
-  lopts.max_iters = opts_.max_mle_iters;
-
   // Informed multi-start: the caller's prototype parameters, the
   // median-distance data-driven initialization, and random perturbations of
   // the latter. The data-driven start is what rescues MLE from the
-  // "everything is noise" optimum on fast-varying targets.
+  // "everything is noise" optimum on fast-varying targets. Every random
+  // draw happens here, before the starts fan out.
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
@@ -150,15 +152,18 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
       starts.push_back(std::move(q));
     }
   }
-  opt::OptResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  last_fit_iters_ = 0;
-  for (const auto& start : starts) {
-    const opt::OptResult r = opt::minimizeLbfgs(objective, start, lopts);
-    last_fit_iters_ += r.iterations;
-    if (std::isfinite(r.value) && r.value < best.value) best = r;
-  }
-  if (std::isfinite(best.value)) applyPacked(best.x);
+  opt::LbfgsOptions lopts;
+  lopts.max_iters = opts_.max_mle_iters;
+  const auto make_objective = [this] {
+    auto ws = std::make_shared<LmlWorkspace>(*kernel_);
+    return opt::GradObjectiveFn(
+        [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
+  };
+  const opt::MultiStartResult r =
+      opt::minimizeFromStarts(make_objective, starts, lopts);
+  last_fit_iters_ = r.iterations;
+  last_fit_budget_ = r.budget;
+  if (std::isfinite(r.best.value)) applyPacked(r.best.x);
 
   refitPosterior(x, y);
 }

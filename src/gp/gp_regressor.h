@@ -105,6 +105,9 @@ class GpRegressor {
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
+  /// Iteration budget of the last fit(): max_mle_iters x the starts it ran
+  /// (lastFitIterations() >= lastFitBudget() means every start ran out).
+  int lastFitBudget() const { return last_fit_budget_; }
   /// Condition estimate of the fitted (noise-augmented) Gram matrix.
   double gramConditionEstimate() const {
     return state_.chol ? state_.chol->conditionEstimate() : 1.0;
@@ -116,8 +119,10 @@ class GpRegressor {
   double lastEscalationJitter() const { return state_.last_escalation_jitter; }
 
  private:
+  /// Scratch buffers of negLml, owned by one MLE start.
+  struct LmlWorkspace;
   /// Negative LML and gradient at packed parameters [kernel..., log noise].
-  double negLml(const Vec& packed, Vec& grad) const;
+  double negLml(const Vec& packed, Vec& grad, LmlWorkspace& ws) const;
   /// Dense rebuild of `state_` from the cached (x_, y_raw_).
   void rebuildDense();
   /// Restandardize y_raw_, refresh state_.y_std, and re-solve targets —
@@ -128,6 +133,7 @@ class GpRegressor {
   GpFitOptions opts_;
   double log_noise_ = 0.0;
   int last_fit_iters_ = 0;
+  int last_fit_budget_ = 0;
 
   // Cached training data and shared posterior core.
   Dataset x_;

@@ -33,6 +33,14 @@ class Kernel {
   /// dK(X,X)/d log-param p.
   virtual linalg::Matrix gramGrad(const Dataset& x, std::size_t p) const = 0;
 
+  /// Trace contraction the marginal-likelihood gradient needs:
+  /// tr[p] = sum_ij w(i, j) * gramGrad(x, p)(i, j), accumulated in row-major
+  /// (i, j) order, for every parameter p (tr is resized to numParams()).
+  /// The default builds each gramGrad matrix (composites use it); a kernel
+  /// may override it with a fused pass that must stay bit-identical.
+  virtual void gramGradTrace(const Dataset& x, const linalg::Matrix& w,
+                             Vec& tr) const;
+
   /// Data-driven hyperparameter initialization (e.g. the median-distance
   /// heuristic for lengthscales). MLE landscapes for GP kernels have an
   /// "everything is noise" local optimum that swallows gradient descent when

@@ -4,11 +4,12 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numbers>
 #include <stdexcept>
 
 #include "linalg/vec_ops.h"
-#include "opt/lbfgs.h"
+#include "opt/multistart.h"
 
 namespace cmmfo::gp {
 
@@ -33,6 +34,7 @@ MultiTaskGp::MultiTaskGp(const MultiTaskGp& o)
       l_entries_(o.l_entries_),
       log_noise_(o.log_noise_),
       last_fit_iters_(o.last_fit_iters_),
+      last_fit_budget_(o.last_fit_budget_),
       x_(o.x_),
       y_raw_(o.y_raw_),
       state_(o.state_),
@@ -47,6 +49,7 @@ MultiTaskGp& MultiTaskGp::operator=(const MultiTaskGp& o) {
   l_entries_ = o.l_entries_;
   log_noise_ = o.log_noise_;
   last_fit_iters_ = o.last_fit_iters_;
+  last_fit_budget_ = o.last_fit_budget_;
   x_ = o.x_;
   y_raw_ = o.y_raw_;
   state_ = o.state_;
@@ -88,13 +91,10 @@ linalg::Matrix MultiTaskGp::buildB(const Vec& l_entries, std::size_t m) {
   return l.matmul(l.transposed());
 }
 
-linalg::Matrix MultiTaskGp::buildStackedGram(const Kernel& k,
-                                             const Vec& l_entries,
-                                             const Vec& log_noise) const {
+void MultiTaskGp::stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,
+                            const Vec& log_noise, linalg::Matrix& gram) const {
   const std::size_t n = x_.size();
-  const linalg::Matrix kx = k.gram(x_);
-  const linalg::Matrix b = buildB(l_entries, m_);
-  linalg::Matrix gram(n * m_, n * m_);
+  gram.assignZero(n * m_, n * m_);
   for (std::size_t mm = 0; mm < m_; ++mm)
     for (std::size_t mp = 0; mp < m_; ++mp) {
       const double bmm = b(mm, mp);
@@ -108,68 +108,74 @@ linalg::Matrix MultiTaskGp::buildStackedGram(const Kernel& k,
     const double nv = std::exp(2.0 * log_noise[mm]);
     for (std::size_t i = 0; i < n; ++i) gram(mm * n + i, mm * n + i) += nv;
   }
-  return gram;
 }
 
-double MultiTaskGp::negLml(const Vec& packed, Vec& grad) const {
+struct MultiTaskGp::LmlWorkspace {
+  explicit LmlWorkspace(const MultiTaskGp& gp) : kernel(gp.kernel_->clone()) {
+    // Task-major standardized targets, rebuilt from the raw targets so the
+    // MLE objective is valid even when the cached factor is in bordered
+    // (append) order. Bit-identical to the cached y_std after a dense refit.
+    const std::size_t n = gp.x_.size();
+    y_stacked.resize(n * gp.m_);
+    for (std::size_t mm = 0; mm < gp.m_; ++mm)
+      for (std::size_t i = 0; i < n; ++i)
+        y_stacked[mm * n + i] =
+            gp.state_.standardizers[mm].transform(gp.y_raw_(i, mm));
+  }
+  KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
+  Vec y_stacked;
+  linalg::Matrix gram;   // stacked Gram, then W
+  linalg::Cholesky chol; // refactorized in place
+  linalg::Matrix wsum;
+  Vec tr;                // gramGradTrace output
+};
+
+double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
+                           LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
   const std::size_t nn = n * m_;
   const std::size_t nk = kernel_->numParams();
   const std::size_t nl = lowerTriCount(m_);
   grad.assign(packed.size(), 0.0);
 
-  KernelPtr k = kernel_->clone();
-  k->setParams(Vec(packed.begin(), packed.begin() + nk));
+  ws.kernel->setParams(Vec(packed.begin(), packed.begin() + nk));
   Vec l_entries(packed.begin() + nk, packed.begin() + nk + nl);
   Vec log_noise(packed.begin() + nk + nl, packed.end());
   for (auto& ln : log_noise)
     ln = std::clamp(ln, std::log(opts_.min_noise), std::log(4.0));
 
-  // Task-major standardized targets, rebuilt from the raw targets so the
-  // MLE objective is valid even when the cached factor is in bordered
-  // (append) order. Bit-identical to the cached y_std after a dense refit.
-  Vec y_stacked(nn);
-  for (std::size_t mm = 0; mm < m_; ++mm)
-    for (std::size_t i = 0; i < n; ++i)
-      y_stacked[mm * n + i] =
-          state_.standardizers[mm].transform(y_raw_(i, mm));
+  const linalg::Matrix kx = ws.kernel->gram(x_);
+  const linalg::Matrix b = buildB(l_entries, m_);
+  stackGram(kx, b, log_noise, ws.gram);
+  if (!ws.chol.refactorize(ws.gram))
+    return std::numeric_limits<double>::infinity();
 
-  const linalg::Matrix gram = buildStackedGram(*k, l_entries, log_noise);
-  auto chol = linalg::Cholesky::factorizeWithJitter(gram);
-  if (!chol) return std::numeric_limits<double>::infinity();
-
-  const Vec alpha = chol->solve(y_stacked);
+  const Vec& y = ws.y_stacked;
+  const Vec alpha = ws.chol.solve(y);
   const double nll =
-      0.5 * linalg::dot(y_stacked, alpha) + 0.5 * chol->logDet() +
+      0.5 * linalg::dot(y, alpha) + 0.5 * ws.chol.logDet() +
       0.5 * static_cast<double>(nn) * std::log(2.0 * std::numbers::pi);
 
-  // W = alpha alpha^T - K^{-1}; dNLL/dtheta = -1/2 tr(W dK/dtheta).
-  const linalg::Matrix kinv = chol->inverse();
-  auto w = [&](std::size_t a, std::size_t b2) {
-    return alpha[a] * alpha[b2] - kinv(a, b2);
-  };
-
-  const linalg::Matrix kx = k->gram(x_);
-  const linalg::Matrix b = buildB(l_entries, m_);
+  // W = alpha alpha^T - K^{-1}, built in the Gram buffer (the factor no
+  // longer needs it); dNLL/dtheta = -1/2 tr(W dK/dtheta).
+  linalg::Matrix& w = ws.gram;
+  ws.chol.inverseInto(w);
+  for (std::size_t a = 0; a < nn; ++a)
+    for (std::size_t c = 0; c < nn; ++c) w(a, c) = alpha[a] * alpha[c] - w(a, c);
 
   // Kernel parameters: dK = B (x) dKx. Precompute the B-weighted collapse of
   // W over task blocks so each kernel parameter costs O(n^2).
-  linalg::Matrix wsum(n, n);
+  ws.wsum.assignZero(n, n);
   for (std::size_t mm = 0; mm < m_; ++mm)
     for (std::size_t mp = 0; mp < m_; ++mp) {
       const double bmm = b(mm, mp);
       if (bmm == 0.0) continue;
       for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
-          wsum(i, j) += bmm * w(mm * n + i, mp * n + j);
+          ws.wsum(i, j) += bmm * w(mm * n + i, mp * n + j);
     }
-  for (std::size_t p = 0; p < nk; ++p) {
-    const linalg::Matrix dkx = k->gramGrad(x_, p);
-    double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) tr += wsum(i, j) * dkx(i, j);
-    grad[p] = -0.5 * tr;
-  }
+  ws.kernel->gramGradTrace(x_, ws.wsum, ws.tr);
+  for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
 
   // Task-covariance parameters: dK = dB (x) Kx. Precompute
   // T[mm, mp] = sum_ij W[(mm,i),(mp,j)] Kx(i,j) so each is O(M^2).
@@ -223,15 +229,9 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
   assert(!x.empty() && y.rows() == x.size() && y.cols() == m_);
   refitPosterior(x, y);  // sets up standardized targets for the objective
 
-  opt::GradObjectiveFn objective = [this](const Vec& p, Vec& g) {
-    return negLml(p, g);
-  };
-  opt::LbfgsOptions lopts;
-  lopts.max_iters = opts_.max_mle_iters;
-
   // Informed multi-start (see GpRegressor::fit): prototype parameters plus
   // the median-distance data initialization of the input kernel, plus
-  // random perturbations of the latter.
+  // random perturbations of the latter, all drawn before the fan-out.
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
@@ -251,23 +251,27 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
       starts.push_back(std::move(q));
     }
   }
-  opt::OptResult best;
-  best.value = std::numeric_limits<double>::infinity();
-  last_fit_iters_ = 0;
-  for (const auto& start : starts) {
-    const opt::OptResult r = opt::minimizeLbfgs(objective, start, lopts);
-    last_fit_iters_ += r.iterations;
-    if (std::isfinite(r.value) && r.value < best.value) best = r;
-  }
-  if (std::isfinite(best.value)) applyPacked(best.x);
+  opt::LbfgsOptions lopts;
+  lopts.max_iters = opts_.max_mle_iters;
+  const auto make_objective = [this] {
+    auto ws = std::make_shared<LmlWorkspace>(*this);
+    return opt::GradObjectiveFn(
+        [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
+  };
+  const opt::MultiStartResult r =
+      opt::minimizeFromStarts(make_objective, starts, lopts);
+  last_fit_iters_ = r.iterations;
+  last_fit_budget_ = r.budget;
+  if (std::isfinite(r.best.value)) applyPacked(r.best.x);
 
   refitPosterior(x, y);
 }
 
 double MultiTaskGp::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
+  LmlWorkspace ws(*this);
   Vec g;
-  const double v = negLml(packed, g);
+  const double v = negLml(packed, g, ws);
   if (grad != nullptr) *grad = std::move(g);
   return v;
 }
@@ -293,7 +297,8 @@ void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
       row_point_[mm * n + i] = i;
       row_task_[mm * n + i] = mm;
     }
-  const linalg::Matrix gram = buildStackedGram(*kernel_, l_entries_, log_noise_);
+  linalg::Matrix gram;
+  stackGram(kernel_->gram(x_), buildB(l_entries_, m_), log_noise_, gram);
   // Throw (not assert) on an unfactorizable stacked Gram: Release builds
   // compile the assert out and the subsequent solves would read an empty
   // factor. The server's supervision layer turns this throw into a

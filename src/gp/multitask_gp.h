@@ -103,6 +103,9 @@ class MultiTaskGp {
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
+  /// Iteration budget of the last fit(): max_mle_iters x the starts it ran
+  /// (lastFitIterations() >= lastFitBudget() means every start ran out).
+  int lastFitBudget() const { return last_fit_budget_; }
   /// Condition estimate of the fitted stacked (noise-augmented) Gram matrix.
   double gramConditionEstimate() const {
     return state_.chol ? state_.chol->conditionEstimate() : 1.0;
@@ -116,9 +119,13 @@ class MultiTaskGp {
  private:
   std::size_t numPacked() const;
   static linalg::Matrix buildB(const Vec& l_entries, std::size_t m);
-  double negLml(const Vec& packed, Vec& grad) const;
-  linalg::Matrix buildStackedGram(const Kernel& k, const Vec& l_entries,
-                                  const Vec& log_noise) const;
+  /// Scratch buffers of negLml, owned by one MLE start.
+  struct LmlWorkspace;
+  double negLml(const Vec& packed, Vec& grad, LmlWorkspace& ws) const;
+  /// Noise-augmented task-major stacked Gram B (x) kx + diag(noise), written
+  /// into `gram` (storage reused when already nM x nM).
+  void stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,
+                 const Vec& log_noise, linalg::Matrix& gram) const;
   /// Restandardize y_raw_, refresh state_.y_std in factor-row order, and
   /// re-solve targets (shared by the append and truncate paths).
   void resolveTargets();
@@ -129,6 +136,7 @@ class MultiTaskGp {
   Vec l_entries_;   // lower-triangular parameterization of B
   Vec log_noise_;   // per task
   int last_fit_iters_ = 0;
+  int last_fit_budget_ = 0;
 
   // Cached training data and shared posterior core. After a dense refit the
   // factor rows are task-major (row = m*n + i); appended points add their M

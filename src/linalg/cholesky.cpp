@@ -7,14 +7,15 @@
 
 namespace cmmfo::linalg {
 
-std::optional<Cholesky> Cholesky::factorize(const Matrix& a) {
+bool Cholesky::factorInto(const Matrix& a, double jitter) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
-  Matrix l(n, n);
+  if (l_.rows() != n) l_ = Matrix(n, n);
+  Matrix& l = l_;
   for (std::size_t j = 0; j < n; ++j) {
-    double d = a(j, j);
+    double d = a(j, j) + jitter;
     for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-    if (!(d > 0.0) || !std::isfinite(d)) return std::nullopt;
+    if (!(d > 0.0) || !std::isfinite(d)) return false;
     const double ljj = std::sqrt(d);
     l(j, j) = ljj;
     for (std::size_t i = j + 1; i < n; ++i) {
@@ -25,29 +26,39 @@ std::optional<Cholesky> Cholesky::factorize(const Matrix& a) {
       l(i, j) = s / ljj;
     }
   }
-  return Cholesky(std::move(l), 0.0);
+  jitter_ = jitter;
+  return true;
+}
+
+std::optional<Cholesky> Cholesky::factorize(const Matrix& a) {
+  Cholesky c;
+  if (!c.factorInto(a, 0.0)) return std::nullopt;
+  return c;
 }
 
 std::optional<Cholesky> Cholesky::factorizeWithJitter(const Matrix& a,
                                                       double initial_jitter,
                                                       int max_tries) {
-  if (auto c = factorize(a)) return c;
+  Cholesky c;
+  if (!c.refactorize(a, initial_jitter, max_tries)) return std::nullopt;
+  return c;
+}
+
+bool Cholesky::refactorize(const Matrix& a, double initial_jitter,
+                           int max_tries) {
+  if (factorInto(a, 0.0)) return true;
   // Scale jitter to the matrix magnitude so that it is meaningful for both
-  // unit-variance Gram matrices and raw-unit covariances.
+  // unit-variance Gram matrices and raw-unit covariances. Adding the jitter
+  // to a(j, j) inside the factorization is the same sum a jittered copy of
+  // A would hold, so no copy is made.
   double scale = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i)
     scale = std::max(scale, std::fabs(a(i, i)));
   if (scale == 0.0) scale = 1.0;
   double jitter = initial_jitter * scale;
-  for (int t = 0; t < max_tries; ++t, jitter *= 10.0) {
-    Matrix aj = a;
-    for (std::size_t i = 0; i < aj.rows(); ++i) aj(i, i) += jitter;
-    if (auto c = factorize(aj)) {
-      c->jitter_ = jitter;
-      return c;
-    }
-  }
-  return std::nullopt;
+  for (int t = 0; t < max_tries; ++t, jitter *= 10.0)
+    if (factorInto(a, jitter)) return true;
+  return false;
 }
 
 std::vector<double> Cholesky::solveLower(const std::vector<double>& b) const {
@@ -242,14 +253,19 @@ void unpackTile(const double* xb, std::size_t c0, std::size_t tw,
 }  // namespace
 
 Matrix Cholesky::solve(const Matrix& b) const {
+  Matrix x = b;
+  solveInPlace(x);
+  return x;
+}
+
+void Cholesky::solveInPlace(Matrix& x) const {
   // Multi-RHS path: within a column tile, sweep every column per factor
   // row. For each column the subtraction order (k ascending / descending)
   // and the final division match solve(b.col(c)) exactly, so the result is
   // bit-identical to the per-vector loop.
   const std::size_t n = dim();
-  assert(b.rows() == n);
-  const std::size_t nc = b.cols();
-  Matrix x = b;
+  assert(x.rows() == n);
+  const std::size_t nc = x.cols();
   std::vector<double> xb(n * kSolveTile);
   for (std::size_t c0 = 0; c0 < nc; c0 += kSolveTile) {
     const std::size_t tw = std::min(kSolveTile, nc - c0);
@@ -258,7 +274,6 @@ Matrix Cholesky::solve(const Matrix& b) const {
     backwardSubTile(l_, xb.data(), tw);
     unpackTile(xb.data(), c0, tw, x);
   }
-  return x;
 }
 
 Matrix Cholesky::solveLower(const Matrix& b) const {
@@ -325,7 +340,18 @@ double Cholesky::logDet() const {
   return 2.0 * s;
 }
 
-Matrix Cholesky::inverse() const { return solve(Matrix::identity(dim())); }
+Matrix Cholesky::inverse() const {
+  Matrix inv;
+  inverseInto(inv);
+  return inv;
+}
+
+void Cholesky::inverseInto(Matrix& out) const {
+  const std::size_t n = dim();
+  out.assignZero(n, n);
+  for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
+  solveInPlace(out);
+}
 
 double Cholesky::conditionEstimate() const {
   const std::size_t n = dim();

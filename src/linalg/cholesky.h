@@ -14,6 +14,9 @@ namespace cmmfo::linalg {
 /// with exponentially growing diagonal jitter, which is the standard remedy.
 class Cholesky {
  public:
+  /// Empty (0 x 0) factor, to be filled by refactorize().
+  Cholesky() = default;
+
   /// Factorize; returns std::nullopt if A is not numerically PD.
   static std::optional<Cholesky> factorize(const Matrix& a);
 
@@ -21,6 +24,13 @@ class Cholesky {
   /// Returns nullopt only if even the largest jitter fails.
   static std::optional<Cholesky> factorizeWithJitter(
       const Matrix& a, double initial_jitter = 1e-10, int max_tries = 10);
+  /// factorizeWithJitter into this object's own storage, reused when the
+  /// dimension is unchanged: the same operations and jitter ladder, so the
+  /// factor is bit-identical, without a factor allocation per call (the
+  /// MLE objective refactorizes on every evaluation). On false the factor
+  /// holds no valid decomposition.
+  bool refactorize(const Matrix& a, double initial_jitter = 1e-10,
+                   int max_tries = 10);
 
   /// Solve A x = b.
   std::vector<double> solve(const std::vector<double>& b) const;
@@ -55,6 +65,9 @@ class Cholesky {
   double logDet() const;
   /// Explicit inverse of A (use sparingly; needed for MLE gradient traces).
   Matrix inverse() const;
+  /// inverse() written into `out`, reusing its storage when it is already
+  /// dim() x dim(); bit-identical to inverse().
+  void inverseInto(Matrix& out) const;
   /// The lower-triangular factor.
   const Matrix& lower() const { return l_; }
   /// Cheap 2-norm condition estimate of A from the factor diagonal:
@@ -67,7 +80,11 @@ class Cholesky {
   std::size_t dim() const { return l_.rows(); }
 
  private:
-  explicit Cholesky(Matrix l, double jitter) : l_(std::move(l)), jitter_(jitter) {}
+  /// Factor A + jitter*I into l_ (resized only when the dimension changes;
+  /// the strict upper triangle is never written, so it stays zero).
+  bool factorInto(const Matrix& a, double jitter);
+  /// Multi-RHS solve X <- A^{-1} X in place (the body of solve(Matrix)).
+  void solveInPlace(Matrix& x) const;
   Matrix l_;
   double jitter_ = 0.0;
 };

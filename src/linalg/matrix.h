@@ -45,6 +45,14 @@ class Matrix {
 
   Matrix transposed() const;
 
+  /// Become a rows x cols zero matrix, reusing the storage when it is large
+  /// enough (scratch buffers refilled on every call).
+  void assignZero(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0);
+  }
+
   Matrix& operator+=(const Matrix& o);
   Matrix& operator-=(const Matrix& o);
   Matrix& operator*=(double s);

@@ -1,23 +1,42 @@
 #pragma once
 
+#include <functional>
+#include <vector>
+
+#include "opt/lbfgs.h"
 #include "opt/objective.h"
-#include "rng/rng.h"
 
 namespace cmmfo::opt {
 
-/// Multi-start driver: run a local optimizer from x0 plus `extra_starts`
-/// random perturbations and keep the best. MLE landscapes for GP kernels are
-/// multi-modal (e.g. long vs short lengthscale interpretations of the same
-/// data); a handful of restarts is the standard cure.
-struct MultiStartOptions {
-  int extra_starts = 3;
-  /// Random starts are drawn uniformly in [x0 - radius, x0 + radius]^d.
-  double radius = 2.0;
+/// Outcome of a multi-start L-BFGS search.
+struct MultiStartResult {
+  /// Strict argmin over the starts that ended finite, in start order (an
+  /// exact tie goes to the earlier start). value is +inf and x is empty
+  /// when no start ended finite.
+  OptResult best;
+  /// L-BFGS iterations summed over every start.
+  int iterations = 0;
+  /// Iteration budget of the whole search: starts x max_iters. A search
+  /// with iterations >= budget exhausted every start.
+  int budget = 0;
 };
 
-OptResult multiStartMinimize(
-    const GradObjectiveFn& f, const std::vector<double>& x0, rng::Rng& rng,
-    const MultiStartOptions& ms_opts = {},
-    const struct LbfgsOptions* lbfgs_opts = nullptr);
+/// Run L-BFGS from every start and keep the best result — the multi-start
+/// MLE of every GP in the library. MLE landscapes for GP kernels are
+/// multi-modal (long vs short lengthscale interpretations of the same
+/// data); a handful of informed starts is the standard cure.
+///
+/// The starts are independent, so they run on a process-wide fork-join pool
+/// (hardware_concurrency() - 1 helper threads; the calling thread runs
+/// starts too, so concurrent and nested calls always make progress).
+/// `make_objective` is called once per start, on the thread that runs it,
+/// and must be safe to call concurrently; the objective it returns is used
+/// by that start only, so it may own mutable scratch buffers. The reduction
+/// runs in start order after every start is done, so the result is
+/// bit-identical to a sequential loop over the starts.
+MultiStartResult minimizeFromStarts(
+    const std::function<GradObjectiveFn()>& make_objective,
+    const std::vector<std::vector<double>>& starts,
+    const LbfgsOptions& opts = {});
 
 }  // namespace cmmfo::opt

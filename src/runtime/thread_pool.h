@@ -20,10 +20,11 @@ template <typename T>
 class CompletionQueue {
  public:
   void push(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      items_.push(std::move(value));
-    }
+    // Notify under the lock: once the item is visible a consumer may pop it
+    // and destroy the queue, so the pushing thread must be done with cv_ by
+    // the time it releases mu_.
+    std::lock_guard<std::mutex> lock(mu_);
+    items_.push(std::move(value));
     cv_.notify_one();
   }
 

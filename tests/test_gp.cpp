@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "gp/ard_kernels.h"
 #include "gp/gp_regressor.h"
@@ -14,6 +16,11 @@ GpFitOptions fastOpts() {
   o.mle_restarts = 1;
   o.max_mle_iters = 40;
   return o;
+}
+
+bool sameBits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 TEST(GpRegressor, InterpolatesNoiseFreeData) {
@@ -150,6 +157,43 @@ TEST(GpRegressor, SinglePointFit) {
   gp.fit({{0.5}}, {3.0}, rng);
   // With one observation, the posterior mean at that point is the target.
   EXPECT_NEAR(gp.predict({0.5}).mean, 3.0, 1e-3);
+}
+
+TEST(GpRegressor, ConcurrentFitsMatchSoloFits) {
+  // Two threads fit different GPs at once, so their MLE starts share the
+  // fork-join pool; each fit must still equal its solo fit bit for bit.
+  struct Fit {
+    Vec packed;
+    Vec lml;
+    int iters = 0;
+  };
+  const auto fitOne = [](std::uint64_t seed) {
+    rng::Rng rng(seed);
+    Dataset x;
+    Vec y;
+    for (int i = 0; i < 14; ++i) {
+      x.push_back({rng.uniform(), rng.uniform()});
+      y.push_back(std::sin(4.0 * x.back()[0]) + x.back()[1] * x.back()[1] +
+                  0.05 * rng.normal());
+    }
+    GpRegressor gp(Matern52Ard(2), fastOpts());
+    gp.fit(x, y, rng);
+    return Fit{gp.packedParams(), {gp.logMarginalLikelihood()},
+               gp.lastFitIterations()};
+  };
+  const Fit solo_a = fitOne(11), solo_b = fitOne(12);
+  Fit a, b;
+  std::thread ta([&] { a = fitOne(11); });
+  std::thread tb([&] { b = fitOne(12); });
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(sameBits(a.packed, solo_a.packed));
+  EXPECT_TRUE(sameBits(a.lml, solo_a.lml));
+  EXPECT_EQ(a.iters, solo_a.iters);
+  EXPECT_TRUE(sameBits(b.packed, solo_b.packed));
+  EXPECT_TRUE(sameBits(b.lml, solo_b.lml));
+  EXPECT_EQ(b.iters, solo_b.iters);
+  EXPECT_FALSE(sameBits(a.packed, b.packed));
 }
 
 }  // namespace

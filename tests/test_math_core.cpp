@@ -8,7 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/acquisition.h"
@@ -16,6 +20,7 @@
 #include "gp/composite_kernels.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
+#include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "pareto/cells.h"
 #include "pareto/dominance.h"
@@ -327,6 +332,153 @@ TEST(LmlGradients, NargpCompositeKernelMatchesFiniteDifferences) {
     return model.evalNegLogMarginalLikelihood(p, g);
   };
   checkGradient(eval, packed, 1e-5, 2e-4, "NARGP composite");
+}
+
+// ------------------------------------------ pinned objective bit patterns ----
+//
+// The MLE objective reuses per-start scratch buffers, refactorizes in place
+// and contracts the ARD gradient in one fused pass. None of that may move a
+// bit: these pin the value and every gradient component at fixed parameters
+// to the patterns the straightforward objective produced (a fresh kernel
+// clone, Gram, factor, explicit inverse and one gramGrad matrix per
+// parameter on every evaluation).
+
+std::vector<std::uint64_t> lmlBits(double value, const gp::Vec& grad) {
+  std::vector<std::uint64_t> out;
+  out.reserve(grad.size() + 1);
+  for (std::size_t i = 0; i <= grad.size(); ++i) {
+    const double v = i == 0 ? value : grad[i - 1];
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    out.push_back(b);
+  }
+  return out;
+}
+
+std::string hexList(const std::vector<std::uint64_t>& bits) {
+  std::string s;
+  char buf[32];
+  for (const std::uint64_t b : bits) {
+    std::snprintf(buf, sizeof buf, "0x%016llxULL, ",
+                  static_cast<unsigned long long>(b));
+    s += buf;
+  }
+  return s;
+}
+
+void expectLmlBits(const std::vector<std::uint64_t>& got,
+                   const std::vector<std::uint64_t>& want) {
+  EXPECT_EQ(got, want) << "actual: {" << hexList(got) << "}";
+}
+
+// Single-output objective at fixed, perturbed parameters. `degenerate`
+// duplicates half the inputs and blows up the signal variance so the Gram
+// is singular to working precision and the jitter ladder must engage.
+std::vector<std::uint64_t> gpLmlPattern(const gp::Kernel& kernel,
+                                        bool degenerate) {
+  rng::Rng rng(71);
+  const std::size_t dim = 4, n = 12;
+  gp::Dataset x = makeInputs(rng, n, dim);
+  if (degenerate)
+    for (std::size_t i = n / 2; i < n; ++i) x[i] = x[i - n / 2];
+  const gp::Vec y = smoothTargets(x, rng);
+  gp::GpRegressor model(kernel, gp::GpFitOptions{});
+  model.refitPosterior(x, y);
+  gp::Vec packed = model.packedParams();
+  for (std::size_t i = 0; i + 1 < packed.size(); ++i)
+    packed[i] += rng.uniform(-0.4, 0.4);
+  packed.back() = std::log(0.07);
+  if (degenerate) {
+    packed[dim] = 10.0;  // signal stddev e^10
+    packed.back() = std::log(1e-4);
+    std::unique_ptr<gp::Kernel> k = kernel.clone();
+    k->setParams(gp::Vec(packed.begin(), packed.end() - 1));
+    linalg::Matrix gram = k->gram(x);
+    for (std::size_t i = 0; i < n; ++i) gram(i, i) += 1e-8;
+    EXPECT_FALSE(linalg::Cholesky::factorize(gram)) << "jitter not needed";
+  }
+  gp::Vec grad;
+  const double v = model.evalNegLogMarginalLikelihood(packed, &grad);
+  return lmlBits(v, grad);
+}
+
+std::vector<std::uint64_t> mtgpLmlPattern() {
+  rng::Rng rng(83);
+  const std::size_t dim = 3, n = 10, m = 3;
+  const gp::Dataset x = makeInputs(rng, n, dim);
+  linalg::Matrix y(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) s += std::sin(2.0 * x[i][d]);
+    y(i, 0) = s + 0.05 * rng.normal();
+    y(i, 1) = -0.8 * s + 0.2 * x[i][0] + 0.05 * rng.normal();
+    y(i, 2) = 0.5 * s * s + 0.05 * rng.normal();
+  }
+  gp::MultiTaskGp model(gp::Matern52Ard(dim, /*unit_variance=*/true), m,
+                        gp::MultiTaskFitOptions{});
+  model.refitPosterior(x, y);
+  gp::Vec packed = model.packedParams();
+  const std::size_t nk = model.inputKernel().numParams();
+  for (std::size_t i = 0; i < nk + m * (m + 1) / 2; ++i)
+    packed[i] += rng.uniform(-0.3, 0.3);
+  for (std::size_t i = packed.size() - m; i < packed.size(); ++i)
+    packed[i] = std::log(0.1) + rng.uniform(-0.2, 0.2);
+  gp::Vec grad;
+  const double v = model.evalNegLogMarginalLikelihood(packed, &grad);
+  return lmlBits(v, grad);
+}
+
+TEST(LmlGradients, PinnedBitsMatern52WithSignalVariance) {
+  expectLmlBits(gpLmlPattern(gp::Matern52Ard(4, false), false), {
+      0x402af4a13cf44351ULL, 0xbfcd96aad1b71fc6ULL, 0xbfe6880fdb1c3302ULL,
+      0xbff4126151cf8fbaULL, 0xc00a69468965d7e4ULL, 0x4017e26eb23d28b4ULL,
+      0x3fb38b071b4d84f4ULL});
+}
+
+TEST(LmlGradients, PinnedBitsMatern52UnitVariance) {
+  expectLmlBits(gpLmlPattern(gp::Matern52Ard(4, true), false), {
+      0x4028ca5a7ff62feaULL, 0x3ff05bf8c7052004ULL, 0xbfe226b8242ee1afULL,
+      0xbff05dc3f10d8605ULL, 0xc00bf9f8358459e5ULL, 0x3fb815eca0d97256ULL});
+}
+
+TEST(LmlGradients, PinnedBitsRbfWithSignalVariance) {
+  expectLmlBits(gpLmlPattern(gp::RbfArd(4, false), false), {
+      0x4027e8bb4f6535faULL, 0xbfd2655d1d872eebULL, 0xbfe64a3f92c4ecc8ULL,
+      0xbffdc30f6a590c5fULL, 0xc01130b181d9c14fULL, 0x4013de57de2ed0beULL,
+      0x3fc364462fdb2bf8ULL});
+}
+
+TEST(LmlGradients, PinnedBitsRbfUnitVariance) {
+  expectLmlBits(gpLmlPattern(gp::RbfArd(4, true), false), {
+      0x40266e21a4a22223ULL, 0x3ff75a4750c62466ULL, 0xbfccdc99c7c6b24cULL,
+      0xbff4ffdf3a412bc4ULL, 0xc00fad28579164daULL, 0x3fc5fb2cef644655ULL});
+}
+
+TEST(LmlGradients, PinnedBitsJitteredGram) {
+  expectLmlBits(gpLmlPattern(gp::Matern52Ard(4, false), true), {
+      0x404fae308909efcdULL, 0xbfe51bf43a000000ULL, 0xbfb53fe1b2800000ULL,
+      0xbfe1142a4d990000ULL, 0xbfe527dc34000000ULL, 0x4017ffffc0000000ULL,
+      0x0000000000000000ULL});
+}
+
+TEST(LmlGradients, PinnedBitsCompositeKernel) {
+  // A sum kernel takes the default (gramGrad-based) trace.
+  const gp::SumKernel k(std::make_unique<gp::Matern52Ard>(4, false),
+                        std::make_unique<gp::RbfArd>(4, false));
+  expectLmlBits(gpLmlPattern(k, false), {
+      0x402b95f979ddce3fULL, 0xbfeb334db0d21a38ULL, 0xbfe3e91e4b1a6e36ULL,
+      0xbff2250aa116fb47ULL, 0xc006c5a07cec1970ULL, 0x401ac7cdde0c1eb6ULL,
+      0xbfb6b45e2eddb2bdULL, 0xbfc6221c21e4d3a4ULL, 0xbfd6c89eab2c7175ULL,
+      0xbfd14fdec29383e7ULL, 0x3fea8f2d58f2ccc2ULL, 0x3fb386a94eaa20a7ULL});
+}
+
+TEST(LmlGradients, PinnedBitsMultiTask) {
+  expectLmlBits(mtgpLmlPattern(), {
+      0x4046c434110d2c78ULL, 0x401c90b7510c3ccbULL, 0x401abeff749460b5ULL,
+      0x3fd7d2a011df0422ULL, 0x3fe72830217ae018ULL, 0x40235486c6a3e42cULL,
+      0xc013c406ac7f4634ULL, 0x4022dfe2af6b019eULL, 0xc02df7aef424d1ebULL,
+      0xc0399db97d4dd764ULL, 0x3f9368e5fa71220eULL, 0x3faa49be544d248fULL,
+      0xbfe7b156df0cdaf9ULL});
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "gp/ard_kernels.h"
 #include "gp/gp_regressor.h"
@@ -188,6 +190,44 @@ TEST(MultiTaskGp, CopySemantics) {
   gp.fit(x, y, rng);
   const MultiTaskGp copy = gp;
   EXPECT_DOUBLE_EQ(copy.predict({0.3}).mean[1], gp.predict({0.3}).mean[1]);
+}
+
+TEST(MultiTaskGp, ConcurrentFitsMatchSoloFits) {
+  // Two threads fit different multi-task GPs at once, so their MLE starts
+  // share the fork-join pool; each must still equal its solo fit bitwise.
+  struct Fit {
+    Vec packed;
+    double lml = 0.0;
+    int iters = 0;
+  };
+  const auto fitOne = [](std::uint64_t seed, double corr_sign) {
+    rng::Rng rng(seed);
+    Dataset x;
+    linalg::Matrix y;
+    makeCorrelatedData(12, rng, x, y, corr_sign);
+    MultiTaskFitOptions opts = fastOpts();
+    opts.mle_restarts = 2;
+    MultiTaskGp gp(Matern52Ard(1, true), 2, opts);
+    gp.fit(x, y, rng);
+    return Fit{gp.packedParams(), gp.logMarginalLikelihood(),
+               gp.lastFitIterations()};
+  };
+  const auto same = [](const Fit& p, const Fit& q) {
+    return p.packed.size() == q.packed.size() &&
+           std::memcmp(p.packed.data(), q.packed.data(),
+                       p.packed.size() * sizeof(double)) == 0 &&
+           std::memcmp(&p.lml, &q.lml, sizeof p.lml) == 0 &&
+           p.iters == q.iters;
+  };
+  const Fit solo_a = fitOne(21, -1.0), solo_b = fitOne(22, 1.0);
+  Fit a, b;
+  std::thread ta([&] { a = fitOne(21, -1.0); });
+  std::thread tb([&] { b = fitOne(22, 1.0); });
+  ta.join();
+  tb.join();
+  EXPECT_TRUE(same(a, solo_a));
+  EXPECT_TRUE(same(b, solo_b));
+  EXPECT_FALSE(same(a, b));
 }
 
 }  // namespace

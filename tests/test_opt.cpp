@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <thread>
 
 #include "opt/adam.h"
-#include "opt/finite_diff.h"
 #include "opt/lbfgs.h"
 #include "opt/multistart.h"
-#include "opt/nelder_mead.h"
 
 namespace cmmfo::opt {
 namespace {
@@ -84,64 +86,126 @@ TEST(Adam, StepperMovesAgainstGradient) {
   EXPECT_LT(p[0], 0.0);
 }
 
-TEST(NelderMead, SolvesQuadraticWithoutGradients) {
-  ObjectiveFn f = [](const std::vector<double>& x) {
-    std::vector<double> g;
-    return quadratic(x, g);
-  };
-  NelderMeadOptions opts;
-  opts.max_iters = 2000;
-  const auto res = minimizeNelderMead(f, {0.0, 0.0, 0.0}, opts);
-  EXPECT_NEAR(res.x[0], 1.0, 1e-3);
-  EXPECT_NEAR(res.x[1], -2.0, 1e-3);
-  EXPECT_NEAR(res.x[2], 3.0, 1e-3);
-}
-
-TEST(NelderMead, HandlesNonFiniteRegions) {
-  ObjectiveFn f = [](const std::vector<double>& x) {
-    if (x[0] < 0.0) return std::numeric_limits<double>::quiet_NaN();
-    return (x[0] - 2.0) * (x[0] - 2.0);
-  };
-  const auto res = minimizeNelderMead(f, {1.0});
-  EXPECT_NEAR(res.x[0], 2.0, 1e-3);
-}
-
-TEST(NelderMead, ZeroDimensional) {
-  const auto res = minimizeNelderMead(
-      [](const std::vector<double>&) { return 42.0; }, {});
-  EXPECT_TRUE(res.converged);
-  EXPECT_DOUBLE_EQ(res.value, 42.0);
-}
-
-TEST(FiniteDiff, MatchesAnalyticGradient) {
-  const std::vector<double> x = {0.3, -0.7, 1.9};
-  EXPECT_LT(gradientCheckError(quadratic, x), 1e-6);
-  EXPECT_LT(gradientCheckError(rosenbrock, {0.5, 0.5}), 1e-5);
-}
-
-TEST(FiniteDiff, NumericGradientWrapper) {
-  ObjectiveFn f = [](const std::vector<double>& x) {
-    return std::sin(x[0]) + x[1] * x[1];
-  };
-  const auto g = finiteDiffGradient(f, {0.0, 3.0});
-  EXPECT_NEAR(g[0], 1.0, 1e-5);
-  EXPECT_NEAR(g[1], 6.0, 1e-5);
-}
-
-TEST(MultiStart, EscapesBadStart) {
-  // Double-well along x: f = (x^2 - 1)^2 + small tilt so the global minimum
-  // is at x = -1; start near the worse well.
-  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>& g) {
+// Double-well along x: f = (x^2 - 1)^2 + tilt * x. With tilt 0 the wells
+// at x = +-1 are exact mirror images, so starts at +-a end at bit-equal
+// values with opposite x.
+GradObjectiveFn doubleWell(double tilt) {
+  return [tilt](const std::vector<double>& x, std::vector<double>& g) {
     const double v = x[0] * x[0] - 1.0;
-    g = {4.0 * v * x[0] + 0.1};
-    return v * v + 0.1 * x[0];
+    g = {4.0 * v * x[0] + tilt};
+    return v * v + tilt * x[0];
   };
-  rng::Rng rng(3);
-  MultiStartOptions ms;
-  ms.extra_starts = 10;
-  ms.radius = 2.0;
-  const auto res = multiStartMinimize(f, {0.9}, rng, ms);
-  EXPECT_NEAR(res.x[0], -1.0, 0.1);
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(MinimizeFromStarts, EscapesBadStart) {
+  // The tilt puts the global minimum at x = -1; the first start sits in
+  // the worse well, the explicit spread reaches the better one.
+  const auto res = minimizeFromStarts([] { return doubleWell(0.1); },
+                                      {{0.9}, {1.7}, {0.2}, {-0.4}, {-2.5}});
+  EXPECT_NEAR(res.best.x[0], -1.0, 0.1);
+}
+
+TEST(MinimizeFromStarts, MatchesSequentialLbfgsLoop) {
+  // Rosenbrock from several starts, one start where the objective is
+  // infinite, and a duplicate start (an exact tie the earlier copy wins).
+  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>& g) {
+    if (x[0] > 5.0) {
+      g.assign(2, 0.0);
+      return std::numeric_limits<double>::infinity();
+    }
+    return rosenbrock(x, g);
+  };
+  const std::vector<std::vector<double>> starts = {
+      {-1.2, 1.0}, {9.0, 0.0}, {0.5, -0.3}, {2.0, 2.0}, {0.5, -0.3}, {-0.7, 0.4}};
+  LbfgsOptions opts;
+  opts.max_iters = 40;
+
+  OptResult seq;
+  seq.value = std::numeric_limits<double>::infinity();
+  int iters = 0;
+  for (const auto& s : starts) {
+    const OptResult r = minimizeLbfgs(f, s, opts);
+    iters += r.iterations;
+    if (std::isfinite(r.value) && r.value < seq.value) seq = r;
+  }
+
+  const auto res = minimizeFromStarts([&] { return f; }, starts, opts);
+  ASSERT_EQ(res.best.x.size(), seq.x.size());
+  for (std::size_t i = 0; i < seq.x.size(); ++i)
+    EXPECT_TRUE(sameBits(res.best.x[i], seq.x[i])) << i;
+  EXPECT_TRUE(sameBits(res.best.value, seq.value));
+  EXPECT_EQ(res.best.iterations, seq.iterations);
+  EXPECT_EQ(res.best.converged, seq.converged);
+  EXPECT_EQ(res.iterations, iters);
+  EXPECT_EQ(res.budget, 6 * 40);
+}
+
+TEST(MinimizeFromStarts, FirstStartWinsExactTie) {
+  for (const double first : {-0.9, 0.9}) {
+    const auto res =
+        minimizeFromStarts([] { return doubleWell(0.0); }, {{first}, {-first}});
+    ASSERT_EQ(res.best.x.size(), 1u);
+    EXPECT_NEAR(res.best.x[0], first > 0.0 ? 1.0 : -1.0, 1e-3);
+  }
+}
+
+TEST(MinimizeFromStarts, AllStartsInfiniteLeavesNoBest) {
+  const auto res = minimizeFromStarts(
+      [] {
+        return GradObjectiveFn([](const std::vector<double>&,
+                                  std::vector<double>& g) {
+          g = {0.0};
+          return std::numeric_limits<double>::infinity();
+        });
+      },
+      {{0.0}, {1.0}, {2.0}});
+  EXPECT_TRUE(std::isinf(res.best.value));
+  EXPECT_TRUE(res.best.x.empty());
+  EXPECT_EQ(res.iterations, 0);
+}
+
+TEST(MinimizeFromStarts, NestedAndConcurrentSearchesComplete) {
+  // Every start of the outer searches runs a whole inner search: callers
+  // help with their own batches, so nesting on a shared pool cannot stall.
+  const auto outer = [] {
+    return minimizeFromStarts(
+        [] {
+          return GradObjectiveFn([](const std::vector<double>& x,
+                                    std::vector<double>& g) {
+            const auto inner = minimizeFromStarts(
+                [] { return doubleWell(0.1); }, {{0.9}, {-0.9}, {0.1}});
+            return inner.best.value + quadratic(x, g);
+          });
+        },
+        {{0.0, 0.0, 0.0}, {2.0, -1.0, 1.0}, {-3.0, 0.0, 4.0}});
+  };
+  const auto solo = outer();
+  MultiStartResult a, b;
+  std::thread ta([&] { a = outer(); });
+  std::thread tb([&] { b = outer(); });
+  ta.join();
+  tb.join();
+  for (const auto* r : {&a, &b}) {
+    EXPECT_TRUE(sameBits(r->best.value, solo.best.value));
+    EXPECT_EQ(r->iterations, solo.iterations);
+  }
+}
+
+TEST(MinimizeFromStarts, PropagatesObjectiveExceptions) {
+  EXPECT_THROW(minimizeFromStarts(
+                   [] {
+                     return GradObjectiveFn(
+                         [](const std::vector<double>&,
+                            std::vector<double>&) -> double {
+                           throw std::runtime_error("objective failed");
+                         });
+                   },
+                   {{0.0}, {1.0}, {2.0}, {3.0}}),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -164,5 +164,28 @@ TEST(Surrogate, RefitWithoutHypersIsCheapAndConsistent) {
   EXPECT_NEAR(s.predict(2, {0.5, 0.5}).mean[0], before, 1e-9);
 }
 
+TEST(Surrogate, MleIterBudgetCountsEveryStartRun) {
+  // A GpRegressor fit runs mle_restarts + 4 starts (prototype parameters, a
+  // three-step lengthscale ladder, the restarts); a MultiTaskGp fit runs
+  // mle_restarts + 3 (a two-step ladder). With one iteration per start,
+  // every start runs out, and the fit must land exactly on its budget.
+  for (const ObjModelKind obj :
+       {ObjModelKind::kCorrelated, ObjModelKind::kIndependent}) {
+    SurrogateOptions o = fastOpts(MfKind::kNonlinear, obj);
+    o.mtgp.mle_restarts = o.gp.mle_restarts = 2;
+    o.mtgp.max_mle_iters = o.gp.max_mle_iters = 1;
+    rng::Rng rng(7);
+    auto obs = makeObs(12, 8, 5, rng);
+    MultiFidelitySurrogate s(2, 2, 3, o);
+    s.fit(obs, rng);
+    const long long starts =
+        obj == ObjModelKind::kCorrelated ? 2 + 3 : (2 + 4) * 2;
+    for (std::size_t l = 0; l < 3; ++l) {
+      EXPECT_EQ(s.mleIterBudget(l), starts) << "level " << l;
+      EXPECT_EQ(s.lastFitIterations(l), s.mleIterBudget(l)) << "level " << l;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cmmfo::core
