@@ -42,6 +42,7 @@
 #include "exp/harness.h"
 #include "obs/obs.h"
 #include "server/server.h"
+#include "util/json.h"
 
 using namespace cmmfo;
 
@@ -250,12 +251,14 @@ int main() {
   // the server arm, so the dump carries campaign trace roots and the
   // per-campaign SLO series).
   if (const char* p = std::getenv("CMMFO_OBS_TRACE")) {
-    if (obs::tracer().writeJsonl(p))
+    if (util::writeTextTo(p, obs::tracer().toJsonl()))
       std::printf("sample trace  -> %s (%zu events)\n", p,
                   obs::tracer().eventCount());
   }
   if (const char* p = std::getenv("CMMFO_OBS_METRICS")) {
-    if (obs::metrics().writeFile(p))
+    const bool json = std::string(p).ends_with(".json");
+    if (util::writeTextTo(p, json ? obs::metrics().toJson()
+                                  : obs::metrics().toCsv()))
       std::printf("sample metrics -> %s (%zu series)\n", p,
                   obs::metrics().snapshot().size());
   }

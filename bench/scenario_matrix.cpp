@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "baselines/methods.h"
-#include "diag/recorder.h"
 #include "exp/harness.h"
+#include "obs/obs.h"
 #include "scenario/generator.h"
 #include "scenario/oracle.h"
 #include "util/json.h"
@@ -150,8 +150,8 @@ int main(int argc, char** argv) {
         // against observed (die-aware) impl reports.
         const bool diag_cell = !diag_checked && d > 1;
         if (diag_cell) {
-          diag::recorder().clear();
-          diag::recorder().setEnabled(true);
+          obs::recorder().clear();
+          obs::recorder().setEnabled(true);
         }
 
         const baselines::OursMethod method(opts);
@@ -167,10 +167,10 @@ int main(int argc, char** argv) {
           long long samples = 0;
           for (int lvl = 0; lvl < sim::kNumFidelities; ++lvl)
             for (int m = 0; m < sim::kNumObjectives; ++m)
-              samples += diag::recorder().aggregate(lvl, m).n;
-          diag_ok = samples > 0 && diag::recorder().recordCount() > 0;
-          diag::recorder().setEnabled(false);
-          diag::recorder().clear();
+              samples += obs::recorder().aggregate(lvl, m).n;
+          diag_ok = samples > 0 && obs::recorder().recordCount() > 0;
+          obs::recorder().setEnabled(false);
+          obs::recorder().clear();
         }
 
         if (d > 1) {

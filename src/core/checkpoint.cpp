@@ -255,13 +255,13 @@ std::string serializeCheckpoint(const CheckpointState& st) {
   // aggregates + counters + health warnings). Absent when diagnostics are
   // disabled, so undiagnosed journals are unchanged byte-for-byte.
   if (st.has_diag) {
-    const diag::DiagState& dg = st.diag;
+    const obs::DiagState& dg = st.diag;
     out += ",\n\"diag\": {\"agg\": [";
-    for (int l = 0; l < diag::kNumLevels; ++l) {
+    for (int l = 0; l < obs::kNumLevels; ++l) {
       if (l) out += ',';
       out += '[';
-      for (int m = 0; m < diag::kNumObjectives; ++m) {
-        const diag::CalibrationAgg& a = dg.agg[l][m];
+      for (int m = 0; m < obs::kNumObjectives; ++m) {
+        const obs::CalibrationAgg& a = dg.agg[l][m];
         if (m) out += ',';
         out += '[';
         putInt(out, a.n);
@@ -285,7 +285,7 @@ std::string serializeCheckpoint(const CheckpointState& st) {
     putInt(out, dg.decisions);
     out += ", \"warnings\": [";
     for (std::size_t i = 0; i < dg.warnings.size(); ++i) {
-      const diag::HealthWarning& w = dg.warnings[i];
+      const obs::HealthWarning& w = dg.warnings[i];
       if (i) out += ',';
       out += "\n{\"kind\": ";
       putInt(out, static_cast<int>(w.kind));
@@ -531,19 +531,19 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
     st.has_diag = true;
     if (const Json* agg = j->find("agg");
         agg && agg->kind == Json::kArr &&
-        agg->arr.size() == diag::kNumLevels) {
-      for (int l = 0; l < diag::kNumLevels; ++l) {
+        agg->arr.size() == obs::kNumLevels) {
+      for (int l = 0; l < obs::kNumLevels; ++l) {
         const Json& row = agg->arr[l];
-        if (row.kind != Json::kArr || row.arr.size() != diag::kNumObjectives)
+        if (row.kind != Json::kArr || row.arr.size() != obs::kNumObjectives)
           return fail("checkpoint: bad diag agg row");
-        for (int m = 0; m < diag::kNumObjectives; ++m) {
+        for (int m = 0; m < obs::kNumObjectives; ++m) {
           const Json& cell = row.arr[m];
           if (cell.kind != Json::kArr || cell.arr.size() != 5)
             return fail("checkpoint: bad diag agg cell");
           for (const Json& x : cell.arr)
             if (x.kind != Json::kNum)
               return fail("checkpoint: bad diag agg cell");
-          diag::CalibrationAgg& a = st.diag.agg[l][m];
+          obs::CalibrationAgg& a = st.diag.agg[l][m];
           a.n = static_cast<long long>(cell.arr[0].num);
           a.n_in95 = static_cast<long long>(cell.arr[1].num);
           a.nlpd_sum = cell.arr[2].num;
@@ -561,9 +561,9 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
     if (const Json* k = j->find("warnings"); k && k->kind == Json::kArr)
       for (const Json& e : k->arr) {
         if (e.kind != Json::kObj) return fail("checkpoint: bad diag warning");
-        diag::HealthWarning w;
+        obs::HealthWarning w;
         if (const Json* x = e.find("kind"); x && x->kind == Json::kNum)
-          w.kind = static_cast<diag::HealthKind>(static_cast<int>(x->num));
+          w.kind = static_cast<obs::HealthKind>(static_cast<int>(x->num));
         if (const Json* x = e.find("round"); x && x->kind == Json::kNum)
           w.round = static_cast<int>(x->num);
         if (const Json* x = e.find("fidelity"); x && x->kind == Json::kNum)

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "diag/recorder.h"
 #include "obs/metrics.h"
+#include "obs/recorder.h"
 #include "rng/rng.h"
 #include "runtime/scheduler.h"
 #include "sim/tool.h"
@@ -113,7 +113,7 @@ struct CheckpointState {
   /// Diagnostics digest (calibration aggregates, counters, health warnings)
   /// at checkpoint time. Optional in the journal — files without it still
   /// load (has_diag stays false) and resume simply restarts the aggregates.
-  diag::DiagState diag;
+  obs::DiagState diag;
   bool has_diag = false;
 };
 

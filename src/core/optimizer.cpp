@@ -64,10 +64,10 @@ void CorrelatedMfMoboOptimizer::record(const runtime::EvalResult& res) {
     // Flight recorder: join the observation with the posterior captured at
     // pick time (predict-before-observe). Invalid reports are skipped — a
     // Sec. IV-C penalty row says nothing about surrogate calibration.
-    if (r.valid && diag::recorder().enabled()) {
+    if (r.valid && obs::recorder().enabled()) {
       if (const auto it = pending_pred_.find({res.job.config, f});
           it != pending_pred_.end()) {
-        diag::CalibrationSample s;
+        obs::CalibrationSample s;
         s.round = diag_round_;
         s.config = res.job.config;
         s.fidelity = f;
@@ -75,7 +75,7 @@ void CorrelatedMfMoboOptimizer::record(const runtime::EvalResult& res) {
         s.y = r.objectives();
         s.mu = it->second.mu;
         s.var = it->second.var;
-        diag::recorder().addCalibrationSample(std::move(s));
+        obs::recorder().addCalibrationSample(std::move(s));
       }
     }
   }
@@ -126,7 +126,7 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
     const std::vector<char>& taken,
     const std::array<double, kNumFidelities>& stage_seconds,
     const std::vector<std::vector<double>>& z, int only_fidelity,
-    std::vector<diag::FidelityAudit>* audit) const {
+    std::vector<obs::FidelityAudit>* audit) const {
   Pick best;
   bool any = false;
   for (int f = 0; f < kNumFidelities; ++f) {
@@ -183,7 +183,7 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
       }
       posts = surrogate_.predictBatch(f, feats);
     }
-    diag::FidelityAudit* fa = nullptr;
+    obs::FidelityAudit* fa = nullptr;
     if (audit != nullptr) {
       audit->push_back({});
       fa = &audit->back();
@@ -217,12 +217,11 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
       // Rank by the quantity the argmax uses; stable so candidate-order ties
       // resolve deterministically. Truncated to the recorder's top-k.
       std::stable_sort(fa->top.begin(), fa->top.end(),
-                       [](const diag::CandidateScore& a,
-                          const diag::CandidateScore& b) {
+                       [](const obs::CandidateScore& a,
+                          const obs::CandidateScore& b) {
                          return a.peipv > b.peipv;
                        });
-      const std::size_t k = static_cast<std::size_t>(diag::recorder().topK());
-      if (fa->top.size() > k) fa->top.resize(k);
+      if (fa->top.size() > obs::kTopK) fa->top.resize(obs::kTopK);
     }
   }
   return best;
@@ -378,8 +377,8 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   if (obs::metrics().enabled() && shared_.pool == nullptr)
     st.metrics = obs::metrics().snapshot();
   // Same for the flight recorder's calibration aggregates and warnings.
-  if (diag::recorder().enabled()) {
-    st.diag = diag::recorder().state();
+  if (obs::recorder().enabled()) {
+    st.diag = obs::recorder().state();
     st.has_diag = true;
   }
   return st;
@@ -454,8 +453,8 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   if (obs::metrics().enabled() && shared_.pool == nullptr &&
       !st.metrics.empty())
     obs::metrics().restore(st.metrics);
-  if (st.has_diag && diag::recorder().enabled())
-    diag::recorder().restore(st.diag);
+  if (st.has_diag && obs::recorder().enabled())
+    obs::recorder().restore(st.diag);
 
   // Last (the cache is fully re-materialized, so resumed workers race
   // nothing above): re-dispatch the journaled in-flight believers at their
@@ -524,8 +523,8 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
   for (const RecoveryEvent& ev : surrogate_.drainRecoveryEvents()) {
     std::string note = ev.action + " (level " + std::to_string(ev.level) +
                        "): " + ev.reason;
-    if (diag::recorder().enabled())
-      diag::recorder().addRecovery(
+    if (obs::recorder().enabled())
+      obs::recorder().addRecovery(
           {round, ev.level, ev.action, ev.reason, ev.value});
     o.recovery_notes.push_back(std::move(note));
   }
@@ -697,12 +696,12 @@ void CorrelatedMfMoboOptimizer::commitPosterior(int round) {
       surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
   }
   believer_invalidations_ += static_cast<long long>(inflight_meta_.size());
-  if (!diag::recorder().enabled()) return;
+  if (!obs::recorder().enabled()) return;
   // Per-level surrogate state for the journal: learned K_task (Eq. 9), MLE
   // convergence, Gram conditioning, lower-fidelity relevance. All read-only
   // accessors — nothing feeds back into the run.
   for (int l = 0; l < kNumFidelities; ++l) {
-    diag::ModelRecord mr;
+    obs::ModelRecord mr;
     mr.round = round;
     mr.level = l;
     mr.correlated = surrogate_.correlated();
@@ -719,7 +718,7 @@ void CorrelatedMfMoboOptimizer::commitPosterior(int round) {
     mr.max_iters = did_mle ? surrogate_.mleIterBudget(l) : 0;
     mr.cond_log10 = surrogate_.gramConditionLog10(l);
     mr.lowfid_relevance = surrogate_.lowerFidelityRelevance(l);
-    diag::recorder().addModelRecord(std::move(mr));
+    obs::recorder().addModelRecord(std::move(mr));
   }
 }
 
@@ -729,8 +728,7 @@ namespace {
 /// the scan phases) and its slo.proposal_seconds latency, both closed once
 /// the pick's believer bookkeeping is done.
 struct ProposalScope {
-  obs::Span span{obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "acq_pick", "optimizer"};
+  obs::Span span{&obs::tracer(), "acq_pick", "optimizer"};
   bool timed = obs::metrics().enabled();
   std::chrono::steady_clock::time_point start =
       timed ? std::chrono::steady_clock::now()
@@ -749,7 +747,7 @@ struct ProposalScope {
 
 void CorrelatedMfMoboOptimizer::logPick(
     obs::Span& span, const Pick& pick, int round, int iteration, int depth,
-    std::vector<diag::FidelityAudit> audit) {
+    std::vector<obs::FidelityAudit> audit) {
   ++result_.picks_per_fidelity[static_cast<int>(pick.fidelity)];
   result_.iterations.push_back(
       {iteration, pick.fidelity, pick.config, pick.peipv, round});
@@ -761,8 +759,8 @@ void CorrelatedMfMoboOptimizer::logPick(
     obs::metrics().observe(
         std::string("acq.peipv.") + sim::fidelityName(pick.fidelity),
         pick.peipv);
-  if (!diag::recorder().enabled()) return;
-  diag::DecisionRecord dr;
+  if (!obs::recorder().enabled()) return;
+  obs::DecisionRecord dr;
   dr.round = round;
   dr.winner_config = pick.config;
   dr.winner_fidelity = static_cast<int>(pick.fidelity);
@@ -776,7 +774,7 @@ void CorrelatedMfMoboOptimizer::logPick(
                 std::to_string(depth) + " in-flight believer(s)"
           : "Kriging-believer batch fill at the round fidelity";
   dr.fidelities = std::move(audit);
-  diag::recorder().addDecision(std::move(dr));
+  obs::recorder().addDecision(std::move(dr));
   // Predict-before-observe: snapshot the posterior at every stage the job
   // will run, before its observation (or fantasy) can enter the model.
   // Extra predict() calls only — no RNG, no state change, so the
@@ -830,11 +828,11 @@ std::vector<runtime::EvalJob> CorrelatedMfMoboOptimizer::admitBatch(
   obs::ScopedPhase acq_phase("acquisition", round);
   for (int b = 0; b < q; ++b) {
     ProposalScope scope;
-    std::vector<diag::FidelityAudit> audit;
+    std::vector<obs::FidelityAudit> audit;
     const Pick pick = scanBest(
         fantasy ? *fantasy : data_, cand, taken, stage_seconds_, z,
         b == 0 ? -1 : static_cast<int>(jobs.front().fidelity),
-        diag::recorder().enabled() ? &audit : nullptr);
+        obs::recorder().enabled() ? &audit : nullptr);
     taken[pick.config] = 1;
     jobs.push_back({pick.config, pick.fidelity});
     logPick(scope.span, pick, round, t_ + b, b, std::move(audit));
@@ -867,13 +865,13 @@ void CorrelatedMfMoboOptimizer::admitAsync(int round) {
     if (cand.empty()) break;  // in-flight jobs hold the rest of the space
     const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
     ProposalScope scope;
-    std::vector<diag::FidelityAudit> audit;
+    std::vector<obs::FidelityAudit> audit;
     // Every pick re-decides the fidelity (Eq. 10) against the believer-
     // augmented posterior — heterogeneous fidelities in flight is the whole
     // point of killing the round barrier.
     const Pick pick =
         scanBest(fantasy ? *fantasy : data_, cand, no_taken, stage_seconds_,
-                 z, -1, diag::recorder().enabled() ? &audit : nullptr);
+                 z, -1, obs::recorder().enabled() ? &audit : nullptr);
     logPick(scope.span, pick, round, t_ + inflight(), inflight(),
             std::move(audit));
     const double sim_start = scheduler_->simNow();
@@ -952,7 +950,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::commitStep(
 
   // One hypervolume per committed step, shared by every consumer (diag
   // convergence, metrics, the server's outcome). Pure observation.
-  const bool diag_on = diag::recorder().enabled();
+  const bool diag_on = obs::recorder().enabled();
   const bool metrics_on = obs::metrics().enabled();
   const double hv = diag_on || metrics_on || shared_.collect_outcomes
                         ? topHypervolume(round)
@@ -967,7 +965,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::commitStep(
     for (const SampleRecord& rec : cs_) selected.push_back(rec.config);
     const runtime::EvalCache::Stats cstats =
         cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
-    diag::recorder().endRound(round, hv, selected,
+    obs::recorder().endRound(round, hv, selected,
                               scheduler_->deterministicToolSeconds(),
                               cstats.hits, cstats.misses);
   }

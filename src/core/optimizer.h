@@ -12,8 +12,8 @@
 
 #include "core/checkpoint.h"
 #include "core/surrogate.h"
-#include "diag/recorder.h"
 #include "hls/design_space.h"
+#include "obs/recorder.h"
 #include "runtime/scheduler.h"
 #include "sim/tool.h"
 
@@ -339,7 +339,7 @@ class CorrelatedMfMoboOptimizer {
                 const std::array<double, sim::kNumFidelities>& stage_seconds,
                 const std::vector<std::vector<double>>& z,
                 int only_fidelity = -1,
-                std::vector<diag::FidelityAudit>* audit = nullptr) const;
+                std::vector<obs::FidelityAudit>* audit = nullptr) const;
 
   // ---- The step loop (see stepRound). ----
   /// Configs neither sampled nor in flight, in index order (RNG-free).
@@ -358,7 +358,7 @@ class CorrelatedMfMoboOptimizer {
   /// acq.peipv metric, DecisionRecord and the predict-before-observe
   /// snapshot. `depth` = believer fantasies the pick was conditioned on.
   void logPick(obs::Span& span, const Pick& pick, int round, int iteration,
-               int depth, std::vector<diag::FidelityAudit> audit);
+               int depth, std::vector<obs::FidelityAudit> audit);
   /// Kriging believer: append the posterior mean of (config, fidelity) at
   /// every stage the job will run to `fantasy` (seeded from the real data
   /// on first use) and condition the surrogate on it, uncommitted.
@@ -409,7 +409,7 @@ class CorrelatedMfMoboOptimizer {
   std::vector<bool> sampled_;
   std::vector<SampleRecord> cs_;
 
-  /// Flight-recorder state (only populated while diag::recorder() is
+  /// Flight-recorder state (only populated while obs::recorder() is
   /// enabled; extra predict() calls are RNG-free so the trajectory is
   /// bit-identical either way). Posterior (mu, var) captured at pick time,
   /// keyed by (config, fidelity), joined with the observation in record().

@@ -206,8 +206,7 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
     linalg::Matrix targets;
     buildLevelTraining(l, o, &inputs, &targets);
 
-    obs::Span fit_span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                       "gp_fit_level", "gp");
+    obs::Span fit_span(&obs::tracer(), "gp_fit_level", "gp");
     fit_span.fidelity(static_cast<int>(l))
         .outcome(optimize_hypers ? "mle" : "refit");
     if (opts_.obj == ObjModelKind::kCorrelated) {
@@ -313,8 +312,7 @@ void MultiFidelitySurrogate::denseRefitLevel(std::size_t level,
   gp::Dataset inputs;
   linalg::Matrix targets;
   buildLevelTraining(level, o, &inputs, &targets);
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "gp_fit_level", "gp");
+  obs::Span span(&obs::tracer(), "gp_fit_level", "gp");
   span.fidelity(static_cast<int>(level)).outcome("refit");
   if (opts_.obj == ObjModelKind::kCorrelated) {
     mt_models_[level].refitPosterior(inputs, targets);
@@ -327,8 +325,7 @@ void MultiFidelitySurrogate::denseRefitLevel(std::size_t level,
 bool MultiFidelitySurrogate::appendLevelRows(std::size_t level,
                                              const FidelityObs& o,
                                              std::size_t from) {
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "gp_fit_level", "gp");
+  obs::Span span(&obs::tracer(), "gp_fit_level", "gp");
   span.fidelity(static_cast<int>(level)).outcome("append");
   const bool timed = obs::metrics().enabled();
   if (timed)

@@ -118,12 +118,15 @@ namespace {
 /// columns — each column's operation sequence is untouched.
 constexpr std::size_t kSolveTile = 64;
 
-#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__)
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 // Runtime-dispatched wide clones of the tile kernels: 4/8-wide mul+sub over
 // the columns. With contraction off (the build pins -ffp-contract=off for
 // this file — AVX-512F carries its own FMA forms) multiply and subtract
 // stay separately rounded exactly like the baseline ISA, so the wide clones
-// are bit-identical to the default one.
+// are bit-identical to the default one. ThreadSanitizer builds take the
+// default only: the clones' IFUNC resolvers run before the TSan runtime is
+// initialized and crash a TSan executable before main.
 #define CMMFO_SOLVE_TILE_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else

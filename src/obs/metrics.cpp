@@ -42,9 +42,15 @@ std::vector<double> MetricsRegistry::countBounds() {
   return {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0};
 }
 
-MetricsRegistry::Series& MetricsRegistry::upsert(const std::string& name,
-                                                 MetricKind kind) {
-  Series& s = series_[name];
+MetricPoint& MetricsRegistry::slot(const std::string& name) {
+  const auto [it, inserted] = series_.try_emplace(name);
+  if (inserted) it->second.name = name;
+  return it->second;
+}
+
+MetricPoint& MetricsRegistry::upsert(const std::string& name,
+                                     MetricKind kind) {
+  MetricPoint& s = slot(name);
   if (s.count == 0 && s.buckets.empty()) s.kind = kind;
   return s;
 }
@@ -53,7 +59,7 @@ void MetricsRegistry::defineHistogram(const std::string& name,
                                       std::vector<double> bounds) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Series& s = series_[name];
+  MetricPoint& s = slot(name);
   if (!s.bounds.empty()) return;  // layout is fixed once defined
   s.kind = MetricKind::kHistogram;
   s.bounds = std::move(bounds);
@@ -63,7 +69,7 @@ void MetricsRegistry::defineHistogram(const std::string& name,
 void MetricsRegistry::add(const std::string& name, double delta) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Series& s = upsert(name, MetricKind::kCounter);
+  MetricPoint& s = upsert(name, MetricKind::kCounter);
   s.value += delta;
   ++s.count;
 }
@@ -71,7 +77,7 @@ void MetricsRegistry::add(const std::string& name, double delta) {
 void MetricsRegistry::set(const std::string& name, double value) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Series& s = upsert(name, MetricKind::kGauge);
+  MetricPoint& s = upsert(name, MetricKind::kGauge);
   s.kind = MetricKind::kGauge;
   s.value = value;
   ++s.count;
@@ -80,7 +86,7 @@ void MetricsRegistry::set(const std::string& name, double value) {
 void MetricsRegistry::observe(const std::string& name, double value) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Series& s = series_[name];
+  MetricPoint& s = slot(name);
   if (s.bounds.empty()) {
     s.kind = MetricKind::kHistogram;
     s.bounds = defaultBounds();
@@ -102,37 +108,14 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   snap.reserve(series_.size());
-  for (const auto& [name, s] : series_) {
-    MetricPoint p;
-    p.name = name;
-    p.kind = s.kind;
-    p.value = s.value;
-    p.count = s.count;
-    p.sum = s.sum;
-    p.min = s.min;
-    p.max = s.max;
-    p.bounds = s.bounds;
-    p.buckets = s.buckets;
-    snap.push_back(std::move(p));
-  }
+  for (const auto& [name, p] : series_) snap.push_back(p);
   return snap;  // std::map iteration is already name-sorted
 }
 
 void MetricsRegistry::restore(const MetricsSnapshot& snap) {
   std::lock_guard<std::mutex> lock(mu_);
   series_.clear();
-  for (const MetricPoint& p : snap) {
-    Series s;
-    s.kind = p.kind;
-    s.value = p.value;
-    s.count = p.count;
-    s.sum = p.sum;
-    s.min = p.min;
-    s.max = p.max;
-    s.bounds = p.bounds;
-    s.buckets = p.buckets;
-    series_.emplace(p.name, std::move(s));
-  }
+  for (const MetricPoint& p : snap) series_.emplace(p.name, p);
 }
 
 void MetricsRegistry::clear() {
@@ -207,12 +190,6 @@ std::string MetricsRegistry::toJson() const {
   }
   out += "\n]\n";
   return out;
-}
-
-bool MetricsRegistry::writeFile(const std::string& path) const {
-  const bool json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  return util::writeTextTo(path, json ? toJson() : toCsv());
 }
 
 }  // namespace cmmfo::obs

@@ -78,7 +78,6 @@ class MetricsRegistry {
   std::string toCsv() const;
   /// JSON dump (array of objects), for machine consumption.
   std::string toJson() const;
-  bool writeFile(const std::string& path) const;  // .json => JSON, else CSV
 
   /// Default histogram layout: decade buckets 1e-6 .. 1e6 — wide enough for
   /// both sub-millisecond phase timings and multi-hour tool charges.
@@ -89,21 +88,12 @@ class MetricsRegistry {
   static std::vector<double> countBounds();
 
  private:
-  struct Series {
-    MetricKind kind = MetricKind::kCounter;
-    double value = 0.0;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-  };
-  Series& upsert(const std::string& name, MetricKind kind);
+  MetricPoint& slot(const std::string& name);  // created empty on first use
+  MetricPoint& upsert(const std::string& name, MetricKind kind);
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::map<std::string, Series> series_;
+  std::map<std::string, MetricPoint> series_;  // keyed by MetricPoint::name
 };
 
 }  // namespace cmmfo::obs

@@ -15,8 +15,7 @@ namespace cmmfo::obs {
 class ScopedPhase {
  public:
   explicit ScopedPhase(const char* name, int round = -1)
-      : span_(tracer().enabled() ? &tracer() : nullptr, name, "phase"),
-        name_(name) {
+      : span_(&tracer(), name, "phase"), name_(name) {
     if (round >= 0) span_.round(round);
     if (metrics().enabled()) {
       timed_ = true;

@@ -11,13 +11,10 @@
 
 namespace cmmfo::obs {
 
-const char* buildGitSha() { return CMMFO_GIT_SHA; }
-const char* buildType() { return CMMFO_BUILD_TYPE; }
-
 RunMeta makeRunMeta() {
   RunMeta meta;
-  meta.git_sha = buildGitSha();
-  meta.build_type = buildType();
+  meta.git_sha = CMMFO_GIT_SHA;
+  meta.build_type = CMMFO_BUILD_TYPE;
   return meta;
 }
 

@@ -37,6 +37,37 @@ std::uint64_t nextSpanId() {
 // teardown order converges back to a consistent stack.
 thread_local std::vector<TraceContext> t_context_stack;
 
+// The optional span fields, in schema order, as `"key": value` members;
+// `first` is true when no member precedes them in the enclosing object.
+// Shared by the JSONL line and the chrome://tracing "args" object.
+void putSpanFields(std::string& out, const TraceEvent& e, bool first) {
+  const auto key = [&](const char* k) {
+    if (!first) out += ", ";
+    first = false;
+    out += '"';
+    out += k;
+    out += "\": ";
+  };
+  if (e.trace_id != 0) { key("trace_id"); putU64Bare(out, e.trace_id); }
+  if (e.span_id != 0) { key("span_id"); putU64Bare(out, e.span_id); }
+  if (e.parent_span_id != 0) {
+    key("parent_span_id");
+    putU64Bare(out, e.parent_span_id);
+  }
+  if (e.link_span_id != 0) {
+    key("link_trace_id");
+    putU64Bare(out, e.link_trace_id);
+    key("link_span_id");
+    putU64Bare(out, e.link_span_id);
+  }
+  if (e.round >= 0) { key("round"); putI64(out, e.round); }
+  if (e.fidelity >= 0) { key("fidelity"); putI64(out, e.fidelity); }
+  if (e.id >= 0) { key("id"); putI64(out, e.id); }
+  if (e.attempts > 0) { key("attempts"); putI64(out, e.attempts); }
+  if (e.has_value) { key("value"); putDouble(out, e.value); }
+  if (!e.outcome.empty()) { key("outcome"); putString(out, e.outcome); }
+}
+
 void appendJsonlLine(std::string& out, const TraceEvent& e) {
   out += "{\"name\": ";
   putString(out, e.name);
@@ -48,48 +79,7 @@ void appendJsonlLine(std::string& out, const TraceEvent& e) {
   putI64(out, e.start_us);
   out += ", \"dur_us\": ";
   putI64(out, e.dur_us);
-  if (e.trace_id != 0) {
-    out += ", \"trace_id\": ";
-    putU64Bare(out, e.trace_id);
-  }
-  if (e.span_id != 0) {
-    out += ", \"span_id\": ";
-    putU64Bare(out, e.span_id);
-  }
-  if (e.parent_span_id != 0) {
-    out += ", \"parent_span_id\": ";
-    putU64Bare(out, e.parent_span_id);
-  }
-  if (e.link_span_id != 0) {
-    out += ", \"link_trace_id\": ";
-    putU64Bare(out, e.link_trace_id);
-    out += ", \"link_span_id\": ";
-    putU64Bare(out, e.link_span_id);
-  }
-  if (e.round >= 0) {
-    out += ", \"round\": ";
-    putI64(out, e.round);
-  }
-  if (e.fidelity >= 0) {
-    out += ", \"fidelity\": ";
-    putI64(out, e.fidelity);
-  }
-  if (e.id >= 0) {
-    out += ", \"id\": ";
-    putI64(out, e.id);
-  }
-  if (e.attempts > 0) {
-    out += ", \"attempts\": ";
-    putI64(out, e.attempts);
-  }
-  if (e.has_value) {
-    out += ", \"value\": ";
-    putDouble(out, e.value);
-  }
-  if (!e.outcome.empty()) {
-    out += ", \"outcome\": ";
-    putString(out, e.outcome);
-  }
+  putSpanFields(out, e, false);
   out += "}\n";
 }
 
@@ -272,47 +262,11 @@ std::string Tracer::toChromeTrace() const {
     out += ", \"dur\": ";
     putI64(out, e.dur_us);
     out += ", \"args\": {";
-    bool farg = true;
-    auto arg = [&](const char* key) {
-      if (!farg) out += ", ";
-      farg = false;
-      out += '\"';
-      out += key;
-      out += "\": ";
-    };
-    if (e.trace_id != 0) { arg("trace_id"); putU64Bare(out, e.trace_id); }
-    if (e.span_id != 0) { arg("span_id"); putU64Bare(out, e.span_id); }
-    if (e.parent_span_id != 0) {
-      arg("parent_span_id");
-      putU64Bare(out, e.parent_span_id);
-    }
-    if (e.link_span_id != 0) {
-      arg("link_trace_id");
-      putU64Bare(out, e.link_trace_id);
-      arg("link_span_id");
-      putU64Bare(out, e.link_span_id);
-    }
-    if (e.round >= 0) { arg("round"); putI64(out, e.round); }
-    if (e.fidelity >= 0) { arg("fidelity"); putI64(out, e.fidelity); }
-    if (e.id >= 0) { arg("id"); putI64(out, e.id); }
-    if (e.attempts > 0) { arg("attempts"); putI64(out, e.attempts); }
-    if (e.has_value) { arg("value"); putDouble(out, e.value); }
-    if (!e.outcome.empty()) {
-      arg("outcome");
-      putString(out, e.outcome);
-    }
+    putSpanFields(out, e, true);
     out += "}}";
   }
   out += "\n]}\n";
   return out;
-}
-
-bool Tracer::writeJsonl(const std::string& path) const {
-  return util::writeTextTo(path, toJsonl());
-}
-
-bool Tracer::writeChromeTrace(const std::string& path) const {
-  return util::writeTextTo(path, toChromeTrace());
 }
 
 }  // namespace cmmfo::obs

@@ -147,8 +147,6 @@ class Tracer {
   std::string toJsonl() const;
   /// chrome://tracing / Perfetto "traceEvents" JSON ("X" complete events).
   std::string toChromeTrace() const;
-  bool writeJsonl(const std::string& path) const;
-  bool writeChromeTrace(const std::string& path) const;
 
  private:
   void rotateStreamLocked();

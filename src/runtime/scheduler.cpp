@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "diag/recorder.h"
 #include "obs/obs.h"
 #include "rng/hash_noise.h"
 
@@ -68,8 +67,7 @@ SchedulerStats ToolScheduler::totals() const {
 
 EvalResult ToolScheduler::execute(const EvalJob& job) {
   // Worker-side span: pure timing/labeling, never feeds back into the run.
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr, "job",
-                 "scheduler");
+  obs::Span span(&obs::tracer(), "job", "scheduler");
   span.id(static_cast<std::int64_t>(job.config))
       .fidelity(static_cast<int>(job.fidelity));
   EvalResult res;
@@ -179,11 +177,11 @@ EvalResult ToolScheduler::execute(const EvalJob& job) {
   // Flight-recorder health: a job that burned its whole retry budget (or
   // died persistently) is a retry storm. Emitted from the worker thread —
   // the recorder's health sink is thread-safe by contract.
-  if (diag::recorder().enabled() &&
+  if (obs::recorder().enabled() &&
       (res.persistent_failure ||
        res.completed_fidelity < static_cast<int>(job.fidelity))) {
-    diag::HealthWarning w;
-    w.kind = diag::HealthKind::kRetryStorm;
+    obs::HealthWarning w;
+    w.kind = obs::HealthKind::kRetryStorm;
     w.fidelity = static_cast<int>(job.fidelity);
     w.value = static_cast<double>(res.attempts);
     w.threshold = static_cast<double>(policy_.max_attempts);
@@ -192,7 +190,7 @@ EvalResult ToolScheduler::execute(const EvalJob& job) {
                      ? " fails persistently at this stage"
                      : " exhausted its retry budget short of the target "
                        "fidelity");
-    diag::recorder().health(std::move(w));
+    obs::recorder().health(std::move(w));
   }
   return res;
 }
@@ -200,8 +198,7 @@ EvalResult ToolScheduler::execute(const EvalJob& job) {
 std::vector<EvalResult> ToolScheduler::runBatch(
     const std::vector<EvalJob>& jobs) {
   assert(inflight_.empty());
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "run_batch", "scheduler");
+  obs::Span span(&obs::tracer(), "run_batch", "scheduler");
   for (const EvalJob& job : jobs) submitAsync(job);
   if (obs::metrics().enabled()) {
     obs::MetricsRegistry& m = obs::metrics();
@@ -238,15 +235,13 @@ std::uint64_t ToolScheduler::submitAsyncAt(const EvalJob& job,
   // proposal that dispatched them (surviving the async fantasy/invalidate
   // cycle); host-clock queue wait is observational only (never fed back)
   // and is skipped entirely while metrics are off.
-  const obs::TraceContext ctx =
-      obs::tracer().enabled() ? obs::currentContext() : obs::TraceContext{};
+  const obs::TraceContext ctx = obs::currentContext();
   const bool timed = obs::metrics().enabled();
   const auto submitted = timed ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
   const bool accepted =
       pool_->submitTo(done_, [this, job, seq, ctx, timed, submitted] {
-        obs::ContextGuard guard(
-            obs::tracer().enabled() ? &obs::tracer() : nullptr, ctx);
+        obs::ContextGuard guard(&obs::tracer(), ctx);
         if (timed)
           obs::metrics().observe(
               "slo.queue_wait_seconds",
@@ -379,8 +374,7 @@ void ToolScheduler::commit(const SchedulerStats& round) {
 }
 
 ToolScheduler::AsyncCompletion ToolScheduler::nextCompletion() {
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "completion", "scheduler");
+  obs::Span span(&obs::tracer(), "completion", "scheduler");
   // Harvest EVERY outstanding real result first: the earliest simulated
   // event cannot be identified until every in-flight duration is known.
   // The jobs already ran concurrently on the pool, so this preserves real

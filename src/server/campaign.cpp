@@ -258,8 +258,7 @@ core::RoundOutcome Campaign::runStep() {
   // span minted inside this step — round, acq_pick, scheduler job, tool
   // attempt — inherits the trace_id and parents into this root, and the
   // convention parent_span_id == trace_id marks a campaign-root child.
-  obs::ContextGuard root(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                         obs::TraceContext{trace_id_, trace_id_});
+  obs::ContextGuard root(&obs::tracer(), {trace_id_, trace_id_});
   return stepper_->step();
 }
 

@@ -281,8 +281,7 @@ FlowAttempt FpgaToolSim::runFlowAttemptCounted(const hls::DirectiveConfig& cfg,
                                                double timeout_seconds) {
   // Span and counters are worker-thread-safe: integer counter increments are
   // order-independent, and nothing here feeds back into the simulation.
-  obs::Span span(obs::tracer().enabled() ? &obs::tracer() : nullptr,
-                 "flow_attempt", "sim");
+  obs::Span span(&obs::tracer(), "flow_attempt", "sim");
   span.fidelity(static_cast<int>(fidelity)).attempts(attempt);
   FlowAttempt fa = runFlowAttempt(cfg, fidelity, attempt, timeout_seconds);
   total_tool_seconds_.fetch_add(fa.attempt_seconds, std::memory_order_relaxed);

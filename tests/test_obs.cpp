@@ -164,6 +164,28 @@ TEST(ObsMetrics, FixedBucketLayoutsAreStrictlyIncreasing) {
   }
 }
 
+// benchmark and method feed only the diagnostics manifest: the trace and
+// metrics headers, which archived dumps and their readers already parse,
+// must not carry them.
+TEST(ObsRunMeta, HeadersOmitBenchmarkAndMethod) {
+  obs::RunMeta meta;
+  meta.git_sha = "0123abcd4567";
+  meta.build_type = "Release";
+  meta.tool = "cmmfo";
+  meta.flags = "run --benchmark \"spmv_crs\"\t--seed 77";
+  meta.benchmark = "spmv_crs";
+  meta.method = "ours";
+  meta.seed = 77;
+  meta.has_seed = true;
+  EXPECT_EQ(obs::metaJsonLine(meta),
+            R"j({"type": "meta", "git_sha": "0123abcd4567", "build_type": "Release)j"
+            R"j(", "tool": "cmmfo", "seed": 77, "flags": "run --benchmark \"spmv_c)j"
+            R"j(rs\"\t--seed 77"})j" "\n");
+  EXPECT_EQ(obs::metaCsvComment(meta),
+            R"j(# meta git_sha=0123abcd4567 build_type=Release tool=cmmfo seed=77 )j"
+            "flags=run --benchmark \"spmv_crs\"\t--seed 77" "\n");
+}
+
 // ------------------------------------------------------------ TraceUnit ----
 
 TEST(ObsTrace, DisabledSpanRecordsNothing) {
@@ -377,6 +399,113 @@ TEST(ObsTrace, StreamingSinkWritesParseableJsonlAndRotates) {
 
   std::remove(path.c_str());
   std::remove(rotated.c_str());
+}
+
+// Byte pin of the end-of-run dumps both tools write through obs::writeDump:
+// the meta header, every optional span field in both trace formats and one
+// series of each metric kind in CSV and JSON.
+TEST(ObsDump, WriteDumpBytesArePinned) {
+  GlobalObsGuard guard;
+  obs::RunMeta meta;
+  meta.git_sha = "0123abcd4567";
+  meta.build_type = "Release";
+  meta.tool = "cmmfo_server";
+  meta.flags = "--stdio --metrics m.csv";
+  obs::tracer().setEnabled(true);
+  obs::TraceEvent a;
+  a.name = "round";
+  a.cat = "optimizer";
+  a.tid = 7;
+  a.start_us = 10;
+  a.dur_us = 250;
+  a.round = 3;
+  a.value = 0.1;
+  a.has_value = true;
+  a.outcome = "ok";
+  obs::tracer().record(a);
+  obs::TraceEvent b;
+  b.name = "job";
+  b.cat = "scheduler";
+  b.tid = 12345678901234567890ull;
+  b.start_us = -5;
+  b.trace_id = 99;
+  b.span_id = 100;
+  b.parent_span_id = 99;
+  b.link_trace_id = 5;
+  b.link_span_id = 6;
+  b.fidelity = 2;
+  b.id = 42;
+  b.attempts = 3;
+  b.outcome = "coalesced \"x\"";
+  obs::tracer().record(b);
+  obs::TraceEvent c;
+  c.name = "bare";
+  c.cat = "phase";
+  obs::tracer().record(c);
+  obs::metrics().setEnabled(true);
+  obs::metrics().add("opt.rounds", 3.0);
+  obs::metrics().set("sched.in_flight#campaign=a", 0.1);
+  obs::metrics().defineHistogram("phase.gp_fit.seconds", {0.01, 0.1, 1.0});
+  obs::metrics().observe("phase.gp_fit.seconds", 0.05);
+  obs::metrics().observe("phase.gp_fit.seconds", 2.5);
+
+  const auto dumped = [&](obs::Dump what, const std::string& name) {
+    const std::string path = testing::TempDir() + "/cmmfo_obs_dump_" + name;
+    EXPECT_TRUE(obs::writeDump(what, path, meta)) << path;
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    return text.str();
+  };
+  EXPECT_EQ(dumped(obs::Dump::kTrace, "trace.jsonl"),
+            R"j({"type": "meta", "git_sha": "0123abcd4567", "build_type": "Release)j"
+            R"j(", "tool": "cmmfo_server", "flags": "--stdio --metrics m.csv"})j" "\n"
+            R"j({"name": "round", "cat": "optimizer", "tid": 7, "start_us": 10, "d)j"
+            R"j(ur_us": 250, "round": 3, "value": 0.10000000000000001, "outcome": )j"
+            R"j("ok"})j" "\n"
+            R"j({"name": "job", "cat": "scheduler", "tid": 12345678901234567890, ")j"
+            R"j(start_us": -5, "dur_us": 0, "trace_id": 99, "span_id": 100, "paren)j"
+            R"j(t_span_id": 99, "link_trace_id": 5, "link_span_id": 6, "fidelity":)j"
+            R"j( 2, "id": 42, "attempts": 3, "outcome": "coalesced \"x\""})j" "\n"
+            R"j({"name": "bare", "cat": "phase", "tid": 0, "start_us": 0, "dur_us")j"
+            R"j(: 0})j" "\n");
+  EXPECT_EQ(dumped(obs::Dump::kChromeTrace, "chrome.json"),
+            R"j({"traceEvents": [)j" "\n"
+            R"j({"ph": "X", "pid": 1, "name": "round", "cat": "optimizer", "tid": )j"
+            R"j(7, "ts": 10, "dur": 250, "args": {"round": 3, "value": 0.100000000)j"
+            R"j(00000001, "outcome": "ok"}},)j" "\n"
+            R"j({"ph": "X", "pid": 1, "name": "job", "cat": "scheduler", "tid": 78)j"
+            R"j(90, "ts": -5, "dur": 0, "args": {"trace_id": 99, "span_id": 100, ")j"
+            R"j(parent_span_id": 99, "link_trace_id": 5, "link_span_id": 6, "fidel)j"
+            R"j(ity": 2, "id": 42, "attempts": 3, "outcome": "coalesced \"x\""}},)j" "\n"
+            R"j({"ph": "X", "pid": 1, "name": "bare", "cat": "phase", "tid": 0, "t)j"
+            R"j(s": 0, "dur": 0, "args": {}})j" "\n"
+            R"j(]})j" "\n");
+  EXPECT_EQ(dumped(obs::Dump::kMetrics, "metrics.csv"),
+            R"j(# meta git_sha=0123abcd4567 build_type=Release tool=cmmfo_server f)j"
+            R"j(lags=--stdio --metrics m.csv)j" "\n"
+            R"j(name,kind,value,count,sum,min,max,buckets)j" "\n"
+            R"j(opt.rounds,counter,3,1,0,0,0,)j" "\n"
+            R"j(phase.gp_fit.seconds,histogram,0,2,2.5499999999999998,0.0500000000)j"
+            R"j(00000003,2.5,le_0.01=0 le_0.10000000000000001=1 le_1=0 le_inf=1)j" "\n"
+            R"j(sched.in_flight#campaign=a,gauge,0.10000000000000001,1,0,0,0,)j" "\n");
+  EXPECT_EQ(dumped(obs::Dump::kMetrics, "metrics.json"),
+            R"j({"type": "meta", "git_sha": "0123abcd4567", "build_type": "Release)j"
+            R"j(", "tool": "cmmfo_server", "flags": "--stdio --metrics m.csv"})j" "\n"
+            R"j([)j" "\n"
+            R"j({"name": "opt.rounds", "kind": "counter", "value": 3, "count": 1, )j"
+            R"j("sum": 0, "min": 0, "max": 0, "bounds": [], "buckets": []},)j" "\n"
+            R"j({"name": "phase.gp_fit.seconds", "kind": "histogram", "value": 0, )j"
+            R"j("count": 2, "sum": 2.5499999999999998, "min": 0.050000000000000003)j"
+            R"j(, "max": 2.5, "bounds": [0.01,0.10000000000000001,1], "buckets": [)j"
+            R"j(0,1,0,1]},)j" "\n"
+            R"j({"name": "sched.in_flight#campaign=a", "kind": "gauge", "value": 0)j"
+            R"j(.10000000000000001, "count": 1, "sum": 0, "min": 0, "max": 0, "bou)j"
+            R"j(nds": [], "buckets": []})j" "\n"
+            R"j(])j" "\n");
+  EXPECT_FALSE(obs::writeDump(obs::Dump::kMetrics,
+                              testing::TempDir() + "/no-such-dir/m.csv", meta));
 }
 
 // ----------------------------------------------- Prometheus exposition ----
@@ -714,6 +843,88 @@ TEST(ObsCheckpoint, JournalsWithoutMetricsKeyStillLoad) {
   std::string err;
   EXPECT_TRUE(core::parseCheckpoint(text, &back, &err)) << err;
   EXPECT_TRUE(back.metrics.empty());
+}
+
+// Byte pin of a journal carrying both telemetry keys, which resumed runs
+// read back: `metrics` (one series per kind) and `diag` (aggregates,
+// counters and an escaped warning).
+TEST(ObsCheckpoint, SerializedMetricsAndDiagKeysArePinned) {
+  core::CheckpointState st;
+  MetricsRegistry reg;
+  reg.setEnabled(true);
+  reg.add("opt.rounds", 3.0);
+  reg.add("opt.rounds");
+  reg.set("sched.in_flight#campaign=a", 0.1);
+  reg.defineHistogram("phase.gp_fit.seconds", {0.01, 0.1, 1.0});
+  reg.observe("phase.gp_fit.seconds", 0.05);
+  reg.observe("phase.gp_fit.seconds", 2.5);
+  st.metrics = reg.snapshot();
+  st.diag.agg[1][2] = {4, 3, 1.0 / 3.0, -0.1, 2.2};
+  st.diag.agg[2][0].n = 1;
+  st.diag.agg[2][0].nlpd_sum = 1e-300;
+  st.diag.rounds = 5;
+  st.diag.samples = 7;
+  st.diag.decisions = 6;
+  obs::HealthWarning w;
+  w.kind = obs::HealthKind::kRetryStorm;
+  w.round = 4;
+  w.fidelity = 2;
+  w.value = 3.0;
+  w.threshold = 2.0;
+  w.message = "job \"7\" burned\nits retries";
+  st.diag.warnings.push_back(w);
+  st.has_diag = true;
+
+  const std::string text = core::serializeCheckpoint(st);
+  EXPECT_EQ(text,
+            R"j({)j" "\n"
+            R"j("version": 1,)j" "\n"
+            R"j("fingerprint": "0",)j" "\n"
+            R"j("next_round": 0,)j" "\n"
+            R"j("t": 0,)j" "\n"
+            R"j("rng": {"s": ["0","0","0","0"], "has_cached_normal": false, "cache)j"
+            R"j(d_normal": 0},)j" "\n"
+            R"j("data": [)j" "\n"
+            R"j({"configs": [], "y": []},)j" "\n"
+            R"j({"configs": [], "y": []},)j" "\n"
+            R"j({"configs": [], "y": []}],)j" "\n"
+            R"j("cs": [],)j" "\n"
+            R"j("iterations": [],)j" "\n"
+            R"j("picks_per_fidelity": [0,0,0],)j" "\n"
+            R"j("totals": {"charged_seconds": 0, "wall_seconds": 0, "tool_runs": 0)j"
+            R"j(, "cache_hits": 0, "attempts": 0, "transient_failures": 0, "timeou)j"
+            R"j(ts": 0, "persistent_failures": 0, "degraded_jobs": 0, "retry_secon)j"
+            R"j(ds_wasted": 0, "backoff_seconds": 0},)j" "\n"
+            R"j("sim_tool_seconds": 0,)j" "\n"
+            R"j("cache": [],)j" "\n"
+            R"j("cache_hits": "0",)j" "\n"
+            R"j("cache_misses": "0",)j" "\n"
+            R"j("surrogate_hypers": [],)j" "\n"
+            R"j("surrogate_base": [],)j" "\n"
+            R"j("surrogate_mle_streak": [],)j" "\n"
+            R"j("surrogate_fallback_n": [],)j" "\n"
+            R"j("metrics": [)j" "\n"
+            R"j({"name": "opt.rounds", "kind": 0, "value": 4, "count": "2", "sum":)j"
+            R"j( 0, "min": 0, "max": 0, "bounds": [], "buckets": []},)j" "\n"
+            R"j({"name": "phase.gp_fit.seconds", "kind": 2, "value": 0, "count": ")j"
+            R"j(2", "sum": 2.5499999999999998, "min": 0.050000000000000003, "max":)j"
+            R"j( 2.5, "bounds": [0.01,0.10000000000000001,1], "buckets": ["0","1",)j"
+            R"j("0","1"]},)j" "\n"
+            R"j({"name": "sched.in_flight#campaign=a", "kind": 1, "value": 0.10000)j"
+            R"j(000000000001, "count": "1", "sum": 0, "min": 0, "max": 0, "bounds")j"
+            R"j(: [], "buckets": []}],)j" "\n"
+            R"j("diag": {"agg": [[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]],[[0,0,0,0,0)j"
+            R"j(],[0,0,0,0,0],[4,3,0.33333333333333331,-0.10000000000000001,2.2000)j"
+            R"j(000000000002]],[[1,0,1e-300,0,0],[0,0,0,0,0],[0,0,0,0,0]]], "round)j"
+            R"j(s": 5, "samples": 7, "decisions": 6, "warnings": [)j" "\n"
+            R"j({"kind": 5, "round": 4, "fidelity": 2, "value": 3, "threshold": 2,)j"
+            R"j( "message": "job \"7\" burned\nits retries"}]})j" "\n"
+            R"j(})j" "\n");
+  core::CheckpointState back;
+  std::string err;
+  ASSERT_TRUE(core::parseCheckpoint(text, &back, &err)) << err;
+  EXPECT_EQ(back.metrics, st.metrics);
+  EXPECT_TRUE(back.diag == st.diag);
 }
 
 // The async pipeline journals the metrics ledger with every checkpoint; a

@@ -27,13 +27,10 @@
 #include <string>
 
 #include "bench_suite/extended_benchmarks.h"
-#include "diag/recorder.h"
 #include "exp/harness.h"
 #include "hls/tcl_emitter.h"
 #include "obs/obs.h"
 #include "scenario/generator.h"
-#include "obs/run_meta.h"
-#include "util/json.h"
 
 using namespace cmmfo;
 
@@ -200,6 +197,8 @@ int cmdRun(const Args& args, int argc, char** argv) {
   // Run provenance, prepended to every dump this invocation writes.
   obs::RunMeta meta = obs::makeRunMeta();
   meta.tool = "cmmfo";
+  meta.benchmark = name;
+  meta.method = method;
   meta.seed = seed;
   meta.has_seed = true;
   for (int i = 1; i < argc; ++i) {
@@ -228,19 +227,10 @@ int cmdRun(const Args& args, int argc, char** argv) {
   // sweep), so the journal describes exactly one trajectory. Enabling it
   // does not perturb the run (pinned by the seed-77 golden test).
   if (!diag_path.empty()) {
-    diag::Manifest man;
-    man.git_sha = meta.git_sha;
-    man.build_type = meta.build_type;
-    man.tool = meta.tool;
-    man.flags = meta.flags;
-    man.benchmark = name;
-    man.method = method;
-    man.seed = seed;
-    man.has_seed = true;
-    diag::recorder().setManifest(std::move(man));
-    diag::recorder().setAdrsOracle(
+    obs::recorder().setRunMeta(meta);
+    obs::recorder().setAdrsOracle(
         [&ctx](const std::vector<std::size_t>& sel) { return ctx.adrsOf(sel); });
-    diag::recorder().setEnabled(true);
+    obs::recorder().setEnabled(true);
   }
 
   // Learned front of the last repeat, at true post-impl values.
@@ -269,29 +259,25 @@ int cmdRun(const Args& args, int argc, char** argv) {
   }
 
   if (!diag_path.empty()) {
-    diag::recorder().setEnabled(false);
-    if (diag::recorder().writeJournal(diag_path))
+    obs::recorder().setEnabled(false);
+    if (obs::recorder().writeJournal(diag_path))
       std::printf("\ndiag: %zu records -> %s\n",
-                  diag::recorder().recordCount(), diag_path.c_str());
+                  obs::recorder().recordCount(), diag_path.c_str());
     else
       std::fprintf(stderr, "diag: cannot write %s\n", diag_path.c_str());
-    std::fputs(diag::recorder().summaryText().c_str(), stdout);
-    diag::recorder().setAdrsOracle({});
+    std::fputs(obs::recorder().summaryText().c_str(), stdout);
+    obs::recorder().setAdrsOracle({});
   }
 
   if (!trace_path.empty()) {
-    // Meta header line first, then the events — a JSONL dump found on disk
-    // later identifies the build and invocation that produced it.
-    if (util::writeTextTo(trace_path,
-                          obs::metaJsonLine(meta) + obs::tracer().toJsonl()))
+    if (obs::writeDump(obs::Dump::kTrace, trace_path, meta))
       std::printf("\ntrace: %zu events -> %s\n", obs::tracer().eventCount(),
                   trace_path.c_str());
     else
       std::fprintf(stderr, "trace: cannot write %s\n", trace_path.c_str());
   }
   if (!chrome_path.empty()) {
-    // chrome://tracing wants a single JSON document; no header line here.
-    if (obs::tracer().writeChromeTrace(chrome_path))
+    if (obs::writeDump(obs::Dump::kChromeTrace, chrome_path, meta))
       std::printf("chrome trace: %s (open in chrome://tracing)\n",
                   chrome_path.c_str());
     else
@@ -299,15 +285,7 @@ int cmdRun(const Args& args, int argc, char** argv) {
                    chrome_path.c_str());
   }
   if (!metrics_path.empty()) {
-    // CSV gets a '#' comment header; .json becomes two JSON lines (meta,
-    // then the snapshot object) — line-oriented consumers read either.
-    const bool json = metrics_path.size() >= 5 &&
-                      metrics_path.rfind(".json") == metrics_path.size() - 5;
-    const std::string header =
-        json ? obs::metaJsonLine(meta) : obs::metaCsvComment(meta);
-    const std::string body =
-        json ? obs::metrics().toJson() : obs::metrics().toCsv();
-    if (util::writeTextTo(metrics_path, header + body))
+    if (obs::writeDump(obs::Dump::kMetrics, metrics_path, meta))
       std::printf("metrics: %zu series -> %s\n",
                   obs::metrics().snapshot().size(), metrics_path.c_str());
     else

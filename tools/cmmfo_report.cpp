@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <string>
 
-#include "diag/report.h"
+#include "obs/report.h"
 #include "util/json.h"
 
 int main(int argc, char** argv) {
@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   const std::string in = argv[1];
   std::string out = argc == 3 ? argv[2] : in + ".html";
 
-  cmmfo::diag::Journal journal;
+  cmmfo::obs::Journal journal;
   std::string error;
-  if (!cmmfo::diag::loadJournal(in, &journal, &error)) {
+  if (!cmmfo::obs::loadJournal(in, &journal, &error)) {
     std::fprintf(stderr, "cmmfo_report: %s\n", error.c_str());
     return 1;
   }
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cmmfo_report: skipped %zu unparseable line(s)\n",
                  journal.skipped_lines);
 
-  const std::string html = cmmfo::diag::renderHtmlReport(journal);
+  const std::string html = cmmfo::obs::renderHtmlReport(journal);
   if (!cmmfo::util::writeTextTo(out, html)) {
     std::fprintf(stderr, "cmmfo_report: cannot write %s\n", out.c_str());
     return 1;

@@ -33,11 +33,10 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/obs.h"
-#include "obs/run_meta.h"
 #include "server/server.h"
-#include "util/json.h"
 
 namespace {
 
@@ -186,28 +185,15 @@ int main(int argc, char** argv) {
   // (already on disk — no re-dump), dump the chrome trace and the metrics
   // registry from the live state.
   const auto dumpTelemetry = [&] {
+    using cmmfo::obs::Dump;
     cmmfo::obs::tracer().closeStream();
-    if (!trace_path.empty() && !stream_trace &&
-        !cmmfo::util::writeTextTo(trace_path,
-                                  cmmfo::obs::metaJsonLine(meta) +
-                                      cmmfo::obs::tracer().toJsonl()))
-      std::fprintf(stderr, "cmmfo_server: cannot write %s\n",
-                   trace_path.c_str());
-    if (!chrome_path.empty() &&
-        !cmmfo::obs::tracer().writeChromeTrace(chrome_path))
-      std::fprintf(stderr, "cmmfo_server: cannot write %s\n",
-                   chrome_path.c_str());
-    if (!metrics_path.empty()) {
-      const bool json = metrics_path.size() >= 5 &&
-                        metrics_path.rfind(".json") == metrics_path.size() - 5;
-      const std::string header = json ? cmmfo::obs::metaJsonLine(meta)
-                                      : cmmfo::obs::metaCsvComment(meta);
-      const std::string body = json ? cmmfo::obs::metrics().toJson()
-                                    : cmmfo::obs::metrics().toCsv();
-      if (!cmmfo::util::writeTextTo(metrics_path, header + body))
-        std::fprintf(stderr, "cmmfo_server: cannot write %s\n",
-                     metrics_path.c_str());
-    }
+    const std::pair<Dump, std::string> dumps[] = {
+        {Dump::kTrace, stream_trace ? std::string() : trace_path},
+        {Dump::kChromeTrace, chrome_path},
+        {Dump::kMetrics, metrics_path}};
+    for (const auto& [what, path] : dumps)
+      if (!path.empty() && !cmmfo::obs::writeDump(what, path, meta))
+        std::fprintf(stderr, "cmmfo_server: cannot write %s\n", path.c_str());
   };
 
   // Block SIGTERM/SIGINT process-wide BEFORE any thread spawns, so every
