@@ -1,8 +1,10 @@
 #include "core/checkpoint.h"
 
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
 #include "util/framed_log.h"
 #include "util/json.h"
@@ -11,301 +13,362 @@ namespace cmmfo::core {
 
 namespace {
 
-// The writer/parser core lives in util/json (shared with the observability
-// and diagnostics dumps): %.17g doubles round-trip IEEE-754 binary64
-// exactly, which is what makes resumed trajectories bit-identical; 64-bit
-// integers are written as quoted strings (JSON numbers are doubles; 2^53
-// would truncate RNG words).
-using util::getU64;
-using util::getVec;
 using util::Json;
-using util::putDouble;
-using util::putInt;
-using util::putString;
-using util::putU64;
-using util::putVec;
 
-void putReport(std::string& out, const sim::Report& r) {
-  out += '[';
-  out += r.valid ? "true" : "false";
-  for (const double v : {r.power_w, r.delay_us, r.lut_util, r.latency_cycles,
-                         r.clock_ns, r.tool_seconds}) {
-    out += ',';
-    putDouble(out, v);
+// ---------------------------------------------------------------- Schema ----
+// The journal's one description. Each record type below is a function that
+// lists its members once, in output order: objects as
+// io("key", member, layout[, need or present-flag]), tuples as
+// io(member, layout). The Writer and the Reader both run the same functions,
+// so a key cannot reach one side only.
+//
+// The layout is chosen per field, not per C++ type (std::size_t and
+// std::uint64_t are one type on LP64):
+//   plain     bool, %.17g double (round-trips binary64 exactly, which keeps
+//             resumed trajectories bit-identical), escaped string, or a bare
+//             integer/enum
+//   quoted    u64 as a quoted decimal (JSON numbers are doubles; 2^53 would
+//             truncate RNG words)
+//   obj(r)    {"k": v, "k2": v2}          tup(r)   [a,b,c]
+//   inl(e)    [e,e,e]                     rows(e)  [\ne,\ne,\ne]
+// The top-level state puts each entry on its own line: {\n"k": v,\n"k2": v\n}\n
+
+struct Plain {};
+struct Quoted {};
+template <class R> struct Obj { R rec; };
+template <class R> struct Tup { R rec; };
+template <class E> struct Arr { E elem; bool rows; };
+
+constexpr Plain plain{};
+constexpr Quoted quoted{};
+template <class R> constexpr Obj<R> obj(R r) { return {r}; }
+template <class R> constexpr Tup<R> tup(R r) { return {r}; }
+template <class E = Plain> constexpr Arr<E> inl(E e = {}) { return {e, false}; }
+template <class E = Plain> constexpr Arr<E> rows(E e = {}) { return {e, true}; }
+
+/// A kRequired key fails the parse when absent; a kOmitEmpty key is written
+/// only when non-empty (and so reads as optional).
+enum class Need { kOptional, kRequired, kOmitEmpty };
+
+// The scheduler-totals member and the top-level cache counter share a name.
+constexpr const char* kCacheHits = "cache_hits";
+
+constexpr auto kReport = [](auto& io, auto& r) {
+  io(r.valid);
+  io(r.power_w);
+  io(r.delay_us);
+  io(r.lut_util);
+  io(r.latency_cycles);
+  io(r.clock_ns);
+  io(r.tool_seconds);
+};
+
+constexpr auto kRng = [](auto& io, auto& r) {
+  io("s", r.s, inl(quoted), Need::kRequired);
+  io("has_cached_normal", r.has_cached_normal);
+  io("cached_normal", r.cached_normal);
+};
+
+constexpr auto kData = [](auto& io, auto& d) {
+  io("configs", d.configs, inl(), Need::kRequired);
+  io("y", d.y, inl(inl()), Need::kRequired);
+};
+
+constexpr auto kCs = [](auto& io, auto& e) {
+  io(e.config);
+  io(e.fidelity);
+  io(e.report, tup(kReport));
+};
+
+constexpr auto kIteration = [](auto& io, auto& e) {
+  io(e.iteration);
+  io(e.fidelity);
+  io(e.config);
+  io(e.peipv);
+  io(e.round);
+};
+
+constexpr auto kInflight = [](auto& io, auto& e) {
+  io(e.config);
+  io(e.fidelity);
+  io(e.sim_start);
+};
+
+constexpr auto kCacheEntry = [](auto& io, auto& e) {
+  io(e.first);   // config
+  io(e.second);  // highest stage
+};
+
+constexpr auto kTotals = [](auto& io, auto& t) {
+  io("charged_seconds", t.charged_seconds);
+  io("wall_seconds", t.wall_seconds);
+  io("tool_runs", t.tool_runs);
+  io(kCacheHits, t.cache_hits);
+  io("attempts", t.attempts);
+  io("transient_failures", t.transient_failures);
+  io("timeouts", t.timeouts);
+  io("persistent_failures", t.persistent_failures);
+  io("degraded_jobs", t.degraded_jobs);
+  io("retry_seconds_wasted", t.retry_seconds_wasted);
+  io("backoff_seconds", t.backoff_seconds);
+};
+
+constexpr auto kMetric = [](auto& io, auto& p) {
+  io("name", p.name);
+  io("kind", p.kind);
+  io("value", p.value);
+  io("count", p.count, quoted);
+  io("sum", p.sum);
+  io("min", p.min);
+  io("max", p.max);
+  io("bounds", p.bounds, inl());
+  io("buckets", p.buckets, inl(quoted));
+};
+
+constexpr auto kCalibration = [](auto& io, auto& a) {
+  io(a.n);
+  io(a.n_in95);
+  io(a.nlpd_sum);
+  io(a.resid_sum);
+  io(a.resid_sq_sum);
+};
+
+constexpr auto kWarning = [](auto& io, auto& w) {
+  io("kind", w.kind);
+  io("round", w.round);
+  io("fidelity", w.fidelity);
+  io("value", w.value);
+  io("threshold", w.threshold);
+  io("message", w.message);
+};
+
+constexpr auto kDiag = [](auto& io, auto& d) {
+  io("agg", d.agg, inl(inl(tup(kCalibration))));  // [level][objective]
+  io("rounds", d.rounds);
+  io("samples", d.samples);
+  io("decisions", d.decisions);
+  io("warnings", d.warnings, rows(obj(kWarning)));
+};
+
+constexpr auto kState = [](auto& io, auto& st) {
+  io("version", st.version, plain, Need::kRequired);
+  io("fingerprint", st.fingerprint, quoted);
+  io("next_round", st.next_round);
+  io("t", st.t);
+  io("rng", st.rng, obj(kRng), Need::kRequired);
+  io("data", st.data, rows(obj(kData)), Need::kRequired);
+  io("cs", st.cs, rows(tup(kCs)), Need::kRequired);
+  io("iterations", st.iterations, rows(tup(kIteration)), Need::kRequired);
+  io("picks_per_fidelity", st.picks_per_fidelity, inl());
+  io("totals", st.totals, obj(kTotals), Need::kRequired);
+  io("sim_tool_seconds", st.sim_tool_seconds);
+  // Only async journals with believers in flight carry this key, so
+  // synchronous journals keep the bytes they had before it existed.
+  io("async_inflight", st.async_inflight, rows(tup(kInflight)),
+     Need::kOmitEmpty);
+  io("cache", st.cache, inl(tup(kCacheEntry)));
+  io(kCacheHits, st.cache_hits, quoted);
+  io("cache_misses", st.cache_misses, quoted);
+  io("surrogate_hypers", st.surrogate_hypers, rows(inl()));
+  io("surrogate_base", st.surrogate_base, inl(quoted));
+  io("surrogate_mle_streak", st.surrogate_mle_streak, inl());
+  io("surrogate_fallback_n", st.surrogate_fallback_n, inl(quoted));
+  io("metrics", st.metrics, rows(obj(kMetric)));
+  // Written only with diagnostics on; reading it sets has_diag.
+  io("diag", st.diag, obj(kDiag), st.has_diag);
+};
+
+// ---------------------------------------------------------------- Writer ----
+
+struct Writer {
+  std::string out;
+
+  /// Object context. `next` precedes the next entry, `sep` every later one.
+  struct Fields {
+    Writer& w;
+    const char* sep;
+    const char* next;
+    template <class T, class L = Plain>
+    void operator()(const char* key, const T& v, L layout = {},
+                    Need need = Need::kOptional) {
+      if constexpr (requires { v.empty(); })
+        if (need == Need::kOmitEmpty && v.empty()) return;
+      w.out += next;
+      next = sep;
+      w.out.append("\"").append(key).append("\": ");
+      w.put(v, layout);
+    }
+    template <class T, class L>
+    void operator()(const char* key, const T& v, L layout,
+                    const bool& present) {
+      if (present) (*this)(key, v, layout);
+    }
+  };
+
+  /// Tuple context.
+  struct Items {
+    Writer& w;
+    const char* next = "";
+    template <class T, class L = Plain>
+    void operator()(const T& v, L layout = {}) {
+      w.out += next;
+      next = ",";
+      w.put(v, layout);
+    }
+  };
+
+  template <class T>
+  void put(const T& v, Plain) {
+    if constexpr (std::is_same_v<T, bool>)
+      out += v ? "true" : "false";
+    else if constexpr (std::is_floating_point_v<T>)
+      util::putDouble(out, v);
+    else if constexpr (std::is_same_v<T, std::string>)
+      util::putString(out, v);
+    else
+      util::putInt(out, static_cast<long long>(v));
   }
-  out += ']';
-}
+  void put(std::uint64_t v, Quoted) { util::putU64(out, v); }
+  template <class T, class E>
+  void put(const T& v, Arr<E> a) {
+    out += '[';
+    const char* next = a.rows ? "\n" : "";
+    for (const auto& e : v) {
+      out += next;
+      next = a.rows ? ",\n" : ",";
+      put(e, a.elem);
+    }
+    out += ']';
+  }
+  template <class T, class R>
+  void put(const T& v, Obj<R> o) {
+    out += '{';
+    Fields f{*this, ", ", ""};
+    o.rec(f, v);
+    out += '}';
+  }
+  template <class T, class R>
+  void put(const T& v, Tup<R> t) {
+    out += '[';
+    Items it{*this};
+    t.rec(it, v);
+    out += ']';
+  }
+};
 
-bool getReport(const Json& j, sim::Report& r) {
-  if (j.kind != Json::kArr || j.arr.size() != 7) return false;
-  if (j.arr[0].kind != Json::kBool) return false;
-  r.valid = j.arr[0].b;
-  for (int i = 1; i < 7; ++i)
-    if (j.arr[i].kind != Json::kNum) return false;
-  r.power_w = j.arr[1].num;
-  r.delay_us = j.arr[2].num;
-  r.lut_util = j.arr[3].num;
-  r.latency_cycles = j.arr[4].num;
-  r.clock_ns = j.arr[5].num;
-  r.tool_seconds = j.arr[6].num;
-  return true;
+// ---------------------------------------------------------------- Reader ----
+
+/// Fills a default-constructed record. A failure records what went wrong
+/// ("missing" or "bad") and the dotted key path down to it.
+struct Reader {
+  std::string what;
+  std::string path;
+
+  struct Fields {
+    Reader& r;
+    const Json& j;
+    bool ok = true;
+    template <class T, class L = Plain>
+    void operator()(const char* key, T& v, L layout = {},
+                    Need need = Need::kOptional) {
+      if (!ok) return;
+      const Json* m = j.find(key);
+      if (m == nullptr) {
+        if (need == Need::kRequired) fail("missing", key);
+      } else if (!r.get(*m, v, layout)) {
+        fail("bad", key);
+      }
+    }
+    template <class T, class L>
+    void operator()(const char* key, T& v, L layout, bool& present) {
+      present = j.find(key) != nullptr;
+      (*this)(key, v, layout);
+    }
+    void fail(const char* kind, const char* key) {
+      ok = false;
+      if (r.what.empty()) r.what = kind;
+      r.path = r.path.empty() ? key : key + ("." + r.path);
+    }
+  };
+
+  struct Items {
+    Reader& r;
+    const Json& j;
+    std::size_t i = 0;
+    bool ok = true;
+    template <class T, class L = Plain>
+    void operator()(T& v, L layout = {}) {
+      ok = ok && i < j.arr.size() && r.get(j.arr[i], v, layout);
+      ++i;
+    }
+  };
+
+  template <class T>
+  bool get(const Json& j, T& v, Plain) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (j.kind != Json::kBool) return false;
+      v = j.b;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (j.kind != Json::kStr) return false;
+      v = j.str;
+    } else {
+      if (j.kind != Json::kNum) return false;
+      if constexpr (std::is_enum_v<T>)
+        v = static_cast<T>(static_cast<std::underlying_type_t<T>>(j.num));
+      else
+        v = static_cast<T>(j.num);
+    }
+    return true;
+  }
+  bool get(const Json& j, std::uint64_t& v, Quoted) { return util::getU64(j, v); }
+  template <class T, class E>
+  bool get(const Json& j, T& v, Arr<E> a) {
+    if (j.kind != Json::kArr) return false;
+    if constexpr (requires { v.resize(0); })
+      v.resize(j.arr.size());
+    else if (j.arr.size() != std::size(v))
+      return false;
+    for (std::size_t i = 0; i < j.arr.size(); ++i)
+      if (!get(j.arr[i], v[i], a.elem)) return false;
+    return true;
+  }
+  template <class T, class R>
+  bool get(const Json& j, T& v, Obj<R> o) {
+    if (j.kind != Json::kObj) return false;
+    Fields f{*this, j};
+    o.rec(f, v);
+    return f.ok;
+  }
+  template <class T, class R>
+  bool get(const Json& j, T& v, Tup<R> t) {
+    if (j.kind != Json::kArr) return false;
+    Items it{*this, j};
+    t.rec(it, v);
+    return it.ok && it.i == j.arr.size();
+  }
+};
+
+/// Rollback window: current frame plus up to this many predecessors. Two
+/// predecessors means a torn newest frame still leaves a one-round-old
+/// intact state AND its own predecessor for double-fault tolerance.
+constexpr std::size_t kKeepPrevFrames = 2;
+
+bool isFramedFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  char magic[4] = {0, 0, 0, 0};
+  return f.read(magic, 4) && std::memcmp(magic, "CMJ1", 4) == 0;
 }
 
 }  // namespace
 
 std::string serializeCheckpoint(const CheckpointState& st) {
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\n\"version\": ";
-  putInt(out, st.version);
-  out += ",\n\"fingerprint\": ";
-  putU64(out, st.fingerprint);
-  out += ",\n\"next_round\": ";
-  putInt(out, st.next_round);
-  out += ",\n\"t\": ";
-  putInt(out, st.t);
-
-  out += ",\n\"rng\": {\"s\": [";
-  for (int i = 0; i < 4; ++i) {
-    if (i) out += ',';
-    putU64(out, st.rng.s[i]);
-  }
-  out += "], \"has_cached_normal\": ";
-  out += st.rng.has_cached_normal ? "true" : "false";
-  out += ", \"cached_normal\": ";
-  putDouble(out, st.rng.cached_normal);
-  out += "}";
-
-  out += ",\n\"data\": [";
-  for (int f = 0; f < sim::kNumFidelities; ++f) {
-    if (f) out += ',';
-    out += "\n{\"configs\": [";
-    const auto& d = st.data[f];
-    for (std::size_t i = 0; i < d.configs.size(); ++i) {
-      if (i) out += ',';
-      putInt(out, static_cast<long long>(d.configs[i]));
-    }
-    out += "], \"y\": [";
-    for (std::size_t i = 0; i < d.y.size(); ++i) {
-      if (i) out += ',';
-      putVec(out, d.y[i]);
-    }
-    out += "]}";
-  }
-  out += "]";
-
-  out += ",\n\"cs\": [";
-  for (std::size_t i = 0; i < st.cs.size(); ++i) {
-    if (i) out += ',';
-    out += "\n[";
-    putInt(out, static_cast<long long>(st.cs[i].config));
-    out += ',';
-    putInt(out, st.cs[i].fidelity);
-    out += ',';
-    putReport(out, st.cs[i].report);
-    out += ']';
-  }
-  out += "]";
-
-  out += ",\n\"iterations\": [";
-  for (std::size_t i = 0; i < st.iterations.size(); ++i) {
-    const auto& it = st.iterations[i];
-    if (i) out += ',';
-    out += "\n[";
-    putInt(out, it.iteration);
-    out += ',';
-    putInt(out, it.fidelity);
-    out += ',';
-    putInt(out, static_cast<long long>(it.config));
-    out += ',';
-    putDouble(out, it.peipv);
-    out += ',';
-    putInt(out, it.round);
-    out += ']';
-  }
-  out += "]";
-
-  out += ",\n\"picks_per_fidelity\": [";
-  for (int f = 0; f < sim::kNumFidelities; ++f) {
-    if (f) out += ',';
-    putInt(out, st.picks_per_fidelity[f]);
-  }
-  out += "]";
-
-  out += ",\n\"totals\": {";
-  out += "\"charged_seconds\": ";
-  putDouble(out, st.totals.charged_seconds);
-  out += ", \"wall_seconds\": ";
-  putDouble(out, st.totals.wall_seconds);
-  out += ", \"tool_runs\": ";
-  putInt(out, st.totals.tool_runs);
-  out += ", \"cache_hits\": ";
-  putInt(out, st.totals.cache_hits);
-  out += ", \"attempts\": ";
-  putInt(out, st.totals.attempts);
-  out += ", \"transient_failures\": ";
-  putInt(out, st.totals.transient_failures);
-  out += ", \"timeouts\": ";
-  putInt(out, st.totals.timeouts);
-  out += ", \"persistent_failures\": ";
-  putInt(out, st.totals.persistent_failures);
-  out += ", \"degraded_jobs\": ";
-  putInt(out, st.totals.degraded_jobs);
-  out += ", \"retry_seconds_wasted\": ";
-  putDouble(out, st.totals.retry_seconds_wasted);
-  out += ", \"backoff_seconds\": ";
-  putDouble(out, st.totals.backoff_seconds);
-  out += "}";
-
-  out += ",\n\"sim_tool_seconds\": ";
-  putDouble(out, st.sim_tool_seconds);
-
-  // Optional: journaled only when the async pipeline has jobs in flight,
-  // so synchronous-mode journals are byte-identical to before the key
-  // existed.
-  if (!st.async_inflight.empty()) {
-    out += ",\n\"async_inflight\": [";
-    for (std::size_t i = 0; i < st.async_inflight.size(); ++i) {
-      const auto& e = st.async_inflight[i];
-      if (i) out += ',';
-      out += "\n[";
-      putInt(out, static_cast<long long>(e.config));
-      out += ',';
-      putInt(out, e.fidelity);
-      out += ',';
-      putDouble(out, e.sim_start);
-      out += ']';
-    }
-    out += "]";
-  }
-
-  out += ",\n\"cache\": [";
-  for (std::size_t i = 0; i < st.cache.size(); ++i) {
-    if (i) out += ',';
-    out += '[';
-    putInt(out, static_cast<long long>(st.cache[i].first));
-    out += ',';
-    putInt(out, st.cache[i].second);
-    out += ']';
-  }
-  out += "]";
-  out += ",\n\"cache_hits\": ";
-  putU64(out, st.cache_hits);
-  out += ",\n\"cache_misses\": ";
-  putU64(out, st.cache_misses);
-
-  out += ",\n\"surrogate_hypers\": [";
-  for (std::size_t i = 0; i < st.surrogate_hypers.size(); ++i) {
-    if (i) out += ',';
-    out += '\n';
-    putVec(out, st.surrogate_hypers[i]);
-  }
-  out += "]";
-
-  out += ",\n\"surrogate_base\": [";
-  for (std::size_t i = 0; i < st.surrogate_base.size(); ++i) {
-    if (i) out += ',';
-    putU64(out, st.surrogate_base[i]);
-  }
-  out += "]";
-
-  out += ",\n\"surrogate_mle_streak\": [";
-  for (std::size_t i = 0; i < st.surrogate_mle_streak.size(); ++i) {
-    if (i) out += ',';
-    putInt(out, st.surrogate_mle_streak[i]);
-  }
-  out += "]";
-
-  out += ",\n\"surrogate_fallback_n\": [";
-  for (std::size_t i = 0; i < st.surrogate_fallback_n.size(); ++i) {
-    if (i) out += ',';
-    putU64(out, st.surrogate_fallback_n[i]);
-  }
-  out += "]";
-
-  // Metric names stay within [A-Za-z0-9._] by convention, so no escaping.
-  out += ",\n\"metrics\": [";
-  for (std::size_t i = 0; i < st.metrics.size(); ++i) {
-    const obs::MetricPoint& p = st.metrics[i];
-    if (i) out += ',';
-    out += "\n{\"name\": \"" + p.name + "\", \"kind\": ";
-    putInt(out, static_cast<int>(p.kind));
-    out += ", \"value\": ";
-    putDouble(out, p.value);
-    out += ", \"count\": ";
-    putU64(out, p.count);
-    out += ", \"sum\": ";
-    putDouble(out, p.sum);
-    out += ", \"min\": ";
-    putDouble(out, p.min);
-    out += ", \"max\": ";
-    putDouble(out, p.max);
-    out += ", \"bounds\": ";
-    putVec(out, p.bounds);
-    out += ", \"buckets\": [";
-    for (std::size_t b = 0; b < p.buckets.size(); ++b) {
-      if (b) out += ',';
-      putU64(out, p.buckets[b]);
-    }
-    out += "]}";
-  }
-  out += "]";
-
-  // Optional: the flight recorder's checkpointable digest (calibration
-  // aggregates + counters + health warnings). Absent when diagnostics are
-  // disabled, so undiagnosed journals are unchanged byte-for-byte.
-  if (st.has_diag) {
-    const obs::DiagState& dg = st.diag;
-    out += ",\n\"diag\": {\"agg\": [";
-    for (int l = 0; l < obs::kNumLevels; ++l) {
-      if (l) out += ',';
-      out += '[';
-      for (int m = 0; m < obs::kNumObjectives; ++m) {
-        const obs::CalibrationAgg& a = dg.agg[l][m];
-        if (m) out += ',';
-        out += '[';
-        putInt(out, a.n);
-        out += ',';
-        putInt(out, a.n_in95);
-        out += ',';
-        putDouble(out, a.nlpd_sum);
-        out += ',';
-        putDouble(out, a.resid_sum);
-        out += ',';
-        putDouble(out, a.resid_sq_sum);
-        out += ']';
-      }
-      out += ']';
-    }
-    out += "], \"rounds\": ";
-    putInt(out, dg.rounds);
-    out += ", \"samples\": ";
-    putInt(out, dg.samples);
-    out += ", \"decisions\": ";
-    putInt(out, dg.decisions);
-    out += ", \"warnings\": [";
-    for (std::size_t i = 0; i < dg.warnings.size(); ++i) {
-      const obs::HealthWarning& w = dg.warnings[i];
-      if (i) out += ',';
-      out += "\n{\"kind\": ";
-      putInt(out, static_cast<int>(w.kind));
-      out += ", \"round\": ";
-      putInt(out, w.round);
-      out += ", \"fidelity\": ";
-      putInt(out, w.fidelity);
-      out += ", \"value\": ";
-      putDouble(out, w.value);
-      out += ", \"threshold\": ";
-      putDouble(out, w.threshold);
-      out += ", \"message\": ";
-      putString(out, w.message);
-      out += '}';
-    }
-    out += "]}";
-  }
-
-  out += "\n}\n";
-  return out;
+  Writer w;
+  w.out.reserve(1 << 16);
+  w.out += '{';
+  Writer::Fields top{w, ",\n", "\n"};
+  kState(top, st);
+  w.out += "\n}\n";
+  return std::move(w.out);
 }
 
 bool parseCheckpoint(const std::string& text, CheckpointState* out,
@@ -320,285 +383,19 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
     return fail("checkpoint: invalid JSON: " + parse_error);
 
   CheckpointState st;
-  const Json* v = root.find("version");
-  if (!v || v->kind != Json::kNum) return fail("checkpoint: missing version");
-  st.version = static_cast<int>(v->num);
+  Reader r;
+  const bool ok = r.get(root, st, obj(kState));
+  // The version is read first, so a journal of another format version is
+  // reported as such rather than by whichever of its keys differs.
   if (st.version != CheckpointState::kVersion)
     return fail("checkpoint: unsupported version " +
                 std::to_string(st.version));
-
-  if (const Json* j = root.find("fingerprint")) {
-    if (!getU64(*j, st.fingerprint)) return fail("checkpoint: bad fingerprint");
-  }
-  if (const Json* j = root.find("next_round"); j && j->kind == Json::kNum)
-    st.next_round = static_cast<int>(j->num);
-  if (const Json* j = root.find("t"); j && j->kind == Json::kNum)
-    st.t = static_cast<int>(j->num);
-
-  const Json* rng = root.find("rng");
-  if (!rng || rng->kind != Json::kObj) return fail("checkpoint: missing rng");
-  {
-    const Json* s = rng->find("s");
-    if (!s || s->kind != Json::kArr || s->arr.size() != 4)
-      return fail("checkpoint: bad rng state");
-    for (int i = 0; i < 4; ++i)
-      if (!getU64(s->arr[i], st.rng.s[i]))
-        return fail("checkpoint: bad rng word");
-    if (const Json* j = rng->find("has_cached_normal");
-        j && j->kind == Json::kBool)
-      st.rng.has_cached_normal = j->b;
-    if (const Json* j = rng->find("cached_normal"); j && j->kind == Json::kNum)
-      st.rng.cached_normal = j->num;
-  }
-
-  const Json* data = root.find("data");
-  if (!data || data->kind != Json::kArr ||
-      data->arr.size() != sim::kNumFidelities)
-    return fail("checkpoint: missing data");
-  for (int f = 0; f < sim::kNumFidelities; ++f) {
-    const Json& d = data->arr[f];
-    if (d.kind != Json::kObj) return fail("checkpoint: bad data entry");
-    const Json* configs = d.find("configs");
-    const Json* y = d.find("y");
-    if (!configs || configs->kind != Json::kArr || !y || y->kind != Json::kArr ||
-        configs->arr.size() != y->arr.size())
-      return fail("checkpoint: bad data entry");
-    for (const Json& c : configs->arr) {
-      if (c.kind != Json::kNum) return fail("checkpoint: bad config id");
-      st.data[f].configs.push_back(static_cast<std::size_t>(c.num));
-    }
-    for (const Json& row : y->arr) {
-      std::vector<double> vec;
-      if (!getVec(row, vec)) return fail("checkpoint: bad objective row");
-      st.data[f].y.push_back(std::move(vec));
-    }
-  }
-
-  const Json* cs = root.find("cs");
-  if (!cs || cs->kind != Json::kArr) return fail("checkpoint: missing cs");
-  for (const Json& e : cs->arr) {
-    if (e.kind != Json::kArr || e.arr.size() != 3 ||
-        e.arr[0].kind != Json::kNum || e.arr[1].kind != Json::kNum)
-      return fail("checkpoint: bad cs entry");
-    CheckpointState::CsEntry ce;
-    ce.config = static_cast<std::size_t>(e.arr[0].num);
-    ce.fidelity = static_cast<int>(e.arr[1].num);
-    if (!getReport(e.arr[2], ce.report))
-      return fail("checkpoint: bad cs report");
-    st.cs.push_back(ce);
-  }
-
-  const Json* iters = root.find("iterations");
-  if (!iters || iters->kind != Json::kArr)
-    return fail("checkpoint: missing iterations");
-  for (const Json& e : iters->arr) {
-    if (e.kind != Json::kArr || e.arr.size() != 5)
-      return fail("checkpoint: bad iteration entry");
-    for (const Json& x : e.arr)
-      if (x.kind != Json::kNum) return fail("checkpoint: bad iteration entry");
-    st.iterations.push_back({static_cast<int>(e.arr[0].num),
-                             static_cast<int>(e.arr[1].num),
-                             static_cast<std::size_t>(e.arr[2].num),
-                             e.arr[3].num, static_cast<int>(e.arr[4].num)});
-  }
-
-  if (const Json* j = root.find("picks_per_fidelity");
-      j && j->kind == Json::kArr && j->arr.size() == sim::kNumFidelities)
-    for (int f = 0; f < sim::kNumFidelities; ++f)
-      st.picks_per_fidelity[f] = static_cast<int>(j->arr[f].num);
-
-  const Json* totals = root.find("totals");
-  if (!totals || totals->kind != Json::kObj)
-    return fail("checkpoint: missing totals");
-  {
-    const auto num = [&](const char* key, double def = 0.0) {
-      const Json* j = totals->find(key);
-      return j && j->kind == Json::kNum ? j->num : def;
-    };
-    st.totals.charged_seconds = num("charged_seconds");
-    st.totals.wall_seconds = num("wall_seconds");
-    st.totals.tool_runs = static_cast<int>(num("tool_runs"));
-    st.totals.cache_hits = static_cast<int>(num("cache_hits"));
-    st.totals.attempts = static_cast<int>(num("attempts"));
-    st.totals.transient_failures = static_cast<int>(num("transient_failures"));
-    st.totals.timeouts = static_cast<int>(num("timeouts"));
-    st.totals.persistent_failures =
-        static_cast<int>(num("persistent_failures"));
-    st.totals.degraded_jobs = static_cast<int>(num("degraded_jobs"));
-    st.totals.retry_seconds_wasted = num("retry_seconds_wasted");
-    st.totals.backoff_seconds = num("backoff_seconds");
-  }
-
-  if (const Json* j = root.find("sim_tool_seconds"); j && j->kind == Json::kNum)
-    st.sim_tool_seconds = j->num;
-
-  // Optional: only async-mode journals with live believers carry this.
-  if (const Json* j = root.find("async_inflight"); j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      if (e.kind != Json::kArr || e.arr.size() != 3 ||
-          e.arr[0].kind != Json::kNum || e.arr[1].kind != Json::kNum ||
-          e.arr[2].kind != Json::kNum)
-        return fail("checkpoint: bad async_inflight entry");
-      CheckpointState::InflightEntry ie;
-      ie.config = static_cast<std::size_t>(e.arr[0].num);
-      ie.fidelity = static_cast<int>(e.arr[1].num);
-      ie.sim_start = e.arr[2].num;
-      st.async_inflight.push_back(ie);
-    }
-
-  if (const Json* j = root.find("cache"); j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      if (e.kind != Json::kArr || e.arr.size() != 2 ||
-          e.arr[0].kind != Json::kNum || e.arr[1].kind != Json::kNum)
-        return fail("checkpoint: bad cache entry");
-      st.cache.emplace_back(static_cast<std::size_t>(e.arr[0].num),
-                            static_cast<int>(e.arr[1].num));
-    }
-  if (const Json* j = root.find("cache_hits"))
-    if (!getU64(*j, st.cache_hits)) return fail("checkpoint: bad cache_hits");
-  if (const Json* j = root.find("cache_misses"))
-    if (!getU64(*j, st.cache_misses))
-      return fail("checkpoint: bad cache_misses");
-
-  if (const Json* j = root.find("surrogate_hypers"); j && j->kind == Json::kArr)
-    for (const Json& row : j->arr) {
-      std::vector<double> vec;
-      if (!getVec(row, vec)) return fail("checkpoint: bad hyper row");
-      st.surrogate_hypers.push_back(std::move(vec));
-    }
-
-  // Optional: journals written before the incremental-posterior resume path
-  // existed lack the key; restore then falls back to a dense refit.
-  if (const Json* j = root.find("surrogate_base"); j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      std::uint64_t u = 0;
-      if (!getU64(e, u)) return fail("checkpoint: bad surrogate_base entry");
-      st.surrogate_base.push_back(u);
-    }
-
-  // Optional: journals written before the self-healing state was carried
-  // across resume restore with fresh streaks (the old behavior).
-  if (const Json* j = root.find("surrogate_mle_streak");
-      j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      if (e.kind != Json::kNum)
-        return fail("checkpoint: bad surrogate_mle_streak entry");
-      st.surrogate_mle_streak.push_back(static_cast<int>(e.num));
-    }
-  if (const Json* j = root.find("surrogate_fallback_n");
-      j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      std::uint64_t u = 0;
-      if (!getU64(e, u))
-        return fail("checkpoint: bad surrogate_fallback_n entry");
-      st.surrogate_fallback_n.push_back(u);
-    }
-
-  // Optional: version-1 journals written before the metrics ledger existed
-  // simply lack the key.
-  if (const Json* j = root.find("metrics"); j && j->kind == Json::kArr)
-    for (const Json& e : j->arr) {
-      if (e.kind != Json::kObj) return fail("checkpoint: bad metric entry");
-      obs::MetricPoint p;
-      if (const Json* k = e.find("name"); k && k->kind == Json::kStr)
-        p.name = k->str;
-      if (const Json* k = e.find("kind"); k && k->kind == Json::kNum)
-        p.kind = static_cast<obs::MetricKind>(static_cast<int>(k->num));
-      if (const Json* k = e.find("value"); k && k->kind == Json::kNum)
-        p.value = k->num;
-      if (const Json* k = e.find("count"))
-        if (!getU64(*k, p.count)) return fail("checkpoint: bad metric count");
-      if (const Json* k = e.find("sum"); k && k->kind == Json::kNum)
-        p.sum = k->num;
-      if (const Json* k = e.find("min"); k && k->kind == Json::kNum)
-        p.min = k->num;
-      if (const Json* k = e.find("max"); k && k->kind == Json::kNum)
-        p.max = k->num;
-      if (const Json* k = e.find("bounds"))
-        if (!getVec(*k, p.bounds)) return fail("checkpoint: bad metric bounds");
-      if (const Json* k = e.find("buckets"); k && k->kind == Json::kArr)
-        for (const Json& b : k->arr) {
-          std::uint64_t u = 0;
-          if (!getU64(b, u)) return fail("checkpoint: bad metric bucket");
-          p.buckets.push_back(u);
-        }
-      st.metrics.push_back(std::move(p));
-    }
-
-  // Optional: diagnostics digest. Journals written without --diag (or before
-  // the flight recorder existed) lack the key; has_diag stays false.
-  if (const Json* j = root.find("diag"); j && j->kind == Json::kObj) {
-    st.has_diag = true;
-    if (const Json* agg = j->find("agg");
-        agg && agg->kind == Json::kArr &&
-        agg->arr.size() == obs::kNumLevels) {
-      for (int l = 0; l < obs::kNumLevels; ++l) {
-        const Json& row = agg->arr[l];
-        if (row.kind != Json::kArr || row.arr.size() != obs::kNumObjectives)
-          return fail("checkpoint: bad diag agg row");
-        for (int m = 0; m < obs::kNumObjectives; ++m) {
-          const Json& cell = row.arr[m];
-          if (cell.kind != Json::kArr || cell.arr.size() != 5)
-            return fail("checkpoint: bad diag agg cell");
-          for (const Json& x : cell.arr)
-            if (x.kind != Json::kNum)
-              return fail("checkpoint: bad diag agg cell");
-          obs::CalibrationAgg& a = st.diag.agg[l][m];
-          a.n = static_cast<long long>(cell.arr[0].num);
-          a.n_in95 = static_cast<long long>(cell.arr[1].num);
-          a.nlpd_sum = cell.arr[2].num;
-          a.resid_sum = cell.arr[3].num;
-          a.resid_sq_sum = cell.arr[4].num;
-        }
-      }
-    }
-    if (const Json* k = j->find("rounds"); k && k->kind == Json::kNum)
-      st.diag.rounds = static_cast<long long>(k->num);
-    if (const Json* k = j->find("samples"); k && k->kind == Json::kNum)
-      st.diag.samples = static_cast<long long>(k->num);
-    if (const Json* k = j->find("decisions"); k && k->kind == Json::kNum)
-      st.diag.decisions = static_cast<long long>(k->num);
-    if (const Json* k = j->find("warnings"); k && k->kind == Json::kArr)
-      for (const Json& e : k->arr) {
-        if (e.kind != Json::kObj) return fail("checkpoint: bad diag warning");
-        obs::HealthWarning w;
-        if (const Json* x = e.find("kind"); x && x->kind == Json::kNum)
-          w.kind = static_cast<obs::HealthKind>(static_cast<int>(x->num));
-        if (const Json* x = e.find("round"); x && x->kind == Json::kNum)
-          w.round = static_cast<int>(x->num);
-        if (const Json* x = e.find("fidelity"); x && x->kind == Json::kNum)
-          w.fidelity = static_cast<int>(x->num);
-        if (const Json* x = e.find("value"); x && x->kind == Json::kNum)
-          w.value = x->num;
-        if (const Json* x = e.find("threshold"); x && x->kind == Json::kNum)
-          w.threshold = x->num;
-        if (const Json* x = e.find("message"); x && x->kind == Json::kStr)
-          w.message = x->str;
-        st.diag.warnings.push_back(std::move(w));
-      }
-  }
-
+  if (!ok) return fail("checkpoint: " + r.what + " " + r.path);
+  for (const CheckpointState::FidelityData& d : st.data)
+    if (d.configs.size() != d.y.size()) return fail("checkpoint: bad data");
   *out = std::move(st);
   return true;
 }
-
-namespace {
-
-/// Rollback window: current frame plus up to this many predecessors. Two
-/// predecessors means a torn newest frame still leaves a one-round-old
-/// intact state AND its own predecessor for double-fault tolerance.
-constexpr std::size_t kKeepPrevFrames = 2;
-
-bool isFramedFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  char magic[4] = {0, 0, 0, 0};
-  f.read(magic, 4);
-  return f.gcount() == 4 && magic[0] == 'C' && magic[1] == 'M' &&
-         magic[2] == 'J' && magic[3] == '1';
-}
-
-}  // namespace
 
 bool saveCheckpointFramed(const std::string& path, const CheckpointState& st) {
   const util::FramedReadResult prev = util::readFrames(path);

@@ -629,9 +629,6 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
       case InitDesign::kMaximin:
         init = opt::maximinSubset(space_->allFeatures(), n_init, rng_);
         break;
-      case InitDesign::kStratified:
-        init = opt::stratifiedSubset(space_->allFeatures(), n_init, rng_);
-        break;
     }
     std::vector<runtime::EvalJob> init_jobs;
     init_jobs.reserve(init.size());

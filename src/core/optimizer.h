@@ -25,9 +25,8 @@ namespace cmmfo::core {
 
 /// Seed-design strategy for the initial samples (Algorithm 2 line 4).
 enum class InitDesign {
-  kRandom,      ///< uniform random subset (the paper's choice)
-  kMaximin,     ///< greedy maximin space-filling design
-  kStratified,  ///< quantile-stratified subset along a random feature axis
+  kRandom,   ///< uniform random subset (the paper's choice)
+  kMaximin,  ///< greedy maximin space-filling design
 };
 
 struct OptimizerOptions {

@@ -71,10 +71,9 @@ void MultiFidelitySurrogate::noteEscalations(std::size_t level) {
     for (const auto& model : ind_models_[level])
       jitter = std::max(jitter, model.lastEscalationJitter());
   }
-  if (recovery_.enabled)
-    recovery_events_.push_back(
-        {"jitter_escalation", static_cast<int>(level),
-         "Gram factorization needed the escalated jitter ladder", jitter});
+  recovery_events_.push_back(
+      {"jitter_escalation", static_cast<int>(level),
+       "Gram factorization needed the escalated jitter ladder", jitter});
   esc_seen_[level] = now;
 }
 
@@ -253,7 +252,7 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
       }
     }
     noteEscalations(l);
-    if (optimize_hypers && recovery_.enabled) {
+    if (optimize_hypers) {
       // Self-healing: a level whose MLE exhausts its full multi-start
       // L-BFGS budget `mle_fail_streak` fits in a row stops serving GP
       // predictions and falls back to a GBRT baseline; the first
@@ -397,7 +396,7 @@ void MultiFidelitySurrogate::appendObservations(
       // densely — the dense path re-enters the jitter ladder, which
       // rank-appends structurally refuse, so this is the only way an
       // append-degraded factor regains conditioning before the next MLE.
-      if (recovery_.enabled && fitted_) {
+      if (fitted_) {
         const double cond = gramConditionLog10(l);
         if (cond > recovery_.dense_refit_cond_log10) {
           denseRefitLevel(l, o);

@@ -44,7 +44,6 @@ struct SurrogateOptions {
 /// and enabling recovery is bit-neutral until a run is genuinely
 /// pathological.
 struct RecoveryOptions {
-  bool enabled = true;
   /// Consecutive full-MLE fits at one level that exhaust the entire L-BFGS
   /// budget (lastFitIterations >= mleIterBudget) before that level's
   /// predictions fall back to a GBRT baseline. The GP keeps training in

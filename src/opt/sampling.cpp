@@ -42,36 +42,4 @@ std::vector<std::size_t> maximinSubset(
   return chosen;
 }
 
-std::vector<std::size_t> stratifiedSubset(
-    const std::vector<std::vector<double>>& features, std::size_t k,
-    rng::Rng& rng) {
-  const std::size_t n = features.size();
-  k = std::min(n, k);
-  std::vector<std::size_t> chosen;
-  if (k == 0) return chosen;
-  const std::size_t dim = features[0].size();
-
-  // Sort candidates along one random axis; pick one per quantile stratum.
-  const std::size_t axis = dim == 0 ? 0 : rng.index(dim);
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  if (dim > 0)
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return features[a][axis] < features[b][axis];
-                     });
-  std::vector<bool> taken(n, false);
-  for (std::size_t s = 0; s < k; ++s) {
-    const std::size_t lo = s * n / k;
-    const std::size_t hi = std::max((s + 1) * n / k, lo + 1);
-    // Draw within the stratum, skipping already-taken candidates.
-    std::size_t idx = lo + rng.index(hi - lo);
-    std::size_t probe = idx;
-    while (taken[order[probe]]) probe = lo + (probe + 1 - lo) % (hi - lo);
-    taken[order[probe]] = true;
-    chosen.push_back(order[probe]);
-  }
-  return chosen;
-}
-
 }  // namespace cmmfo::opt

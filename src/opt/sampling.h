@@ -22,12 +22,4 @@ std::vector<std::size_t> maximinSubset(
     const std::vector<std::vector<double>>& features, std::size_t k,
     rng::Rng& rng);
 
-/// Stratified ("Latin-hypercube-flavored") subset: bucket candidates by
-/// their projection onto a random feature dimension per pick and draw one
-/// candidate from each of k quantile strata — cheap spread without the
-/// O(n*k) cost of maximin.
-std::vector<std::size_t> stratifiedSubset(
-    const std::vector<std::vector<double>>& features, std::size_t k,
-    rng::Rng& rng);
-
 }  // namespace cmmfo::opt

@@ -1,47 +1,29 @@
 #include "server/registry.h"
 
-#include <algorithm>
-
 namespace cmmfo::server {
 
-std::size_t Registry::shardOf(const std::string& id) {
-  return std::hash<std::string>{}(id) % kShards;
-}
-
 bool Registry::add(const std::shared_ptr<Campaign>& campaign) {
-  Shard& shard = shards_[shardOf(campaign->spec().id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.map.emplace(campaign->spec().id, campaign).second;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.emplace(campaign->spec().id, campaign).second;
 }
 
 std::shared_ptr<Campaign> Registry::get(const std::string& id) const {
-  const Shard& shard = shards_[shardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(id);
-  return it == shard.map.end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(id);
+  return it == map_.end() ? nullptr : it->second;
 }
 
 std::vector<std::shared_ptr<Campaign>> Registry::list() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<Campaign>> out;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [id, c] : shard.map) out.push_back(c);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const std::shared_ptr<Campaign>& a,
-               const std::shared_ptr<Campaign>& b) {
-              return a->spec().id < b->spec().id;
-            });
+  out.reserve(map_.size());
+  for (const auto& [id, c] : map_) out.push_back(c);
   return out;
 }
 
 std::size_t Registry::size() const {
-  std::size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 }  // namespace cmmfo::server

@@ -1,40 +1,31 @@
 #pragma once
 
-#include <array>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "server/campaign.h"
 
 namespace cmmfo::server {
 
-/// Concurrent campaign map with fine-grained locking: ids hash onto a fixed
-/// set of shards, each with its own mutex, so submit/status/list traffic
-/// from many protocol connections never serializes on one global lock (and
-/// never blocks behind a driver holding a campaign's own mutex — shard
-/// locks only guard the map structure, campaign state has its own lock).
+/// The campaign map: one id-ordered map under one mutex. The lock guards
+/// only the map structure (campaign state has its own lock), so a listing
+/// never blocks behind a driver stepping a campaign.
 class Registry {
  public:
   /// False (and no insertion) when the id is already registered.
   bool add(const std::shared_ptr<Campaign>& campaign);
   std::shared_ptr<Campaign> get(const std::string& id) const;
-  /// Every registered campaign, sorted by id (deterministic listings and
+  /// Every registered campaign, in id order (deterministic listings and
   /// fair-scheduler tie-breaks).
   std::vector<std::shared_ptr<Campaign>> list() const;
   std::size_t size() const;
 
  private:
-  static constexpr std::size_t kShards = 8;
-  static std::size_t shardOf(const std::string& id);
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<Campaign>> map;
-  };
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::map<std::string, std::shared_ptr<Campaign>> map_;
 };
 
 }  // namespace cmmfo::server

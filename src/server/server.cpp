@@ -17,6 +17,7 @@
 #include "obs/obs.h"
 #include "obs/prometheus.h"
 #include "server/fair_scheduler.h"
+#include "util/framed_log.h"
 
 namespace cmmfo::server {
 
@@ -50,16 +51,6 @@ double chaosUniform(std::uint64_t seed, const std::string& id,
   x *= 0x94d049bb133111ebULL;
   x ^= x >> 31;
   return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-/// Atomic small-file write: temp in the same directory, then rename.
-void writeFileAtomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
-  fs::rename(tmp, path);
 }
 
 }  // namespace
@@ -173,8 +164,7 @@ void OptimizationServer::superviseFailure(const std::shared_ptr<Campaign>& c,
     try {
       const CampaignState st = c->scheduleRestart(backoff, what);
       if (st == CampaignState::kCancelled) {
-        writeFinalFile(id, st);
-        publish(stateEvent(id, st));
+        publishFinal(id, st);
         return;
       }
       ++restarts_total_;
@@ -207,8 +197,7 @@ void OptimizationServer::superviseFailure(const std::shared_ptr<Campaign>& c,
   util::putString(d, reason);
   d += "}";
   appendDiag(id, d);
-  writeFinalFile(id, CampaignState::kFailed);
-  publish(stateEvent(id, CampaignState::kFailed, reason));
+  publishFinal(id, CampaignState::kFailed, reason);
 }
 
 void OptimizationServer::driverLoop() {
@@ -292,8 +281,7 @@ void OptimizationServer::driverLoop() {
       }
       publish(roundEvent(id, outcome, step_seconds));
       if (terminal(st)) {
-        writeFinalFile(id, st);
-        publish(stateEvent(id, st));
+        publishFinal(id, st);
       } else if (st == CampaignState::kPaused) {
         publish(stateEvent(id, st));
       }
@@ -441,11 +429,19 @@ bool OptimizationServer::submit(const CampaignSpec& spec, std::string* err,
     if (err != nullptr) *err = e.what();
     return false;
   }
-  if (!registry_.add(campaign)) {
+  // Every add runs under admission_mu_, so the id is still free at add().
+  // The spec is durable before the campaign exists: a submit whose spec
+  // cannot be written is refused rather than run unresumably.
+  if (registry_.get(s.id) != nullptr) {
     if (err != nullptr) *err = "duplicate campaign id";
     return false;
   }
-  if (!s.opts.resume) writeSpecFile(s);
+  if (!s.opts.resume && !writeSpecFile(s)) {
+    if (err != nullptr)
+      *err = "cannot write spec file " + journalPath(s.id, ".spec.json");
+    return false;
+  }
+  registry_.add(campaign);
   notifyAll();
   return true;
 }
@@ -484,8 +480,7 @@ bool OptimizationServer::cancel(const std::string& id, std::string* err) {
   if (c->state() == CampaignState::kCancelled) {
     // Cancelled in place (was queued/paused); running ones finish their
     // round first and the driver publishes the transition.
-    writeFinalFile(id, CampaignState::kCancelled);
-    publish(stateEvent(id, CampaignState::kCancelled));
+    publishFinal(id, CampaignState::kCancelled);
   }
   notifyAll();
   return true;
@@ -573,20 +568,28 @@ std::string OptimizationServer::journalPath(const std::string& id,
   return (fs::path(opts_.journal_dir) / (id + suffix)).string();
 }
 
-void OptimizationServer::writeSpecFile(const CampaignSpec& spec) const {
-  if (opts_.journal_dir.empty()) return;
-  writeFileAtomic(journalPath(spec.id, ".spec.json"), specToJson(spec) + "\n");
+bool OptimizationServer::writeSpecFile(const CampaignSpec& spec) const {
+  return opts_.journal_dir.empty() ||
+         util::writeFileAtomic(journalPath(spec.id, ".spec.json"),
+                               specToJson(spec) + "\n");
 }
 
-void OptimizationServer::writeFinalFile(const std::string& id,
-                                        CampaignState state) const {
-  if (opts_.journal_dir.empty()) return;
-  std::string s = "{\"id\":";
-  util::putString(s, id);
-  s += ",\"state\":";
-  util::putString(s, stateName(state));
-  s += "}\n";
-  writeFileAtomic(journalPath(id, ".final.json"), s);
+void OptimizationServer::publishFinal(const std::string& id,
+                                      CampaignState state,
+                                      std::string error) {
+  if (!opts_.journal_dir.empty()) {
+    std::string s = "{\"id\":";
+    util::putString(s, id);
+    s += ",\"state\":";
+    util::putString(s, stateName(state));
+    s += "}\n";
+    const std::string path = journalPath(id, ".final.json");
+    if (!util::writeFileAtomic(path, s)) {
+      if (!error.empty()) error += "; ";
+      error += "cannot write final marker " + path;
+    }
+  }
+  publish(stateEvent(id, state, error));
 }
 
 void OptimizationServer::appendDiag(const std::string& id,

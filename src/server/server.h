@@ -196,9 +196,13 @@ class OptimizationServer {
   /// and publishes the transition either way.
   void superviseFailure(const std::shared_ptr<Campaign>& c,
                         const std::string& what);
-  /// Journal helpers (no-ops without journal_dir).
-  void writeSpecFile(const CampaignSpec& spec) const;
-  void writeFinalFile(const std::string& id, CampaignState state) const;
+  /// Journal helpers (no-ops without journal_dir). writeSpecFile returns
+  /// false when the spec could not be written. publishFinal writes the
+  /// final marker and publishes the terminal state event; a failed marker
+  /// write is reported in that event's error and never thrown.
+  bool writeSpecFile(const CampaignSpec& spec) const;
+  void publishFinal(const std::string& id, CampaignState state,
+                    std::string error = "");
   void resumeFromJournal();
   std::string journalPath(const std::string& id, const char* suffix) const;
   /// Append one record line to `<id>.diag.jsonl` (no-op without

@@ -31,6 +31,8 @@ std::uint32_t getLe32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+}  // namespace
+
 bool writeFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
   {
@@ -42,8 +44,6 @@ bool writeFileAtomic(const std::string& path, const std::string& bytes) {
   }
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
-
-}  // namespace
 
 std::string encodeFrame(const std::string& payload) {
   std::string out;

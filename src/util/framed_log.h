@@ -45,6 +45,11 @@ bool appendFrame(const std::string& path, const std::string& payload);
 /// clean result. Never throws.
 FramedReadResult readFrames(const std::string& path);
 
+/// Atomically replace `path` with `bytes`: write `path`.tmp, flush, then
+/// rename over `path`. Returns false (leaving `path` untouched) when the
+/// temp file cannot be opened or written or the rename fails. Never throws.
+bool writeFileAtomic(const std::string& path, const std::string& bytes);
+
 /// Atomically replace `path` with exactly `payloads` (write-to-temp +
 /// rename). Used for compaction and for quarantine-truncate recovery.
 bool rewriteFrames(const std::string& path,

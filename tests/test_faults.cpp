@@ -427,6 +427,217 @@ TEST(Checkpoint, ParserRejectsGarbage) {
   EXPECT_FALSE(core::parseCheckpoint("not json at all", &st, &err));
 }
 
+// Every journal key set to a non-default value: three data rows, quoted u64
+// vectors beyond 2^53, async believers in flight, a cached normal, and both
+// telemetry keys.
+core::CheckpointState everyKeyState() {
+  core::CheckpointState st;
+  st.fingerprint = 0xFEDCBA9876543210ULL;
+  st.next_round = 7;
+  st.t = 12;
+  st.rng = {{0x8000000000000001ULL, 42, 0x0123456789ABCDEFULL,
+             0xFFFFFFFFFFFFFFFFULL},
+            true,
+            -1.2345678901234567};
+  st.data[0].configs = {5, 18431};
+  st.data[0].y = {{0.1, 0.2, 0.3}, {1.0 / 3.0, 2.0 / 3.0, 1e-300}};
+  st.data[1].configs = {5};
+  st.data[1].y = {{1.5, -0.0, 2e300}};
+  st.data[2].configs = {9};
+  st.data[2].y = {{4.25, 0.5, 0.125}};
+  sim::Report ok;
+  ok.power_w = 1.2345678901234567;
+  ok.delay_us = 987.654;
+  ok.lut_util = 0.4444444444444444;
+  ok.latency_cycles = 123456;
+  ok.clock_ns = 3.21;
+  ok.tool_seconds = 1234.5678901234567;
+  sim::Report failed;
+  failed.valid = false;
+  failed.tool_seconds = 60.0;
+  st.cs = {{5, 0, ok}, {9, 2, failed}};
+  st.iterations = {{0, 1, 5, 0.0012345, 0}, {1, 2, 9, 1e-9, 1}};
+  st.picks_per_fidelity = {3, 2, 1};
+  st.totals.charged_seconds = 5555.5555;
+  st.totals.wall_seconds = 1111.25;
+  st.totals.tool_runs = 9;
+  st.totals.cache_hits = 4;
+  st.totals.attempts = 12;
+  st.totals.transient_failures = 2;
+  st.totals.timeouts = 1;
+  st.totals.persistent_failures = 1;
+  st.totals.degraded_jobs = 3;
+  st.totals.retry_seconds_wasted = 77.7;
+  st.totals.backoff_seconds = 0.5;
+  st.sim_tool_seconds = 5555.5556;
+  st.async_inflight = {{11, 1, 100.5}, {12, 2, 1e-3}};
+  st.cache = {{5, 2}, {9, 0}};
+  st.cache_hits = 1ULL << 60;
+  st.cache_misses = 11;
+  st.surrogate_hypers = {{0.5, -0.25, 1.75}, {2.5}};
+  st.surrogate_base = {16, 9007199254740993ULL, 0};
+  st.surrogate_mle_streak = {0, 2, 1};
+  st.surrogate_fallback_n = {0, 9007199254740995ULL, 4};
+  obs::MetricPoint counter;
+  counter.name = "opt.rounds";
+  counter.value = 4.0;
+  counter.count = 2;
+  obs::MetricPoint hist;
+  hist.name = "journal.write_s";
+  hist.kind = obs::MetricKind::kHistogram;
+  hist.count = 3;
+  hist.sum = 0.75;
+  hist.min = 0.125;
+  hist.max = 0.5;
+  hist.bounds = {0.25, 1.0};
+  hist.buckets = {1, 2, 0};
+  st.metrics = {hist, counter};
+  st.diag.agg[0][1] = {4, 3, 1.0 / 3.0, -0.1, 2.2};
+  st.diag.rounds = 5;
+  st.diag.samples = 7;
+  st.diag.decisions = 6;
+  obs::HealthWarning w;
+  w.kind = obs::HealthKind::kMleNonConvergence;
+  w.round = 4;
+  w.fidelity = 1;
+  w.value = 25.0;
+  w.threshold = 20.0;
+  w.message = "MLE hit\tits cap";
+  st.diag.warnings.push_back(w);
+  st.has_diag = true;
+  return st;
+}
+
+// Byte pin of a journal carrying every key, captured from the hand-written
+// writer this schema replaced. Parsing it and writing it again must give the
+// same bytes.
+TEST(Checkpoint, EveryKeyIsPinned) {
+  const std::string text = core::serializeCheckpoint(everyKeyState());
+  EXPECT_EQ(text,
+            R"j({)j" "\n"
+            R"j("version": 1,)j" "\n"
+            R"j("fingerprint": "18364758544493064720",)j" "\n"
+            R"j("next_round": 7,)j" "\n"
+            R"j("t": 12,)j" "\n"
+            R"j("rng": {"s": ["9223372036854775809","42","81985529216486895","1844)j"
+            R"j(6744073709551615"], "has_cached_normal": true, "cached_normal": -1)j"
+            R"j(.2345678901234567},)j" "\n"
+            R"j("data": [)j" "\n"
+            R"j({"configs": [5,18431], "y": [[0.10000000000000001,0.20000000000000)j"
+            R"j(001,0.29999999999999999],[0.33333333333333331,0.66666666666666663,)j"
+            R"j(1e-300]]},)j" "\n"
+            R"j({"configs": [5], "y": [[1.5,-0,2.0000000000000001e+300]]},)j" "\n"
+            R"j({"configs": [9], "y": [[4.25,0.5,0.125]]}],)j" "\n"
+            R"j("cs": [)j" "\n"
+            R"j([5,0,[true,1.2345678901234567,987.654,0.44444444444444442,123456,3)j"
+            R"j(.21,1234.5678901234567]],)j" "\n"
+            R"j([9,2,[false,0,0,0,0,0,60]]],)j" "\n"
+            R"j("iterations": [)j" "\n"
+            R"j([0,1,5,0.0012344999999999999,0],)j" "\n"
+            R"j([1,2,9,1.0000000000000001e-09,1]],)j" "\n"
+            R"j("picks_per_fidelity": [3,2,1],)j" "\n"
+            R"j("totals": {"charged_seconds": 5555.5555000000004, "wall_seconds": )j"
+            R"j(1111.25, "tool_runs": 9, "cache_hits": 4, "attempts": 12, "transie)j"
+            R"j(nt_failures": 2, "timeouts": 1, "persistent_failures": 1, "degrade)j"
+            R"j(d_jobs": 3, "retry_seconds_wasted": 77.700000000000003, "backoff_s)j"
+            R"j(econds": 0.5},)j" "\n"
+            R"j("sim_tool_seconds": 5555.5555999999997,)j" "\n"
+            R"j("async_inflight": [)j" "\n"
+            R"j([11,1,100.5],)j" "\n"
+            R"j([12,2,0.001]],)j" "\n"
+            R"j("cache": [[5,2],[9,0]],)j" "\n"
+            R"j("cache_hits": "1152921504606846976",)j" "\n"
+            R"j("cache_misses": "11",)j" "\n"
+            R"j("surrogate_hypers": [)j" "\n"
+            R"j([0.5,-0.25,1.75],)j" "\n"
+            R"j([2.5]],)j" "\n"
+            R"j("surrogate_base": ["16","9007199254740993","0"],)j" "\n"
+            R"j("surrogate_mle_streak": [0,2,1],)j" "\n"
+            R"j("surrogate_fallback_n": ["0","9007199254740995","4"],)j" "\n"
+            R"j("metrics": [)j" "\n"
+            R"j({"name": "journal.write_s", "kind": 2, "value": 0, "count": "3", ")j"
+            R"j(sum": 0.75, "min": 0.125, "max": 0.5, "bounds": [0.25,1], "buckets)j"
+            R"j(": ["1","2","0"]},)j" "\n"
+            R"j({"name": "opt.rounds", "kind": 0, "value": 4, "count": "2", "sum":)j"
+            R"j( 0, "min": 0, "max": 0, "bounds": [], "buckets": []}],)j" "\n"
+            R"j("diag": {"agg": [[[0,0,0,0,0],[4,3,0.33333333333333331,-0.10000000)j"
+            R"j(000000001,2.2000000000000002],[0,0,0,0,0]],[[0,0,0,0,0],[0,0,0,0,0)j"
+            R"j(],[0,0,0,0,0]],[[0,0,0,0,0],[0,0,0,0,0],[0,0,0,0,0]]], "rounds": 5)j"
+            R"j(, "samples": 7, "decisions": 6, "warnings": [)j" "\n"
+            R"j({"kind": 2, "round": 4, "fidelity": 1, "value": 25, "threshold": 2)j"
+            R"j(0, "message": "MLE hit\tits cap"}]})j" "\n"
+            R"j(})j" "\n");
+  core::CheckpointState back;
+  std::string err;
+  ASSERT_TRUE(core::parseCheckpoint(text, &back, &err)) << err;
+  EXPECT_EQ(core::serializeCheckpoint(back), text);
+  EXPECT_TRUE(back.has_diag);
+  EXPECT_EQ(back.metrics, everyKeyState().metrics);
+}
+
+/// `text` without its top-level `key` (each top-level entry has its own line).
+std::string withoutTopLevelKey(const std::string& text, const std::string& key) {
+  const auto start = text.find("\n\"" + key + "\": ");
+  if (start == std::string::npos) return text;
+  const auto next = text.find("\n\"", start + 1);
+  if (next == std::string::npos)  // the last key: drop its leading comma too
+    return text.substr(0, start - 1) + "\n}\n";
+  return text.substr(0, start) + text.substr(next);
+}
+
+TEST(Checkpoint, EachRequiredKeyIsRequiredAndTheRestAreOptional) {
+  const std::string text = core::serializeCheckpoint(everyKeyState());
+  for (const std::string key :
+       {"version", "rng", "data", "cs", "iterations", "totals"}) {
+    const std::string dropped = withoutTopLevelKey(text, key);
+    ASSERT_NE(dropped, text) << key;
+    core::CheckpointState back;
+    std::string err;
+    EXPECT_FALSE(core::parseCheckpoint(dropped, &back, &err)) << key;
+    EXPECT_EQ(err, "checkpoint: missing " + key);
+  }
+  for (const std::string key :
+       {"fingerprint", "next_round", "t", "picks_per_fidelity",
+        "sim_tool_seconds", "async_inflight", "cache", "cache_hits",
+        "cache_misses", "surrogate_hypers", "surrogate_base",
+        "surrogate_mle_streak", "surrogate_fallback_n", "metrics", "diag"}) {
+    const std::string dropped = withoutTopLevelKey(text, key);
+    ASSERT_NE(dropped, text) << key;
+    core::CheckpointState back;
+    std::string err;
+    EXPECT_TRUE(core::parseCheckpoint(dropped, &back, &err)) << key << ": " << err;
+  }
+}
+
+// A present but malformed value fails the parse and names its key path,
+// also for optional keys.
+TEST(Checkpoint, MalformedValueNamesItsKeyPath) {
+  const std::string text = core::serializeCheckpoint(everyKeyState());
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"picks_per_fidelity\": [3,2,1]", "\"picks_per_fidelity\": [3,2]"},
+      {"\"t\": 12", "\"t\": \"12\""},
+      {"\"count\": \"3\"", "\"count\": [3]"},
+      {"[9,2,[false,", "[9,2,[0,"},
+      {"\"configs\": [9]", "\"configs\": [9,10]"},
+      {"\"version\": 1", "\"version\": 2"},
+  };
+  const char* const expected[] = {
+      "checkpoint: bad picks_per_fidelity", "checkpoint: bad t",
+      "checkpoint: bad metrics.count",      "checkpoint: bad cs",
+      "checkpoint: bad data",               "checkpoint: unsupported version 2",
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    std::string bad = text;
+    const auto pos = bad.find(cases[i].first);
+    ASSERT_NE(pos, std::string::npos) << cases[i].first;
+    bad.replace(pos, cases[i].first.size(), cases[i].second);
+    core::CheckpointState back;
+    std::string err;
+    EXPECT_FALSE(core::parseCheckpoint(bad, &back, &err)) << cases[i].second;
+    EXPECT_EQ(err, expected[i]);
+  }
+}
+
 std::string tempCheckpointPath(const char* name) {
   return testing::TempDir() + "/" + name;
 }

@@ -54,26 +54,6 @@ TEST(Sampling, MaximinDistinctIndices) {
   EXPECT_EQ(uniq.size(), 12u);
 }
 
-TEST(Sampling, StratifiedCoversAxisQuantiles) {
-  rng::Rng rng(4);
-  // 1-D features 0..99: a stratified pick of 10 must hit all deciles.
-  std::vector<std::vector<double>> feats;
-  for (int i = 0; i < 100; ++i) feats.push_back({i / 99.0});
-  const auto s = opt::stratifiedSubset(feats, 10, rng);
-  ASSERT_EQ(s.size(), 10u);
-  std::set<int> deciles;
-  for (std::size_t i : s) deciles.insert(static_cast<int>(i / 10));
-  EXPECT_EQ(deciles.size(), 10u);
-}
-
-TEST(Sampling, StratifiedDistinct) {
-  rng::Rng rng(5);
-  const auto feats = gridFeatures(5);
-  const auto s = opt::stratifiedSubset(feats, 25, rng);
-  std::set<std::size_t> uniq(s.begin(), s.end());
-  EXPECT_EQ(uniq.size(), 25u);
-}
-
 TEST(Optimizer, MaximinInitDesignRuns) {
   exp::BenchmarkContext ctx(bench_suite::makeSpmvCrs());
   core::OptimizerOptions o;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -742,6 +743,78 @@ TEST(ServerDaemon, KillAndResumeThreeCampaignsIsTrajectoryIdentical) {
   }
   second.stop();
   fs::remove_all(dir);
+}
+
+// A spec that cannot be written is refused before the campaign exists:
+// accepting it would leave a campaign that no later --resume can rebuild.
+TEST(ServerDaemon, UnwritableSpecRefusesTheSubmit) {
+  const std::string dir = testing::TempDir() + "/cmmfo_server_spec_unwritable";
+  fs::remove_all(dir);
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.slots = 1;
+  opts.journal_dir = dir;
+  OptimizationServer srv(opts);
+  // A directory where the spec's temp file goes: the temp cannot be opened.
+  fs::create_directories(dir + "/a.spec.json.tmp");
+  srv.start();
+  std::string err;
+  EXPECT_FALSE(srv.submit(fastSpec("a", 7, 101), &err));
+  EXPECT_NE(err.find("cannot write spec file"), std::string::npos) << err;
+  EXPECT_EQ(srv.campaign("a"), nullptr);
+  EXPECT_FALSE(fs::exists(dir + "/a.spec.json"));
+
+  // With the obstruction gone the same submit is accepted and durable.
+  fs::remove_all(dir + "/a.spec.json.tmp");
+  ASSERT_TRUE(srv.submit(fastSpec("a", 7, 101), &err)) << err;
+  EXPECT_TRUE(fs::is_regular_file(dir + "/a.spec.json"));
+  srv.drain();
+  srv.stop();
+  fs::remove_all(dir);
+}
+
+// Losing the journal directory mid-run fails only that campaign. Its final
+// marker cannot be written either; the state event says so, and the daemon
+// keeps serving instead of dying on an exception out of a driver thread.
+TEST(ServerDaemon, LostJournalDirFailsTheCampaignNotTheDaemon) {
+  const std::string dir = testing::TempDir() + "/cmmfo_server_journal_lost";
+  fs::remove_all(dir);
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.slots = 1;
+  opts.journal_dir = dir;
+  opts.max_restarts = 0;
+  OptimizationServer srv(opts);
+  std::mutex mu;
+  std::vector<std::string> events;
+  const int token = srv.subscribe([&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mu);
+    events.push_back(line);
+  });
+  srv.start();
+  std::string err;
+  ASSERT_TRUE(srv.submit(fastSpec("a", 7, 101, 120), &err)) << err;
+  while (srv.campaign("a")->snapshot().rounds < 1)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The running campaign may recreate a file between listing and rmdir.
+  std::error_code ec;
+  while (fs::exists(dir)) fs::remove_all(dir, ec);
+  srv.drain();
+
+  EXPECT_EQ(srv.campaign("a")->snapshot().state, CampaignState::kFailed);
+  EXPECT_EQ(srv.list().size(), 1u);  // still serving
+  srv.stop();
+  srv.unsubscribe(token);
+  bool reported = false;
+  std::lock_guard<std::mutex> lock(mu);
+  for (const std::string& line : events) {
+    util::Json j;
+    ASSERT_TRUE(util::parseJson(line, &j)) << line;
+    if (j.strOr("event", "") == "state" && j.strOr("state", "") == "failed")
+      reported |= j.strOr("error", "").find("cannot write final marker") !=
+                  std::string::npos;
+  }
+  EXPECT_TRUE(reported);
 }
 
 // ------------------------------------------------------------------ TCP ----
