@@ -8,8 +8,8 @@
 #                                  ARCHIVE the merge is skipped
 #   ./run_benches.sh --tsan-smoke  build the test binary under ThreadSanitizer
 #                                  (CMMFO_SANITIZE=thread) and run the
-#                                  parallel-runtime and parallel MLE tests
-#                                  under it
+#                                  parallel-runtime, parallel MLE and
+#                                  parallel acquisition-scan tests under it
 
 if [ "$1" = "--tsan-smoke" ]; then
   set -e
@@ -17,7 +17,7 @@ if [ "$1" = "--tsan-smoke" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j --target cmmfo_tests
   exec ./build-tsan/tests/cmmfo_tests \
-    --gtest_filter='ThreadPool*:EvalCache*:Scheduler*:ToolSim*:BatchedOptimizer*:FaultInjection*:SchedulerFaults*:OptimizerFaults*:Backoff*:Checkpoint*:Obs*:Diag*:Server*:Chaos*:Scenario*:Async*:GpRegressor*:MultiTaskGp*:MinimizeFromStarts*:LmlGradients*:Surrogate*'
+    --gtest_filter='ThreadPool*:EvalCache*:Scheduler*:ToolSim*:BatchedOptimizer*:FaultInjection*:SchedulerFaults*:OptimizerFaults*:Backoff*:Checkpoint*:Obs*:Diag*:Server*:Chaos*:Scenario*:Async*:GpRegressor*:MultiTaskGp*:MinimizeFromStarts*:LmlGradients*:Surrogate*:ForkJoin*:Acquisition*'
 fi
 
 OUTDIR=bench-out

@@ -129,6 +129,12 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
     std::vector<obs::FidelityAudit>* audit) const {
   Pick best;
   bool any = false;
+  // The open candidates and their features are the same at every fidelity;
+  // the posteriors of the last scanned fidelity feed the next one's chain.
+  std::vector<std::size_t> open;
+  gp::Dataset feats;
+  std::vector<gp::MultiPosterior> posts;
+  int posts_level = -1;
   for (int f = 0; f < kNumFidelities; ++f) {
     if (only_fidelity >= 0 && f != only_fidelity) continue;
     const FidelityData& d = data[f];
@@ -167,21 +173,23 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
             : 1.0;
 
     // One batched posterior sweep over the untaken candidates (single
-    // cross-Gram + multi-RHS solve per GP in the chain), then the same
-    // strict-argmax scan in candidate order as the scalar loop.
-    std::vector<std::size_t> open;
-    open.reserve(cand.size());
-    gp::Dataset feats;
-    feats.reserve(cand.size());
-    std::vector<gp::MultiPosterior> posts;
+    // cross-Gram + multi-RHS solve per GP in the chain, in blocks on the
+    // fork-join pool), then the bound-pruned EIPV scan, which returns the
+    // same argmax and audit as a sequential loop over every candidate.
     {
       obs::ScopedPhase predict_phase("scan_predict");
-      for (std::size_t ci : cand) {
-        if (taken[ci]) continue;
-        open.push_back(ci);
-        feats.push_back(space_->features(ci));
+      if (posts_level < 0) {
+        open.reserve(cand.size());
+        feats.reserve(cand.size());
+        for (std::size_t ci : cand) {
+          if (taken[ci]) continue;
+          open.push_back(ci);
+          feats.push_back(space_->features(ci));
+        }
       }
-      posts = surrogate_.predictBatch(f, feats);
+      const bool chain = f > 0 && posts_level == f - 1;
+      posts = surrogate_.predictBatch(f, feats, chain ? &posts : nullptr);
+      posts_level = f;
     }
     obs::FidelityAudit* fa = nullptr;
     if (audit != nullptr) {
@@ -189,39 +197,37 @@ CorrelatedMfMoboOptimizer::Pick CorrelatedMfMoboOptimizer::scanBest(
       fa = &audit->back();
       fa->fidelity = f;
       fa->cost_penalty = penalty;
-      fa->top.reserve(open.size());
     }
     {
       obs::ScopedPhase eipv_phase("scan_eipv");
+      std::vector<ScanCandidate> scan(open.size());
       for (std::size_t k = 0; k < open.size(); ++k) {
         const gp::MultiPosterior& post = posts[k];
-        gp::Vec mu(kNumObjectives);
-        linalg::Matrix cov(kNumObjectives, kNumObjectives);
+        gp::Vec& mu = scan[k].mu;
+        linalg::Matrix& cov = scan[k].cov;
+        mu.resize(kNumObjectives);
+        cov = linalg::Matrix(kNumObjectives, kNumObjectives);
         for (int m = 0; m < kNumObjectives; ++m) {
           mu[m] = (post.mean[m] - lo[m]) / range[m];
           for (int m2 = 0; m2 < kNumObjectives; ++m2)
             cov(m, m2) = post.cov(m, m2) / (range[m] * range[m2]);
         }
-        const double eipv = mcEipv(mu, cov, front, ref, z);
-        const double peipv = penalty * eipv;
-        if (fa != nullptr) fa->top.push_back({open[k], eipv, peipv});
-        if (!any || peipv > best.peipv) {
-          any = true;
-          best.config = open[k];
-          best.fidelity = static_cast<Fidelity>(f);
-          best.peipv = peipv;
-        }
       }
-    }
-    if (fa != nullptr) {
-      // Rank by the quantity the argmax uses; stable so candidate-order ties
-      // resolve deterministically. Truncated to the recorder's top-k.
-      std::stable_sort(fa->top.begin(), fa->top.end(),
-                       [](const obs::CandidateScore& a,
-                          const obs::CandidateScore& b) {
-                         return a.peipv > b.peipv;
-                       });
-      if (fa->top.size() > obs::kTopK) fa->top.resize(obs::kTopK);
+      // Strict argmax in (fidelity, candidate) order, carried across
+      // fidelities; the audit ranks by the quantity the argmax uses, ties in
+      // candidate order, truncated to the recorder's top-k.
+      const PeipvScan r =
+          scanPeipv(scan, front, ref, z, penalty, any ? &best.peipv : nullptr,
+                    fa != nullptr ? obs::kTopK : 0);
+      if (r.improved) {
+        any = true;
+        best.config = open[r.best];
+        best.fidelity = static_cast<Fidelity>(f);
+        best.peipv = r.peipv;
+      }
+      if (fa != nullptr)
+        for (const ScanScore& sc : r.top)
+          fa->top.push_back({open[sc.index], sc.eipv, sc.peipv});
     }
   }
   return best;

@@ -11,10 +11,14 @@
 #include "linalg/vec_ops.h"
 #include "obs/obs.h"
 #include "obs/profile.h"
+#include "util/fork_join.h"
 
 namespace cmmfo::core {
 
 namespace {
+/// Smallest candidate block predictBatch hands to one fork-join task.
+constexpr std::size_t kPredictGrain = 64;
+
 double elapsedUs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - t0)
@@ -531,9 +535,26 @@ gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
 }
 
 std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
-    std::size_t level, const gp::Dataset& x) const {
+    std::size_t level, const gp::Dataset& x,
+    const std::vector<gp::MultiPosterior>* lower) const {
+  assert(lower == nullptr || (level > 0 && lower->size() == x.size()));
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<gp::MultiPosterior> out = predictBatchImpl(level, x);
+  // Candidate blocks of at least kPredictGrain fan out over the fork-join
+  // pool; a smaller batch is one block, solved inline. Every posterior is
+  // bit-identical to predict() whichever block solves it, so the split
+  // changes timing only.
+  const std::size_t blocks =
+      std::max<std::size_t>(x.size() / kPredictGrain, 1);
+  const std::size_t per = (x.size() + blocks - 1) / blocks;
+  std::vector<gp::MultiPosterior> out(x.size());
+  util::forkJoin(blocks, [&](std::size_t b) {
+    const std::size_t lo = std::min(b * per, x.size());
+    const std::size_t hi = std::min(lo + per, x.size());
+    std::vector<gp::MultiPosterior> part = predictBatchImpl(
+        level, gp::Dataset(x.begin() + lo, x.begin() + hi),
+        lower != nullptr ? lower->data() + lo : nullptr);
+    std::move(part.begin(), part.end(), out.begin() + lo);
+  });
   if (obs::metrics().enabled()) {
     obs::MetricsRegistry& met = obs::metrics();
     met.defineHistogram("gp.predict_batch_us",
@@ -544,7 +565,8 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
 }
 
 std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
-    std::size_t level, const gp::Dataset& x) const {
+    std::size_t level, const gp::Dataset& x,
+    const gp::MultiPosterior* lower) const {
   assert(fitted_ && level < levels_);
   std::vector<gp::MultiPosterior> out;
   if (x.empty()) return out;
@@ -554,12 +576,17 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
     return out;
   }
 
-  // Chained augmentation for the whole block: the lower level is itself
-  // evaluated batched, then its means become this level's fidelity feature.
+  // The level below: its means become this level's fidelity feature
+  // (non-linear chaining) or scale into this level's posterior (AR(1)).
+  std::vector<gp::MultiPosterior> below;
+  if (opts_.mf != MfKind::kSingleFidelity && level > 0 && lower == nullptr) {
+    below = predictBatchImpl(level - 1, x, nullptr);
+    lower = below.data();
+  }
+
+  // Chained augmentation for the whole block.
   gp::Dataset inputs;
-  std::vector<gp::MultiPosterior> lower;
   if (opts_.mf == MfKind::kNonlinear && level > 0) {
-    lower = predictBatchImpl(level - 1, x);
     inputs.reserve(x.size());
     for (std::size_t c = 0; c < x.size(); ++c)
       inputs.push_back(linalg::concat(x[c], lower[c].mean));
@@ -586,7 +613,6 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
   }
 
   if (opts_.mf == MfKind::kLinear && level > 0) {
-    lower = predictBatchImpl(level - 1, x);
     for (std::size_t c = 0; c < x.size(); ++c) {
       for (std::size_t mm = 0; mm < m_; ++mm)
         out[c].mean[mm] += rho_[level][mm] * lower[c].mean[mm];

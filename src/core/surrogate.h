@@ -105,10 +105,16 @@ class MultiFidelitySurrogate {
   gp::MultiPosterior predict(std::size_t level, const gp::Vec& x) const;
 
   /// Batched posteriors at one fidelity: each level of the chain runs one
-  /// cross-Gram + one multi-RHS solve over the whole candidate block. Per
-  /// candidate bit-identical to predict().
-  std::vector<gp::MultiPosterior> predictBatch(std::size_t level,
-                                               const gp::Dataset& x) const;
+  /// cross-Gram + one multi-RHS solve over a candidate block. Large batches
+  /// are split into blocks that run on the fork-join pool. Per candidate
+  /// bit-identical to predict(). Books one gp.predict_batch_us observation
+  /// per call. `lower`, when given, must hold predictBatch(level - 1, x) of
+  /// this surrogate: the chain below `level` is taken from it instead of
+  /// being predicted again, so a scan of every fidelity predicts each level
+  /// once.
+  std::vector<gp::MultiPosterior> predictBatch(
+      std::size_t level, const gp::Dataset& x,
+      const std::vector<gp::MultiPosterior>* lower = nullptr) const;
 
   std::size_t numLevels() const { return levels_; }
   std::size_t numObjectives() const { return m_; }
@@ -204,9 +210,12 @@ class MultiFidelitySurrogate {
   gp::Vec augmented(std::size_t level, const gp::Vec& x) const;
   /// Per-objective mean vector of the lower level at x.
   gp::Vec lowerMeans(std::size_t level, const gp::Vec& x) const;
-  /// Recursive body of predictBatch (the public wrapper times the call).
-  std::vector<gp::MultiPosterior> predictBatchImpl(std::size_t level,
-                                                   const gp::Dataset& x) const;
+  /// Recursive body of predictBatch for one block (the public wrapper splits
+  /// the batch and times the call). `lower` is null or holds the level
+  /// below's posteriors of the block.
+  std::vector<gp::MultiPosterior> predictBatchImpl(
+      std::size_t level, const gp::Dataset& x,
+      const gp::MultiPosterior* lower) const;
   /// This level's training inputs (chained augmentation) and targets
   /// (AR(1) residuals, updating rho_) — the shared front half of fit().
   void buildLevelTraining(std::size_t level, const FidelityObs& o,

@@ -26,14 +26,14 @@ struct MultiStartResult {
 /// multi-modal (long vs short lengthscale interpretations of the same
 /// data); a handful of informed starts is the standard cure.
 ///
-/// The starts are independent, so they run on a process-wide fork-join pool
-/// (hardware_concurrency() - 1 helper threads; the calling thread runs
-/// starts too, so concurrent and nested calls always make progress).
-/// `make_objective` is called once per start, on the thread that runs it,
-/// and must be safe to call concurrently; the objective it returns is used
-/// by that start only, so it may own mutable scratch buffers. The reduction
-/// runs in start order after every start is done, so the result is
-/// bit-identical to a sequential loop over the starts.
+/// The starts are independent, so they run on the process-wide fork-join
+/// pool (util::forkJoin; the calling thread runs starts too, so concurrent
+/// and nested calls always make progress). `make_objective` is called once
+/// per start, on the thread that runs it, and must be safe to call
+/// concurrently; the objective it returns is used by that start only, so it
+/// may own mutable scratch buffers. The reduction runs in start order after
+/// every start is done, so the result is bit-identical to a sequential loop
+/// over the starts.
 MultiStartResult minimizeFromStarts(
     const std::function<GradObjectiveFn()>& make_objective,
     const std::vector<std::vector<double>>& starts,

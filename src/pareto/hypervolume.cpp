@@ -1,8 +1,10 @@
 #include "pareto/hypervolume.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace cmmfo::pareto {
 
@@ -38,14 +40,53 @@ double hv2(std::vector<Point> pts, const Point& ref) {
   return vol;
 }
 
-double hv3(std::vector<Point> pts, const Point& ref) {
+using Point3 = std::array<double, 3>;
+
+/// Buffers of the 3-objective path, reused per thread: hypervolumeImprovement
+/// runs it once per Monte-Carlo sample of every scanned candidate, and
+/// per-point vectors made allocation its main cost.
+struct Hv3Scratch {
+  std::vector<Point3> pts, front;
+  std::vector<std::pair<double, double>> stair;
+};
+
+Hv3Scratch& hv3Scratch() {
+  thread_local Hv3Scratch s;
+  return s;
+}
+
+/// dominates() on flat points, with the same comparisons.
+bool dominates3(const Point3& a, const Point3& b) {
+  bool strict = false;
+  for (std::size_t d = 0; d < 3; ++d) {
+    if (a[d] > b[d]) return false;
+    if (a[d] < b[d]) strict = true;
+  }
+  return strict;
+}
+
+/// Hypervolume of s.pts (consumed). clipAndFilter and the sweep run on flat
+/// points with the same comparisons, order and arithmetic as the general
+/// path, so the volume is the same bit for bit.
+double hv3(Hv3Scratch& s, const Point& ref) {
+  std::erase_if(s.pts, [&](const Point3& p) {
+    return p[0] >= ref[0] || p[1] >= ref[1] || p[2] >= ref[2];
+  });
+  s.front.clear();
+  for (std::size_t i = 0; i < s.pts.size(); ++i) {
+    bool dominated = false;
+    for (std::size_t j = 0; j < s.pts.size() && !dominated; ++j)
+      dominated = j != i && dominates3(s.pts[j], s.pts[i]);
+    if (!dominated) s.front.push_back(s.pts[i]);
+  }
   // Dimension sweep on z: process points by ascending z; between two
   // consecutive z-levels the dominated area in the (x, y) plane is the 2-D
   // hypervolume of the staircase of points already processed.
-  std::sort(pts.begin(), pts.end(),
-            [](const Point& a, const Point& b) { return a[2] < b[2]; });
+  std::sort(s.front.begin(), s.front.end(),
+            [](const Point3& a, const Point3& b) { return a[2] < b[2]; });
   // Maintain the 2-D staircase as a sorted (x asc, y desc) non-dominated set.
-  std::vector<std::pair<double, double>> stair;
+  auto& stair = s.stair;
+  stair.clear();
   double vol = 0.0;
   double area = 0.0;
   double prev_z = 0.0;
@@ -61,7 +102,7 @@ double hv3(std::vector<Point> pts, const Point& ref) {
     return a;
   };
 
-  for (const auto& p : pts) {
+  for (const auto& p : s.front) {
     if (!first) vol += area * (p[2] - prev_z);
     // Insert (x, y) into the staircase if 2-D non-dominated.
     const double x = p[0], y = p[1];
@@ -72,8 +113,8 @@ double hv3(std::vector<Point> pts, const Point& ref) {
         break;
       }
     if (!dominated) {
-      std::erase_if(stair, [&](const std::pair<double, double>& s) {
-        return x <= s.first && y <= s.second;
+      std::erase_if(stair, [&](const std::pair<double, double>& st) {
+        return x <= st.first && y <= st.second;
       });
       stair.emplace_back(x, y);
       std::sort(stair.begin(), stair.end());
@@ -86,8 +127,8 @@ double hv3(std::vector<Point> pts, const Point& ref) {
   return vol;
 }
 
-/// WFG-style recursion for general dimension: hv(S) over sorted S is
-/// sum over i of exclusive contribution of S[i] against S[i+1..].
+/// WFG-style recursion for M >= 4 (lower M take the sweeps): hv(S) over
+/// sorted S is sum over i of exclusive contribution of S[i] against S[i+1..].
 double hvWfg(std::vector<Point> pts, const Point& ref);
 
 double exclusiveWfg(const Point& p, const std::vector<Point>& rest,
@@ -108,9 +149,6 @@ double exclusiveWfg(const Point& p, const std::vector<Point>& rest,
 
 double hvWfg(std::vector<Point> pts, const Point& ref) {
   if (pts.empty()) return 0.0;
-  const std::size_t m = ref.size();
-  if (m == 2) return hv2(std::move(pts), ref);
-  if (m == 3) return hv3(std::move(pts), ref);
   // Sort to keep the recursion shallow (worse points first shrink fast).
   std::sort(pts.begin(), pts.end(),
             [](const Point& a, const Point& b) { return a.back() > b.back(); });
@@ -125,30 +163,52 @@ double hvWfg(std::vector<Point> pts, const Point& ref) {
 }  // namespace
 
 double hypervolume(const std::vector<Point>& pts, const Point& ref) {
-  const std::vector<Point> front = clipAndFilter(pts, ref);
-  if (front.empty()) return 0.0;
   const std::size_t m = ref.size();
   assert(m >= 1);
+  if (m == 3) {
+    Hv3Scratch& s = hv3Scratch();
+    s.pts.clear();
+    for (const auto& p : pts) s.pts.push_back({p[0], p[1], p[2]});
+    return hv3(s, ref);
+  }
+  const std::vector<Point> front = clipAndFilter(pts, ref);
+  if (front.empty()) return 0.0;
   if (m == 1) {
     double best = front[0][0];
     for (const auto& p : front) best = std::min(best, p[0]);
     return ref[0] - best;
   }
   if (m == 2) return hv2(front, ref);
-  if (m == 3) return hv3(front, ref);
-  return hvWfg(front, ref);
+  // The sweeps add non-negative terms only; the recursion subtracts, and
+  // rounding could leave a volume a hair below zero.
+  const double vol = hvWfg(front, ref);
+  return vol < 0.0 ? 0.0 : vol;
 }
 
-double hypervolumeImprovement(const Point& y, const std::vector<Point>& pts,
-                              const Point& ref) {
-  // y outside the reference box contributes nothing.
+double boxVolume(const Point& y, const Point& ref) {
   double box = 1.0;
   for (std::size_t d = 0; d < ref.size(); ++d) {
     if (y[d] >= ref[d]) return 0.0;
     box *= ref[d] - y[d];
   }
-  if (pts.empty()) return box;
+  return box;
+}
+
+double hypervolumeImprovement(const Point& y, const std::vector<Point>& pts,
+                              const Point& ref) {
+  // y outside the reference box contributes nothing; neither does a box
+  // whose volume rounds to zero, as the covered volume is never negative.
+  const double box = boxVolume(y, ref);
+  if (box == 0.0 || pts.empty()) return box;
   // Exclusive volume: box minus what the limited set already covers.
+  if (ref.size() == 3) {
+    Hv3Scratch& s = hv3Scratch();
+    s.pts.clear();
+    for (const auto& p : pts)
+      s.pts.push_back({std::max(p[0], y[0]), std::max(p[1], y[1]),
+                       std::max(p[2], y[2])});
+    return std::max(0.0, box - hv3(s, ref));
+  }
   std::vector<Point> limited;
   limited.reserve(pts.size());
   for (const auto& p : pts) {

@@ -130,6 +130,8 @@ std::string statsResponse(const runtime::EvalCache::Stats& cache,
   util::putU64Bare(s, sup.load_shed);
   s += ",\"reaped_conns\":";
   util::putU64Bare(s, sup.reaped_conns);
+  s += ",\"diag_dropped\":";
+  util::putU64Bare(s, sup.diag_dropped);
   s += "}}";
   return s;
 }
@@ -257,6 +259,8 @@ std::string heartbeatEvent(std::size_t campaigns, std::size_t steps_executed,
   util::putU64Bare(s, sup.load_shed);
   s += ",\"reaped_conns\":";
   util::putU64Bare(s, sup.reaped_conns);
+  s += ",\"diag_dropped\":";
+  util::putU64Bare(s, sup.diag_dropped);
   s += ",\"uptime_seconds\":";
   util::putDouble(s, uptime_seconds);
   s += "}";

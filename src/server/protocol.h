@@ -38,6 +38,7 @@ struct SupervisionStats {
   std::size_t stalled_steps = 0;  ///< watchdog deadline overruns reported
   std::size_t load_shed = 0;      ///< submissions refused at capacity
   std::size_t reaped_conns = 0;   ///< idle connections shut down
+  std::size_t diag_dropped = 0;   ///< <id>.diag.jsonl records not written
 };
 
 // ---- Response/event builders (each returns one line, no trailing \n). ----

@@ -504,6 +504,7 @@ SupervisionStats OptimizationServer::supervisionStats() const {
   sup.stalled_steps = stalled_steps_.load();
   sup.load_shed = load_shed_.load();
   sup.reaped_conns = reaped_conns_.load();
+  sup.diag_dropped = diag_dropped_.load();
   return sup;
 }
 
@@ -597,7 +598,8 @@ void OptimizationServer::appendDiag(const std::string& id,
   if (opts_.journal_dir.empty()) return;
   std::lock_guard<std::mutex> lock(diag_mu_);
   std::ofstream out(journalPath(id, ".diag.jsonl"), std::ios::app);
-  out << line << "\n";
+  if (out) out << line << "\n" << std::flush;
+  if (!out) ++diag_dropped_;
 }
 
 void OptimizationServer::resumeFromJournal() {

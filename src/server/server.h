@@ -207,7 +207,8 @@ class OptimizationServer {
   std::string journalPath(const std::string& id, const char* suffix) const;
   /// Append one record line to `<id>.diag.jsonl` (no-op without
   /// journal_dir): failures, restarts, stalls, journal rollbacks, surrogate
-  /// recovery notes.
+  /// recovery notes. A record that cannot be written is counted in
+  /// SupervisionStats::diag_dropped.
   void appendDiag(const std::string& id, const std::string& line) const;
   SupervisionStats supervisionStats() const;
   void publish(const std::string& line);
@@ -249,6 +250,8 @@ class OptimizationServer {
   std::chrono::steady_clock::time_point started_at_{};
   mutable std::mutex admission_mu_;
   mutable std::mutex diag_mu_;
+  /// <id>.diag.jsonl records lost to a failed open, write or flush.
+  mutable std::atomic<std::size_t> diag_dropped_{0};
   std::atomic<std::size_t> restarts_total_{0};
   std::atomic<std::size_t> stalled_steps_{0};
   std::atomic<std::size_t> load_shed_{0};

@@ -803,6 +803,16 @@ TEST(ServerDaemon, LostJournalDirFailsTheCampaignNotTheDaemon) {
 
   EXPECT_EQ(srv.campaign("a")->snapshot().state, CampaignState::kFailed);
   EXPECT_EQ(srv.list().size(), 1u);  // still serving
+  // The campaign's failure record had nowhere to go: the loss is counted,
+  // and the stats reply carries the count.
+  const std::size_t dropped = srv.stats().supervision.diag_dropped;
+  EXPECT_GE(dropped, 1u);
+  util::Json stats;
+  ASSERT_TRUE(util::parseJson(
+      srv.handleLine("{\"op\":\"stats\"}", nullptr, nullptr, nullptr), &stats));
+  const util::Json* sup = stats.find("supervision");
+  ASSERT_NE(sup, nullptr);
+  EXPECT_EQ(sup->numOr("diag_dropped", -1.0), static_cast<double>(dropped));
   srv.stop();
   srv.unsubscribe(token);
   bool reported = false;
