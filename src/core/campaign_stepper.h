@@ -15,7 +15,7 @@ namespace cmmfo::core {
 /// trajectory to run() by construction — run() IS this loop.
 ///
 /// The server holds one stepper per campaign and interleaves step() calls
-/// from many campaigns over a SharedRuntime (one worker pool, one
+/// from many campaigns over a SharedRuntime (one simulated farm width, one
 /// namespaced eval cache); a stepper itself is single-threaded — callers
 /// serialize step()/finish() per instance.
 ///

@@ -377,10 +377,10 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
     st.surrogate_base.push_back(static_cast<std::uint64_t>(b));
   // Journal the metrics ledger so a resumed run's dump continues where the
   // crashed run left off instead of restarting the counters from zero. Not
-  // on a shared pool: the process-wide registry then holds every
-  // co-tenant's series too, and restoring it from one campaign's journal
-  // would rewind them all.
-  if (obs::metrics().enabled() && shared_.pool == nullptr)
+  // on a shared cache (the server): the process-wide registry then holds
+  // every co-tenant's series too, and restoring it from one campaign's
+  // journal would rewind them all.
+  if (obs::metrics().enabled() && shared_.cache == nullptr)
     st.metrics = obs::metrics().snapshot();
   // Same for the flight recorder's calibration aggregates and warnings.
   if (obs::recorder().enabled()) {
@@ -456,7 +456,7 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   // artifact namespace keeps its own hit/miss accounting untouched.
   cache_->restoreCounters(st.cache_hits, st.cache_misses,
                           scheduler_->cacheLedger());
-  if (obs::metrics().enabled() && shared_.pool == nullptr &&
+  if (obs::metrics().enabled() && shared_.cache == nullptr &&
       !st.metrics.empty())
     obs::metrics().restore(st.metrics);
   if (st.has_diag && obs::recorder().enabled())
@@ -513,15 +513,13 @@ RoundOutcome CorrelatedMfMoboOptimizer::makeOutcome(
       cache_->stats(scheduler_->cacheNamespace(), scheduler_->cacheLedger());
   o.cache_hits = cstats.hits;
   o.cache_misses = cstats.misses;
-  if (shared_.collect_outcomes) {
-    o.hypervolume = hv ? *hv : topHypervolume(round);
-    // Worker occupancy of this round's tool runs (cache hits occupy no
-    // worker), in job order — the server's shared-farm placement input.
-    o.job_seconds.reserve(results.size());
-    for (const runtime::EvalResult& r : results)
-      if (!r.cache_hit)
-        o.job_seconds.push_back(r.charged_seconds + r.backoff_seconds);
-  }
+  o.hypervolume = hv ? *hv : topHypervolume(round);
+  // Worker occupancy of this round's tool runs (cache hits occupy no
+  // worker), in job order — the server's shared-farm placement input.
+  o.job_seconds.reserve(results.size());
+  for (const runtime::EvalResult& r : results)
+    if (!r.cache_hit)
+      o.job_seconds.push_back(r.charged_seconds + r.backoff_seconds);
   o.resume_note = resume_note_;
   // Drain the surrogate's self-healing ledger into this outcome and (when
   // diagnosed) the flight recorder. Empty in the healthy regime, so the
@@ -554,22 +552,19 @@ RoundOutcome CorrelatedMfMoboOptimizer::start() {
          opts_.n_init_syn >= opts_.n_init_impl && opts_.n_init_impl >= 2);
   const std::size_t n = space_->size();
 
-  // Bind the runtime: private cache/pool in the single-campaign regime,
-  // the server's shared ones otherwise (traffic keyed under the campaign's
-  // cache namespace).
+  // Bind the runtime: a private cache and an n_workers-wide farm in the
+  // single-campaign regime, the server's shared cache and farm width
+  // otherwise (traffic keyed under the campaign's cache namespace).
   if (shared_.cache != nullptr) {
     cache_ = shared_.cache;
   } else {
     owned_cache_ = std::make_unique<runtime::EvalCache>();
     cache_ = owned_cache_.get();
   }
-  if (shared_.pool != nullptr)
-    scheduler_ = std::make_unique<runtime::ToolScheduler>(
-        *space_, *sim_, *cache_, *shared_.pool, opts_.retry,
-        shared_.cache_namespace, shared_.cache_ledger);
-  else
-    scheduler_ = std::make_unique<runtime::ToolScheduler>(
-        *space_, *sim_, *cache_, std::max(opts_.n_workers, 1), opts_.retry);
+  scheduler_ = std::make_unique<runtime::ToolScheduler>(
+      *space_, *sim_, *cache_,
+      shared_.pool > 0 ? shared_.pool : opts_.n_workers, opts_.retry,
+      shared_.cache_namespace, shared_.cache_ledger);
 
   // ---- Resume path: restore the journal if one exists and matches. ----
   if (opts_.resume && !opts_.checkpoint_path.empty()) {
@@ -921,7 +916,7 @@ RoundOutcome CorrelatedMfMoboOptimizer::stepRound() {
     admitAsync(round);
   if (opts_.async && inflight_meta_.empty()) return makeOutcome(round - 1, {});
 
-  // 4. Harvest: the barrier'd batch, or the earliest simulated completion.
+  // 4. Collect: the barrier'd batch, or the earliest simulated completion.
   std::vector<runtime::EvalResult> results;
   {
     obs::ScopedPhase eval_phase("evaluate", round);
@@ -952,12 +947,10 @@ RoundOutcome CorrelatedMfMoboOptimizer::commitStep(
   ++result_.rounds_run;
 
   // One hypervolume per committed step, shared by every consumer (diag
-  // convergence, metrics, the server's outcome). Pure observation.
+  // convergence, metrics, the outcome). Pure observation.
   const bool diag_on = obs::recorder().enabled();
   const bool metrics_on = obs::metrics().enabled();
-  const double hv = diag_on || metrics_on || shared_.collect_outcomes
-                        ? topHypervolume(round)
-                        : std::numeric_limits<double>::quiet_NaN();
+  const double hv = topHypervolume(round);
 
   if (diag_on) {
     // Convergence record: hypervolume of the current top-fidelity set,
@@ -1009,9 +1002,9 @@ OptimizeResult CorrelatedMfMoboOptimizer::finish() {
   assert(started_ && !finished_);
   finished_ = true;
   result_.cs = cs_;
-  // The job-ordered ledger: bit-stable under thread interleaving (so across
-  // farm widths) and consistent with what the journal carries (a preempted
-  // run's unprocessed in-flight charges are excluded on both sides).
+  // The job-ordered ledger: bit-stable across farm widths and consistent
+  // with what the journal carries (a preempted run's unprocessed in-flight
+  // charges are excluded on both sides).
   // Bitwise equal to the simulator's accumulator in the healthy sequential
   // regime.
   result_.tool_seconds = scheduler_->deterministicToolSeconds();

@@ -130,15 +130,15 @@ struct OptimizerOptions {
 
 /// Shared multi-campaign runtime resources (the optimization server). All
 /// null/zero by default, in which case the optimizer owns a private cache
-/// and worker pool exactly as before — the single-campaign regime.
+/// and models an `n_workers`-wide farm — the single-campaign regime.
 struct SharedRuntime {
   /// Long-lived cross-campaign evaluation cache; the optimizer keys all its
   /// traffic (and its checkpoint's cache section) under cache_namespace.
   runtime::EvalCache* cache = nullptr;
-  /// Shared eval worker pool (must outlive the optimizer). When set,
-  /// OptimizerOptions::n_workers is ignored for execution; the simulated
-  /// wall-clock models rounds on the shared pool's full width.
-  runtime::ThreadPool* pool = nullptr;
+  /// Width of the shared simulated tool farm (0 = not shared). When set,
+  /// the simulated wall-clock models rounds on this full width instead of
+  /// OptimizerOptions::n_workers.
+  int pool = 0;
   /// Benchmark/simulator fingerprint isolating this campaign's cache slice.
   std::uint64_t cache_namespace = 0;
   /// Per-campaign key for the cache hit/miss ledger (0 = the namespace).
@@ -146,10 +146,6 @@ struct SharedRuntime {
   /// artifacts but must not share counters: the ledger keeps each tenant's
   /// streamed/checkpointed cache accounting its own.
   std::uint64_t cache_ledger = 0;
-  /// Fill the optional RoundOutcome fields (hypervolume, per-job seconds)
-  /// the server streams to subscribers. Pure observation — the trajectory
-  /// is bit-identical either way.
-  bool collect_outcomes = false;
 };
 
 /// Snapshot returned by each campaign step (pure observation, assembled
@@ -168,10 +164,10 @@ struct RoundOutcome {
   /// Campaign-namespace cache counters after the round.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Only when SharedRuntime::collect_outcomes: hypervolume of the current
-  /// top-fidelity observation set (NaN while empty) and the per-tool-run
-  /// worker occupancy (charged + backoff seconds) of this round's jobs, in
-  /// job order — the server's simulated shared-farm placement input.
+  /// Hypervolume of the current top-fidelity observation set (NaN while
+  /// empty) and the per-tool-run worker occupancy (charged + backoff
+  /// seconds) of this round's jobs, in job order — the server's simulated
+  /// shared-farm placement input. Pure observation.
   double hypervolume = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> job_seconds;
   /// Non-empty when a lenient resume had to repair or discard the journal
@@ -247,7 +243,8 @@ struct OptimizeResult {
 /// With batch_size > 1 each round proposes a q-PEIPV batch built greedily by
 /// Kriging-believer conditioning (the posterior is refit on the predicted
 /// mean of each already-selected point before the next argmax), and the
-/// batch executes concurrently on a runtime::ToolScheduler worker pool.
+/// batch runs as one round on the runtime::ToolScheduler's simulated
+/// n_workers-wide farm.
 class CorrelatedMfMoboOptimizer {
  public:
   CorrelatedMfMoboOptimizer(const hls::DesignSpace& space,
@@ -259,20 +256,20 @@ class CorrelatedMfMoboOptimizer {
   OptimizeResult run();
 
   // ---- Campaign-stepping API (the server interleaves rounds from many
-  // campaigns over one shared pool/cache; see core::CampaignStepper). ----
+  // campaigns over one shared farm/cache; see core::CampaignStepper). ----
   /// Bind runtime resources, resume from the checkpoint journal or run the
   /// initialization round, and write checkpoint 0. Must be called exactly
   /// once, before the first stepRound().
   RoundOutcome start();
   /// One step of Algorithm 2's loop (lines 6-15): commit the posterior on
-  /// the real datasets, admit proposals, harvest results, then one shared
+  /// the real datasets, admit proposals, collect results, then one shared
   /// tail records them, logs diagnostics/metrics, checkpoints and applies
   /// the preemption and budget stops. Requires start(); no-op when done().
   /// Two admission policies share everything else:
   ///  - sync (default): one fidelity-homogeneous Kriging-believer batch of
-  ///    batch_size picks, harvested behind a barrier — one step per round;
+  ///    batch_size picks, collected behind a barrier — one step per round;
   ///  - async: re-derive believers for the jobs still in flight, top the
-  ///    farm up with one proposal per free worker, then harvest the earliest
+  ///    farm up with one proposal per free worker, then take the earliest
   ///    simulated completion — one step per completion event, so the
   ///    server's FairScheduler charges async campaigns per completion.
   /// Charged tool-seconds come from one ledger in both modes, the

@@ -44,10 +44,10 @@ class EvalCache {
   /// The whole stage ladder [0..fidelity] in one lookup, or nothing — by
   /// the storeFlow invariant it is present either fully or not at all.
   /// Refreshes the flow's LRU position on a hit but leaves the hit/miss
-  /// counters alone: the scheduler probes from worker threads, whose
-  /// real-time interleaving is nondeterministic, and books each lookup via
-  /// countLookup() on its driving thread in a deterministic order, so
-  /// checkpointed counters stay bit-stable across runs and resumes.
+  /// counters alone: the scheduler probes when a job runs (at dispatch) and
+  /// books each lookup via countLookup() when it folds the job, in event
+  /// order, so checkpointed counters stay bit-stable across runs and
+  /// resumes.
   std::optional<std::array<sim::Report, sim::kNumFidelities>> findFlow(
       std::size_t config, sim::Fidelity fidelity, std::uint64_t ns = 0) const;
 
@@ -56,7 +56,7 @@ class EvalCache {
   void countLookup(bool hit, std::uint64_t ledger);
 
   // ---- Single-flight coalescing ------------------------------------------
-  // Two workers (or co-tenant campaigns sharing a namespace) requesting the
+  // Co-tenant campaigns sharing a namespace that request the
   // same (config, fidelity) concurrently must not launch duplicate tool
   // runs. After a cache miss the requester calls joinFlight():
   //   kLeader — nobody is running this config's flow: the caller runs the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -28,19 +27,7 @@ double RetryPolicy::backoffSeconds(std::size_t config, sim::Fidelity fidelity,
 
 ToolScheduler::ToolScheduler(const hls::DesignSpace& space,
                              sim::FpgaToolSim& sim, EvalCache& cache,
-                             int n_workers, RetryPolicy policy)
-    : space_(&space),
-      sim_(&sim),
-      cache_(&cache),
-      policy_(policy),
-      owned_pool_(std::make_unique<ThreadPool>(n_workers)),
-      pool_(owned_pool_.get()) {
-  policy_.max_attempts = std::max(policy_.max_attempts, 1);
-}
-
-ToolScheduler::ToolScheduler(const hls::DesignSpace& space,
-                             sim::FpgaToolSim& sim, EvalCache& cache,
-                             ThreadPool& shared_pool, RetryPolicy policy,
+                             int n_workers, RetryPolicy policy,
                              std::uint64_t cache_ns,
                              std::uint64_t cache_ledger)
     : space_(&space),
@@ -49,15 +36,8 @@ ToolScheduler::ToolScheduler(const hls::DesignSpace& space,
       policy_(policy),
       cache_ns_(cache_ns),
       cache_ledger_(cache_ledger),
-      pool_(&shared_pool) {
+      n_workers_(std::max(n_workers, 1)) {
   policy_.max_attempts = std::max(policy_.max_attempts, 1);
-}
-
-ToolScheduler::~ToolScheduler() {
-  // Every accepted task eventually pushes (ThreadPool finishes queued work
-  // before joining; a stopped pool made submitAsyncAt run inline), so this
-  // drain terminates.
-  harvest();
 }
 
 SchedulerStats ToolScheduler::totals() const {
@@ -66,15 +46,16 @@ SchedulerStats ToolScheduler::totals() const {
 }
 
 EvalResult ToolScheduler::execute(const EvalJob& job) {
-  // Worker-side span: pure timing/labeling, never feeds back into the run.
+  // Pure timing/labeling, never feeds back into the run. Parents to the
+  // ambient span: the run_batch round or the proposal that dispatched it.
   obs::Span span(&obs::tracer(), "job", "scheduler");
   span.id(static_cast<std::int64_t>(job.config))
       .fidelity(static_cast<int>(job.fidelity));
   EvalResult res;
   res.job = job;
-  // Probe/join loop: a miss is followed by a single-flight join, so two
-  // workers (or co-tenant campaigns sharing a namespace) asking for the
-  // same flow concurrently launch ONE tool run. Only the first probe's
+  // Probe/join loop: a miss is followed by a single-flight join, so
+  // co-tenant campaigns sharing a namespace that ask for the same flow
+  // concurrently launch ONE tool run. Only the first probe's
   // outcome is booked — logically this is one lookup, however many times a
   // too-shallow or failed leader sends us back around.
   bool leading = false;
@@ -159,8 +140,8 @@ EvalResult ToolScheduler::execute(const EvalJob& job) {
   // the artifacts — unconditionally, or a failed run would strand them.
   const int fanout = cache_->finishFlight(job.config, cache_ns_);
   if (obs::metrics().enabled()) {
-    // Small exact integers from worker threads: order-independent sums, so
-    // the histogram stays deterministic even though coalescing is not.
+    // Small exact integers: order-independent sums, so the histogram stays
+    // deterministic even though cross-campaign coalescing is not.
     obs::metrics().defineHistogram("slo.coalesce_fanout",
                                    obs::MetricsRegistry::countBounds());
     obs::metrics().observe("slo.coalesce_fanout", static_cast<double>(fanout));
@@ -175,8 +156,8 @@ EvalResult ToolScheduler::execute(const EvalJob& job) {
   else
     span.outcome("ok");
   // Flight-recorder health: a job that burned its whole retry budget (or
-  // died persistently) is a retry storm. Emitted from the worker thread —
-  // the recorder's health sink is thread-safe by contract.
+  // died persistently) is a retry storm. The recorder's health sink is
+  // thread-safe by contract (server driver slots share it).
   if (obs::recorder().enabled() &&
       (res.persistent_failure ||
        res.completed_fidelity < static_cast<int>(job.fidelity))) {
@@ -199,15 +180,13 @@ std::vector<EvalResult> ToolScheduler::runBatch(
     const std::vector<EvalJob>& jobs) {
   assert(inflight_.empty());
   obs::Span span(&obs::tracer(), "run_batch", "scheduler");
-  for (const EvalJob& job : jobs) submitAsync(job);
   if (obs::metrics().enabled()) {
-    obs::MetricsRegistry& m = obs::metrics();
-    m.defineHistogram("sched.queue_depth", obs::MetricsRegistry::countBounds());
-    m.observe("sched.queue_depth", static_cast<double>(pool_->queueDepth()));
-    m.defineHistogram("sched.batch_size", obs::MetricsRegistry::countBounds());
-    m.observe("sched.batch_size", static_cast<double>(jobs.size()));
+    obs::metrics().defineHistogram("sched.batch_size",
+                                   obs::MetricsRegistry::countBounds());
+    obs::metrics().observe("sched.batch_size",
+                           static_cast<double>(jobs.size()));
   }
-  harvest();
+  for (const EvalJob& job : jobs) submitAsync(job);
   // inflight_ was empty, so it holds exactly this round in job order.
   std::vector<EvalResult> results;
   results.reserve(jobs.size());
@@ -228,52 +207,15 @@ std::uint64_t ToolScheduler::submitAsync(const EvalJob& job) {
 
 std::uint64_t ToolScheduler::submitAsyncAt(const EvalJob& job,
                                            double sim_start) {
+  // The job runs now, on the stepping thread: the farm's concurrency lives
+  // on the simulated clock alone. No job waits for a host worker, so
+  // slo.queue_wait_seconds observes 0 once per dispatched job (its count is
+  // the dispatched-job count).
+  if (obs::metrics().enabled())
+    obs::metrics().observe("slo.queue_wait_seconds", 0.0);
   const std::uint64_t seq = next_seq_++;
-  inflight_.push_back(Inflight{job, seq, sim_start, false, {}});
-  // Capture the driving thread's causal context at submit time and
-  // re-install it on the worker, so job spans parent to the round or
-  // proposal that dispatched them (surviving the async fantasy/invalidate
-  // cycle); host-clock queue wait is observational only (never fed back)
-  // and is skipped entirely while metrics are off.
-  const obs::TraceContext ctx = obs::currentContext();
-  const bool timed = obs::metrics().enabled();
-  const auto submitted = timed ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
-  const bool accepted =
-      pool_->submitTo(done_, [this, job, seq, ctx, timed, submitted] {
-        obs::ContextGuard guard(&obs::tracer(), ctx);
-        if (timed)
-          obs::metrics().observe(
-              "slo.queue_wait_seconds",
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - submitted)
-                  .count());
-        return std::make_pair(seq, execute(job));
-      });
-  if (!accepted) {
-    // Pool stopped (server shutdown race): run inline so the result still
-    // materializes and the harvest cannot deadlock.
-    Inflight& e = inflight_.back();
-    e.result = execute(job);
-    e.harvested = true;
-  }
+  inflight_.push_back(Inflight{seq, sim_start, execute(job)});
   return seq;
-}
-
-void ToolScheduler::harvest() {
-  std::size_t unharvested = 0;
-  for (const Inflight& e : inflight_)
-    if (!e.harvested) ++unharvested;
-  while (unharvested > 0) {
-    auto [seq, result] = done_.pop();
-    for (Inflight& e : inflight_) {
-      if (e.seq != seq) continue;
-      e.result = std::move(result);
-      e.harvested = true;
-      --unharvested;
-      break;
-    }
-  }
 }
 
 namespace {
@@ -287,12 +229,12 @@ double simDuration(const EvalResult& r) {
 }  // namespace
 
 SchedulerStats ToolScheduler::fold(std::span<const EvalResult> results) {
-  // Wall clock: greedy list scheduling of the harvest's charges onto the
-  // farm in order; the harvest costs its makespan. With one worker and no
+  // Wall clock: greedy list scheduling of the results' charges onto the
+  // farm in order; the round costs its makespan. With one worker and no
   // faults this degenerates to the plain sum, i.e. wall == charged, the
   // sequential regime.
   SchedulerStats round;
-  std::vector<double> load(pool_->numWorkers(), 0.0);
+  std::vector<double> load(static_cast<std::size_t>(n_workers_), 0.0);
   for (const EvalResult& r : results) {
     round.charged_seconds += r.charged_seconds;
     round.attempts += r.attempts;
@@ -317,9 +259,9 @@ SchedulerStats ToolScheduler::fold(std::span<const EvalResult> results) {
     // Deterministic per-job mirror of the simulator's accumulator (matches
     // the single-worker attempt order bitwise).
     det_tool_seconds_ += r.charged_seconds;
-    // The worker probed UNCOUNTED; book the lookup here, in deterministic
-    // order, so the checkpointed ledger is bit-stable. A coalesced join
-    // still counts as the miss it was when the worker asked.
+    // execute() probed UNCOUNTED; book the lookup here, in event order, so
+    // the checkpointed ledger is bit-stable. A coalesced join still counts
+    // as the miss it was when the job asked.
     cache_->countLookup(r.first_probe_hit, cacheLedger());
   }
   round.wall_seconds = *std::max_element(load.begin(), load.end());
@@ -375,11 +317,6 @@ void ToolScheduler::commit(const SchedulerStats& round) {
 
 ToolScheduler::AsyncCompletion ToolScheduler::nextCompletion() {
   obs::Span span(&obs::tracer(), "completion", "scheduler");
-  // Harvest EVERY outstanding real result first: the earliest simulated
-  // event cannot be identified until every in-flight duration is known.
-  // The jobs already ran concurrently on the pool, so this preserves real
-  // parallelism; only the event-processing order is serialized.
-  harvest();
   // Earliest simulated completion wins; ties break on submission order.
   std::size_t best = 0;
   double best_end = inflight_[0].sim_start + simDuration(inflight_[0].result);

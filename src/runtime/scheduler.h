@@ -2,15 +2,12 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "hls/design_space.h"
 #include "runtime/eval_cache.h"
-#include "runtime/thread_pool.h"
 #include "sim/tool.h"
 
 namespace cmmfo::runtime {
@@ -125,45 +122,33 @@ struct SchedulerStats {
   double backoff_seconds = 0.0;       // wall-only wait between attempts
 };
 
-/// Worker-pool executor for FPGA-tool runs.
+/// Executor for FPGA-tool runs on a simulated `n_workers`-wide farm.
 ///
-/// One dispatch path serves both modes: every job is handed to the pool via
-/// submitAsyncAt() and its result lands on a completion queue. runBatch()
-/// dispatches a whole round and harvests it behind a barrier; the async
-/// interface (submitAsync / nextCompletion) hands back one completion at a
-/// time. Either way the driving thread folds each harvest into the ledgers
-/// in a deterministic order (job order for a batch, simulated-event order
-/// for completions) and books one cache lookup per job, so all
-/// model-visible state is deterministic in (jobs, cache contents,
-/// fault/retry knobs) alone. Worker count and thread interleaving can only
-/// affect the floating-point summation order of the simulator's global
-/// accumulator, never the reports.
+/// The farm is modelled on the simulated clock alone: every job runs inline,
+/// on the thread that steps the campaign, the moment it is dispatched, and
+/// only its simulated window [sim_start, sim_end) overlaps other jobs.
+/// runBatch() dispatches a whole round behind a barrier; the async interface
+/// (submitAsync / nextCompletion) hands back one completion at a time. Either
+/// way the driving thread folds each result into the ledgers in a
+/// deterministic order (job order for a batch, simulated-event order for
+/// completions) and books one cache lookup per job, so all model-visible
+/// state is deterministic in (jobs, cache contents, fault/retry knobs) alone.
+/// The farm width shapes only the simulated clock.
 ///
 /// Failure handling: each job retries up to policy.max_attempts times with
 /// deterministic backoff; a persistent fault aborts the loop immediately.
 /// The job then settles on the best stage prefix any attempt completed.
 class ToolScheduler {
  public:
+  /// `n_workers` is the simulated farm width (clamped to >= 1). Cache
+  /// traffic is keyed under `cache_ns`, so campaigns of the multi-campaign
+  /// server against the same benchmark share artifacts while unrelated ones
+  /// cannot collide on raw config ids. Hit/miss counts land on
+  /// `cache_ledger` (0 = the namespace itself) — per CAMPAIGN, so two
+  /// tenants sharing a namespace keep separate ledgers.
   ToolScheduler(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                EvalCache& cache, int n_workers, RetryPolicy policy = {});
-  /// Shared-pool variant for the multi-campaign server: jobs execute on an
-  /// externally owned pool (shared across campaigns; must outlive this
-  /// scheduler) and cache traffic is keyed under `cache_ns`, so campaigns
-  /// against the same benchmark share artifacts while unrelated ones cannot
-  /// collide on raw config ids. Hit/miss counts land on `cache_ledger`
-  /// (0 = the namespace itself) — per CAMPAIGN, so two tenants sharing a
-  /// namespace keep separate ledgers. Accounting stays per-scheduler — the
-  /// simulated wall-clock models this campaign's rounds on the full shared
-  /// farm width.
-  ToolScheduler(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                EvalCache& cache, ThreadPool& shared_pool,
-                RetryPolicy policy = {}, std::uint64_t cache_ns = 0,
-                std::uint64_t cache_ledger = 0);
-  /// Blocks until every outstanding async task has pushed its result (the
-  /// tasks reference this object's completion queue), then discards them.
-  /// A preempted optimizer journaled those jobs as in-flight and re-runs
-  /// them on resume, so nothing is lost.
-  ~ToolScheduler();
+                EvalCache& cache, int n_workers, RetryPolicy policy = {},
+                std::uint64_t cache_ns = 0, std::uint64_t cache_ledger = 0);
 
   /// Execute one round of jobs behind a barrier; results come back in job
   /// order. Requires inFlight() == 0. The round costs its makespan on the
@@ -177,10 +162,10 @@ class ToolScheduler {
   // absolute simulated start time (the clock simNow() at submission — a
   // worker that just freed), occupies its simulated worker for
   // charged + backoff seconds (zero for cache hits and coalesced joins),
-  // and completes at sim_end = sim_start + duration. nextCompletion()
-  // returns the in-flight job with the smallest (sim_end, submission seq),
-  // REGARDLESS of real thread interleaving, so the optimizer's event order
-  // — and everything downstream of it — is bit-reproducible.
+  // and completes at sim_end = sim_start + duration. The job itself runs at
+  // dispatch; nextCompletion() returns the in-flight job with the smallest
+  // (sim_end, submission seq), so the optimizer's event order — and
+  // everything downstream of it — is bit-reproducible.
 
   /// One processed completion event.
   struct AsyncCompletion {
@@ -190,7 +175,8 @@ class ToolScheduler {
     double sim_end = 0.0;      // simulated completion time
   };
 
-  /// Dispatch a job at the current simulated clock. Returns its seq.
+  /// Dispatch (and run) a job at the current simulated clock; returns its
+  /// seq.
   std::uint64_t submitAsync(const EvalJob& job);
   /// Dispatch at an explicit simulated start time — the resume path re-runs
   /// journaled in-flight jobs with their ORIGINAL dispatch times (possibly
@@ -198,13 +184,9 @@ class ToolScheduler {
   /// exactly.
   std::uint64_t submitAsyncAt(const EvalJob& job, double sim_start);
 
-  /// Block until the earliest simulated completion among the in-flight jobs
-  /// and fold it into the totals (per-completion accounting: this is where
-  /// the FairScheduler's charge lands in the server). Requires inFlight()
-  /// > 0. Every outstanding real result is harvested first — the earliest
-  /// simulated event cannot be identified until every in-flight duration is
-  /// known — so real parallelism is preserved (the jobs already ran
-  /// concurrently) while event processing stays deterministic.
+  /// Return the earliest simulated completion among the in-flight jobs and
+  /// fold it into the totals (per-completion accounting: this is where the
+  /// FairScheduler's charge lands in the server). Requires inFlight() > 0.
   AsyncCompletion nextCompletion();
 
   /// Jobs dispatched and not yet returned by nextCompletion().
@@ -214,11 +196,11 @@ class ToolScheduler {
   /// it always equals totals().wall_seconds.
   double simNow() const { return sim_now_; }
   /// Per-job deterministic mirror of the simulator's tool-seconds
-  /// accumulator: charges fold in at completion-PROCESSING time, not when a
-  /// worker thread happens to run the attempt, so the async checkpoint can
-  /// journal a tool-seconds figure that excludes still-in-flight jobs and
-  /// is bit-stable across runs. Equals the simulator's accumulator bitwise
-  /// in the sequential healthy regime.
+  /// accumulator: charges fold in at completion-PROCESSING time, not when
+  /// the job runs at dispatch, so the async checkpoint can journal a
+  /// tool-seconds figure that excludes still-in-flight jobs and is
+  /// bit-stable across runs. Equals the simulator's accumulator bitwise in
+  /// the sequential healthy regime.
   double deterministicToolSeconds() const { return det_tool_seconds_; }
   /// Restore the deterministic accumulator from a checkpoint (the async
   /// resume path; pairs with FpgaToolSim::setAccounting).
@@ -232,7 +214,7 @@ class ToolScheduler {
   /// one round paired with charged_seconds from the previous one.
   SchedulerStats totals() const;
   const RetryPolicy& policy() const { return policy_; }
-  int numWorkers() const { return pool_->numWorkers(); }
+  int numWorkers() const { return n_workers_; }
   std::uint64_t cacheNamespace() const { return cache_ns_; }
   /// Effective counter key for this campaign's cache hit/miss ledger.
   std::uint64_t cacheLedger() const {
@@ -240,8 +222,7 @@ class ToolScheduler {
   }
 
   /// Restore totals from a checkpoint (the caller restores the simulator's
-  /// own accumulator, which can differ in the last bits under parallel
-  /// summation, via FpgaToolSim::setAccounting). Also re-seats the
+  /// own accumulator via FpgaToolSim::setAccounting). Also re-seats the
   /// simulated clock at the restored wall figure so async dispatches
   /// continue from where the journal left off.
   void restoreTotals(const SchedulerStats& totals) {
@@ -251,16 +232,14 @@ class ToolScheduler {
   }
 
  private:
-  /// Worker-side execution of one job (cache probe, single-flight join,
-  /// retry loop, store). Every probe is uncounted: worker interleaving is
-  /// nondeterministic, so the lookup is booked later by fold() on the
-  /// driving thread.
+  /// Execution of one job at dispatch (cache probe, single-flight join,
+  /// retry loop, store). Every probe is uncounted: the lookup is booked
+  /// later by fold(), in event order, so an async checkpoint leaves out the
+  /// lookups of jobs still in flight.
   EvalResult execute(const EvalJob& job);
-  /// Pop completions until every in-flight job's real result has landed.
-  void harvest();
-  /// Fold a harvest, in the given order, into round-local stats: counters,
+  /// Fold results, in the given order, into round-local stats: counters,
   /// the round's makespan on the farm, the deterministic tool-seconds
-  /// mirror and one cache lookup per job. A completion is a harvest of one.
+  /// mirror and one cache lookup per job. A completion is a round of one.
   SchedulerStats fold(std::span<const EvalResult> results);
   /// Add a folded round to the totals, re-seat totals_.wall_seconds on the
   /// simulated clock and write the sched.* gauges from the new totals.
@@ -272,27 +251,19 @@ class ToolScheduler {
   RetryPolicy policy_;
   std::uint64_t cache_ns_ = 0;
   std::uint64_t cache_ledger_ = 0;
-  /// Owned in the single-campaign regime, null when a shared pool was
-  /// injected; pool_ always points at the pool actually in use.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;
+  int n_workers_ = 1;
   /// Guards totals_: written by commit()/restoreTotals() on the driving
   /// thread, read by totals() possibly from observer threads.
   mutable std::mutex stats_mu_;
   SchedulerStats totals_;
 
-  // ---- Dispatch state (driving thread only, except done_) ----------------
+  // ---- Dispatch state (driving thread only) -------------------------------
   struct Inflight {
-    EvalJob job;
     std::uint64_t seq = 0;
     double sim_start = 0.0;
-    bool harvested = false;  // real result landed in `result`
     EvalResult result;
   };
   std::vector<Inflight> inflight_;
-  /// Workers push (seq, result) the moment they finish — real completion
-  /// order; nextCompletion() re-orders by simulated time.
-  CompletionQueue<std::pair<std::uint64_t, EvalResult>> done_;
   double sim_now_ = 0.0;
   double det_tool_seconds_ = 0.0;
   std::uint64_t next_seq_ = 0;

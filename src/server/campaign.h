@@ -160,7 +160,7 @@ class Campaign {
   std::shared_ptr<const hls::DesignSpace> space_;
   /// Owns the kernel the simulator points into — must outlive sim_.
   std::shared_ptr<const bench_suite::Benchmark> bench_;
-  /// Shared pool/cache handles, kept so scheduleRestart can rebuild the
+  /// Shared farm width/cache handles, kept so scheduleRestart can rebuild the
   /// stepper against the same runtime.
   core::SharedRuntime shared_;
   std::unique_ptr<sim::FpgaToolSim> sim_;

@@ -56,9 +56,7 @@ double chaosUniform(std::uint64_t seed, const std::string& id,
 }  // namespace
 
 OptimizationServer::OptimizationServer(ServerOptions opts)
-    : opts_(std::move(opts)),
-      pool_(std::max(opts_.workers, 1)),
-      farm_(std::max(opts_.workers, 1)) {
+    : opts_(std::move(opts)), farm_(std::max(opts_.workers, 1)) {
   if (opts_.cache_capacity > 0) cache_.setCapacity(opts_.cache_capacity);
   if (!opts_.journal_dir.empty()) fs::create_directories(opts_.journal_dir);
 }
@@ -418,10 +416,9 @@ bool OptimizationServer::submit(const CampaignSpec& spec, std::string* err,
 
   core::SharedRuntime shared;
   shared.cache = &cache_;
-  shared.pool = &pool_;
+  shared.pool = std::max(opts_.workers, 1);
   shared.cache_namespace = cacheNamespaceOf(s);
   shared.cache_ledger = cacheLedgerOf(s);
-  shared.collect_outcomes = true;
   std::shared_ptr<Campaign> campaign;
   try {
     campaign = std::make_shared<Campaign>(s, space, shared);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "runtime/eval_cache.h"
-#include "runtime/thread_pool.h"
 #include "server/farm_model.h"
 #include "server/protocol.h"
 #include "server/registry.h"
@@ -23,11 +22,13 @@
 namespace cmmfo::server {
 
 struct ServerOptions {
-  /// Width of the shared tool-worker pool all campaigns' jobs execute on.
+  /// Width of the simulated tool farm all campaigns' jobs are packed onto
+  /// (the per-campaign wall clock and SharedFarmModel). Tool jobs run on
+  /// the driver thread that steps their campaign.
   int workers = 4;
   /// Driver threads = campaign steps in flight at once. Each driver claims
   /// the minimum-deficit queued campaign, runs one round, and re-queues it,
-  /// so `slots` campaigns interleave on the shared pool at any moment.
+  /// so `slots` campaigns step concurrently at any moment.
   int slots = 2;
   /// Directory for per-campaign journals (`<id>.spec.json` at submit,
   /// `<id>.ckpt.json` after every round, `<id>.final.json` on completion).
@@ -87,15 +88,15 @@ struct ServerStats {
 };
 
 /// Long-running multi-campaign optimization daemon: many tenants' BO
-/// campaigns multiplexed over ONE shared worker pool and ONE shared
+/// campaigns multiplexed over ONE simulated tool farm and ONE shared
 /// fidelity-aware eval cache.
 ///
 /// Architecture: submit() builds a Campaign (design space cached per
 /// benchmark; simulator private per campaign) and registers it queued.
 /// `slots` driver threads loop {pick minimum-deficit queued campaign, run
-/// one BO round on the shared pool, write its checkpoint journal, publish a
-/// round event, re-queue}. Fairness, persistence, and streaming all hang
-/// off that one loop.
+/// one BO round (its tool jobs run on the driver thread), write its
+/// checkpoint journal, publish a round event, re-queue}. Fairness,
+/// persistence, and streaming all hang off that one loop.
 ///
 /// Threading: Registry and Campaign carry their own locks; mu_ below only
 /// guards the driver wakeup condition, subscribers, and counters. Event
@@ -217,7 +218,6 @@ class OptimizationServer {
 
   ServerOptions opts_;
   runtime::EvalCache cache_;
-  runtime::ThreadPool pool_;
   SharedFarmModel farm_;
   Registry registry_;
 

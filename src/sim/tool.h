@@ -157,8 +157,8 @@ class FpgaToolSim {
 
   /// run() plus tool-time accounting (used by the optimizers; Table I's
   /// "overall running time" is the sum of these charges). Safe to call
-  /// concurrently: the accumulator is atomic so a worker pool running
-  /// several flows at once (runtime::ToolScheduler) charges correctly.
+  /// concurrently: the accumulator is atomic, so flows run from several
+  /// threads at once charge correctly.
   Report runCounted(const hls::DirectiveConfig& cfg, Fidelity fidelity);
 
   double totalToolSeconds() const {

@@ -7,7 +7,7 @@
 // firing into both journal and summary, "-" stdout dumps, and the HTML
 // report renderer. All suites are named Diag* so the TSan smoke
 // (run_benches.sh --tsan-smoke) picks them up — the concurrent health
-// emission test is the no-tear witness for scheduler worker threads.
+// emission test is the no-tear witness for concurrent server driver slots.
 
 #include <gtest/gtest.h>
 

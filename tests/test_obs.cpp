@@ -31,7 +31,6 @@
 #include "obs/prometheus.h"
 #include "obs/trace.h"
 #include "runtime/scheduler.h"
-#include "runtime/thread_pool.h"
 #include "util/json.h"
 
 namespace cmmfo {
@@ -304,9 +303,9 @@ TEST(ObsTrace, ContextGuardParentsSpansAndRestoresOnExit) {
 }
 
 TEST(ObsTrace, CapturedContextReinstallsAcrossThreads) {
-  // The scheduler propagates causality onto worker threads by capturing
-  // currentContext() at submit time and re-installing it in the worker;
-  // this pins that exact mechanism in isolation.
+  // Causality crosses threads by capturing currentContext() on one thread
+  // and re-installing it on another with a ContextGuard; this pins that
+  // mechanism in isolation.
   obs::Tracer tracer;
   tracer.setEnabled(true);
   const std::uint64_t root = 42ull;
@@ -1018,27 +1017,6 @@ TEST(ObsCheckpoint, AsyncResumeRestoresAndContinuesHistogramLedger) {
 }
 
 // ------------------------------------------- Concurrent observer (TSan) ----
-
-TEST(ObsThreadPool, QueueDepthReadableWhileWorkersRun) {
-  runtime::ThreadPool pool(2);
-  std::atomic<bool> stop{false};
-  std::thread observer([&] {
-    while (!stop.load()) {
-      const std::size_t d = pool.queueDepth();
-      EXPECT_LE(d, 512u);
-    }
-  });
-  runtime::CompletionQueue<int> done;
-  for (int i = 0; i < 256; ++i)
-    ASSERT_TRUE(pool.submitTo(done, [i] {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-      return i;
-    }));
-  for (int i = 0; i < 256; ++i) (void)done.pop();
-  stop.store(true);
-  observer.join();
-  EXPECT_EQ(pool.queueDepth(), 0u);
-}
 
 // An observer thread hammers totals()/metrics snapshots while runBatch()
 // executes faulty jobs. Under TSan this proves the stats mutex covers every

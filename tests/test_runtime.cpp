@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <memory>
+#include <bit>
+#include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "core/optimizer.h"
 #include "runtime/eval_cache.h"
 #include "runtime/scheduler.h"
-#include "runtime/thread_pool.h"
 
 namespace cmmfo {
 namespace {
@@ -19,49 +19,8 @@ namespace {
 using runtime::EvalCache;
 using runtime::EvalJob;
 using runtime::EvalResult;
-using runtime::ThreadPool;
 using runtime::ToolScheduler;
 using sim::Fidelity;
-
-// ------------------------------------------------------------ ThreadPool ----
-
-TEST(ThreadPool, DestructorDrainsEveryQueuedTask) {
-  runtime::CompletionQueue<int> done;
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i)
-      ASSERT_TRUE(pool.submitTo(done, [i] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        return i;
-      }));
-    // Destructor runs here with most tasks still queued.
-  }
-  EXPECT_EQ(done.size(), 50u);
-}
-
-TEST(ThreadPool, SubmitRacingShutdownNeverLosesAnAcceptedTask) {
-  // A submitTo racing shutdown() either runs (and pushes its result) or
-  // reports rejection; it never strands a task in a queue no worker will
-  // drain. Run under TSan via run_benches.sh --tsan-smoke.
-  for (int iter = 0; iter < 20; ++iter) {
-    auto pool = std::make_unique<ThreadPool>(2);
-    runtime::CompletionQueue<int> done;
-    std::atomic<bool> go{false};
-    std::size_t accepted = 0;
-    std::thread submitter([&] {
-      while (!go.load()) {}
-      for (int i = 0; i < 64; ++i)
-        if (pool->submitTo(done, [i] { return i; })) ++accepted;
-    });
-    go.store(true);
-    std::this_thread::sleep_for(std::chrono::microseconds(iter * 10));
-    pool->shutdown();
-    submitter.join();
-    // shutdown() joined the workers after they drained the queue, and
-    // nothing is accepted once it has begun.
-    EXPECT_EQ(done.size(), accepted);
-  }
-}
 
 // ------------------------------------------------------------- Fixtures ----
 
@@ -257,14 +216,11 @@ TEST(Scheduler, ParallelAccountingEqualsSequentialAccounting) {
   const auto rs = seq.runBatch(jobs);
   const auto rp = par.runBatch(jobs);
 
-  // Scheduler-side charges are summed in job order on the main thread:
-  // bitwise identical.
+  // Both ledgers are summed in job order on the calling thread, whatever
+  // the farm width: bitwise identical.
   EXPECT_DOUBLE_EQ(par.totals().charged_seconds, seq.totals().charged_seconds);
   EXPECT_EQ(par.totals().tool_runs, seq.totals().tool_runs);
-  // Simulator-side accumulation order depends on thread interleaving, so
-  // allow rounding-reorder slack only.
-  EXPECT_NEAR(par_f.sim.totalToolSeconds(), seq_f.sim.totalToolSeconds(),
-              1e-9 * seq_f.sim.totalToolSeconds());
+  EXPECT_EQ(par_f.sim.totalToolSeconds(), seq_f.sim.totalToolSeconds());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_DOUBLE_EQ(rp[i].charged_seconds, rs[i].charged_seconds);
     EXPECT_DOUBLE_EQ(rp[i].report().power_w, rs[i].report().power_w);
@@ -324,34 +280,28 @@ TEST(Scheduler, ParallelWallClockIsMakespanBounded) {
   EXPECT_GE(s.wall_seconds, max_job - 1e-9);          // critical path
 }
 
-// A shut-down shared pool (the server's stop racing a campaign step) runs
-// each job inline on the driving thread: same results, same ledgers.
-TEST(Scheduler, StoppedSharedPoolRunsBatchInline) {
-  Fixture live_f, stopped_f;
-  EvalCache live_cache, stopped_cache;
-  ThreadPool live_pool(2), stopped_pool(2);
-  stopped_pool.shutdown();
-  stopped_pool.shutdown();  // idempotent
-  ToolScheduler live(live_f.space, live_f.sim, live_cache, live_pool);
-  ToolScheduler stopped(stopped_f.space, stopped_f.sim, stopped_cache,
-                        stopped_pool);
-  const auto jobs = someJobs(live_f, 12);
-  const auto rl = live.runBatch(jobs);
-  const auto rs = stopped.runBatch(jobs);
-  ASSERT_EQ(rs.size(), rl.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(rs[i].job.config, rl[i].job.config);
-    EXPECT_EQ(rs[i].cache_hit, rl[i].cache_hit);
-    EXPECT_DOUBLE_EQ(rs[i].charged_seconds, rl[i].charged_seconds);
-    EXPECT_DOUBLE_EQ(rs[i].report().delay_us, rl[i].report().delay_us);
-  }
-  // numWorkers() stays meaningful after shutdown, so the makespan matches.
-  EXPECT_EQ(stopped_pool.numWorkers(), 2);
-  EXPECT_DOUBLE_EQ(stopped.totals().charged_seconds,
-                   live.totals().charged_seconds);
-  EXPECT_DOUBLE_EQ(stopped.totals().wall_seconds, live.totals().wall_seconds);
-  EXPECT_EQ(stopped.totals().tool_runs, live.totals().tool_runs);
-  EXPECT_EQ(stopped_cache.misses(), live_cache.misses());
+// Threads of this process, or -1 when /proc/self/task cannot be read.
+int processThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  return static_cast<int>(
+      std::distance(it, std::filesystem::directory_iterator{}));
+}
+
+// The farm is modelled on the simulated clock alone: a 4-wide scheduler
+// runs its jobs on the calling thread and starts no tool threads.
+TEST(Scheduler, RunsJobsWithoutToolThreads) {
+  const int before = processThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  Fixture f;
+  EvalCache cache;
+  ToolScheduler sched(f.space, f.sim, cache, 4);
+  EXPECT_EQ(processThreadCount(), before);
+  const auto results = sched.runBatch(someJobs(f, 8));
+  ASSERT_EQ(results.size(), 8u);
+  EXPECT_EQ(processThreadCount(), before);
+  EXPECT_LT(sched.totals().wall_seconds, sched.totals().charged_seconds);
 }
 
 // Direct hammer on the atomic accumulator (the concurrent-use fix).
@@ -485,6 +435,82 @@ TEST(BatchedOptimizer, SequentialGoldenTrajectoryPreserved) {
   EXPECT_EQ(res.tool_runs, 18);
   EXPECT_DOUBLE_EQ(res.wall_seconds, res.tool_seconds);
   EXPECT_EQ(res.cache_hits, 0);
+}
+
+// ---- Goldens at the default 400 candidates: the chunked parallel scan ----
+// The goldens above scan 60 candidates, which core::scanPeipv runs inline.
+// These run spmv_crs seed 77 at default options, so every scan fans its
+// 64-candidate chunks out on the fork-join pool; the CS (config, fidelity)
+// sequence and the exact tool_seconds bits are pinned.
+
+constexpr Fidelity H = Fidelity::kHls, S = Fidelity::kSyn, I = Fidelity::kImpl;
+
+void expectGolden(const core::OptimizerOptions& o,
+                  const std::vector<std::pair<std::size_t, Fidelity>>& golden,
+                  std::uint64_t tool_seconds_bits) {
+  Fixture f;
+  core::CorrelatedMfMoboOptimizer opt(f.space, f.sim, o);
+  const auto res = opt.run();
+  ASSERT_EQ(res.cs.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(res.cs[i].config, golden[i].first) << "at index " << i;
+    EXPECT_EQ(res.cs[i].fidelity, golden[i].second) << "at index " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(res.tool_seconds), tool_seconds_bits)
+      << res.tool_seconds;
+  EXPECT_EQ(res.tool_runs, static_cast<int>(golden.size()));
+  EXPECT_EQ(res.cache_hits, 0);
+}
+
+core::OptimizerOptions seed77Defaults() {
+  core::OptimizerOptions o;
+  o.seed = 77;
+  return o;
+}
+
+TEST(ChunkedScanGolden, SyncSeed77) {
+  const std::vector<std::pair<std::size_t, Fidelity>> golden = {
+      {275, I}, {184, I}, {132, I}, {228, S}, {20, S}, {89, H}, {194, H},
+      {57, H}, {69, H}, {51, H}, {101, H}, {2, H}, {50, H}, {49, H}, {133, H},
+      {102, H}, {99, H}, {10, H}, {82, H}, {114, H}, {104, S}, {105, H}, {7, S},
+      {8, H}, {255, S}, {97, S}, {103, S}, {106, S}, {109, S}, {249, S},
+      {107, S}, {5, S}, {149, S}, {53, S}, {6, H}, {180, I}, {213, H}, {129, I},
+      {145, I}, {1, I}, {98, I}, {34, I}, {18, S}, {113, I}, {210, S}, {0, S},
+      {120, S}, {17, S},
+  };
+  expectGolden(seed77Defaults(), golden, 0x40c40bb99e52b42cull);
+}
+
+TEST(ChunkedScanGolden, BatchB4W4Seed77) {
+  core::OptimizerOptions o = seed77Defaults();
+  o.batch_size = 4;
+  o.n_workers = 4;
+  const std::vector<std::pair<std::size_t, Fidelity>> golden = {
+      {275, I}, {184, I}, {132, I}, {228, S}, {20, S}, {89, H}, {194, H},
+      {57, H}, {69, H}, {3, H}, {35, H}, {269, H}, {9, H}, {49, H}, {109, H},
+      {11, H}, {2, H}, {134, H}, {101, H}, {118, H}, {83, H}, {10, H}, {6, H},
+      {53, H}, {113, H}, {129, H}, {97, H}, {61, H}, {117, H}, {133, H},
+      {105, H}, {8, H}, {12, S}, {104, S}, {106, S}, {107, S}, {114, S},
+      {96, S}, {0, S}, {112, S}, {52, S}, {100, S}, {119, S}, {54, S}, {102, S},
+      {5, S}, {50, S}, {58, S},
+  };
+  expectGolden(o, golden, 0x40b852f5b8d69962ull);
+}
+
+TEST(ChunkedScanGolden, AsyncW4Seed77) {
+  core::OptimizerOptions o = seed77Defaults();
+  o.async = true;
+  o.n_workers = 4;
+  const std::vector<std::pair<std::size_t, Fidelity>> golden = {
+      {275, I}, {184, I}, {132, I}, {228, S}, {20, S}, {89, H}, {194, H},
+      {57, H}, {3, H}, {35, H}, {69, H}, {12, H}, {2, H}, {51, H}, {50, H},
+      {210, H}, {9, H}, {197, H}, {10, H}, {1, H}, {34, S}, {104, S}, {105, S},
+      {106, S}, {129, S}, {40, S}, {13, S}, {6, S}, {15, H}, {11, S}, {130, S},
+      {221, H}, {14, S}, {58, S}, {0, I}, {172, H}, {144, I}, {25, S}, {145, H},
+      {70, S}, {136, I}, {138, H}, {37, S}, {5, H}, {8, S}, {157, S}, {100, I},
+      {148, I},
+  };
+  expectGolden(o, golden, 0x40c16e94cb7c8647ull);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "obs/obs.h"
 #include "runtime/eval_cache.h"
 #include "runtime/scheduler.h"
-#include "runtime/thread_pool.h"
 #include "server/campaign.h"
 #include "server/fair_scheduler.h"
 #include "server/farm_model.h"
@@ -615,9 +614,7 @@ TEST(ServerTrace, CoalescedJobLinksFollowerSpanToLeaderAcrossCampaigns) {
   const auto sim_a = server::makeSimFor(spec_a, *bm);
   const auto sim_b = server::makeSimFor(spec_b, *bm);
   runtime::EvalCache cache;
-  runtime::ThreadPool pool(2);
-  runtime::ToolScheduler sched_b(*space, *sim_b, cache, pool, {}, ns,
-                                 root_b);
+  runtime::ToolScheduler sched_b(*space, *sim_b, cache, 2, {}, ns, root_b);
 
   constexpr std::size_t kConfig = 7;
   const auto fidelity = sim::Fidelity::kSyn;
@@ -675,8 +672,7 @@ TEST(ServerTrace, CoalescedJobLinksFollowerSpanToLeaderAcrossCampaigns) {
   ASSERT_NE(batch_b, nullptr);
   EXPECT_EQ(leader->span_id, leader_span_id);
   EXPECT_EQ(leader->parent_span_id, root_a);
-  // Full causal chain in B's trace: job -> run_batch -> campaign root —
-  // the parent survives the hop onto the worker thread.
+  // Full causal chain in B's trace: job -> run_batch -> campaign root.
   EXPECT_EQ(follower->parent_span_id, batch_b->span_id);
   EXPECT_EQ(batch_b->parent_span_id, root_b);
   EXPECT_EQ(follower->outcome, "coalesced");

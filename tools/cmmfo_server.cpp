@@ -1,6 +1,6 @@
 // cmmfo_server — long-running multi-campaign optimization daemon.
 //
-// Many tenants' BO campaigns multiplex over one shared worker pool and one
+// Many tenants' BO campaigns multiplex over one simulated tool farm and one
 // shared fidelity-aware eval cache, driven by a fair cost-aware scheduler.
 // Control is a newline-delimited JSON line protocol:
 //   --stdio       serve requests on stdin, responses/events on stdout
@@ -46,7 +46,7 @@ void usage() {
       "usage: cmmfo_server (--stdio | --port N) [options]\n"
       "  --stdio               serve the line protocol on stdin/stdout\n"
       "  --port N              listen on 127.0.0.1:N (0 = ephemeral)\n"
-      "  --workers N           shared eval-pool width (default 4)\n"
+      "  --workers N           simulated tool-farm width (default 4)\n"
       "  --slots N             concurrent campaign steps (default 2)\n"
       "  --journal DIR         per-campaign spec+checkpoint journals\n"
       "  --resume              resume unfinished journaled campaigns\n"
