@@ -1,17 +1,20 @@
 // Regenerates Fig. 4: a 1-D toy problem with three fidelities. Lower
 // fidelities have wider error bands; each fidelity's (cost-penalized) EI is
 // evaluated over the candidate grid and the winning (point, fidelity) pair
-// is reported — in the paper's illustration the LOWEST fidelity wins.
+// is reported — in the paper's illustration the LOWEST fidelity wins. The
+// model is the optimizer's own surrogate with one objective: Eq. (5)
+// non-linear chaining, each level a GP over [x, mu_{i-1}(x)].
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
-#include "gp/ard_kernels.h"
-#include "gp/nonlinear_mf_gp.h"
+#include "core/surrogate.h"
 #include "rng/rng.h"
 
 using namespace cmmfo;
-using namespace cmmfo::gp;
+using namespace cmmfo::core;
 
 namespace {
 
@@ -36,44 +39,26 @@ int main() {
   rng::Rng rng(3);
 
   // Nested designs: many cheap points, few expensive ones.
-  std::vector<FidelityData> data(3);
-  for (int i = 0; i < 7; ++i) {
-    const double x = i / 6.0 * 3.0;
-    data[0].x.push_back({x});
-    data[0].y.push_back(fHls(x));
-  }
-  for (int i = 0; i < 4; ++i) {
-    const double x = i / 3.0 * 3.0;
-    data[1].x.push_back({x});
-    data[1].y.push_back(fSyn(x));
-  }
-  for (int i = 0; i < 3; ++i) {
-    const double x = i / 2.0 * 3.0;
-    data[2].x.push_back({x});
-    data[2].y.push_back(fImpl(x));
+  double (*const truth[3])(double) = {fHls, fSyn, fImpl};
+  const int points[3] = {7, 4, 3};
+  std::vector<FidelityObs> data(3);
+  double best[3];
+  for (int f = 0; f < 3; ++f) {
+    data[f].y = linalg::Matrix(points[f], 1);
+    best[f] = 1e300;
+    for (int i = 0; i < points[f]; ++i) {
+      const double x = i / (points[f] - 1.0) * 3.0;
+      data[f].x.push_back({x});
+      data[f].y(i, 0) = truth[f](x);
+      best[f] = std::min(best[f], data[f].y(i, 0));
+    }
   }
 
-  NonlinearMfGpOptions opts;
-  opts.gp.mle_restarts = 2;
-  NonlinearMfGp model(1, 3, opts);
+  MultiFidelitySurrogate model(/*input_dim=*/1, /*num_objectives=*/1,
+                               /*num_levels=*/3);
   model.fit(data, rng);
 
   const double t[3] = {1.0, 8.0, 40.0};  // stage costs; penalty = t[2]/t[i]
-  const double best[3] = {[&] {
-                            double b = 1e300;
-                            for (double y : data[0].y) b = std::min(b, y);
-                            return b;
-                          }(),
-                          [&] {
-                            double b = 1e300;
-                            for (double y : data[1].y) b = std::min(b, y);
-                            return b;
-                          }(),
-                          [&] {
-                            double b = 1e300;
-                            for (double y : data[2].y) b = std::min(b, y);
-                            return b;
-                          }()};
 
   std::printf("# x  mu_hls sd_hls ei_hls  mu_syn sd_syn ei_syn  "
               "mu_impl sd_impl ei_impl\n");
@@ -84,11 +69,11 @@ int main() {
     const double x = i / 120.0 * 3.0;
     std::printf("%.3f", x);
     for (int f = 0; f < 3; ++f) {
-      const Posterior p = model.predict(f, {x});
-      const double sd = std::sqrt(std::max(p.var, 0.0));
-      const double ei =
-          expectedImprovement(p.mean, sd, best[f]) * (t[2] / t[f]);
-      std::printf("  %.4f %.4f %.5f", p.mean, sd, ei);
+      const gp::MultiPosterior p = model.predict(f, {x});
+      const double mu = p.mean[0];
+      const double sd = std::sqrt(std::max(p.cov(0, 0), 0.0));
+      const double ei = expectedImprovement(mu, sd, best[f]) * (t[2] / t[f]);
+      std::printf("  %.4f %.4f %.5f", mu, sd, ei);
       if (ei > best_ei) {
         best_ei = ei;
         best_x = x;

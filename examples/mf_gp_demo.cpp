@@ -5,74 +5,73 @@
 //   f_hi(x) = (x - sqrt(2)) * f_lo(x)^2   expensive, scarce data
 //
 // The high fidelity is a NON-LINEAR transform of the low one. The demo fits
-// (a) a plain GP on the scarce high-fidelity data,
-// (b) the linear AR(1) co-kriging model (FPL18's assumption), and
-// (c) the paper's non-linear multi-fidelity model,
-// and prints their predictions side by side.
+// the optimizer's surrogate (one objective, two fidelities) with three
+// cross-fidelity structures:
+// (a) no chaining: a plain GP on the scarce high-fidelity data,
+// (b) the linear AR(1) co-kriging chain (FPL18's assumption), and
+// (c) the paper's non-linear chain, a GP over [x, mu_lo(x)],
+// and prints their high-fidelity predictions side by side.
 
 #include <cmath>
 #include <cstdio>
 #include <numbers>
+#include <vector>
 
-#include "gp/ard_kernels.h"
-#include "gp/gp_regressor.h"
-#include "gp/linear_mf_gp.h"
-#include "gp/nonlinear_mf_gp.h"
+#include "core/surrogate.h"
+#include "rng/rng.h"
 
 using namespace cmmfo;
-using namespace cmmfo::gp;
+using namespace cmmfo::core;
 
 namespace {
 double fLo(double x) { return std::sin(8.0 * std::numbers::pi * x); }
 double fHi(double x) { return (x - std::sqrt(2.0)) * fLo(x) * fLo(x); }
+
+FidelityObs sample(double (*f)(double), int n) {
+  FidelityObs o;
+  o.y = linalg::Matrix(n, 1);
+  for (int i = 0; i < n; ++i) {
+    const double x = i / (n - 1.0);
+    o.x.push_back({x});
+    o.y(i, 0) = f(x);
+  }
+  return o;
+}
 }  // namespace
 
 int main() {
-  rng::Rng rng(1);
+  const std::vector<FidelityObs> data = {sample(fLo, 41), sample(fHi, 15)};
 
-  std::vector<FidelityData> data(2);
-  for (int i = 0; i < 41; ++i) {
-    const double x = i / 40.0;
-    data[0].x.push_back({x});
-    data[0].y.push_back(fLo(x));
+  const MfKind kinds[3] = {MfKind::kSingleFidelity, MfKind::kLinear,
+                           MfKind::kNonlinear};
+  std::vector<MultiFidelitySurrogate> models;
+  for (const MfKind kind : kinds) {
+    SurrogateOptions opts;
+    opts.mf = kind;
+    models.emplace_back(/*input_dim=*/1, /*num_objectives=*/1,
+                        /*num_levels=*/2, opts);
+    rng::Rng rng(1);
+    models.back().fit(data, rng);
   }
-  for (int i = 0; i < 15; ++i) {
-    const double x = i / 14.0;
-    data[1].x.push_back({x});
-    data[1].y.push_back(fHi(x));
-  }
-
-  GpFitOptions gopts;
-  gopts.mle_restarts = 2;
-  GpRegressor single(Matern52Ard(1), gopts);
-  single.fit(data[1].x, data[1].y, rng);
-
-  LinearMfGp linear(1, 2, gopts);
-  linear.fit(data, rng);
-
-  NonlinearMfGpOptions nopts;
-  nopts.gp = gopts;
-  NonlinearMfGp nonlinear(1, 2, nopts);
-  nonlinear.fit(data, rng);
 
   std::printf("# x     true    single    linear  nonlinear\n");
-  double se_s = 0.0, se_l = 0.0, se_n = 0.0;
+  double se[3] = {0.0, 0.0, 0.0};
   int n = 0;
   for (int i = 0; i <= 100; ++i, ++n) {
     const double x = i / 100.0;
     const double t = fHi(x);
-    const double ps = single.predict({x}).mean;
-    const double pl = linear.predictHighest({x}).mean;
-    const double pn = nonlinear.predictHighest({x}).mean;
-    se_s += (ps - t) * (ps - t);
-    se_l += (pl - t) * (pl - t);
-    se_n += (pn - t) * (pn - t);
+    double pred[3];
+    for (int k = 0; k < 3; ++k) {
+      pred[k] = models[k].predict(1, {x}).mean[0];
+      se[k] += (pred[k] - t) * (pred[k] - t);
+    }
     if (i % 5 == 0)
-      std::printf("%.2f %8.4f %9.4f %9.4f %10.4f\n", x, t, ps, pl, pn);
+      std::printf("%.2f %8.4f %9.4f %9.4f %10.4f\n", x, t, pred[0], pred[1],
+                  pred[2]);
   }
-  std::printf("\nRMSE  single-fidelity GP: %.4f\n", std::sqrt(se_s / n));
-  std::printf("RMSE  linear MF (FPL18) : %.4f\n", std::sqrt(se_l / n));
+  std::printf("\nRMSE  single-fidelity GP: %.4f\n", std::sqrt(se[0] / n));
+  std::printf("RMSE  linear MF (FPL18) : %.4f\n", std::sqrt(se[1] / n));
   std::printf("RMSE  non-linear MF     : %.4f   <- Eq. (5)\n",
-              std::sqrt(se_n / n));
+              std::sqrt(se[2] / n));
   return 0;
 }

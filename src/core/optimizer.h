@@ -121,10 +121,9 @@ struct OptimizerOptions {
   /// error).
   bool resume_lenient = false;
   /// Numerical self-healing thresholds (surrogate fallback, forced dense
-  /// refits, jitter escalation reporting). Enabled with loose-by-default
-  /// thresholds: healthy trajectories (the pinned seed-77 goldens) never
-  /// trip them, so recovery is bit-neutral until a run is genuinely
-  /// pathological.
+  /// refits, jitter escalation reporting). The surrogate fallback engages
+  /// on ordinary runs, the seed-77 goldens included, so these thresholds
+  /// shape the trajectories (see RecoveryOptions; ROADMAP item 1).
   RecoveryOptions recovery;
 };
 

@@ -37,12 +37,13 @@ struct SurrogateOptions {
   gp::GpFitOptions gp;
 };
 
-/// Numerical self-healing policy: turns the health pathologies PR 5 only
-/// *detected* (Cholesky failure, condition blow-up, MLE non-convergence)
-/// into recovery actions. Thresholds are deliberately loose: a healthy
-/// trajectory (the pinned seed-77 goldens) never trips them, so compiling
-/// and enabling recovery is bit-neutral until a run is genuinely
-/// pathological.
+/// Numerical self-healing policy: turns detected health pathologies
+/// (Cholesky failure, condition blow-up, MLE non-convergence) into recovery
+/// actions. The MLE fallback fires on ordinary runs, the pinned seed-77
+/// goldens included: `cmmfo run --benchmark sort_radix --seed 77` falls back
+/// to GBRT at round 2 on levels 0 and 2 and at round 39 on level 1, and
+/// reinstates level 2 once. Every golden trajectory therefore depends on
+/// these thresholds (ROADMAP item 1 is to retire the fallback).
 struct RecoveryOptions {
   /// Consecutive full-MLE fits at one level that exhaust the entire L-BFGS
   /// budget (lastFitIterations >= mleIterBudget) before that level's
@@ -173,11 +174,11 @@ class MultiFidelitySurrogate {
                             const std::vector<FidelityObs>& obs);
 
   /// Nonlinear chaining only: share of total ARD relevance (sum of 1/l_d^2)
-  /// sitting on the appended lower-fidelity-prediction dimensions — the
-  /// augmented-input analog of the NARGP error-term variance share (how much
-  /// the level actually listens to the fidelity below). NaN for level 0,
-  /// non-nonlinear chaining, or a non-ARD kernel; averaged over objectives
-  /// for the independent variant.
+  /// sitting on the appended lower-fidelity-prediction dimensions, i.e. how
+  /// much the level's Eq. (5) kernel over [x, mu_{i-1}(x)] listens to the
+  /// fidelity below rather than to the design features. Near 0 the level is
+  /// an independent GP in x. NaN for level 0 or non-nonlinear chaining;
+  /// averaged over objectives for the independent variant.
   double lowerFidelityRelevance(std::size_t level) const;
 
   /// Packed hyperparameters of every underlying GP, in a deterministic

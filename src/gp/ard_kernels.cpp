@@ -125,7 +125,8 @@ void ArdKernelBase::gramGradTrace(const Dataset& x, const linalg::Matrix& w,
   const std::size_t n = x.size();
   tr.assign(numParams(), 0.0);
   // The same per-parameter terms gramGrad writes, each added to its own
-  // accumulator in row-major order: bit-identical to the default trace.
+  // accumulator in row-major order: bit-identical to contracting each
+  // gramGrad matrix (ArdKernels.FusedTraceEqualsGramGradContraction).
   Vec inv_l2(dim_);
   for (std::size_t d = 0; d < dim_; ++d) inv_l2[d] = std::exp(-2.0 * log_ls_[d]);
   const double sf2 = signalVariance();

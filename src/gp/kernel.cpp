@@ -11,19 +11,6 @@ linalg::Matrix Kernel::gram(const Dataset& x) const {
       x.size(), [&](std::size_t i, std::size_t j) { return eval(x[i], x[j]); });
 }
 
-void Kernel::gramGradTrace(const Dataset& x, const linalg::Matrix& w,
-                           Vec& tr) const {
-  const std::size_t n = x.size();
-  tr.assign(numParams(), 0.0);
-  for (std::size_t p = 0; p < tr.size(); ++p) {
-    const linalg::Matrix dk = gramGrad(x, p);
-    double s = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) s += w(i, j) * dk(i, j);
-    tr[p] = s;
-  }
-}
-
 linalg::Matrix Kernel::cross(const Dataset& x, const Dataset& z) const {
   linalg::Matrix k(x.size(), z.size());
   for (std::size_t i = 0; i < x.size(); ++i)

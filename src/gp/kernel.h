@@ -36,23 +36,23 @@ class Kernel {
   /// Trace contraction the marginal-likelihood gradient needs:
   /// tr[p] = sum_ij w(i, j) * gramGrad(x, p)(i, j), accumulated in row-major
   /// (i, j) order, for every parameter p (tr is resized to numParams()).
-  /// The default builds each gramGrad matrix (composites use it); a kernel
-  /// may override it with a fused pass that must stay bit-identical.
+  /// Must be bit-identical to building each gramGrad matrix and contracting
+  /// it in that order.
   virtual void gramGradTrace(const Dataset& x, const linalg::Matrix& w,
-                             Vec& tr) const;
+                             Vec& tr) const = 0;
 
   /// Data-driven hyperparameter initialization (e.g. the median-distance
   /// heuristic for lengthscales). MLE landscapes for GP kernels have an
   /// "everything is noise" local optimum that swallows gradient descent when
   /// the initial lengthscale is far longer than the data's variation scale;
-  /// starting near the median pairwise distance avoids it. Default: no-op.
-  virtual void initFromData(const Dataset& x) { (void)x; }
+  /// starting near the median pairwise distance avoids it.
+  virtual void initFromData(const Dataset& x) = 0;
 
-  /// Multiply every lengthscale by `factor` (no-op for kernels without
-  /// lengthscales). Used to build a multi-resolution ladder of MLE starts:
-  /// the marginal-likelihood landscape typically has one basin per plausible
-  /// variation scale, and a ladder of starts visits several of them.
-  virtual void scaleLengthscales(double factor) { (void)factor; }
+  /// Multiply every lengthscale by `factor`. Used to build a
+  /// multi-resolution ladder of MLE starts: the marginal-likelihood
+  /// landscape typically has one basin per plausible variation scale, and a
+  /// ladder of starts visits several of them.
+  virtual void scaleLengthscales(double factor) = 0;
 
   virtual std::unique_ptr<Kernel> clone() const = 0;
   virtual std::string name() const = 0;

@@ -12,9 +12,9 @@ namespace cmmfo::gp {
 /// Shared posterior core for every GP layer: the factorization of the
 /// noise-augmented Gram matrix, the target standardization, the standardized
 /// targets in factor-row order, the dual weights alpha = K^{-1} y_std, and
-/// the log marginal likelihood. GpRegressor (one task), MultiTaskGp (M
-/// stacked tasks) and NonlinearMfGp (per level, through GpRegressor) each
-/// own exactly one PosteriorState per model and mutate it through two paths:
+/// the log marginal likelihood. GpRegressor (one task) and MultiTaskGp (M
+/// stacked tasks) each own exactly one PosteriorState per model and mutate
+/// it through two paths:
 ///
 ///  - refitDense(): O(n^3) refactorization — MLE refits and any Gram that
 ///    needs jitter;

@@ -131,9 +131,9 @@ struct ModelRecord {
   long long fit_iters = 0;     // MLE iterations actually used
   long long max_iters = 0;     // MLE iteration budget (0 = unknown)
   double cond_log10 = 0.0;     // log10 Gram condition estimate
-  /// Share of ARD relevance on the lower-fidelity input dimensions — the
-  /// augmented-input analog of the NARGP error-term variance share (0 for
-  /// level 0, NaN when unavailable).
+  /// Share of ARD relevance on the lower-fidelity input dimensions of the
+  /// level's Eq. (5) kernel over [x, mu_{i-1}(x)] (0 for level 0, NaN when
+  /// unavailable).
   double lowfid_relevance = 0.0;
 };
 

@@ -24,8 +24,8 @@ std::vector<Cell> nonDominatedCells(const std::vector<Point>& front,
 
 /// E[(hi - max(lo, y))^+] for y ~ N(mu, sigma^2): the expected dominated
 /// extent of one cell edge. `lo` may be -infinity (open cell). Building
-/// block of both the independent closed form below and the correlated 2-D
-/// quadrature in eipv2.h.
+/// block of the independent closed form below (and of the correlated 2-D
+/// quadrature that tests/test_eipv2.cpp uses as an oracle for core::mcEipv).
 double expectedDominatedEdge(double lo, double hi, double mu, double sigma);
 
 /// Exact EIPV for INDEPENDENT Gaussian marginals (used by baselines and as

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdio>
 #include <set>
 #include <stdexcept>
@@ -514,15 +513,13 @@ TEST(EvalCacheCoalesce, WaiterIsServedFromTheLeadersRun) {
 
   EvalCache::FlightJoin got = EvalCache::FlightJoin::kRetry;
   std::array<sim::Report, sim::kNumFidelities> wstage{};
-  std::atomic<bool> entered{false};
   std::thread waiter([&] {
-    entered.store(true);
     // Ledger 42: the coalesced count lands on the WAITER's ledger.
     got = cache.joinFlight(8, Fidelity::kHls, 0, 42, &wstage);
   });
-  // Park the waiter inside the flight wait before releasing the leader.
-  while (!entered.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Release the leader only once the waiter is parked inside the flight
+  // wait (it registers under the flight lock before it blocks).
+  while (cache.flightWaiters(8, 0) < 1) std::this_thread::yield();
 
   // Leader runs the flow, stores, then releases the flight.
   std::array<sim::Report, sim::kNumFidelities> stages{};
@@ -547,13 +544,9 @@ TEST(EvalCacheCoalesce, ShallowOrEmptyLeaderSendsWaiterBackAround) {
   const auto joinBlocked = [&cache, &stage](std::size_t config,
                                             Fidelity fidelity) {
     EvalCache::FlightJoin got = EvalCache::FlightJoin::kServed;
-    std::atomic<bool> entered{false};
-    std::thread waiter([&] {
-      entered.store(true);
-      got = cache.joinFlight(config, fidelity, 0, 0, &stage);
-    });
-    while (!entered.load()) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::thread waiter(
+        [&] { got = cache.joinFlight(config, fidelity, 0, 0, &stage); });
+    while (cache.flightWaiters(config, 0) < 1) std::this_thread::yield();
     cache.finishFlight(config, 0);  // no storeFlow: the flow crashed
     waiter.join();
     return got;

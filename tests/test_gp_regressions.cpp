@@ -7,7 +7,6 @@
 #include <numbers>
 
 #include "gp/ard_kernels.h"
-#include "gp/composite_kernels.h"
 #include "gp/gp_regressor.h"
 #include "rng/rng.h"
 
@@ -96,18 +95,6 @@ TEST(KernelScale, LengthscaleLadder) {
   EXPECT_NEAR(k.lengthscale(0), 0.25, 1e-12);
   EXPECT_NEAR(k.lengthscale(1), 0.5, 1e-12);
   EXPECT_NEAR(k.lengthscale(2), 0.125, 1e-12);
-}
-
-TEST(KernelScale, CompositesDelegate) {
-  auto a = std::make_unique<Matern52Ard>(1);
-  a->setLengthscale(0, 1.0);
-  auto b = std::make_unique<RbfArd>(1);
-  b->setLengthscale(0, 2.0);
-  SumKernel sum(std::move(a), std::move(b));
-  sum.scaleLengthscales(0.5);
-  const Vec p = sum.params();  // [log ls_a, log sf_a, log ls_b, log sf_b]
-  EXPECT_NEAR(std::exp(p[0]), 0.5, 1e-12);
-  EXPECT_NEAR(std::exp(p[2]), 1.0, 1e-12);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 //    refactorization (jitter-free factors);
 //  - multi-RHS solves are bit-equal per column to the per-vector solves;
 //  - GpRegressor::appendObservation is bit-identical to a dense
-//    refitPosterior on the extended data; MultiTaskGp / NonlinearMfGp agree
-//    to tight roundoff (the multi-task append uses a bordered row ordering,
-//    a symmetric permutation of the task-major stacked Gram);
+//    refitPosterior on the extended data; MultiTaskGp agrees to tight
+//    roundoff (the multi-task append uses a bordered row ordering, a
+//    symmetric permutation of the task-major stacked Gram);
 //  - every predictBatch is bit-identical per candidate to scalar predict;
 //  - the surrogate's speculative append + commit rollback leaves the
 //    committed posterior bit-identical to never having speculated, and
@@ -16,6 +16,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "gp/ard_kernels.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
-#include "gp/nonlinear_mf_gp.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "rng/rng.h"
@@ -342,85 +342,6 @@ TEST(MultiTaskGpIncremental, PredictBatchBitwiseEqualsScalar) {
   }
 }
 
-TEST(NonlinearMfGpIncremental, AppendMatchesDenseRefitExactly) {
-  rng::Rng rng(17);
-  std::vector<gp::FidelityData> data(2);
-  data[0].x = randomInputs(16, 2, rng);
-  for (const auto& xi : data[0].x) data[0].y.push_back(target0(xi));
-  data[1].x = randomInputs(8, 2, rng);
-  for (const auto& xi : data[1].x)
-    data[1].y.push_back(target0(xi) * target0(xi) + 0.2 * xi[0]);
-
-  gp::NonlinearMfGpOptions opts;
-  opts.gp.mle_restarts = 0;
-  opts.gp.max_mle_iters = 20;
-  gp::NonlinearMfGp inc(2, 2, opts);
-  rng::Rng fit_rng(8);
-  inc.fit(data, fit_rng);
-  gp::NonlinearMfGp dense = inc;
-
-  // Level-0 appends are rank-appends; the level above is refit densely with
-  // fresh augmentation — exactly what refitPosterior computes, so the two
-  // hierarchies stay bit-identical.
-  std::vector<gp::FidelityData> grown = data;
-  const gp::Vec xa = {0.33, 0.71};
-  grown[0].x.push_back(xa);
-  grown[0].y.push_back(target0(xa));
-  ASSERT_TRUE(inc.appendObservation(0, xa, target0(xa)));
-  dense.refitPosterior(grown);
-
-  const gp::Dataset probes = randomInputs(5, 2, rng);
-  for (const auto& p : probes)
-    for (std::size_t l = 0; l < 2; ++l) {
-      const gp::Posterior a = inc.predict(l, p);
-      const gp::Posterior b = dense.predict(l, p);
-      EXPECT_EQ(a.mean, b.mean);
-      EXPECT_EQ(a.var, b.var);
-    }
-
-  // Appending at the top level leaves the lower level untouched.
-  const gp::Vec xb = {0.62, 0.27};
-  const double yb = target0(xb) * target0(xb) + 0.2 * xb[0];
-  grown[1].x.push_back(xb);
-  grown[1].y.push_back(yb);
-  ASSERT_TRUE(inc.appendObservation(1, xb, yb));
-  dense.refitPosterior(grown);
-  for (const auto& p : probes) {
-    const gp::Posterior a = inc.predict(1, p);
-    const gp::Posterior b = dense.predict(1, p);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.var, b.var);
-  }
-}
-
-TEST(NonlinearMfGpIncremental, PredictBatchBitwiseEqualsScalar) {
-  rng::Rng rng(18);
-  std::vector<gp::FidelityData> data(2);
-  data[0].x = randomInputs(14, 2, rng);
-  for (const auto& xi : data[0].x) data[0].y.push_back(target0(xi));
-  data[1].x = randomInputs(7, 2, rng);
-  for (const auto& xi : data[1].x)
-    data[1].y.push_back(target0(xi) * target0(xi) + 0.2 * xi[0]);
-
-  gp::NonlinearMfGpOptions opts;
-  opts.gp.mle_restarts = 0;
-  opts.gp.max_mle_iters = 20;
-  gp::NonlinearMfGp m(2, 2, opts);
-  rng::Rng fit_rng(9);
-  m.fit(data, fit_rng);
-
-  const gp::Dataset cand = randomInputs(19, 2, rng);
-  for (std::size_t l = 0; l < 2; ++l) {
-    const std::vector<gp::Posterior> batch = m.predictBatch(l, cand);
-    ASSERT_EQ(batch.size(), cand.size());
-    for (std::size_t c = 0; c < cand.size(); ++c) {
-      const gp::Posterior p = m.predict(l, cand[c]);
-      EXPECT_EQ(batch[c].mean, p.mean);
-      EXPECT_EQ(batch[c].var, p.var);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cmmfo
 
@@ -591,6 +512,99 @@ TEST_P(IncrementalSurrogate, RestorePosteriorReproducesIncrementalState) {
       }
     }
   EXPECT_EQ(live.committedBaseCounts(), resumed.committedBaseCounts());
+}
+
+// ---- one objective: the non-linear Eq. (5) chain on its own ----------
+
+/// Level 1 is a non-linear map of level 0.
+double target0Squared(const gp::Vec& x) {
+  return target0(x) * target0(x) + 0.2 * x[0];
+}
+
+FidelityObs scalarObs(const gp::Dataset& x, double (*f)(const gp::Vec&)) {
+  FidelityObs o;
+  o.x = x;
+  o.y = linalg::Matrix(x.size(), 1);
+  for (std::size_t i = 0; i < x.size(); ++i) o.y(i, 0) = f(x[i]);
+  return o;
+}
+
+void appendScalar(FidelityObs& o, const gp::Vec& x, double y) {
+  linalg::Matrix grown(o.y.rows() + 1, 1);
+  for (std::size_t i = 0; i < o.y.rows(); ++i) grown(i, 0) = o.y(i, 0);
+  grown(o.y.rows(), 0) = y;
+  o.x.push_back(x);
+  o.y = std::move(grown);
+}
+
+MultiFidelitySurrogate fittedNonlinearPair(int n0, int n1, rng::Rng& rng,
+                                           std::vector<FidelityObs>& obs,
+                                           std::uint64_t fit_seed) {
+  obs = {scalarObs(randomInputs(n0, 2, rng), target0),
+         scalarObs(randomInputs(n1, 2, rng), target0Squared)};
+  MultiFidelitySurrogate s(
+      2, 1, 2, fastSurrogate(MfKind::kNonlinear, ObjModelKind::kIndependent));
+  rng::Rng fit_rng(fit_seed);
+  s.fit(obs, fit_rng);
+  return s;
+}
+
+// With one objective each level is a plain GP: a level-0 rank-append plus
+// the dense refit of the chained level above is exactly what a dense refit
+// of both levels computes, so the two stay bit-identical.
+TEST(SurrogateIncremental, NonlinearAppendMatchesDenseRefit) {
+  rng::Rng rng(17);
+  std::vector<FidelityObs> grown;
+  MultiFidelitySurrogate inc = fittedNonlinearPair(16, 8, rng, grown, 8);
+  MultiFidelitySurrogate dense = inc;
+
+  const gp::Vec xa = {0.33, 0.71};
+  appendScalar(grown[0], xa, target0(xa));
+  inc.appendObservations(grown, /*commit=*/true);
+  rng::Rng refit_rng(9);
+  dense.fit(grown, refit_rng, /*optimize_hypers=*/false);
+
+  const gp::Dataset probes = randomInputs(5, 2, rng);
+  for (const auto& p : probes)
+    for (std::size_t l = 0; l < 2; ++l) {
+      const gp::MultiPosterior a = inc.predict(l, p);
+      const gp::MultiPosterior b = dense.predict(l, p);
+      EXPECT_EQ(a.mean[0], b.mean[0]) << "level " << l;
+      EXPECT_EQ(a.cov(0, 0), b.cov(0, 0)) << "level " << l;
+    }
+
+  // Appending at the top level leaves the lower level untouched.
+  const gp::Vec xb = {0.62, 0.27};
+  appendScalar(grown[1], xb, target0Squared(xb));
+  const gp::MultiPosterior low_before = inc.predict(0, probes[0]);
+  inc.appendObservations(grown, /*commit=*/true);
+  dense.fit(grown, refit_rng, /*optimize_hypers=*/false);
+  const gp::MultiPosterior low_after = inc.predict(0, probes[0]);
+  EXPECT_EQ(low_before.mean[0], low_after.mean[0]);
+  EXPECT_EQ(low_before.cov(0, 0), low_after.cov(0, 0));
+  for (const auto& p : probes) {
+    const gp::MultiPosterior a = inc.predict(1, p);
+    const gp::MultiPosterior b = dense.predict(1, p);
+    EXPECT_EQ(a.mean[0], b.mean[0]);
+    EXPECT_EQ(a.cov(0, 0), b.cov(0, 0));
+  }
+}
+
+TEST(SurrogateIncremental, NonlinearPredictBatchBitwiseEqualsScalar) {
+  rng::Rng rng(18);
+  std::vector<FidelityObs> obs;
+  const MultiFidelitySurrogate s = fittedNonlinearPair(14, 7, rng, obs, 9);
+
+  const gp::Dataset cand = randomInputs(19, 2, rng);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const std::vector<gp::MultiPosterior> batch = s.predictBatch(l, cand);
+    ASSERT_EQ(batch.size(), cand.size());
+    for (std::size_t c = 0; c < cand.size(); ++c) {
+      const gp::MultiPosterior p = s.predict(l, cand[c]);
+      EXPECT_EQ(batch[c].mean[0], p.mean[0]);
+      EXPECT_EQ(batch[c].cov(0, 0), p.cov(0, 0));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

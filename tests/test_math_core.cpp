@@ -1,8 +1,8 @@
 // Direct property tests for the math core: EIPV cell decomposition
 // (Eq. 6-8) against Monte-Carlo references, and finite-difference checks of
 // the analytic log-marginal-likelihood gradients that drive hyperparameter
-// fitting (single-output ARD Matern-5/2, multi-task ICM, and the NARGP
-// composite kernel path). The end-to-end golden trajectories pin these
+// fitting (single-output ARD Matern-5/2 and multi-task ICM, the model of
+// every Eq. 5 level). The end-to-end golden trajectories pin these
 // indirectly; the tests here pin the formulas themselves.
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "core/acquisition.h"
 #include "gp/ard_kernels.h"
-#include "gp/composite_kernels.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
 #include "linalg/cholesky.h"
@@ -300,40 +299,6 @@ TEST(LmlGradients, MultiTaskIcmMatchesFiniteDifferences) {
   checkGradient(eval, packed, 1e-5, 2e-4, "MultiTaskGp/ICM");
 }
 
-// NARGP composite path (Eq. 5): k_z over [x, f_lower] plus a SubspaceKernel
-// error term over x only — the exact kernel nonlinear_mf_gp builds for
-// levels > 0. The composite's gramGrad chains through SumKernel and
-// SubspaceKernel, so this pins the whole composite-kernel gradient path.
-TEST(LmlGradients, NargpCompositeKernelMatchesFiniteDifferences) {
-  rng::Rng rng(63);
-  const std::size_t dim = 2, n = 8;
-  // Inputs are [x (dim), f_lower (1)] — dim+1 coordinates.
-  const gp::Dataset x = makeInputs(rng, n, dim + 1);
-  const gp::Vec y = smoothTargets(x, rng);
-
-  auto kz = std::make_unique<gp::Matern52Ard>(dim + 1, false);
-  std::vector<std::size_t> xdims(dim);
-  for (std::size_t d = 0; d < dim; ++d) xdims[d] = d;
-  auto ke_inner = std::make_unique<gp::Matern52Ard>(dim, false);
-  ke_inner->setSignalStddev(0.3);
-  auto ke =
-      std::make_unique<gp::SubspaceKernel>(std::move(ke_inner), xdims);
-  const gp::SumKernel nargp(std::move(kz), std::move(ke));
-
-  gp::GpRegressor model(nargp, gp::GpFitOptions{});
-  model.refitPosterior(x, y);
-
-  gp::Vec packed = model.packedParams();
-  for (std::size_t i = 0; i + 1 < packed.size(); ++i)
-    packed[i] += rng.uniform(-0.25, 0.25);
-  packed.back() = std::log(0.1);
-
-  const auto eval = [&model](const gp::Vec& p, gp::Vec* g) {
-    return model.evalNegLogMarginalLikelihood(p, g);
-  };
-  checkGradient(eval, packed, 1e-5, 2e-4, "NARGP composite");
-}
-
 // ------------------------------------------ pinned objective bit patterns ----
 //
 // The MLE objective reuses per-start scratch buffers, refactorizes in place
@@ -459,17 +424,6 @@ TEST(LmlGradients, PinnedBitsJitteredGram) {
       0x404fae308909efcdULL, 0xbfe51bf43a000000ULL, 0xbfb53fe1b2800000ULL,
       0xbfe1142a4d990000ULL, 0xbfe527dc34000000ULL, 0x4017ffffc0000000ULL,
       0x0000000000000000ULL});
-}
-
-TEST(LmlGradients, PinnedBitsCompositeKernel) {
-  // A sum kernel takes the default (gramGrad-based) trace.
-  const gp::SumKernel k(std::make_unique<gp::Matern52Ard>(4, false),
-                        std::make_unique<gp::RbfArd>(4, false));
-  expectLmlBits(gpLmlPattern(k, false), {
-      0x402b95f979ddce3fULL, 0xbfeb334db0d21a38ULL, 0xbfe3e91e4b1a6e36ULL,
-      0xbff2250aa116fb47ULL, 0xc006c5a07cec1970ULL, 0x401ac7cdde0c1eb6ULL,
-      0xbfb6b45e2eddb2bdULL, 0xbfc6221c21e4d3a4ULL, 0xbfd6c89eab2c7175ULL,
-      0xbfd14fdec29383e7ULL, 0x3fea8f2d58f2ccc2ULL, 0x3fb386a94eaa20a7ULL});
 }
 
 TEST(LmlGradients, PinnedBitsMultiTask) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 
 #include "core/surrogate.h"
 #include "rng/rng.h"
@@ -185,6 +186,108 @@ TEST(Surrogate, MleIterBudgetCountsEveryStartRun) {
       EXPECT_EQ(s.lastFitIterations(l), s.mleIterBudget(l)) << "level " << l;
     }
   }
+}
+
+// ---- one objective: the Eq. (5) chain against the AR(1) chain ----------
+//
+// The classic NARGP benchmark pair (Perdikaris et al. 2017):
+//   f_lo(x) = sin(8 pi x),  f_hi(x) = (x - sqrt(2)) * f_lo(x)^2.
+// The high fidelity is a NON-LINEAR transform of the low one, which the
+// linear AR(1) chain (FPL18) cannot capture but the non-linear chain can.
+double nargpLo(double x) { return std::sin(8.0 * std::numbers::pi * x); }
+double nargpHi(double x) {
+  return (x - std::sqrt(2.0)) * nargpLo(x) * nargpLo(x);
+}
+
+/// n evenly spaced samples of f on [0, 1], one objective.
+FidelityObs sample1d(double (*f)(double), int n) {
+  FidelityObs o;
+  o.y = linalg::Matrix(n, 1);
+  for (int i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i) / (n - 1);
+    o.x.push_back({x});
+    o.y(i, 0) = f(x);
+  }
+  return o;
+}
+
+/// RMSE of the top level against `truth` on 20 points between the samples.
+double rmseTop1d(const MultiFidelitySurrogate& s, double (*truth)(double)) {
+  double se = 0.0;
+  int n = 0;
+  for (double x = 0.025; x < 1.0; x += 0.05, ++n) {
+    const double e = s.predict(s.numLevels() - 1, {x}).mean[0] - truth(x);
+    se += e * e;
+  }
+  return std::sqrt(se / n);
+}
+
+MultiFidelitySurrogate fit1d(MfKind mf, const std::vector<FidelityObs>& obs) {
+  SurrogateOptions o;
+  o.mf = mf;
+  o.obj = ObjModelKind::kIndependent;
+  MultiFidelitySurrogate s(1, 1, obs.size(), o);
+  rng::Rng rng(6);
+  s.fit(obs, rng);
+  return s;
+}
+
+TEST(Surrogate, NonlinearBeatsLinearOnNonlinearMap) {
+  // The paper's argument for Eq. (5) over FPL18.
+  const std::vector<FidelityObs> obs = {sample1d(nargpLo, 41),
+                                        sample1d(nargpHi, 15)};
+  const double nonlinear = rmseTop1d(fit1d(MfKind::kNonlinear, obs), nargpHi);
+  const double linear = rmseTop1d(fit1d(MfKind::kLinear, obs), nargpHi);
+  EXPECT_LT(nonlinear, linear);
+}
+
+TEST(Surrogate, NonlinearLearnsNargpMapFromScarceHighData) {
+  const std::vector<FidelityObs> obs = {sample1d(nargpLo, 41),
+                                        sample1d(nargpHi, 15)};
+  EXPECT_LT(rmseTop1d(fit1d(MfKind::kNonlinear, obs), nargpHi), 0.12);
+}
+
+TEST(Surrogate, NonlinearBeatsSingleFidelityOnNargpPair) {
+  const std::vector<FidelityObs> obs = {sample1d(nargpLo, 41),
+                                        sample1d(nargpHi, 15)};
+  EXPECT_LT(rmseTop1d(fit1d(MfKind::kNonlinear, obs), nargpHi),
+            rmseTop1d(fit1d(MfKind::kSingleFidelity, obs), nargpHi));
+}
+
+double nargpTop(double x) { return 2.0 * nargpHi(x) + 0.3; }
+
+TEST(Surrogate, NonlinearChainsThreeLevels) {
+  // Level 2 is a linear transform of level 1, which is non-linear in level
+  // 0. The level-2 inputs avoid multiples of 1/8, the zeros of sin(8 pi x),
+  // where the targets would all be the constant 0.3.
+  std::vector<FidelityObs> obs = {sample1d(nargpLo, 31),
+                                  sample1d(nargpHi, 15), FidelityObs{}};
+  obs[2].y = linalg::Matrix(9, 1);
+  for (int i = 0; i < 9; ++i) {
+    const double x = (i + 0.45) / 9.0;
+    obs[2].x.push_back({x});
+    obs[2].y(i, 0) = nargpTop(x);
+  }
+  EXPECT_LT(rmseTop1d(fit1d(MfKind::kNonlinear, obs), nargpTop), 0.25);
+}
+
+double arLo(double x) { return std::sin(5.0 * x); }
+double arHi(double x) { return 3.0 * std::sin(5.0 * x) + 1.0; }
+
+TEST(Surrogate, LinearRecoversLinearScale) {
+  // f_hi = 3 f_lo + 1 is exactly the AR(1) family.
+  const MultiFidelitySurrogate s =
+      fit1d(MfKind::kLinear, {sample1d(arLo, 25), sample1d(arHi, 9)});
+  EXPECT_LT(rmseTop1d(s, arHi), 0.25);
+}
+
+double square(double x) { return x * x; }
+
+TEST(Surrogate, LinearLowestLevelIsPlainGp) {
+  // Level 0 of the AR(1) chain is a plain GP on the low-fidelity data.
+  const MultiFidelitySurrogate s =
+      fit1d(MfKind::kLinear, {sample1d(square, 12), sample1d(square, 6)});
+  EXPECT_NEAR(s.predict(0, {0.5}).mean[0], 0.25, 0.05);
 }
 
 }  // namespace
