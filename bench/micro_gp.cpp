@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the GP stack: Gram construction,
-// Cholesky, single-output MLE fit, multi-task fit and prediction, the
-// incremental posterior paths (rank-append vs dense refit, batched vs
-// scalar prediction), and the MC-EIPV acquisition — the per-iteration cost
-// drivers of Algorithm 2.
+// Cholesky factor and inverse, single-output MLE fit, the multi-task MLE
+// objective, multi-task fit and prediction, the incremental posterior paths
+// (rank-append vs dense refit, batched vs scalar prediction), and the
+// MC-EIPV acquisition — the per-iteration cost drivers of Algorithm 2.
 //
 // With CMMFO_PERF_GATE set (non-empty, not "0") the binary skips the
 // google-benchmark harness and runs a hard perf-regression gate instead:
@@ -55,6 +55,24 @@ void BM_Cholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_Cholesky)->Arg(48)->Arg(96)->Arg(144);
 
+// Explicit inverse of a factorized Gram (the MLE gradient's K^{-1}), into a
+// reused buffer as the MLE objective calls it.
+void BM_CholeskyInverse(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  const Matern52Ard k(12);
+  const Dataset x = randomPoints(n, 12, 2);
+  linalg::Matrix gram = k.gram(x);
+  for (std::size_t i = 0; i < n; ++i) gram(i, i) += 1e-4;
+  const auto chol = linalg::Cholesky::factorize(gram);
+  linalg::Matrix inv;
+  for (auto _ : state) {
+    chol->inverseInto(inv);
+    benchmark::DoNotOptimize(inv.rowPtr(0));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_CholeskyInverse)->Arg(48)->Arg(96)->Arg(144);
+
 void BM_GpFit(benchmark::State& state) {
   const std::size_t n = state.range(0);
   const Dataset x = randomPoints(n, 12, 3);
@@ -91,6 +109,25 @@ void BM_MultiTaskFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiTaskFit)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
+// One evaluation of the multi-task MLE objective and its gradient (M = 3,
+// stacked size 3n) at the prototype parameters: the unit the L-BFGS fit
+// repeats, from the Gram through the trace.
+void BM_MultiTaskNegLml(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  const Dataset x = randomPoints(n, 12, 5);
+  rng::Rng rng(5);
+  linalg::Matrix y(n, 3);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t m = 0; m < 3; ++m) y(i, m) = rng.normal();
+  MultiTaskGp gp(Matern52Ard(12, true), 3);
+  gp.refitPosterior(x, y);
+  const Vec packed = gp.packedParams();
+  Vec grad;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(gp.evalNegLogMarginalLikelihood(packed, &grad));
+}
+BENCHMARK(BM_MultiTaskNegLml)->Arg(16)->Arg(32)->Arg(48);
 
 void BM_MultiTaskPredict(benchmark::State& state) {
   const std::size_t n = state.range(0);

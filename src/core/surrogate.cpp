@@ -83,18 +83,21 @@ void MultiFidelitySurrogate::noteEscalations(std::size_t level) {
 
 void MultiFidelitySurrogate::engageFallback(std::size_t level,
                                             const FidelityObs& o, int streak) {
+  obs::ScopedPhase phase("gp_fallback");
   const std::size_t n = o.x.size();
   Fallback& fb = fallback_[level];
-  fb.per_obj.clear();
+  fb.per_obj.assign(m_, baselines::Gbrt());
   fb.resid_var.assign(m_, 0.0);
-  for (std::size_t mm = 0; mm < m_; ++mm) {
+  // One GBRT per objective, each on its own seed and writing only its own
+  // slot, so the fits run on the fork-join pool with the sequential bits.
+  util::forkJoin(m_, [&](std::size_t mm) {
     // Private deterministic seed: the fallback must not consume the
     // optimizer's RNG stream (that would perturb healthy-path bit-identity
     // guarantees) yet must reproduce across identical runs.
     rng::Rng fb_rng(0x8f1bbcdcbfa53e0bULL ^
                     (static_cast<std::uint64_t>(level) << 40) ^
                     (static_cast<std::uint64_t>(mm) << 32) ^ n);
-    baselines::Gbrt g;
+    baselines::Gbrt& g = fb.per_obj[mm];
     std::vector<double> col(n);
     for (std::size_t i = 0; i < n; ++i) col[i] = o.y(i, mm);
     g.fit(o.x, col, fb_rng);
@@ -104,8 +107,7 @@ void MultiFidelitySurrogate::engageFallback(std::size_t level,
       se += d * d;
     }
     fb.resid_var[mm] = std::max(se / static_cast<double>(n), 1e-8);
-    fb.per_obj.push_back(std::move(g));
-  }
+  });
   const bool was_active = fb.active;
   fb.active = true;
   fb.trained_n = n;

@@ -62,8 +62,11 @@ void GpRegressor::applyPacked(const Vec& packed) {
 }
 
 struct GpRegressor::LmlWorkspace {
-  explicit LmlWorkspace(const Kernel& k) : kernel(k.clone()) {}
+  LmlWorkspace(const Kernel& k, const Dataset& x) : kernel(k.clone()) {
+    pairs.bind(x);
+  }
   KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
+  PairCache pairs;       // bound to the training inputs once per start
   linalg::Matrix gram;   // noise-augmented Gram, then W
   linalg::Cholesky chol; // refactorized in place
   Vec tr;                // gramGradTrace output
@@ -80,7 +83,7 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad,
       opts_.optimize_noise ? clampLogNoise(packed[nk], opts_) : log_noise_;
   const double noise_var = std::exp(2.0 * log_noise);
 
-  ws.gram = ws.kernel->gram(x_);
+  ws.kernel->pairGram(ws.pairs, ws.gram);
   for (std::size_t i = 0; i < n; ++i) ws.gram(i, i) += noise_var;
   if (!ws.chol.refactorize(ws.gram))
     return std::numeric_limits<double>::infinity();
@@ -96,7 +99,7 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad,
   ws.chol.inverseInto(w);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) w(i, j) = alpha[i] * alpha[j] - w(i, j);
-  ws.kernel->gramGradTrace(x_, w, ws.tr);
+  ws.kernel->gramGradTrace(ws.pairs, w, ws.tr);
   for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
   if (opts_.optimize_noise) {
     // dK/d log_noise = 2 * noise_var * I.
@@ -114,7 +117,7 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad,
 
 double GpRegressor::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
-  LmlWorkspace ws(*kernel_);
+  LmlWorkspace ws(*kernel_, x_);
   Vec g;
   const double v = negLml(packed, g, ws);
   if (grad != nullptr) *grad = std::move(g);
@@ -155,7 +158,7 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   opt::LbfgsOptions lopts;
   lopts.max_iters = opts_.max_mle_iters;
   const auto make_objective = [this] {
-    auto ws = std::make_shared<LmlWorkspace>(*kernel_);
+    auto ws = std::make_shared<LmlWorkspace>(*kernel_, x_);
     return opt::GradObjectiveFn(
         [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
   };

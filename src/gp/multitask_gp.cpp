@@ -1,20 +1,62 @@
 #include "gp/multitask_gp.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
 #include "linalg/vec_ops.h"
+#include "obs/obs.h"
 #include "opt/multistart.h"
 
 namespace cmmfo::gp {
 
 namespace {
 std::size_t lowerTriCount(std::size_t m) { return m * (m + 1) / 2; }
+
+/// Phases of negLml, timed into a per-start ledger while metrics are on and
+/// published once per fit, summed over every evaluation of every start.
+enum MlePhase {
+  kGram,      // input-kernel Gram from the pair cache
+  kStack,     // B and the noise-augmented stacked Gram
+  kFactor,    // Cholesky with the jitter ladder
+  kSolve,     // alpha, log det and the NLL
+  kInverse,   // explicit K^{-1}
+  kCollapse,  // W, its task collapse, task and noise gradients
+  kTrace,     // kernel-parameter gradient trace
+  kMlePhases
+};
+constexpr const char* kMlePhaseMetric[kMlePhases] = {
+    "gp.mle_gram_seconds",    "gp.mle_stack_seconds",
+    "gp.mle_factor_seconds",  "gp.mle_solve_seconds",
+    "gp.mle_inverse_seconds", "gp.mle_collapse_seconds",
+    "gp.mle_trace_seconds"};
+using MleLedger = std::array<double, kMlePhases>;
+
+/// Adds the time since the previous lap to a ledger entry; a no-op when the
+/// ledger is off (metrics disabled), so untimed fits read no clock.
+class LapClock {
+ public:
+  explicit LapClock(bool on) : on_(on) {
+    if (on_) last_ = std::chrono::steady_clock::now();
+  }
+  void lap(double& into) {
+    if (!on_) return;
+    const auto now = std::chrono::steady_clock::now();
+    into += std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+
+ private:
+  bool on_;
+  std::chrono::steady_clock::time_point last_{};
+};
 }  // namespace
 
 MultiTaskGp::MultiTaskGp(const Kernel& input_kernel, std::size_t num_tasks,
@@ -111,7 +153,9 @@ void MultiTaskGp::stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,
 }
 
 struct MultiTaskGp::LmlWorkspace {
-  explicit LmlWorkspace(const MultiTaskGp& gp) : kernel(gp.kernel_->clone()) {
+  LmlWorkspace(const MultiTaskGp& gp, bool timed)
+      : kernel(gp.kernel_->clone()), timed(timed) {
+    pairs.bind(gp.x_);
     // Task-major standardized targets, rebuilt from the raw targets so the
     // MLE objective is valid even when the cached factor is in bordered
     // (append) order. Bit-identical to the cached y_std after a dense refit.
@@ -124,10 +168,14 @@ struct MultiTaskGp::LmlWorkspace {
   }
   KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
   Vec y_stacked;
+  PairCache pairs;       // bound to the training inputs once per start
+  linalg::Matrix kx;     // input-kernel Gram
   linalg::Matrix gram;   // stacked Gram, then W
   linalg::Cholesky chol; // refactorized in place
   linalg::Matrix wsum;
   Vec tr;                // gramGradTrace output
+  bool timed;            // fill `ledger` (metrics on)
+  MleLedger ledger{};
 };
 
 double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
@@ -137,6 +185,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
   const std::size_t nk = kernel_->numParams();
   const std::size_t nl = lowerTriCount(m_);
   grad.assign(packed.size(), 0.0);
+  LapClock clock(ws.timed);
 
   ws.kernel->setParams(Vec(packed.begin(), packed.begin() + nk));
   Vec l_entries(packed.begin() + nk, packed.begin() + nk + nl);
@@ -144,22 +193,28 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
   for (auto& ln : log_noise)
     ln = std::clamp(ln, std::log(opts_.min_noise), std::log(4.0));
 
-  const linalg::Matrix kx = ws.kernel->gram(x_);
+  ws.kernel->pairGram(ws.pairs, ws.kx);
+  const linalg::Matrix& kx = ws.kx;
+  clock.lap(ws.ledger[kGram]);
   const linalg::Matrix b = buildB(l_entries, m_);
   stackGram(kx, b, log_noise, ws.gram);
-  if (!ws.chol.refactorize(ws.gram))
-    return std::numeric_limits<double>::infinity();
+  clock.lap(ws.ledger[kStack]);
+  const bool factored = ws.chol.refactorize(ws.gram);
+  clock.lap(ws.ledger[kFactor]);
+  if (!factored) return std::numeric_limits<double>::infinity();
 
   const Vec& y = ws.y_stacked;
   const Vec alpha = ws.chol.solve(y);
   const double nll =
       0.5 * linalg::dot(y, alpha) + 0.5 * ws.chol.logDet() +
       0.5 * static_cast<double>(nn) * std::log(2.0 * std::numbers::pi);
+  clock.lap(ws.ledger[kSolve]);
 
   // W = alpha alpha^T - K^{-1}, built in the Gram buffer (the factor no
   // longer needs it); dNLL/dtheta = -1/2 tr(W dK/dtheta).
   linalg::Matrix& w = ws.gram;
   ws.chol.inverseInto(w);
+  clock.lap(ws.ledger[kInverse]);
   for (std::size_t a = 0; a < nn; ++a)
     for (std::size_t c = 0; c < nn; ++c) w(a, c) = alpha[a] * alpha[c] - w(a, c);
 
@@ -174,20 +229,28 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
         for (std::size_t j = 0; j < n; ++j)
           ws.wsum(i, j) += bmm * w(mm * n + i, mp * n + j);
     }
-  ws.kernel->gramGradTrace(x_, ws.wsum, ws.tr);
+  clock.lap(ws.ledger[kCollapse]);
+  ws.kernel->gramGradTrace(ws.pairs, ws.wsum, ws.tr);
   for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
+  clock.lap(ws.ledger[kTrace]);
 
   // Task-covariance parameters: dK = dB (x) Kx. Precompute
-  // T[mm, mp] = sum_ij W[(mm,i),(mp,j)] Kx(i,j) so each is O(M^2).
+  // T[mm, mp] = sum_ij W[(mm,i),(mp,j)] Kx(i,j) so each is O(M^2). Each sum
+  // runs over (i, j) in row-major order from 0; taking row i of all M^2
+  // sums before row i + 1 lets their dependent chains overlap.
   linalg::Matrix t(m_, m_);
-  for (std::size_t mm = 0; mm < m_; ++mm)
-    for (std::size_t mp = 0; mp < m_; ++mp) {
-      double s = 0.0;
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          s += w(mm * n + i, mp * n + j) * kx(i, j);
-      t(mm, mp) = s;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ki = kx.rowPtr(i);
+    for (std::size_t mm = 0; mm < m_; ++mm) {
+      const double* wi = w.rowPtr(mm * n + i);
+      for (std::size_t mp = 0; mp < m_; ++mp) {
+        const double* wr = wi + mp * n;
+        double s = t(mm, mp);
+        for (std::size_t j = 0; j < n; ++j) s += wr[j] * ki[j];
+        t(mm, mp) = s;
+      }
     }
+  }
   // Expand L for dB computation.
   linalg::Matrix lmat(m_, m_);
   {
@@ -221,6 +284,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
       g = 0.0;
     grad[nk + nl + mm] = g;
   }
+  clock.lap(ws.ledger[kCollapse]);
   return nll;
 }
 
@@ -253,13 +317,28 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
   }
   opt::LbfgsOptions lopts;
   lopts.max_iters = opts_.max_mle_iters;
-  const auto make_objective = [this] {
-    auto ws = std::make_shared<LmlWorkspace>(*this);
+  const bool timed = obs::metrics().enabled();
+  std::mutex ws_mu;
+  std::vector<std::shared_ptr<LmlWorkspace>> workspaces;
+  const auto make_objective = [&] {
+    auto ws = std::make_shared<LmlWorkspace>(*this, timed);
+    if (timed) {
+      std::lock_guard<std::mutex> lock(ws_mu);
+      workspaces.push_back(ws);
+    }
     return opt::GradObjectiveFn(
         [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
   };
   const opt::MultiStartResult r =
       opt::minimizeFromStarts(make_objective, starts, lopts);
+  if (timed) {
+    for (int ph = 0; ph < kMlePhases; ++ph) {
+      double sum = 0.0;
+      for (const auto& ws : workspaces) sum += ws->ledger[ph];
+      obs::metrics().observe(kMlePhaseMetric[ph], sum);
+    }
+    workspaces.clear();
+  }
   last_fit_iters_ = r.iterations;
   last_fit_budget_ = r.budget;
   if (std::isfinite(r.best.value)) applyPacked(r.best.x);
@@ -269,7 +348,7 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
 
 double MultiTaskGp::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
-  LmlWorkspace ws(*this);
+  LmlWorkspace ws(*this, /*timed=*/false);
   Vec g;
   const double v = negLml(packed, g, ws);
   if (grad != nullptr) *grad = std::move(g);

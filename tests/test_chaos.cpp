@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/gbrt.h"
 #include "core/campaign_stepper.h"
 #include "core/checkpoint.h"
 #include "core/optimizer.h"
@@ -393,7 +396,9 @@ TEST(ChaosAdmission, SubmitsBeyondCapacityAreShedAndRetryable) {
   opts.slots = 1;
   opts.max_campaigns = 2;
   OptimizationServer srv(opts);
-  srv.start();
+  // Submitted before start(): no driver steps a or b until both shed checks
+  // below are done, so both are live (queued) for them however fast a
+  // campaign would otherwise finish.
   std::string err;
   ASSERT_TRUE(srv.submit(fastSpec("a", 5, 21, 6), &err)) << err;
   ASSERT_TRUE(srv.submit(fastSpec("b", 9, 22, 6), &err)) << err;
@@ -423,6 +428,7 @@ TEST(ChaosAdmission, SubmitsBeyondCapacityAreShedAndRetryable) {
   EXPECT_EQ(srv.stats().supervision.load_shed, 2u);
 
   // Once capacity frees up the same spec is admitted.
+  srv.start();
   srv.drain();
   shed = false;
   ASSERT_TRUE(srv.submit(fastSpec("c", 3, 23, 4), &err, &shed)) << err;
@@ -769,6 +775,72 @@ TEST(ChaosRecovery, SurrogateFallsBackToGbrtOnMleExhaustion) {
       EXPECT_GT(p.cov(mm, mm), 0.0);
     }
   }
+}
+
+// The per-objective GBRT fallback fits run on the fork-join pool; each must
+// equal the same fit run alone, in a sequential loop, on its private seed:
+// predictions and residual variances, every bit.
+TEST(ChaosRecovery, ParallelFallbackEqualsSequentialFits) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  rng::Rng rng(3);
+  std::vector<core::FidelityObs> obs = syntheticObs(16, 10, 6, rng);
+  // A third objective, so the pool has more than two fits to spread.
+  for (core::FidelityObs& o : obs) {
+    linalg::Matrix y(o.y.rows(), 3);
+    for (std::size_t i = 0; i < o.y.rows(); ++i) {
+      y(i, 0) = o.y(i, 0);
+      y(i, 1) = o.y(i, 1);
+      y(i, 2) = o.y(i, 0) * o.y(i, 1) + o.x[i][0];
+    }
+    o.y = y;
+  }
+  core::SurrogateOptions so;
+  so.mtgp.mle_restarts = 0;
+  so.mtgp.max_mle_iters = 1;  // every fit exhausts its whole budget
+  so.gp.mle_restarts = 0;
+  so.gp.max_mle_iters = 1;
+  core::MultiFidelitySurrogate s(2, 3, 3, so);
+  core::RecoveryOptions r;
+  r.mle_fail_streak = 1;
+  s.setRecovery(r);
+  s.fit(obs, rng);
+
+  const std::vector<std::vector<double>> probes = {
+      {0.1, 0.9}, {0.4, 0.6}, {0.75, 0.2}, obs[0].x[3]};
+  int checked = 0;
+  for (std::size_t level = 0; level < 3; ++level) {
+    if (!s.fallbackActive(level)) continue;
+    ++checked;
+    const core::FidelityObs& o = obs[level];
+    const std::size_t n = o.x.size();
+    for (std::size_t mm = 0; mm < 3; ++mm) {
+      rng::Rng fb_rng(0x8f1bbcdcbfa53e0bULL ^
+                      (static_cast<std::uint64_t>(level) << 40) ^
+                      (static_cast<std::uint64_t>(mm) << 32) ^ n);
+      baselines::Gbrt g;
+      std::vector<double> col(n);
+      for (std::size_t i = 0; i < n; ++i) col[i] = o.y(i, mm);
+      g.fit(o.x, col, fb_rng);
+      double se = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d = col[i] - g.predict(o.x[i]);
+        se += d * d;
+      }
+      const double resid_var = std::max(se / static_cast<double>(n), 1e-8);
+      for (const std::vector<double>& x : probes) {
+        const gp::MultiPosterior p = s.predict(level, x);
+        EXPECT_EQ(bits(p.mean[mm]), bits(g.predict(x)))
+            << "level " << level << " objective " << mm;
+        EXPECT_EQ(bits(p.cov(mm, mm)), bits(resid_var))
+            << "level " << level << " objective " << mm;
+      }
+    }
+  }
+  EXPECT_GE(checked, 1);
 }
 
 TEST(ChaosRecovery, CondBlowupForcesDenseRefitOnCommit) {

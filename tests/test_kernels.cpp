@@ -153,31 +153,91 @@ TEST(Matern52Ard, HeavierTailsThanRbf) {
   EXPECT_GT(m.eval({0.0}, {3.0}), r.eval({0.0}, {3.0}));
 }
 
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// Training sets for the pair-cache tests: n = 1 and 2 (the smallest Gram
+// and the single off-diagonal pair), a pair of repeated points, and a
+// larger set with one repeated input (the r = 0 limit off the diagonal).
+std::vector<Dataset> pairCacheSets(std::size_t dim, rng::Rng& rng) {
+  std::vector<Dataset> sets;
+  sets.push_back(randomPoints(1, dim, rng));
+  sets.push_back(randomPoints(2, dim, rng));
+  Dataset twin = randomPoints(2, dim, rng);
+  twin[1] = twin[0];
+  sets.push_back(twin);
+  Dataset x = randomPoints(9, dim, rng);
+  x[5] = x[2];
+  sets.push_back(x);
+  return sets;
+}
+
+std::vector<KernelPtr> ardKernels(std::size_t dim) {
+  std::vector<KernelPtr> kernels;
+  for (const bool unit : {false, true}) {
+    kernels.push_back(std::make_unique<RbfArd>(dim, unit));
+    kernels.push_back(std::make_unique<Matern52Ard>(dim, unit));
+  }
+  return kernels;
+}
+
+// The Gram a pair cache fills must be eval() at every entry, every bit, at
+// each of several parameter settings through one bound cache (the MLE
+// reuses one cache over a whole start).
+TEST(ArdKernels, PairCacheGramEqualsEval) {
+  rng::Rng rng(43);
+  const std::size_t dim = 3;
+  for (const Dataset& x : pairCacheSets(dim, rng)) {
+    for (const KernelPtr& k : ardKernels(dim)) {
+      PairCache pairs;
+      pairs.bind(x);
+      linalg::Matrix kx(1, 5);  // wrongly sized: pairGram must resize
+      for (int setting = 0; setting < 3; ++setting) {
+        Vec p = k->params();
+        for (auto& v : p) v += rng.uniform(-0.5, 0.5);
+        k->setParams(p);
+        k->pairGram(pairs, kx);
+        const linalg::Matrix ref = k->gram(x);
+        ASSERT_EQ(kx.rows(), x.size());
+        ASSERT_EQ(kx.cols(), x.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+          for (std::size_t j = 0; j < x.size(); ++j) {
+            EXPECT_EQ(bits(kx(i, j)), bits(k->eval(x[i], x[j])))
+                << k->name() << " n=" << x.size() << " (" << i << "," << j
+                << ") setting " << setting;
+            EXPECT_EQ(bits(kx(i, j)), bits(ref(i, j)));
+          }
+      }
+    }
+  }
+}
+
 // The fused gradient trace must equal the row-major contraction of the
 // gramGrad matrices, every bit: the marginal-likelihood gradient, and so
 // every MLE and golden trajectory, is built on it. The oracle is the plain
 // loop (one n x n gramGrad matrix per parameter); w is either random or a
 // symmetric matrix with a tiny per-entry jitter, so a trace that folded the
-// (i, j) and (j, i) terms together would show. A repeated input covers the
-// r = 0 limit of the Matern derivative.
+// (i, j) and (j, i) terms together would show. Repeated inputs cover the
+// r = 0 limit of the Matern derivative; n = 1 and 2 the smallest sets. The
+// trace reads a pair cache filled at the current parameters after an
+// earlier fill at other ones.
 TEST(ArdKernels, FusedTraceEqualsGramGradContraction) {
-  const auto bits = [](double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-  };
   rng::Rng rng(41);
-  const std::size_t n = 9, dim = 3;
-  Dataset x = randomPoints(n, dim, rng);
-  x[5] = x[2];
-  for (const bool unit : {false, true}) {
-    std::vector<KernelPtr> kernels;
-    kernels.push_back(std::make_unique<RbfArd>(dim, unit));
-    kernels.push_back(std::make_unique<Matern52Ard>(dim, unit));
-    for (const KernelPtr& k : kernels) {
+  const std::size_t dim = 3;
+  for (const Dataset& x : pairCacheSets(dim, rng)) {
+    const std::size_t n = x.size();
+    for (const KernelPtr& k : ardKernels(dim)) {
+      PairCache pairs;
+      pairs.bind(x);
+      linalg::Matrix kx;
+      k->pairGram(pairs, kx);
       Vec p = k->params();
       for (auto& v : p) v += rng.uniform(-0.5, 0.5);
       k->setParams(p);
+      k->pairGram(pairs, kx);
       for (const bool jittered : {false, true}) {
         linalg::Matrix w(n, n);
         for (std::size_t i = 0; i < n; ++i)
@@ -185,7 +245,7 @@ TEST(ArdKernels, FusedTraceEqualsGramGradContraction) {
             w(i, j) = jittered && j < i ? w(j, i) * (1.0 + 1e-12 * rng.normal())
                                         : rng.normal();
         Vec tr;
-        k->gramGradTrace(x, w, tr);
+        k->gramGradTrace(pairs, w, tr);
         ASSERT_EQ(tr.size(), k->numParams());
         for (std::size_t q = 0; q < tr.size(); ++q) {
           const linalg::Matrix dk = k->gramGrad(x, q);
@@ -193,8 +253,8 @@ TEST(ArdKernels, FusedTraceEqualsGramGradContraction) {
           for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) s += w(i, j) * dk(i, j);
           EXPECT_EQ(bits(tr[q]), bits(s))
-              << k->name() << " unit_variance=" << unit
-              << " jittered=" << jittered << " param " << q;
+              << k->name() << " n=" << n << " jittered=" << jittered
+              << " param " << q;
         }
       }
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
@@ -178,6 +179,98 @@ TEST(Cholesky, IdentityLogDetZero) {
   const auto chol = Cholesky::factorize(Matrix::identity(4));
   ASSERT_TRUE(chol.has_value());
   EXPECT_NEAR(chol->logDet(), 0.0, 1e-12);
+}
+
+// Every entry's bit pattern, signed zeros included.
+bool sameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+// A = G G^T with G n x ceil(n/2): rank deficient for n >= 2, so the plain
+// factorization fails and the jitter ladder has to climb.
+Matrix rankDeficient(std::size_t n, rng::Rng& rng) {
+  const std::size_t r = (n + 1) / 2;
+  Matrix g(n, r);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < r; ++j) g(i, j) = rng.normal();
+  return g.matmul(g.transposed());
+}
+
+// The scalar left-looking loop the blocked factor replaced, kept as the
+// oracle: each l(i, j) is a(i, j) [+ jitter], minus l(i, k) * l(j, k) for k
+// ascending, then sqrt or / l_jj.
+std::optional<Matrix> scalarFactor(const Matrix& a, double jitter) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j) + jitter;
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    if (!(d > 0.0) || !std::isfinite(d)) return std::nullopt;
+    const double ljj = std::sqrt(d);
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      const double* li = l.rowPtr(i);
+      const double* lj = l.rowPtr(j);
+      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+      l(i, j) = s / ljj;
+    }
+  }
+  return l;
+}
+
+TEST(Cholesky, BlockedFactorBitwiseEqualsScalarLoop) {
+  rng::Rng rng(17);
+  for (std::size_t n : {1, 2, 3, 4, 5, 7, 9, 15, 16, 17, 31, 33, 47, 63, 64,
+                        65, 99, 130}) {
+    const Matrix spd = randomSpd(n, rng);
+    const auto chol = Cholesky::factorize(spd);
+    const auto ref = scalarFactor(spd, 0.0);
+    ASSERT_TRUE(chol.has_value() && ref.has_value()) << "n=" << n;
+    EXPECT_TRUE(sameBits(chol->lower(), *ref)) << "spd n=" << n;
+
+    // Jitter ladder: the jittered factor equals the scalar loop run with
+    // the jitter the ladder settled on.
+    const Matrix low_rank = rankDeficient(n, rng);
+    const auto jittered = Cholesky::factorizeWithJitter(low_rank);
+    ASSERT_TRUE(jittered.has_value()) << "n=" << n;
+    const auto jref = scalarFactor(low_rank, jittered->jitterUsed());
+    ASSERT_TRUE(jref.has_value()) << "n=" << n;
+    EXPECT_TRUE(sameBits(jittered->lower(), *jref)) << "jitter n=" << n;
+
+    // A refactorize() that reuses the object's storage gives the same bits.
+    Cholesky reused;
+    ASSERT_TRUE(reused.refactorize(spd));
+    ASSERT_TRUE(reused.refactorize(low_rank));
+    EXPECT_TRUE(sameBits(reused.lower(), *jref)) << "reused n=" << n;
+
+    // Indefinite: both give up.
+    Matrix bad = spd;
+    bad(n - 1, n - 1) = -1.0;
+    EXPECT_EQ(Cholesky::factorize(bad).has_value(),
+              scalarFactor(bad, 0.0).has_value())
+        << "n=" << n;
+  }
+}
+
+TEST(Cholesky, IdentityInverseBitwiseEqualsGenericSolve) {
+  rng::Rng rng(19);
+  for (std::size_t n = 1; n <= 200; ++n) {
+    const auto spd = Cholesky::factorize(randomSpd(n, rng));
+    ASSERT_TRUE(spd.has_value()) << "n=" << n;
+    EXPECT_TRUE(sameBits(spd->inverse(), spd->solve(Matrix::identity(n))))
+        << "spd n=" << n;
+    // Jitter-ladder factors; inverseInto on a reused, wrongly sized buffer.
+    if (n % 3 != 0) continue;
+    const auto jittered = Cholesky::factorizeWithJitter(rankDeficient(n, rng));
+    ASSERT_TRUE(jittered.has_value()) << "n=" << n;
+    Matrix out(n + 1, 2, -1.0);
+    jittered->inverseInto(out);
+    EXPECT_TRUE(sameBits(out, jittered->solve(Matrix::identity(n))))
+        << "jitter n=" << n;
+  }
 }
 
 TEST(Cholesky, MvnSampleCovarianceMatches) {
