@@ -88,31 +88,4 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Assemble a symmetric n x n matrix from an entry functor f(i, j), visiting
-/// the lower triangle in square blocks so both the output rows and the
-/// mirrored columns stay cache-resident, and writing straight into the
-/// matrix's contiguous row-major storage. Entry values are independent of
-/// visit order, so the result is bit-identical to the naive double loop.
-template <class F>
-Matrix assembleSymmetricBlocked(std::size_t n, F&& f,
-                                std::size_t block = 64) {
-  Matrix k(n, n);
-  for (std::size_t ib = 0; ib < n; ib += block) {
-    const std::size_t iend = std::min(n, ib + block);
-    for (std::size_t jb = 0; jb <= ib; jb += block) {
-      const std::size_t jend = std::min(n, jb + block);
-      for (std::size_t i = ib; i < iend; ++i) {
-        double* ki = k.rowPtr(i);
-        const std::size_t jhi = std::min(jend, i + 1);
-        for (std::size_t j = jb; j < jhi; ++j) {
-          const double v = f(i, j);
-          ki[j] = v;
-          k(j, i) = v;
-        }
-      }
-    }
-  }
-  return k;
-}
-
 }  // namespace cmmfo::linalg
