@@ -29,8 +29,6 @@ class Gbrt {
            const std::vector<double>& y, rng::Rng& rng);
   double predict(const std::vector<double>& x) const;
 
-  int numTrees() const { return static_cast<int>(trees_.size()); }
-
  private:
   struct Node {
     int feature = -1;         // -1 = leaf

@@ -171,8 +171,6 @@ constexpr auto kState = [](auto& io, auto& st) {
   io("cache_misses", st.cache_misses, quoted);
   io("surrogate_hypers", st.surrogate_hypers, rows(inl()));
   io("surrogate_base", st.surrogate_base, inl(quoted));
-  io("surrogate_mle_streak", st.surrogate_mle_streak, inl());
-  io("surrogate_fallback_n", st.surrogate_fallback_n, inl(quoted));
   io("metrics", st.metrics, rows(obj(kMetric)));
   // Written only with diagnostics on; reading it sets has_diag.
   io("diag", st.diag, obj(kDiag), st.has_diag);

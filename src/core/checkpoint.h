@@ -93,18 +93,11 @@ struct CheckpointState {
   /// rank-appends of the remainder — bit-identical to the factor the
   /// journaling run evolved incrementally. Optional in the journal: files
   /// without it (or empty, e.g. pre-fit init checkpoints) fall back to a
-  /// full dense refit on the next round.
+  /// full dense refit on the next round. Journals written while the
+  /// surrogate had a GBRT fallback also carry that fallback's per-level MLE
+  /// fail streaks and training sizes under two more keys; the reader
+  /// ignores them.
   std::vector<std::uint64_t> surrogate_base;
-
-  /// Numerical self-healing state (per surrogate level): consecutive
-  /// budget-exhausting MLE fits, and the training-set size at the last GBRT
-  /// fallback engagement (0 = fallback inactive). The streak decides WHEN a
-  /// resumed run's next refit engages the fallback, so omitting it would
-  /// make resume diverge from the uninterrupted trajectory the moment a
-  /// streak spans the kill boundary. Optional in the journal — older files
-  /// without it restore with fresh streaks (the pre-fix behavior).
-  std::vector<int> surrogate_mle_streak;
-  std::vector<std::uint64_t> surrogate_fallback_n;
 
   /// Metrics ledger at checkpoint time (empty when metrics are disabled).
   /// Optional in the journal — version-1 files without it still load.

@@ -365,12 +365,6 @@ CheckpointState CorrelatedMfMoboOptimizer::captureCheckpoint(
   st.cache_hits = cstats.hits;
   st.cache_misses = cstats.misses;
   st.surrogate_hypers = surrogate_.hyperState();
-  {
-    const MultiFidelitySurrogate::RecoveryState rs = surrogate_.recoveryState();
-    st.surrogate_mle_streak = rs.mle_fail_streak;
-    st.surrogate_fallback_n.assign(rs.fallback_trained_n.begin(),
-                                   rs.fallback_trained_n.end());
-  }
   // Committed dense-base counts (empty before the first fit): resume
   // replays dense(base) + rank-appends, bit-identical to this run's factors.
   for (const std::size_t b : surrogate_.committedBaseCounts())
@@ -421,13 +415,6 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
     for (const std::uint64_t b : st.surrogate_base)
       base.push_back(static_cast<std::size_t>(b));
     surrogate_.restorePosterior(buildObsFrom(data_), base);
-  }
-  if (!st.surrogate_mle_streak.empty() || !st.surrogate_fallback_n.empty()) {
-    MultiFidelitySurrogate::RecoveryState rs;
-    rs.mle_fail_streak = st.surrogate_mle_streak;
-    rs.fallback_trained_n.assign(st.surrogate_fallback_n.begin(),
-                                 st.surrogate_fallback_n.end());
-    surrogate_.restoreRecoveryState(rs, buildObsFrom(data_));
   }
 
   result_.iterations.clear();

@@ -120,10 +120,8 @@ struct OptimizerOptions {
   /// default (a human pointing --resume at the wrong journal wants the
   /// error).
   bool resume_lenient = false;
-  /// Numerical self-healing thresholds (surrogate fallback, forced dense
-  /// refits, jitter escalation reporting). The surrogate fallback engages
-  /// on ordinary runs, the seed-77 goldens included, so these thresholds
-  /// shape the trajectories (see RecoveryOptions; ROADMAP item 1).
+  /// Numerical self-healing thresholds (forced dense refits, jitter
+  /// escalation reporting). See RecoveryOptions.
   RecoveryOptions recovery;
 };
 
@@ -174,7 +172,7 @@ struct RoundOutcome {
   /// happened. Constant across the run's outcomes.
   std::string resume_note;
   /// Numerical recovery actions taken during THIS round (jitter
-  /// escalation, forced dense refit, surrogate fallback), human-readable.
+  /// escalation, forced dense refit), human-readable.
   /// Empty in the healthy regime.
   std::vector<std::string> recovery_notes;
 };

@@ -10,7 +10,6 @@
 #include "gp/ard_kernels.h"
 #include "linalg/vec_ops.h"
 #include "obs/obs.h"
-#include "obs/profile.h"
 #include "util/fork_join.h"
 
 namespace cmmfo::core {
@@ -51,9 +50,7 @@ MultiFidelitySurrogate::MultiFidelitySurrogate(std::size_t input_dim,
     }
   }
   rho_.assign(levels_, std::vector<double>(m_, 1.0));
-  mle_fail_streak_.assign(levels_, 0);
   esc_seen_.assign(levels_, 0);
-  fallback_.resize(levels_);
 }
 
 std::uint64_t MultiFidelitySurrogate::levelEscalations(
@@ -79,78 +76,6 @@ void MultiFidelitySurrogate::noteEscalations(std::size_t level) {
       {"jitter_escalation", static_cast<int>(level),
        "Gram factorization needed the escalated jitter ladder", jitter});
   esc_seen_[level] = now;
-}
-
-void MultiFidelitySurrogate::engageFallback(std::size_t level,
-                                            const FidelityObs& o, int streak) {
-  obs::ScopedPhase phase("gp_fallback");
-  const std::size_t n = o.x.size();
-  Fallback& fb = fallback_[level];
-  fb.per_obj.assign(m_, baselines::Gbrt());
-  fb.resid_var.assign(m_, 0.0);
-  // One GBRT per objective, each on its own seed and writing only its own
-  // slot, so the fits run on the fork-join pool with the sequential bits.
-  util::forkJoin(m_, [&](std::size_t mm) {
-    // Private deterministic seed: the fallback must not consume the
-    // optimizer's RNG stream (that would perturb healthy-path bit-identity
-    // guarantees) yet must reproduce across identical runs.
-    rng::Rng fb_rng(0x8f1bbcdcbfa53e0bULL ^
-                    (static_cast<std::uint64_t>(level) << 40) ^
-                    (static_cast<std::uint64_t>(mm) << 32) ^ n);
-    baselines::Gbrt& g = fb.per_obj[mm];
-    std::vector<double> col(n);
-    for (std::size_t i = 0; i < n; ++i) col[i] = o.y(i, mm);
-    g.fit(o.x, col, fb_rng);
-    double se = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = col[i] - g.predict(o.x[i]);
-      se += d * d;
-    }
-    fb.resid_var[mm] = std::max(se / static_cast<double>(n), 1e-8);
-  });
-  const bool was_active = fb.active;
-  fb.active = true;
-  fb.trained_n = n;
-  if (!was_active)
-    recovery_events_.push_back(
-        {"surrogate_fallback", static_cast<int>(level),
-         "repeated MLE non-convergence; serving GBRT baseline predictions",
-         static_cast<double>(streak)});
-}
-
-MultiFidelitySurrogate::RecoveryState MultiFidelitySurrogate::recoveryState()
-    const {
-  RecoveryState rs;
-  rs.mle_fail_streak = mle_fail_streak_;
-  rs.fallback_trained_n.assign(levels_, 0);
-  for (std::size_t l = 0; l < levels_; ++l)
-    if (fallback_[l].active) rs.fallback_trained_n[l] = fallback_[l].trained_n;
-  return rs;
-}
-
-void MultiFidelitySurrogate::restoreRecoveryState(
-    const RecoveryState& rs, const std::vector<FidelityObs>& obs) {
-  for (std::size_t l = 0; l < levels_ && l < rs.mle_fail_streak.size(); ++l)
-    mle_fail_streak_[l] = rs.mle_fail_streak[l];
-  for (std::size_t l = 0; l < levels_ && l < rs.fallback_trained_n.size();
-       ++l) {
-    const std::size_t n = rs.fallback_trained_n[l];
-    if (n == 0 || l >= obs.size() || n > obs[l].x.size()) continue;
-    // The datasets only ever append, so the first n observations are
-    // exactly the set the journaling run trained on (and n seeds the GBRT's
-    // private RNG, so the rebuild is bit-identical).
-    FidelityObs prefix;
-    prefix.x.assign(obs[l].x.begin(),
-                    obs[l].x.begin() + static_cast<std::ptrdiff_t>(n));
-    prefix.y = linalg::Matrix(n, m_);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t mm = 0; mm < m_; ++mm)
-        prefix.y(i, mm) = obs[l].y(i, mm);
-    engageFallback(l, prefix, mle_fail_streak_[l]);
-  }
-  // Re-engagement replays journaled state; the original events were already
-  // drained by the journaling run.
-  recovery_events_.clear();
 }
 
 gp::Vec MultiFidelitySurrogate::lowerMeans(std::size_t level,
@@ -258,28 +183,6 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
       }
     }
     noteEscalations(l);
-    if (optimize_hypers) {
-      // Self-healing: a level whose MLE exhausts its full multi-start
-      // L-BFGS budget `mle_fail_streak` fits in a row stops serving GP
-      // predictions and falls back to a GBRT baseline; the first
-      // convergent MLE reinstates the GP. fitted_ must be set before the
-      // level is declared healthy again for chained upper levels to read
-      // it, so only the flag and the events are handled here.
-      const long long budget = mleIterBudget(l);
-      const bool exhausted = budget > 0 && lastFitIterations(l) >= budget;
-      if (exhausted) {
-        if (++mle_fail_streak_[l] >= recovery_.mle_fail_streak)
-          engageFallback(l, o, mle_fail_streak_[l]);
-      } else {
-        mle_fail_streak_[l] = 0;
-        if (fallback_[l].active) {
-          fallback_[l].active = false;
-          recovery_events_.push_back(
-              {"surrogate_reinstated", static_cast<int>(l),
-               "MLE converged; GP predictions reinstated", 0.0});
-        }
-      }
-    }
   }
   fitted_ = true;
   // A full (re)fit densifies every factor: the fitted state becomes the new
@@ -494,20 +397,6 @@ void MultiFidelitySurrogate::restorePosterior(
 gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
                                                    const gp::Vec& x) const {
   assert(fitted_ && level < levels_);
-  if (fallback_[level].active) {
-    // Degraded mode: serve the GBRT fallback (raw inputs, diagonal
-    // covariance = training residual variance). The GP keeps training
-    // underneath and takes over again once its MLE converges.
-    const Fallback& fb = fallback_[level];
-    gp::MultiPosterior post;
-    post.mean.resize(m_);
-    post.cov = linalg::Matrix(m_, m_);
-    for (std::size_t mm = 0; mm < m_; ++mm) {
-      post.mean[mm] = fb.per_obj[mm].predict(x);
-      post.cov(mm, mm) = fb.resid_var[mm];
-    }
-    return post;
-  }
   const gp::Vec input = augmented(level, x);
 
   gp::MultiPosterior post;
@@ -572,11 +461,6 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
   assert(fitted_ && level < levels_);
   std::vector<gp::MultiPosterior> out;
   if (x.empty()) return out;
-  if (fallback_[level].active) {
-    out.reserve(x.size());
-    for (const auto& xi : x) out.push_back(predict(level, xi));
-    return out;
-  }
 
   // The level below: its means become this level's fidelity feature
   // (non-linear chaining) or scale into this level's posterior (AR(1)).

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/gbrt.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
 #include "linalg/matrix.h"
@@ -37,19 +36,12 @@ struct SurrogateOptions {
   gp::GpFitOptions gp;
 };
 
-/// Numerical self-healing policy: turns detected health pathologies
-/// (Cholesky failure, condition blow-up, MLE non-convergence) into recovery
-/// actions. The MLE fallback fires on ordinary runs, the pinned seed-77
-/// goldens included: `cmmfo run --benchmark sort_radix --seed 77` falls back
-/// to GBRT at round 2 on levels 0 and 2 and at round 39 on level 1, and
-/// reinstates level 2 once. Every golden trajectory therefore depends on
-/// these thresholds (ROADMAP item 1 is to retire the fallback).
+/// Numerical self-healing policy: turns detected Gram pathologies
+/// (Cholesky failure, condition blow-up) into recovery actions. Neither
+/// action swaps out the model: every level always serves its GP. An MLE
+/// that exhausts its L-BFGS budget is only recorded (the flight recorder's
+/// `mle_non_convergence` health warning).
 struct RecoveryOptions {
-  /// Consecutive full-MLE fits at one level that exhaust the entire L-BFGS
-  /// budget (lastFitIterations >= mleIterBudget) before that level's
-  /// predictions fall back to a GBRT baseline. The GP keeps training in
-  /// parallel; the first convergent MLE reinstates it.
-  int mle_fail_streak = 3;
   /// log10 condition estimate above which a committed incrementally-grown
   /// factor is refit densely (a dense refit re-enters the jitter ladder,
   /// which rank-appends refuse). The health warning threshold is 12; the
@@ -60,11 +52,10 @@ struct RecoveryOptions {
 /// One recovery action taken by the self-healing layer (drained by the
 /// optimizer into `recovery` diag records and server event notes).
 struct RecoveryEvent {
-  std::string action;  ///< jitter_escalation | dense_refit |
-                       ///< surrogate_fallback | surrogate_reinstated
+  std::string action;  ///< jitter_escalation | dense_refit
   int level = -1;
   std::string reason;
-  double value = 0.0;  ///< jitter used / cond log10 / failed-fit streak
+  double value = 0.0;  ///< jitter used / cond log10
 };
 
 /// Observations at one fidelity: shared inputs, all M objectives per row.
@@ -143,35 +134,12 @@ class MultiFidelitySurrogate {
   // ---- numerical self-healing (RecoveryOptions; see struct docs) ----
   void setRecovery(const RecoveryOptions& r) { recovery_ = r; }
   const RecoveryOptions& recovery() const { return recovery_; }
-  /// True while `level` serves predictions from the GBRT fallback instead
-  /// of its (still-training) GP.
-  bool fallbackActive(std::size_t level) const {
-    return level < fallback_.size() && fallback_[level].active;
-  }
   /// Recovery actions taken since the last drain, in occurrence order.
   std::vector<RecoveryEvent> drainRecoveryEvents() {
     std::vector<RecoveryEvent> out;
     out.swap(recovery_events_);
     return out;
   }
-
-  /// Journalable self-healing state. The MLE fail streaks decide WHEN the
-  /// GBRT fallback engages, so losing them across a checkpoint boundary
-  /// makes a resumed run's next refit diverge from the uninterrupted one.
-  /// The fallback model itself is deterministic in (level, objective,
-  /// training size) and the datasets are append-only, so journaling the
-  /// engagement size is enough to rebuild it bit-identically from the
-  /// restored observations' prefix.
-  struct RecoveryState {
-    std::vector<int> mle_fail_streak;          // per level
-    std::vector<std::size_t> fallback_trained_n;  // per level; 0 = inactive
-  };
-  RecoveryState recoveryState() const;
-  /// Restore streaks and re-engage journaled fallbacks from `obs` (the
-  /// restored raw datasets). Replay, not a new action: no recovery events
-  /// are emitted.
-  void restoreRecoveryState(const RecoveryState& rs,
-                            const std::vector<FidelityObs>& obs);
 
   /// Nonlinear chaining only: share of total ARD relevance (sum of 1/l_d^2)
   /// sitting on the appended lower-fidelity-prediction dimensions, i.e. how
@@ -237,8 +205,6 @@ class MultiFidelitySurrogate {
   /// Diff `levelEscalations` against the last check and record a
   /// jitter_escalation recovery event when a rescue happened.
   void noteEscalations(std::size_t level);
-  /// (Re)train the GBRT fallback for `level` on its raw observations.
-  void engageFallback(std::size_t level, const FidelityObs& o, int streak);
 
   std::size_t input_dim_;
   std::size_t m_;
@@ -267,22 +233,8 @@ class MultiFidelitySurrogate {
   // ---- numerical self-healing state ----
   RecoveryOptions recovery_;
   std::vector<RecoveryEvent> recovery_events_;
-  /// Consecutive budget-exhausting MLE fits per level.
-  std::vector<int> mle_fail_streak_;
   /// levelEscalations() value at the last noteEscalations() check.
   std::vector<std::uint64_t> esc_seen_;
-  /// Per-level GBRT fallback (one model per objective, diagonal predictive
-  /// covariance = training residual variance). Trained on the level's RAW
-  /// inputs — deliberately independent of the (possibly sick) GP chain.
-  struct Fallback {
-    bool active = false;
-    std::vector<baselines::Gbrt> per_obj;
-    gp::Vec resid_var;
-    /// Training-set size at the last engageFallback(); journaled so resume
-    /// can re-train on the exact same append-only data prefix.
-    std::size_t trained_n = 0;
-  };
-  std::vector<Fallback> fallback_;
 };
 
 }  // namespace cmmfo::core

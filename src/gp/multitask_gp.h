@@ -77,7 +77,6 @@ class MultiTaskGp {
   /// Task correlation matrix derived from B.
   linalg::Matrix taskCorrelation() const;
   double logMarginalLikelihood() const { return state_.lml; }
-  std::size_t numTasks() const { return m_; }
   std::size_t numData() const { return x_.size(); }
   bool fitted() const { return state_.fitted(); }
   const Kernel& inputKernel() const { return *kernel_; }

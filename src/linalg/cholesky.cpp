@@ -52,24 +52,10 @@ std::vector<double> Cholesky::solveLower(const std::vector<double>& b) const {
   return y;
 }
 
-std::vector<double> Cholesky::solveUpper(const std::vector<double>& y) const {
-  const std::size_t n = dim();
-  assert(y.size() == n);
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-    x[ii] = s / l_(ii, ii);
-  }
-  return x;
-}
-
 std::vector<double> Cholesky::solve(const std::vector<double>& b) const {
-  // One allocation for the result; both substitutions run in place on it
-  // (the old solveUpper(solveLower(b)) pair allocated an intermediate per
-  // call, which dominated the acquisition sweep's allocator traffic). Each
-  // element still accumulates through a scalar in the exact order of the
-  // out-of-place substitutions, so results are bit-identical.
+  // One allocation for the result; both substitutions run in place on it.
+  // Each element accumulates through a scalar: rows low to high for L, then
+  // rows high to low with k ascending for L^T.
   const std::size_t n = dim();
   assert(b.size() == n);
   std::vector<double> x = b;
@@ -192,9 +178,10 @@ void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
 }
 
 /// Backward substitution L^T x = y over the compact tile buffer, in place
-/// (rows high to low, k ascending per row, matching the per-vector
-/// solveUpper; row blocking would put each row's corner terms after its
-/// tail terms, changing the per-column order, so this one stays unblocked).
+/// (rows high to low, k ascending per row, matching the backward half of the
+/// per-vector solve(); row blocking would put each row's corner terms after
+/// its tail terms, changing the per-column order, so this one stays
+/// unblocked).
 CMMFO_SOLVE_TILE_CLONES
 void backwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
   const std::size_t n = l.rows();

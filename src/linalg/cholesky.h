@@ -43,8 +43,6 @@ class Cholesky {
   std::vector<double> solveLower(const std::vector<double>& b) const;
   /// Multi-RHS forward substitution L Y = B (bit-equal per column).
   Matrix solveLower(const Matrix& b) const;
-  /// Solve L^T x = y (backward substitution).
-  std::vector<double> solveUpper(const std::vector<double>& y) const;
 
   /// Rank-append update: grow the factor of A to the factor of
   ///   [A  c; c^T  d]

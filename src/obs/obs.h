@@ -22,10 +22,6 @@ struct Observability {
   MetricsRegistry metrics;
   DiagRecorder recorder;
 
-  bool anyEnabled() const {
-    return tracer.enabled() || metrics.enabled() || recorder.enabled();
-  }
-
   /// Disable everything and drop all buffered events, series and records.
   void reset() {
     tracer.setEnabled(false);

@@ -144,10 +144,9 @@ struct ModelRecord {
 struct RecoveryRecord {
   int round = -1;
   int level = -1;
-  std::string action;  // jitter_escalation | dense_refit |
-                       // surrogate_fallback | surrogate_reinstated
+  std::string action;  // jitter_escalation | dense_refit
   std::string reason;
-  double value = 0.0;  // jitter used / cond log10 / failed-fit streak
+  double value = 0.0;  // jitter used / cond log10
 };
 
 /// Running calibration aggregates per (fidelity level, objective).

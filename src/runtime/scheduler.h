@@ -214,7 +214,6 @@ class ToolScheduler {
   /// one round paired with charged_seconds from the previous one.
   SchedulerStats totals() const;
   const RetryPolicy& policy() const { return policy_; }
-  int numWorkers() const { return n_workers_; }
   std::uint64_t cacheNamespace() const { return cache_ns_; }
   /// Effective counter key for this campaign's cache hit/miss ledger.
   std::uint64_t cacheLedger() const {

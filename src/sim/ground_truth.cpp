@@ -28,10 +28,6 @@ pareto::ParetoFront frontOf(
 }
 }  // namespace
 
-std::vector<pareto::Point> GroundTruth::frontAt(Fidelity f) const {
-  return frontOf(reports_, f).points();
-}
-
 std::vector<std::size_t> GroundTruth::frontIndicesAt(Fidelity f) const {
   return frontOf(reports_, f).ids();
 }

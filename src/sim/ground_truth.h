@@ -30,11 +30,11 @@ class GroundTruth {
   const std::vector<pareto::Point>& paretoFront() const { return front_; }
   const std::vector<std::size_t>& paretoIndices() const { return front_idx_; }
 
-  /// Pareto front AS SEEN at fidelity f: stage-f objectives over configs
-  /// whose stage-f report is valid. At kImpl this is the true front above;
-  /// at lower fidelities it is what an optimizer trusting that stage would
-  /// believe — e.g. die-blind on a multi-die device. Computed on demand.
-  std::vector<pareto::Point> frontAt(Fidelity f) const;
+  /// Config indices of the Pareto front AS SEEN at fidelity f: stage-f
+  /// objectives over configs whose stage-f report is valid. At kImpl this
+  /// is the true front above; at lower fidelities it is what an optimizer
+  /// trusting that stage would believe — e.g. die-blind on a multi-die
+  /// device. Computed on demand.
   std::vector<std::size_t> frontIndicesAt(Fidelity f) const;
 
  private:

@@ -153,7 +153,6 @@ class FpgaToolSim {
   /// placer effort — appear in IMPL reports only: lower fidelities stay
   /// die-blind, a failure mode they cannot see.
   void setDieMap(const DieMap& map) { die_map_ = map; }
-  const DieMap& dieMap() const { return die_map_; }
 
   /// run() plus tool-time accounting (used by the optimizers; Table I's
   /// "overall running time" is the sum of these charges). Safe to call

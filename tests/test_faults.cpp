@@ -476,8 +476,6 @@ core::CheckpointState everyKeyState() {
   st.cache_misses = 11;
   st.surrogate_hypers = {{0.5, -0.25, 1.75}, {2.5}};
   st.surrogate_base = {16, 9007199254740993ULL, 0};
-  st.surrogate_mle_streak = {0, 2, 1};
-  st.surrogate_fallback_n = {0, 9007199254740995ULL, 4};
   obs::MetricPoint counter;
   counter.name = "opt.rounds";
   counter.value = 4.0;
@@ -552,8 +550,6 @@ TEST(Checkpoint, EveryKeyIsPinned) {
             R"j([0.5,-0.25,1.75],)j" "\n"
             R"j([2.5]],)j" "\n"
             R"j("surrogate_base": ["16","9007199254740993","0"],)j" "\n"
-            R"j("surrogate_mle_streak": [0,2,1],)j" "\n"
-            R"j("surrogate_fallback_n": ["0","9007199254740995","4"],)j" "\n"
             R"j("metrics": [)j" "\n"
             R"j({"name": "journal.write_s", "kind": 2, "value": 0, "count": "3", ")j"
             R"j(sum": 0.75, "min": 0.125, "max": 0.5, "bounds": [0.25,1], "buckets)j"
@@ -599,8 +595,8 @@ TEST(Checkpoint, EachRequiredKeyIsRequiredAndTheRestAreOptional) {
   for (const std::string key :
        {"fingerprint", "next_round", "t", "picks_per_fidelity",
         "sim_tool_seconds", "async_inflight", "cache", "cache_hits",
-        "cache_misses", "surrogate_hypers", "surrogate_base",
-        "surrogate_mle_streak", "surrogate_fallback_n", "metrics", "diag"}) {
+        "cache_misses", "surrogate_hypers", "surrogate_base", "metrics",
+        "diag"}) {
     const std::string dropped = withoutTopLevelKey(text, key);
     ASSERT_NE(dropped, text) << key;
     core::CheckpointState back;
@@ -751,6 +747,74 @@ TEST(Checkpoint, KillAndResumeUnderFaultsMatchesUninterrupted) {
   EXPECT_EQ(golden.transient_failures, finished.transient_failures);
   EXPECT_DOUBLE_EQ(golden.wasted_seconds, finished.wasted_seconds);
   std::remove(path.c_str());
+}
+
+/// `text` with the two self-healing keys that journals carried while the
+/// surrogate had a GBRT fallback, placed where that writer put them.
+std::string withRetiredRecoveryKeys(const std::string& text,
+                                    const std::string& streak,
+                                    const std::string& fallback_n) {
+  const auto at = text.find("\n\"metrics\": ");
+  if (at == std::string::npos) return text;
+  return text.substr(0, at + 1) + "\"surrogate_mle_streak\": " + streak +
+         ",\n\"surrogate_fallback_n\": " + fallback_n + "," +
+         text.substr(at);
+}
+
+// Journals written while the surrogate had a GBRT fallback carry
+// `surrogate_mle_streak` and `surrogate_fallback_n`. The reader ignores
+// them: such a frame parses to the state without them, and a run resumes
+// from such a journal onto the uninterrupted trajectory.
+TEST(Checkpoint, RetiredRecoveryKeysAreReadAndIgnored) {
+  const std::string text = core::serializeCheckpoint(everyKeyState());
+  const std::string legacy = withRetiredRecoveryKeys(
+      text, "[0,2,1]", R"(["0","9007199254740995","4"])");
+  ASSERT_NE(legacy.find("\n\"surrogate_base\": [\"16\",\"9007199254740993\","
+                        "\"0\"],\n\"surrogate_mle_streak\": [0,2,1],\n"
+                        "\"surrogate_fallback_n\": [\"0\",\"9007199254740995\","
+                        "\"4\"],\n\"metrics\": [\n"),
+            std::string::npos);
+  core::CheckpointState parsed;
+  std::string err;
+  ASSERT_TRUE(core::parseCheckpoint(legacy, &parsed, &err)) << err;
+  EXPECT_EQ(core::serializeCheckpoint(parsed), text);
+
+  const std::string path = tempCheckpointPath("cmmfo_ckpt_retired.json");
+  const std::string legacy_path = tempCheckpointPath("cmmfo_ckpt_legacy.json");
+  std::remove(path.c_str());
+  std::remove(legacy_path.c_str());
+  core::OptimizerOptions o = fastOpts();
+  o.seed = 77;
+
+  Fixture f1;
+  core::CorrelatedMfMoboOptimizer full(f1.space, f1.sim, o);
+  const auto golden = full.run();
+
+  Fixture f2;
+  core::OptimizerOptions o_kill = o;
+  o_kill.checkpoint_path = path;
+  o_kill.max_rounds = 3;
+  core::CorrelatedMfMoboOptimizer killed(f2.space, f2.sim, o_kill);
+  (void)killed.run();
+  core::CheckpointState st;
+  ASSERT_TRUE(core::loadCheckpointAny(path, &st, &err)) << err;
+  // Values that re-engaged the fallback on levels 0 and 2 when it existed.
+  {
+    std::ofstream out(legacy_path, std::ios::binary);
+    out << withRetiredRecoveryKeys(core::serializeCheckpoint(st), "[3,0,3]",
+                                   R"(["10","0","5"])");
+  }
+
+  Fixture f3;
+  core::OptimizerOptions o_resume = o;
+  o_resume.checkpoint_path = legacy_path;
+  o_resume.resume = true;
+  core::CorrelatedMfMoboOptimizer resumed(f3.space, f3.sim, o_resume);
+  const auto finished = resumed.run();
+  EXPECT_TRUE(finished.resumed);
+  expectSameTrajectory(golden, finished);
+  std::remove(path.c_str());
+  std::remove(legacy_path.c_str());
 }
 
 TEST(Checkpoint, ResumeWithDifferentOptionsThrowsOnFingerprint) {

@@ -900,8 +900,6 @@ TEST(ObsCheckpoint, SerializedMetricsAndDiagKeysArePinned) {
             R"j("cache_misses": "0",)j" "\n"
             R"j("surrogate_hypers": [],)j" "\n"
             R"j("surrogate_base": [],)j" "\n"
-            R"j("surrogate_mle_streak": [],)j" "\n"
-            R"j("surrogate_fallback_n": [],)j" "\n"
             R"j("metrics": [)j" "\n"
             R"j({"name": "opt.rounds", "kind": 0, "value": 4, "count": "2", "sum":)j"
             R"j( 0, "min": 0, "max": 0, "bounds": [], "buckets": []},)j" "\n"
