@@ -17,7 +17,7 @@
 #include <cstdlib>
 
 #include "core/acquisition.h"
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
 #include "linalg/cholesky.h"
@@ -182,7 +182,7 @@ void BM_PosteriorAppend(benchmark::State& state) {
                             Vec(y.begin(), y.begin() + n));
   for (auto _ : state) {
     gp.appendObservation(x[n], y[n]);
-    gp.truncateTo(n);
+    gp.truncateToPoints(n);
   }
 }
 BENCHMARK(BM_PosteriorAppend)->Arg(64)->Arg(256);
@@ -286,7 +286,7 @@ int runPerfGate() {
                               Vec(y.begin(), y.begin() + n));
     const double append_s = bestSecondsOf(5, 8, [&] {
       gp.appendObservation(x[n], y[n]);
-      gp.truncateTo(n);
+      gp.truncateToPoints(n);
     });
     const double refit_s =
         bestSecondsOf(5, 2, [&] { gp.refitPosterior(x, y); });

@@ -5,7 +5,7 @@
 
 #include "core/acquisition.h"
 #include "core/campaign_stepper.h"
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "pareto/dominance.h"
 
 namespace cmmfo::baselines {

@@ -4,10 +4,10 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 
-#include "gp/ard_kernels.h"
 #include "linalg/vec_ops.h"
 #include "obs/obs.h"
 #include "util/fork_join.h"
@@ -23,7 +23,51 @@ double elapsedUs(std::chrono::steady_clock::time_point t0) {
              std::chrono::steady_clock::now() - t0)
       .count();
 }
+
+constexpr auto kMax = [](auto acc, auto v) { return std::max(acc, v); };
+
+// What model `mm` of a level learns from the level's n x M targets y: the
+// MTGP takes every column, the GP of objective mm takes column mm.
+const linalg::Matrix& targetsOf(const gp::MultiTaskGp&,
+                                const linalg::Matrix& y, std::size_t) {
+  return y;
+}
+gp::Vec targetsOf(const gp::GpRegressor&, const linalg::Matrix& y,
+                  std::size_t mm) {
+  return y.col(mm);
+}
+// The same for row i alone.
+gp::Vec rowOf(const gp::MultiTaskGp&, const linalg::Matrix& y, std::size_t i,
+              std::size_t) {
+  gp::Vec row(y.cols());
+  for (std::size_t mm = 0; mm < y.cols(); ++mm) row[mm] = y(i, mm);
+  return row;
+}
+double rowOf(const gp::GpRegressor&, const linalg::Matrix& y, std::size_t i,
+             std::size_t mm) {
+  return y(i, mm);
+}
 }  // namespace
+
+template <class Self, class Fn>
+void MultiFidelitySurrogate::forEachModel(Self& self, std::size_t level,
+                                          Fn&& fn) {
+  if (self.opts_.obj == ObjModelKind::kCorrelated) {
+    fn(self.mt_models_[level], std::size_t{0});
+  } else {
+    for (std::size_t mm = 0; mm < self.m_; ++mm)
+      fn(self.ind_models_[level][mm], mm);
+  }
+}
+
+template <class T, class Value, class Fold>
+T MultiFidelitySurrogate::foldModels(std::size_t level, T init, Value value,
+                                     Fold fold) const {
+  if (opts_.obj == ObjModelKind::kCorrelated)
+    return value(mt_models_[level]);
+  for (const auto& model : ind_models_[level]) init = fold(init, value(model));
+  return init;
+}
 
 MultiFidelitySurrogate::MultiFidelitySurrogate(std::size_t input_dim,
                                                std::size_t num_objectives,
@@ -55,23 +99,19 @@ MultiFidelitySurrogate::MultiFidelitySurrogate(std::size_t input_dim,
 
 std::uint64_t MultiFidelitySurrogate::levelEscalations(
     std::size_t level) const {
-  if (opts_.obj == ObjModelKind::kCorrelated)
-    return mt_models_[level].jitterEscalations();
-  std::uint64_t sum = 0;
-  for (const auto& model : ind_models_[level]) sum += model.jitterEscalations();
-  return sum;
+  return foldModels(
+      level, std::uint64_t{0},
+      [](const auto& model) { return model.jitterEscalations(); },
+      std::plus<>());
 }
 
 void MultiFidelitySurrogate::noteEscalations(std::size_t level) {
   const std::uint64_t now = levelEscalations(level);
   if (now == esc_seen_[level]) return;
-  double jitter = 0.0;
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    jitter = mt_models_[level].lastEscalationJitter();
-  } else {
-    for (const auto& model : ind_models_[level])
-      jitter = std::max(jitter, model.lastEscalationJitter());
-  }
+  const double jitter = foldModels(
+      level, 0.0,
+      [](const auto& model) { return model.lastEscalationJitter(); },
+      kMax);
   recovery_events_.push_back(
       {"jitter_escalation", static_cast<int>(level),
        "Gram factorization needed the escalated jitter ladder", jitter});
@@ -139,49 +179,29 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
     obs::Span fit_span(&obs::tracer(), "gp_fit_level", "gp");
     fit_span.fidelity(static_cast<int>(l))
         .outcome(optimize_hypers ? "mle" : "refit");
-    if (opts_.obj == ObjModelKind::kCorrelated) {
+    forEachModel(*this, l, [&](auto& model, std::size_t mm) {
+      const auto& y = targetsOf(model, targets, mm);
       if (optimize_hypers)
-        mt_models_[l].fit(inputs, targets, rng);
+        model.fit(inputs, y, rng);
       else
-        mt_models_[l].refitPosterior(inputs, targets);
-      if (obs::metrics().enabled()) {
-        obs::MetricsRegistry& met = obs::metrics();
-        if (optimize_hypers) {
-          met.defineHistogram("gp.fit_iters",
-                              obs::MetricsRegistry::countBounds());
-          met.observe("gp.fit_iters",
-                      static_cast<double>(mt_models_[l].lastFitIterations()));
-        }
-        met.defineHistogram("gp.cond_log10",
-                            obs::MetricsRegistry::conditionBounds());
-        met.observe("gp.cond_log10",
-                    std::log10(mt_models_[l].gramConditionEstimate()));
-        met.set("gp.lml.level" + std::to_string(l),
-                mt_models_[l].logMarginalLikelihood());
+        model.refitPosterior(inputs, y);
+      if (!obs::metrics().enabled()) return;
+      obs::MetricsRegistry& met = obs::metrics();
+      if (optimize_hypers) {
+        met.defineHistogram("gp.fit_iters",
+                            obs::MetricsRegistry::countBounds());
+        met.observe("gp.fit_iters",
+                    static_cast<double>(model.lastFitIterations()));
       }
-    } else {
-      for (std::size_t mm = 0; mm < m_; ++mm) {
-        const gp::Vec col = targets.col(mm);
-        if (optimize_hypers)
-          ind_models_[l][mm].fit(inputs, col, rng);
-        else
-          ind_models_[l][mm].refitPosterior(inputs, col);
-        if (obs::metrics().enabled()) {
-          obs::MetricsRegistry& met = obs::metrics();
-          if (optimize_hypers) {
-            met.defineHistogram("gp.fit_iters",
-                                obs::MetricsRegistry::countBounds());
-            met.observe(
-                "gp.fit_iters",
-                static_cast<double>(ind_models_[l][mm].lastFitIterations()));
-          }
-          met.defineHistogram("gp.cond_log10",
-                              obs::MetricsRegistry::conditionBounds());
-          met.observe("gp.cond_log10",
-                      std::log10(ind_models_[l][mm].gramConditionEstimate()));
-        }
-      }
-    }
+      met.defineHistogram("gp.cond_log10",
+                          obs::MetricsRegistry::conditionBounds());
+      met.observe("gp.cond_log10", std::log10(model.gramConditionEstimate()));
+    });
+    // The level's LML gauge is the MTGP's own (the independent variant
+    // publishes none).
+    if (opts_.obj == ObjModelKind::kCorrelated && obs::metrics().enabled())
+      obs::metrics().set("gp.lml.level" + std::to_string(l),
+                         mt_models_[l].logMarginalLikelihood());
     noteEscalations(l);
   }
   fitted_ = true;
@@ -194,19 +214,18 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
 }
 
 std::size_t MultiFidelitySurrogate::levelPoints(std::size_t level) const {
-  return opts_.obj == ObjModelKind::kCorrelated
-             ? mt_models_[level].numData()
-             : ind_models_[level][0].numData();
+  // Every model of a level holds the same points.
+  return foldModels(
+      level, std::size_t{0}, [](const auto& model) { return model.numData(); },
+      kMax);
 }
 
 std::vector<std::size_t> MultiFidelitySurrogate::currentBaseCounts() const {
   std::vector<std::size_t> base;
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    for (const auto& model : mt_models_) base.push_back(model.denseBasePoints());
-  } else {
-    for (const auto& level : ind_models_)
-      for (const auto& model : level) base.push_back(model.denseBaseSize());
-  }
+  for (std::size_t l = 0; l < levels_; ++l)
+    forEachModel(*this, l, [&](const auto& model, std::size_t) {
+      base.push_back(model.denseBasePoints());
+    });
   return base;
 }
 
@@ -222,12 +241,9 @@ void MultiFidelitySurrogate::denseRefitLevel(std::size_t level,
   buildLevelTraining(level, o, &inputs, &targets);
   obs::Span span(&obs::tracer(), "gp_fit_level", "gp");
   span.fidelity(static_cast<int>(level)).outcome("refit");
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    mt_models_[level].refitPosterior(inputs, targets);
-  } else {
-    for (std::size_t mm = 0; mm < m_; ++mm)
-      ind_models_[level][mm].refitPosterior(inputs, targets.col(mm));
-  }
+  forEachModel(*this, level, [&](auto& model, std::size_t mm) {
+    model.refitPosterior(inputs, targetsOf(model, targets, mm));
+  });
 }
 
 bool MultiFidelitySurrogate::appendLevelRows(std::size_t level,
@@ -243,27 +259,18 @@ bool MultiFidelitySurrogate::appendLevelRows(std::size_t level,
   for (std::size_t i = from; i < o.x.size(); ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     const gp::Vec input = augmented(level, o.x[i]);
-    if (opts_.obj == ObjModelKind::kCorrelated) {
-      gp::Vec y_row(m_);
-      for (std::size_t mm = 0; mm < m_; ++mm) y_row[mm] = o.y(i, mm);
-      all_incremental &= mt_models_[level].appendObservation(input, y_row);
-    } else {
-      for (std::size_t mm = 0; mm < m_; ++mm)
-        all_incremental &=
-            ind_models_[level][mm].appendObservation(input, o.y(i, mm));
-    }
+    forEachModel(*this, level, [&](auto& model, std::size_t mm) {
+      all_incremental &=
+          model.appendObservation(input, rowOf(model, o.y, i, mm));
+    });
     if (timed) obs::metrics().observe("gp.append_us", elapsedUs(t0));
   }
   return all_incremental;
 }
 
 void MultiFidelitySurrogate::truncateLevel(std::size_t level, std::size_t n) {
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    mt_models_[level].truncateToPoints(n);
-  } else {
-    for (std::size_t mm = 0; mm < m_; ++mm)
-      ind_models_[level][mm].truncateTo(n);
-  }
+  forEachModel(*this, level,
+               [n](auto& model, std::size_t) { model.truncateToPoints(n); });
 }
 
 void MultiFidelitySurrogate::appendObservations(
@@ -363,30 +370,16 @@ void MultiFidelitySurrogate::restorePosterior(
     gp::Dataset inputs;
     linalg::Matrix targets;
     buildLevelTraining(l, o, &inputs, &targets);
-    if (opts_.obj == ObjModelKind::kCorrelated) {
+    forEachModel(*this, l, [&](auto& model, std::size_t mm) {
       const std::size_t base = baseFor(n);
       gp::Dataset prefix_x(inputs.begin(), inputs.begin() + base);
       linalg::Matrix prefix_y(base, m_);
       for (std::size_t i = 0; i < base; ++i)
-        for (std::size_t mm = 0; mm < m_; ++mm)
-          prefix_y(i, mm) = targets(i, mm);
-      mt_models_[l].refitPosterior(prefix_x, prefix_y);
-      for (std::size_t i = base; i < n; ++i) {
-        gp::Vec y_row(m_);
-        for (std::size_t mm = 0; mm < m_; ++mm) y_row[mm] = targets(i, mm);
-        mt_models_[l].appendObservation(inputs[i], y_row);
-      }
-    } else {
-      for (std::size_t mm = 0; mm < m_; ++mm) {
-        const std::size_t base = baseFor(n);
-        const gp::Vec col = targets.col(mm);
-        gp::Dataset prefix_x(inputs.begin(), inputs.begin() + base);
-        ind_models_[l][mm].refitPosterior(
-            prefix_x, gp::Vec(col.begin(), col.begin() + base));
-        for (std::size_t i = base; i < n; ++i)
-          ind_models_[l][mm].appendObservation(inputs[i], col[i]);
-      }
-    }
+        for (std::size_t k = 0; k < m_; ++k) prefix_y(i, k) = targets(i, k);
+      model.refitPosterior(prefix_x, targetsOf(model, prefix_y, mm));
+      for (std::size_t i = base; i < n; ++i)
+        model.appendObservation(inputs[i], rowOf(model, targets, i, mm));
+    });
   }
   committed_n_.resize(levels_);
   for (std::size_t l = 0; l < levels_; ++l) committed_n_[l] = obs[l].x.size();
@@ -513,80 +506,62 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
 
 std::vector<std::vector<double>> MultiFidelitySurrogate::hyperState() const {
   std::vector<std::vector<double>> state;
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    for (const auto& model : mt_models_) state.push_back(model.packedParams());
-  } else {
-    for (const auto& level : ind_models_)
-      for (const auto& model : level) state.push_back(model.packedParams());
-  }
+  for (std::size_t l = 0; l < levels_; ++l)
+    forEachModel(*this, l, [&](const auto& model, std::size_t) {
+      state.push_back(model.packedParams());
+    });
   return state;
 }
 
 void MultiFidelitySurrogate::setHyperState(
     const std::vector<std::vector<double>>& state) {
   std::size_t i = 0;
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    assert(state.size() == mt_models_.size());
-    for (auto& model : mt_models_) {
-      assert(state[i].size() == model.packedParams().size());
+  for (std::size_t l = 0; l < levels_; ++l)
+    forEachModel(*this, l, [&](auto& model, std::size_t) {
+      assert(i < state.size() &&
+             state[i].size() == model.packedParams().size());
       model.applyPacked(state[i++]);
-    }
-  } else {
-    assert(state.size() == levels_ * m_);
-    for (auto& level : ind_models_)
-      for (auto& model : level) {
-        assert(state[i].size() == model.packedParams().size());
-        model.applyPacked(state[i++]);
-      }
-  }
+    });
+  assert(i == state.size());
 }
 
 linalg::Matrix MultiFidelitySurrogate::taskCorrelation(std::size_t level) const {
-  assert(opts_.obj == ObjModelKind::kCorrelated && level < levels_);
+  assert(correlated() && level < levels_);
   return mt_models_[level].taskCorrelation();
 }
 
 double MultiFidelitySurrogate::logMarginalLikelihood(std::size_t level) const {
   if (!fitted_ || level >= levels_)
     return std::numeric_limits<double>::quiet_NaN();
-  if (opts_.obj == ObjModelKind::kCorrelated)
-    return mt_models_[level].logMarginalLikelihood();
-  double sum = 0.0;
-  for (const auto& model : ind_models_[level])
-    sum += model.logMarginalLikelihood();
-  return sum;
+  return foldModels(
+      level, 0.0, [](const auto& model) { return model.logMarginalLikelihood(); },
+      std::plus<>());
 }
 
 long long MultiFidelitySurrogate::lastFitIterations(std::size_t level) const {
   if (level >= levels_) return 0;
-  if (opts_.obj == ObjModelKind::kCorrelated)
-    return mt_models_[level].lastFitIterations();
-  long long sum = 0;
-  for (const auto& model : ind_models_[level]) sum += model.lastFitIterations();
-  return sum;
+  return foldModels(
+      level, 0LL,
+      [](const auto& model) -> long long { return model.lastFitIterations(); },
+      std::plus<>());
 }
 
 long long MultiFidelitySurrogate::mleIterBudget(std::size_t level) const {
   // Each model reports the budget of the start list its last fit actually
   // ran, so this cannot drift from the multi-start lists in gp/.
   if (level >= levels_) return 0;
-  if (opts_.obj == ObjModelKind::kCorrelated)
-    return mt_models_[level].lastFitBudget();
-  long long sum = 0;
-  for (const auto& model : ind_models_[level]) sum += model.lastFitBudget();
-  return sum;
+  return foldModels(
+      level, 0LL,
+      [](const auto& model) -> long long { return model.lastFitBudget(); },
+      std::plus<>());
 }
 
 double MultiFidelitySurrogate::gramConditionLog10(std::size_t level) const {
   if (!fitted_ || level >= levels_)
     return std::numeric_limits<double>::quiet_NaN();
-  double cond = 1.0;
-  if (opts_.obj == ObjModelKind::kCorrelated) {
-    cond = mt_models_[level].gramConditionEstimate();
-  } else {
-    for (const auto& model : ind_models_[level])
-      cond = std::max(cond, model.gramConditionEstimate());
-  }
+  const double cond = foldModels(
+      level, 1.0, [](const auto& model) { return model.gramConditionEstimate(); },
+      kMax);
   return std::log10(std::max(cond, 1.0));
 }
 
@@ -595,34 +570,31 @@ double MultiFidelitySurrogate::lowerFidelityRelevance(std::size_t level) const {
     return std::numeric_limits<double>::quiet_NaN();
   // Relevance of dimension d under ARD is 1/l_d^2 (an infinite lengthscale
   // switches the dimension off). The augmented input is [x (input_dim_),
-  // mu_lower (m_)], so the tail dims carry the cross-fidelity signal.
-  const auto share = [this](const gp::Kernel& k) {
-    const auto* ard = dynamic_cast<const gp::ArdKernelBase*>(&k);
-    if (ard == nullptr || ard->dim() != input_dim_ + m_)
-      return std::numeric_limits<double>::quiet_NaN();
+  // mu_lower (m_)], so the tail dims carry the cross-fidelity signal. The
+  // level's value is the mean share over its models with a defined share.
+  struct Mean {
+    double sum = 0.0;
+    std::size_t n = 0;
+  };
+  const auto share = [this](const auto& model) {
+    const gp::Matern52Ard& k = model.kernel();
+    assert(k.dim() == input_dim_ + m_);
     double total = 0.0, lower = 0.0;
-    for (std::size_t d = 0; d < ard->dim(); ++d) {
-      const double ls = ard->lengthscale(d);
+    for (std::size_t d = 0; d < k.dim(); ++d) {
+      const double ls = k.lengthscale(d);
       const double rel = 1.0 / (ls * ls);
       total += rel;
       if (d >= input_dim_) lower += rel;
     }
-    return total > 0.0 ? lower / total
-                       : std::numeric_limits<double>::quiet_NaN();
+    const double s = total > 0.0 ? lower / total
+                                 : std::numeric_limits<double>::quiet_NaN();
+    return std::isnan(s) ? Mean{} : Mean{s, 1};
   };
-  if (opts_.obj == ObjModelKind::kCorrelated)
-    return share(mt_models_[level].inputKernel());
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& model : ind_models_[level]) {
-    const double s = share(model.kernel());
-    if (!std::isnan(s)) {
-      sum += s;
-      ++n;
-    }
-  }
-  return n > 0 ? sum / static_cast<double>(n)
-               : std::numeric_limits<double>::quiet_NaN();
+  const Mean mean = foldModels(level, Mean{}, share, [](Mean a, Mean b) {
+    return Mean{a.sum + b.sum, a.n + b.n};
+  });
+  return mean.n > 0 ? mean.sum / static_cast<double>(mean.n)
+                    : std::numeric_limits<double>::quiet_NaN();
 }
 
 }  // namespace cmmfo::core

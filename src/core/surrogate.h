@@ -176,6 +176,15 @@ class MultiFidelitySurrogate {
                         const std::vector<std::size_t>& base_counts);
 
  private:
+  /// Calls fn(model, mm) on each model serving `level`, in hyperState()
+  /// order: the one MTGP (mm = 0), or the GP of each objective mm.
+  template <class Self, class Fn>
+  static void forEachModel(Self& self, std::size_t level, Fn&& fn);
+  /// value(model) reduced over the models serving `level`: the MTGP's value
+  /// as it is, or the M GPs' values folded into `init` in objective order.
+  template <class T, class Value, class Fold>
+  T foldModels(std::size_t level, T init, Value value, Fold fold) const;
+
   gp::Vec augmented(std::size_t level, const gp::Vec& x) const;
   /// Per-objective mean vector of the lower level at x.
   gp::Vec lowerMeans(std::size_t level, const gp::Vec& x) const;

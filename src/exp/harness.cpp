@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "linalg/stats.h"
-#include "pareto/adrs.h"
 
 namespace cmmfo::exp {
 
@@ -16,42 +15,6 @@ BenchmarkContext::BenchmarkContext(bench_suite::Benchmark bm,
       bm_.kernel, sim::DeviceModel::virtex7Vc707(), bm_.sim_params, sim_seed);
   sim_->setDieMap(bm_.die_map);
   gt_ = std::make_unique<sim::GroundTruth>(*space_, *sim_);
-
-  lo_.assign(sim::kNumObjectives, 1e300);
-  hi_.assign(sim::kNumObjectives, -1e300);
-  for (std::size_t i = 0; i < gt_->size(); ++i) {
-    if (!gt_->valid(i)) continue;
-    const auto y = gt_->implObjectives(i);
-    for (int m = 0; m < sim::kNumObjectives; ++m) {
-      lo_[m] = std::min(lo_[m], y[m]);
-      hi_[m] = std::max(hi_[m], y[m]);
-    }
-  }
-}
-
-double BenchmarkContext::adrsOf(const std::vector<std::size_t>& selected) const {
-  auto normalize = [&](const pareto::Point& p) {
-    pareto::Point q(p.size());
-    for (std::size_t m = 0; m < p.size(); ++m) {
-      const double range = std::max(hi_[m] - lo_[m], 1e-12);
-      q[m] = (p[m] - lo_[m]) / range;
-    }
-    return q;
-  };
-
-  std::vector<pareto::Point> learned;
-  for (std::size_t i : selected)
-    if (gt_->valid(i)) learned.push_back(normalize(gt_->implObjectives(i)));
-  learned = pareto::paretoFilter(learned);
-  if (learned.empty()) {
-    // A method that proposed nothing usable is as far from the front as the
-    // worst corner of the space.
-    learned.push_back(pareto::Point(sim::kNumObjectives, 1.0));
-  }
-
-  std::vector<pareto::Point> reference;
-  for (const auto& p : gt_->paretoFront()) reference.push_back(normalize(p));
-  return pareto::adrs(reference, learned, pareto::AdrsDistance::kEuclidean);
 }
 
 MethodStats evaluateMethod(BenchmarkContext& ctx,

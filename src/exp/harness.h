@@ -26,17 +26,16 @@ class BenchmarkContext {
   const bench_suite::Benchmark& benchmark() const { return bm_; }
 
   /// ADRS (Eq. 11) of a method's proposed configurations against the true
-  /// Pareto set: proposals are scored at their TRUE post-Impl objectives
-  /// (invalid proposals dropped), jointly min-max normalized with the
-  /// ground-truth ranges, Euclidean distance.
-  double adrsOf(const std::vector<std::size_t>& selected) const;
+  /// Pareto set: sim::GroundTruth::adrsOf.
+  double adrsOf(const std::vector<std::size_t>& selected) const {
+    return gt_->adrsOf(selected);
+  }
 
  private:
   bench_suite::Benchmark bm_;
   std::unique_ptr<hls::DesignSpace> space_;
   std::unique_ptr<sim::FpgaToolSim> sim_;
   std::unique_ptr<sim::GroundTruth> gt_;
-  pareto::Point lo_, hi_;  // normalization ranges over valid configs
 };
 
 struct RunMetrics {

@@ -14,58 +14,33 @@
 namespace cmmfo::gp {
 
 namespace {
-double clampLogNoise(double v, const GpFitOptions& opts) {
-  return std::clamp(v, std::log(opts.min_noise), std::log(opts.max_noise));
+double clampLogNoise(double v) {
+  return std::clamp(v, std::log(kMinNoise), std::log(kMaxNoise));
 }
 }  // namespace
 
-GpRegressor::GpRegressor(const Kernel& prototype, GpFitOptions opts)
-    : kernel_(prototype.clone()),
-      opts_(opts),
-      log_noise_(std::log(opts.init_noise)) {}
-
-GpRegressor::GpRegressor(const GpRegressor& o)
-    : kernel_(o.kernel_->clone()),
-      opts_(o.opts_),
-      log_noise_(o.log_noise_),
-      last_fit_iters_(o.last_fit_iters_),
-      last_fit_budget_(o.last_fit_budget_),
-      x_(o.x_),
-      y_raw_(o.y_raw_),
-      state_(o.state_) {}
-
-GpRegressor& GpRegressor::operator=(const GpRegressor& o) {
-  if (this == &o) return *this;
-  kernel_ = o.kernel_->clone();
-  opts_ = o.opts_;
-  log_noise_ = o.log_noise_;
-  last_fit_iters_ = o.last_fit_iters_;
-  last_fit_budget_ = o.last_fit_budget_;
-  x_ = o.x_;
-  y_raw_ = o.y_raw_;
-  state_ = o.state_;
-  return *this;
-}
+GpRegressor::GpRegressor(const Matern52Ard& prototype, GpFitOptions opts)
+    : kernel_(prototype), opts_(opts), log_noise_(std::log(kInitNoise)) {}
 
 double GpRegressor::noiseStddev() const { return std::exp(log_noise_); }
 
 Vec GpRegressor::packedParams() const {
-  Vec p = kernel_->params();
-  if (opts_.optimize_noise) p.push_back(log_noise_);
+  Vec p = kernel_.params();
+  p.push_back(log_noise_);
   return p;
 }
 
 void GpRegressor::applyPacked(const Vec& packed) {
-  const std::size_t nk = kernel_->numParams();
-  kernel_->setParams(Vec(packed.begin(), packed.begin() + nk));
-  if (opts_.optimize_noise) log_noise_ = clampLogNoise(packed[nk], opts_);
+  const std::size_t nk = kernel_.numParams();
+  kernel_.setParams(Vec(packed.begin(), packed.begin() + nk));
+  log_noise_ = clampLogNoise(packed[nk]);
 }
 
 struct GpRegressor::LmlWorkspace {
-  LmlWorkspace(const Kernel& k, const Dataset& x) : kernel(k.clone()) {
+  LmlWorkspace(const Matern52Ard& k, const Dataset& x) : kernel(k) {
     pairs.bind(x);
   }
-  KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
+  Matern52Ard kernel;    // re-parameterized per evaluation
   PairCache pairs;       // bound to the training inputs once per start
   linalg::Matrix gram;   // noise-augmented Gram, then W
   linalg::Cholesky chol; // refactorized in place
@@ -75,15 +50,14 @@ struct GpRegressor::LmlWorkspace {
 double GpRegressor::negLml(const Vec& packed, Vec& grad,
                            LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
-  const std::size_t nk = kernel_->numParams();
+  const std::size_t nk = kernel_.numParams();
   grad.assign(packed.size(), 0.0);
 
-  ws.kernel->setParams(Vec(packed.begin(), packed.begin() + nk));
-  const double log_noise =
-      opts_.optimize_noise ? clampLogNoise(packed[nk], opts_) : log_noise_;
+  ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
+  const double log_noise = clampLogNoise(packed[nk]);
   const double noise_var = std::exp(2.0 * log_noise);
 
-  ws.kernel->pairGram(ws.pairs, ws.gram);
+  ws.kernel.pairGram(ws.pairs, ws.gram);
   for (std::size_t i = 0; i < n; ++i) ws.gram(i, i) += noise_var;
   if (!ws.chol.refactorize(ws.gram))
     return std::numeric_limits<double>::infinity();
@@ -99,25 +73,23 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad,
   ws.chol.inverseInto(w);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) w(i, j) = alpha[i] * alpha[j] - w(i, j);
-  ws.kernel->gramGradTrace(ws.pairs, w, ws.tr);
+  ws.kernel.gramGradTrace(ws.pairs, w, ws.tr);
   for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
-  if (opts_.optimize_noise) {
-    // dK/d log_noise = 2 * noise_var * I.
-    double tr = 0.0;
-    for (std::size_t i = 0; i < n; ++i) tr += w(i, i);
-    grad[nk] = -0.5 * tr * 2.0 * noise_var;
-    // At a clamp boundary, zero the gradient component pointing outward so
-    // the line search does not chase an inert direction.
-    if ((packed[nk] <= std::log(opts_.min_noise) && grad[nk] > 0.0) ||
-        (packed[nk] >= std::log(opts_.max_noise) && grad[nk] < 0.0))
-      grad[nk] = 0.0;
-  }
+  // dK/d log_noise = 2 * noise_var * I.
+  double tr = 0.0;
+  for (std::size_t i = 0; i < n; ++i) tr += w(i, i);
+  grad[nk] = -0.5 * tr * 2.0 * noise_var;
+  // At a clamp boundary, zero the gradient component pointing outward so
+  // the line search does not chase an inert direction.
+  if ((packed[nk] <= std::log(kMinNoise) && grad[nk] > 0.0) ||
+      (packed[nk] >= std::log(kMaxNoise) && grad[nk] < 0.0))
+    grad[nk] = 0.0;
   return nll;
 }
 
 double GpRegressor::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
-  LmlWorkspace ws(*kernel_, x_);
+  LmlWorkspace ws(kernel_, x_);
   Vec g;
   const double v = negLml(packed, g, ws);
   if (grad != nullptr) *grad = std::move(g);
@@ -139,14 +111,14 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
-    KernelPtr init = kernel_->clone();
-    init->initFromData(x_);
+    Matern52Ard init = kernel_;
+    init.initFromData(x_);
     // Multi-resolution ladder: the median distance and two shorter scales.
     for (double factor : {1.0, 0.25, 0.0625}) {
-      KernelPtr k2 = init->clone();
-      k2->scaleLengthscales(factor);
-      Vec p = k2->params();
-      if (opts_.optimize_noise) p.push_back(std::log(0.1));
+      Matern52Ard k2 = init;
+      k2.scaleLengthscales(factor);
+      Vec p = k2.params();
+      p.push_back(std::log(kInitNoise));
       starts.push_back(std::move(p));
     }
     for (int s2 = 0; s2 < opts_.mle_restarts; ++s2) {
@@ -158,7 +130,7 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   opt::LbfgsOptions lopts;
   lopts.max_iters = opts_.max_mle_iters;
   const auto make_objective = [this] {
-    auto ws = std::make_shared<LmlWorkspace>(*kernel_, x_);
+    auto ws = std::make_shared<LmlWorkspace>(kernel_, x_);
     return opt::GradObjectiveFn(
         [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
   };
@@ -173,7 +145,7 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
 
 void GpRegressor::rebuildDense() {
   const std::size_t n = x_.size();
-  linalg::Matrix gram = kernel_->gram(x_);
+  linalg::Matrix gram = kernel_.gram(x_);
   const double noise_var = std::exp(2.0 * log_noise_);
   for (std::size_t i = 0; i < n; ++i) gram(i, i) += noise_var;
   // A Gram the escalated jitter ladder cannot factorize has non-finite
@@ -215,8 +187,8 @@ bool GpRegressor::appendObservation(const Vec& x, double y) {
   // exactly the entries a dense Gram of the extended data would hold, so
   // the grown factor (and thus alpha, lml, predictions) is bit-identical to
   // refitPosterior on x_ + {x}.
-  Vec cross = kernel_->crossVec(x_, x);
-  const double diag = kernel_->eval(x, x) + std::exp(2.0 * log_noise_);
+  Vec cross = kernel_.crossVec(x_, x);
+  const double diag = kernel_.eval(x, x) + std::exp(2.0 * log_noise_);
   if (!state_.appendRow(cross, diag)) {
     x_.push_back(x);
     y_raw_.push_back(y);
@@ -229,7 +201,7 @@ bool GpRegressor::appendObservation(const Vec& x, double y) {
   return true;
 }
 
-void GpRegressor::truncateTo(std::size_t n) {
+void GpRegressor::truncateToPoints(std::size_t n) {
   assert(fitted() && n >= 1 && n <= x_.size() && state_.rows() == x_.size());
   if (n == x_.size()) return;
   x_.resize(n);
@@ -240,11 +212,11 @@ void GpRegressor::truncateTo(std::size_t n) {
 
 Posterior GpRegressor::predict(const Vec& x) const {
   assert(fitted());
-  const Vec kstar = kernel_->crossVec(x_, x);
+  const Vec kstar = kernel_.crossVec(x_, x);
   Posterior p;
   const double z_mean = linalg::dot(kstar, state_.alpha);
   const Vec v = state_.chol->solveLower(kstar);
-  const double kxx = kernel_->eval(x, x);
+  const double kxx = kernel_.eval(x, x);
   double z_var = kxx - linalg::dot(v, v);
   z_var = std::max(z_var, 0.0);
   p.mean = state_.standardizers[0].inverse(z_mean);
@@ -262,7 +234,7 @@ std::vector<Posterior> GpRegressor::predictBatch(const Dataset& x) const {
   // whole candidate block; the per-candidate reductions below accumulate in
   // the same index order as predict()'s dot products, so every entry is
   // bit-identical to the scalar path.
-  const linalg::Matrix kstar = kernel_->cross(x_, x);
+  const linalg::Matrix kstar = kernel_.cross(x_, x);
   const linalg::Matrix v = state_.chol->solveLower(kstar);
   const linalg::Standardizer& std1 = state_.standardizers[0];
   for (std::size_t c = 0; c < nc; ++c) {
@@ -270,7 +242,7 @@ std::vector<Posterior> GpRegressor::predictBatch(const Dataset& x) const {
     for (std::size_t i = 0; i < n; ++i) z_mean += kstar(i, c) * state_.alpha[i];
     double vv = 0.0;
     for (std::size_t i = 0; i < n; ++i) vv += v(i, c) * v(i, c);
-    const double kxx = kernel_->eval(x[c], x[c]);
+    const double kxx = kernel_.eval(x[c], x[c]);
     double z_var = kxx - vv;
     z_var = std::max(z_var, 0.0);
     Posterior p;

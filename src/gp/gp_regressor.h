@@ -1,7 +1,5 @@
 #pragma once
 
-#include <optional>
-
 #include "gp/kernel.h"
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
@@ -18,17 +16,6 @@ struct Posterior {
 };
 
 struct GpFitOptions {
-  /// Also optimize the observation-noise stddev (log-parameterized).
-  bool optimize_noise = true;
-  /// Initial observation-noise stddev, in standardized-target units.
-  double init_noise = 0.1;
-  /// Lower bound on the noise stddev, keeping the Gram matrix well
-  /// conditioned even for noise-free data.
-  double min_noise = 1e-4;
-  /// Upper bound on the noise stddev (standardized units): beyond a few
-  /// data-stddevs "all noise" is already expressed, and an unbounded
-  /// parameter lets a bad line search run off to infinity.
-  double max_noise = 4.0;
   /// Extra random restarts for the MLE search.
   int mle_restarts = 2;
   int max_mle_iters = 60;
@@ -42,13 +29,9 @@ struct GpFitOptions {
 /// original units.
 class GpRegressor {
  public:
-  /// `prototype` supplies the kernel family and initial hyperparameters;
-  /// it is cloned, never mutated.
-  explicit GpRegressor(const Kernel& prototype, GpFitOptions opts = {});
-  GpRegressor(const GpRegressor& o);
-  GpRegressor& operator=(const GpRegressor& o);
-  GpRegressor(GpRegressor&&) = default;
-  GpRegressor& operator=(GpRegressor&&) = default;
+  /// `prototype` supplies the initial hyperparameters; the model keeps its
+  /// own copy.
+  explicit GpRegressor(const Matern52Ard& prototype, GpFitOptions opts = {});
 
   /// Fit hyperparameters on (x, y) and cache the posterior state.
   /// Requires x.size() == y.size() >= 1.
@@ -68,12 +51,12 @@ class GpRegressor {
 
   /// Exact rollback to the first n observations (bitwise inverse of a
   /// sequence of appendObservation calls) — Kriging-believer speculation.
-  void truncateTo(std::size_t n);
+  void truncateToPoints(std::size_t n);
 
   /// Observations covered by the last dense factorization (appends sit on
   /// top). Journaled by checkpoints so resume can replay dense(base) +
   /// appends bit-identically.
-  std::size_t denseBaseSize() const { return state_.base_rows; }
+  std::size_t denseBasePoints() const { return state_.base_rows; }
 
   Posterior predict(const Vec& x) const;
   /// Batched prediction: one cross-Gram build + one multi-RHS triangular
@@ -84,7 +67,7 @@ class GpRegressor {
   /// hyperparameters (standardized units).
   double logMarginalLikelihood() const { return state_.lml; }
   double noiseStddev() const;
-  const Kernel& kernel() const { return *kernel_; }
+  const Matern52Ard& kernel() const { return kernel_; }
   std::size_t numData() const { return x_.size(); }
   bool fitted() const { return state_.fitted(); }
 
@@ -129,7 +112,7 @@ class GpRegressor {
   /// the O(n^2) tail shared by the append and truncate paths.
   void resolveTargets();
 
-  KernelPtr kernel_;
+  Matern52Ard kernel_;
   GpFitOptions opts_;
   double log_noise_ = 0.0;
   int last_fit_iters_ = 0;

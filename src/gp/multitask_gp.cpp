@@ -59,53 +59,22 @@ class LapClock {
 };
 }  // namespace
 
-MultiTaskGp::MultiTaskGp(const Kernel& input_kernel, std::size_t num_tasks,
-                         MultiTaskFitOptions opts)
-    : kernel_(input_kernel.clone()),
+MultiTaskGp::MultiTaskGp(const Matern52Ard& input_kernel,
+                         std::size_t num_tasks, MultiTaskFitOptions opts)
+    : kernel_(input_kernel),
       m_(num_tasks),
       opts_(opts),
       l_entries_(lowerTriCount(num_tasks), 0.0),
-      log_noise_(num_tasks, std::log(opts.init_noise)) {
+      log_noise_(num_tasks, std::log(kInitNoise)) {
   // Identity initialization of L: diagonal logs at 0, off-diagonals at 0.
 }
 
-MultiTaskGp::MultiTaskGp(const MultiTaskGp& o)
-    : kernel_(o.kernel_->clone()),
-      m_(o.m_),
-      opts_(o.opts_),
-      l_entries_(o.l_entries_),
-      log_noise_(o.log_noise_),
-      last_fit_iters_(o.last_fit_iters_),
-      last_fit_budget_(o.last_fit_budget_),
-      x_(o.x_),
-      y_raw_(o.y_raw_),
-      state_(o.state_),
-      row_point_(o.row_point_),
-      row_task_(o.row_task_) {}
-
-MultiTaskGp& MultiTaskGp::operator=(const MultiTaskGp& o) {
-  if (this == &o) return *this;
-  kernel_ = o.kernel_->clone();
-  m_ = o.m_;
-  opts_ = o.opts_;
-  l_entries_ = o.l_entries_;
-  log_noise_ = o.log_noise_;
-  last_fit_iters_ = o.last_fit_iters_;
-  last_fit_budget_ = o.last_fit_budget_;
-  x_ = o.x_;
-  y_raw_ = o.y_raw_;
-  state_ = o.state_;
-  row_point_ = o.row_point_;
-  row_task_ = o.row_task_;
-  return *this;
-}
-
 std::size_t MultiTaskGp::numPacked() const {
-  return kernel_->numParams() + lowerTriCount(m_) + m_;
+  return kernel_.numParams() + lowerTriCount(m_) + m_;
 }
 
 Vec MultiTaskGp::packedParams() const {
-  Vec p = kernel_->params();
+  Vec p = kernel_.params();
   p.insert(p.end(), l_entries_.begin(), l_entries_.end());
   p.insert(p.end(), log_noise_.begin(), log_noise_.end());
   return p;
@@ -113,13 +82,13 @@ Vec MultiTaskGp::packedParams() const {
 
 void MultiTaskGp::applyPacked(const Vec& p) {
   assert(p.size() == numPacked());
-  const std::size_t nk = kernel_->numParams();
-  kernel_->setParams(Vec(p.begin(), p.begin() + nk));
+  const std::size_t nk = kernel_.numParams();
+  kernel_.setParams(Vec(p.begin(), p.begin() + nk));
   const std::size_t nl = lowerTriCount(m_);
   l_entries_.assign(p.begin() + nk, p.begin() + nk + nl);
   log_noise_.assign(p.begin() + nk + nl, p.end());
   for (auto& ln : log_noise_)
-    ln = std::clamp(ln, std::log(opts_.min_noise), std::log(4.0));
+    ln = std::clamp(ln, std::log(kMinNoise), std::log(kMaxNoise));
 }
 
 linalg::Matrix MultiTaskGp::buildB(const Vec& l_entries, std::size_t m) {
@@ -154,7 +123,7 @@ void MultiTaskGp::stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,
 
 struct MultiTaskGp::LmlWorkspace {
   LmlWorkspace(const MultiTaskGp& gp, bool timed)
-      : kernel(gp.kernel_->clone()), timed(timed) {
+      : kernel(gp.kernel_), timed(timed) {
     pairs.bind(gp.x_);
     // Task-major standardized targets, rebuilt from the raw targets so the
     // MLE objective is valid even when the cached factor is in bordered
@@ -166,7 +135,7 @@ struct MultiTaskGp::LmlWorkspace {
         y_stacked[mm * n + i] =
             gp.state_.standardizers[mm].transform(gp.y_raw_(i, mm));
   }
-  KernelPtr kernel;      // re-parameterized per evaluation, never re-cloned
+  Matern52Ard kernel;    // re-parameterized per evaluation
   Vec y_stacked;
   PairCache pairs;       // bound to the training inputs once per start
   linalg::Matrix kx;     // input-kernel Gram
@@ -182,18 +151,18 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
                            LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
   const std::size_t nn = n * m_;
-  const std::size_t nk = kernel_->numParams();
+  const std::size_t nk = kernel_.numParams();
   const std::size_t nl = lowerTriCount(m_);
   grad.assign(packed.size(), 0.0);
   LapClock clock(ws.timed);
 
-  ws.kernel->setParams(Vec(packed.begin(), packed.begin() + nk));
+  ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
   Vec l_entries(packed.begin() + nk, packed.begin() + nk + nl);
   Vec log_noise(packed.begin() + nk + nl, packed.end());
   for (auto& ln : log_noise)
-    ln = std::clamp(ln, std::log(opts_.min_noise), std::log(4.0));
+    ln = std::clamp(ln, std::log(kMinNoise), std::log(kMaxNoise));
 
-  ws.kernel->pairGram(ws.pairs, ws.kx);
+  ws.kernel.pairGram(ws.pairs, ws.kx);
   const linalg::Matrix& kx = ws.kx;
   clock.lap(ws.ledger[kGram]);
   const linalg::Matrix b = buildB(l_entries, m_);
@@ -230,7 +199,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
           ws.wsum(i, j) += bmm * w(mm * n + i, mp * n + j);
     }
   clock.lap(ws.ledger[kCollapse]);
-  ws.kernel->gramGradTrace(ws.pairs, ws.wsum, ws.tr);
+  ws.kernel.gramGradTrace(ws.pairs, ws.wsum, ws.tr);
   for (std::size_t p = 0; p < nk; ++p) grad[p] = -0.5 * ws.tr[p];
   clock.lap(ws.ledger[kTrace]);
 
@@ -279,8 +248,8 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
     double tr = 0.0;
     for (std::size_t i = 0; i < n; ++i) tr += w(mm * n + i, mm * n + i);
     double g = -0.5 * tr * 2.0 * nv;
-    if ((packed[nk + nl + mm] <= std::log(opts_.min_noise) && g > 0.0) ||
-        (packed[nk + nl + mm] >= std::log(4.0) && g < 0.0))
+    if ((packed[nk + nl + mm] <= std::log(kMinNoise) && g > 0.0) ||
+        (packed[nk + nl + mm] >= std::log(kMaxNoise) && g < 0.0))
       g = 0.0;
     grad[nk + nl + mm] = g;
   }
@@ -299,12 +268,12 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
   std::vector<Vec> starts;
   starts.push_back(packedParams());
   {
-    KernelPtr init = kernel_->clone();
-    init->initFromData(x_);
+    Matern52Ard init = kernel_;
+    init.initFromData(x_);
     for (double factor : {1.0, 0.25}) {
-      KernelPtr k2 = init->clone();
-      k2->scaleLengthscales(factor);
-      Vec p = k2->params();
+      Matern52Ard k2 = init;
+      k2.scaleLengthscales(factor);
+      Vec p = k2.params();
       p.insert(p.end(), l_entries_.begin(), l_entries_.end());
       p.insert(p.end(), log_noise_.begin(), log_noise_.end());
       starts.push_back(std::move(p));
@@ -377,7 +346,7 @@ void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
       row_task_[mm * n + i] = mm;
     }
   linalg::Matrix gram;
-  stackGram(kernel_->gram(x_), buildB(l_entries_, m_), log_noise_, gram);
+  stackGram(kernel_.gram(x_), buildB(l_entries_, m_), log_noise_, gram);
   // Throw (not assert) on an unfactorizable stacked Gram: Release builds
   // compile the assert out and the subsequent solves would read an empty
   // factor. The server's supervision layer turns this throw into a
@@ -425,8 +394,8 @@ bool MultiTaskGp::appendObservation(const Vec& x, const Vec& y_row) {
   // is exact). Cross-covariances against every existing factor row follow
   // the ICM structure K[(i,mi),(j,mj)] = B(mi,mj) k(x_i, x_j).
   const std::size_t new_pt = x_.size();
-  const Vec kx = kernel_->crossVec(x_, x);
-  const double kss = kernel_->eval(x, x);
+  const Vec kx = kernel_.crossVec(x_, x);
+  const double kss = kernel_.eval(x, x);
   const linalg::Matrix b = buildB(l_entries_, m_);
   x_.push_back(x);
   appendRaw();
@@ -472,8 +441,8 @@ MultiPosterior MultiTaskGp::predict(const Vec& x) const {
   assert(fitted());
   const std::size_t rows = state_.rows();
   const linalg::Matrix b = buildB(l_entries_, m_);
-  const Vec kxstar = kernel_->crossVec(x_, x);
-  const double kss = kernel_->eval(x, x);
+  const Vec kxstar = kernel_.crossVec(x_, x);
+  const double kss = kernel_.eval(x, x);
 
   // Cross-covariance K_* is (nM) x M in factor-row order:
   // K_*[r, mp] = B(task(r), mp) kx(point(r)).
@@ -535,7 +504,7 @@ std::vector<MultiPosterior> MultiTaskGp::predictBatch(const Dataset& x) const {
   // B kss - V^T V Schur complement as predict(), and the per-candidate
   // reductions below run in the same index order, so every entry is
   // bit-identical to the scalar path.
-  const linalg::Matrix kx = kernel_->cross(x_, x);
+  const linalg::Matrix kx = kernel_.cross(x_, x);
   linalg::Matrix kstar(rows, nc * m_);
   for (std::size_t r = 0; r < rows; ++r) {
     const double* kxp = kx.rowPtr(row_point_[r]);
@@ -556,7 +525,7 @@ std::vector<MultiPosterior> MultiTaskGp::predictBatch(const Dataset& x) const {
   Vec mu(m_);
   std::vector<double> red(m_ * m_);
   for (std::size_t c = 0; c < nc; ++c) {
-    const double kss = kernel_->eval(x[c], x[c]);
+    const double kss = kernel_.eval(x[c], x[c]);
     MultiPosterior post;
     post.mean.resize(m_);
     post.cov = linalg::Matrix(m_, m_);

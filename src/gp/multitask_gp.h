@@ -1,7 +1,5 @@
 #pragma once
 
-#include <optional>
-
 #include "gp/kernel.h"
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
@@ -17,8 +15,6 @@ struct MultiPosterior {
 };
 
 struct MultiTaskFitOptions {
-  double init_noise = 0.1;
-  double min_noise = 1e-4;
   int mle_restarts = 1;
   int max_mle_iters = 50;
 };
@@ -36,12 +32,8 @@ struct MultiTaskFitOptions {
 class MultiTaskGp {
  public:
   /// `input_kernel` must be unit-variance (output scales live in B).
-  MultiTaskGp(const Kernel& input_kernel, std::size_t num_tasks,
+  MultiTaskGp(const Matern52Ard& input_kernel, std::size_t num_tasks,
               MultiTaskFitOptions opts = {});
-  MultiTaskGp(const MultiTaskGp& o);
-  MultiTaskGp& operator=(const MultiTaskGp& o);
-  MultiTaskGp(MultiTaskGp&&) = default;
-  MultiTaskGp& operator=(MultiTaskGp&&) = default;
 
   /// Fit hyperparameters; y is n x M (row i = all objectives at x[i]).
   void fit(const Dataset& x, const linalg::Matrix& y, rng::Rng& rng);
@@ -79,7 +71,8 @@ class MultiTaskGp {
   double logMarginalLikelihood() const { return state_.lml; }
   std::size_t numData() const { return x_.size(); }
   bool fitted() const { return state_.fitted(); }
-  const Kernel& inputKernel() const { return *kernel_; }
+  /// The input kernel k_C (unit variance).
+  const Matern52Ard& kernel() const { return kernel_; }
 
   // Packed parameter layout:
   //   [0, nk)                      kernel log-params
@@ -129,7 +122,7 @@ class MultiTaskGp {
   /// re-solve targets (shared by the append and truncate paths).
   void resolveTargets();
 
-  KernelPtr kernel_;
+  Matern52Ard kernel_;
   std::size_t m_;
   MultiTaskFitOptions opts_;
   Vec l_entries_;   // lower-triangular parameterization of B

@@ -9,6 +9,15 @@
 
 namespace cmmfo::gp {
 
+/// Observation-noise stddev of every GP, in standardized-target units: the
+/// MLE's start value and its clamp range. The floor keeps the Gram matrix
+/// well conditioned even for noise-free data; beyond a few data-stddevs
+/// "all noise" is already expressed, and an unbounded parameter lets a bad
+/// line search run off to infinity.
+inline constexpr double kInitNoise = 0.1;
+inline constexpr double kMinNoise = 1e-4;
+inline constexpr double kMaxNoise = 4.0;
+
 /// Shared posterior core for every GP layer: the factorization of the
 /// noise-augmented Gram matrix, the target standardization, the standardized
 /// targets in factor-row order, the dual weights alpha = K^{-1} y_std, and

@@ -311,22 +311,6 @@ void DiagRecorder::endRound(int round, double hypervolume,
                 levelName(l) + " collapsed — surrogate is over-confident";
     emitLocked(std::move(w));
   }
-
-  const std::uint64_t lookups = cache_hits + cache_misses;
-  if (lookups >= static_cast<std::uint64_t>(thresholds_.min_cache_lookups)) {
-    const double rate =
-        static_cast<double>(cache_hits) / static_cast<double>(lookups);
-    if (rate < thresholds_.min_cache_hit_rate) {
-      HealthWarning w;
-      w.kind = HealthKind::kCacheHitCollapse;
-      w.round = round;
-      w.value = rate;
-      w.threshold = thresholds_.min_cache_hit_rate;
-      w.message = "evaluation-cache hit rate collapsed — duplicate picks are "
-                  "not being reused";
-      emitLocked(std::move(w));
-    }
-  }
 }
 
 void DiagRecorder::health(HealthWarning w) {

@@ -35,7 +35,7 @@ enum class HealthKind : int {
   kCoverageDrift = 0,       // empirical 95% coverage far from nominal
   kGramConditionBlowup = 1, // GP Gram matrix condition estimate too large
   kMleNonConvergence = 2,   // hyperparameter MLE exhausted its iteration cap
-  kCacheHitCollapse = 3,    // evaluation-cache hit rate collapsed
+  kCacheHitCollapse = 3,    // retired check; older journals may hold it
   kDegenerateKTask = 4,     // ICM task correlation pinned at +-1 or non-finite
   kRetryStorm = 5,          // scheduler job burned its whole retry budget
 };
@@ -64,9 +64,6 @@ struct HealthThresholds {
   /// log10 condition estimate of the GP Gram matrix above this flags
   /// blow-up (doubles hold ~15-16 digits; 12 leaves little headroom).
   double max_gram_log10 = 12.0;
-  /// Cache hit rate below this after min_cache_lookups flags collapse.
-  double min_cache_hit_rate = 0.01;
-  long long min_cache_lookups = 20;
   /// Off-diagonal |task correlation| above this flags a degenerate K_task.
   double max_task_corr = 0.999;
 };

@@ -4,22 +4,11 @@
 #include <cmath>
 
 #include "hls/pruner.h"
-#include "pareto/adrs.h"
 #include "pareto/dominance.h"
 
 namespace cmmfo::scenario {
 
 namespace {
-
-pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
-                          const std::vector<double>& hi) {
-  pareto::Point q(p.size());
-  for (std::size_t m = 0; m < p.size(); ++m) {
-    const double range = std::max(hi[m] - lo[m], 1e-12);
-    q[m] = (p[m] - lo[m]) / range;
-  }
-  return q;
-}
 
 /// Algorithm 1's ENUMERATION premise, independently re-derived from the
 /// paper's rules (NOT from the enumerator's code — the audit exists to
@@ -86,37 +75,7 @@ std::unique_ptr<Oracle> Oracle::build(const Scenario& sc,
       o->benchmark_->sim_params, opts.sim_seed);
   o->sim_->setDieMap(o->benchmark_->die_map);
   o->gt_ = std::make_unique<sim::GroundTruth>(*o->space_, *o->sim_);
-
-  o->lo_.assign(sim::kNumObjectives, 1e300);
-  o->hi_.assign(sim::kNumObjectives, -1e300);
-  for (std::size_t i = 0; i < o->gt_->size(); ++i) {
-    if (!o->gt_->valid(i)) continue;
-    const pareto::Point y = o->gt_->implObjectives(i);
-    for (int m = 0; m < sim::kNumObjectives; ++m) {
-      o->lo_[m] = std::min(o->lo_[m], y[m]);
-      o->hi_[m] = std::max(o->hi_[m], y[m]);
-    }
-  }
   return o;
-}
-
-double Oracle::adrsOf(const std::vector<std::size_t>& selected) const {
-  std::vector<pareto::Point> learned;
-  for (std::size_t i : selected)
-    if (gt_->valid(i))
-      learned.push_back(normalizeBy(gt_->implObjectives(i), lo_, hi_));
-  learned = pareto::paretoFilter(learned);
-  if (learned.empty())
-    learned.push_back(pareto::Point(sim::kNumObjectives, 1.0));
-
-  std::vector<pareto::Point> reference;
-  for (const pareto::Point& p : gt_->paretoFront())
-    reference.push_back(normalizeBy(p, lo_, hi_));
-  return pareto::adrs(reference, learned, pareto::AdrsDistance::kEuclidean);
-}
-
-double Oracle::fidelityGap(sim::Fidelity f) const {
-  return adrsOf(gt_->frontIndicesAt(f));
 }
 
 PruningAudit Oracle::auditPruning(double eps) const {
@@ -161,13 +120,13 @@ PruningAudit Oracle::auditPruning(double eps) const {
   std::vector<pareto::Point> pruned;
   for (std::size_t i = 0; i < gt_->size(); ++i)
     if (gt_->valid(i))
-      pruned.push_back(normalizeBy(gt_->implObjectives(i), rlo, rhi));
+      pruned.push_back(sim::normalizeBy(gt_->implObjectives(i), rlo, rhi));
 
   // Regret of a front point = how far the closest-from-above pruned config
   // is, in the worst objective (0 when some pruned config weakly dominates
   // it; 1e9 when the pruned space has no valid config at all).
   const auto regretOf = [&](const pareto::Point& fp) {
-    const pareto::Point p = normalizeBy(fp, rlo, rhi);
+    const pareto::Point p = sim::normalizeBy(fp, rlo, rhi);
     double best = 1e9;
     for (const pareto::Point& q : pruned) {
       double worst = 0.0;

@@ -59,8 +59,7 @@ struct PruningAudit {
 /// Exhaustive ground truth for one generated scenario: the pruned design
 /// space, a simulator with the scenario's die map installed, per-fidelity
 /// reports for every config, the true Pareto set, and oracle-ADRS scoring
-/// identical to exp::BenchmarkContext (normalized by the valid impl-range,
-/// Euclidean ADRS, worst-corner fallback).
+/// shared with exp::BenchmarkContext (sim::GroundTruth::adrsOf).
 class Oracle {
  public:
   /// nullptr when the pruned space exceeds opts.enum_cap.
@@ -75,13 +74,18 @@ class Oracle {
   const OracleOptions& options() const { return opts_; }
 
   /// Oracle ADRS of a selection of pruned-space config indices against the
-  /// true (impl, valid) Pareto set. 0 means every true-front point matched.
-  double adrsOf(const std::vector<std::size_t>& selected) const;
+  /// true (impl, valid) Pareto set: sim::GroundTruth::adrsOf. 0 means every
+  /// true-front point matched.
+  double adrsOf(const std::vector<std::size_t>& selected) const {
+    return gt_->adrsOf(selected);
+  }
 
   /// ADRS of the front AS SEEN at fidelity f against the true front: 0 at
   /// kImpl by construction; positive at lower fidelities exactly when they
   /// mislead (e.g. die-blind stages on a multi-die scenario).
-  double fidelityGap(sim::Fidelity f) const;
+  double fidelityGap(sim::Fidelity f) const {
+    return gt_->adrsOf(gt_->frontIndicesAt(f));
+  }
 
   /// Enumerate the raw Cartesian space (capped) and measure the pruned
   /// space's eps-regret against the raw Pareto front.
@@ -97,7 +101,6 @@ class Oracle {
   std::unique_ptr<hls::DesignSpace> space_;
   std::unique_ptr<sim::FpgaToolSim> sim_;
   std::unique_ptr<sim::GroundTruth> gt_;
-  std::vector<double> lo_, hi_;  // valid impl-objective ranges
 };
 
 }  // namespace cmmfo::scenario

@@ -1,6 +1,20 @@
 #include "sim/ground_truth.h"
 
+#include <algorithm>
+
+#include "pareto/adrs.h"
+
 namespace cmmfo::sim {
+
+pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
+                          const std::vector<double>& hi) {
+  pareto::Point q(p.size());
+  for (std::size_t m = 0; m < p.size(); ++m) {
+    const double range = std::max(hi[m] - lo[m], 1e-12);
+    q[m] = (p[m] - lo[m]) / range;
+  }
+  return q;
+}
 
 GroundTruth::GroundTruth(const hls::DesignSpace& space, const FpgaToolSim& sim) {
   reports_.resize(space.size());
@@ -13,6 +27,30 @@ GroundTruth::GroundTruth(const hls::DesignSpace& space, const FpgaToolSim& sim) 
     if (valid(i)) front.insert(implObjectives(i), i);
   front_ = front.points();
   front_idx_ = front.ids();
+
+  lo_.assign(kNumObjectives, 1e300);
+  hi_.assign(kNumObjectives, -1e300);
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (!valid(i)) continue;
+    const pareto::Point y = implObjectives(i);
+    for (int m = 0; m < kNumObjectives; ++m) {
+      lo_[m] = std::min(lo_[m], y[m]);
+      hi_[m] = std::max(hi_[m], y[m]);
+    }
+  }
+}
+
+double GroundTruth::adrsOf(const std::vector<std::size_t>& selected) const {
+  std::vector<pareto::Point> learned;
+  for (std::size_t i : selected)
+    if (valid(i)) learned.push_back(normalizeBy(implObjectives(i), lo_, hi_));
+  learned = pareto::paretoFilter(learned);
+  if (learned.empty()) learned.push_back(pareto::Point(kNumObjectives, 1.0));
+
+  std::vector<pareto::Point> reference;
+  for (const pareto::Point& p : front_)
+    reference.push_back(normalizeBy(p, lo_, hi_));
+  return pareto::adrs(reference, learned, pareto::AdrsDistance::kEuclidean);
 }
 
 namespace {

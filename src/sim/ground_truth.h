@@ -8,6 +8,11 @@
 
 namespace cmmfo::sim {
 
+/// `p` min-max normalized per objective by [lo, hi] (ranges floored at
+/// 1e-12): the joint normalization every oracle ADRS is scored in.
+pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
+                          const std::vector<double>& hi);
+
 /// Exhaustive evaluation of a design space at every fidelity: the oracle
 /// ADRS is measured against ("real Pareto set", Sec. V-B) and the data
 /// behind Fig. 5's cross-fidelity series. Tool time is NOT charged — this
@@ -30,6 +35,13 @@ class GroundTruth {
   const std::vector<pareto::Point>& paretoFront() const { return front_; }
   const std::vector<std::size_t>& paretoIndices() const { return front_idx_; }
 
+  /// Oracle ADRS (Eq. 11) of a selection of config indices against the
+  /// true front: the selection is scored at its TRUE impl objectives
+  /// (invalid configs dropped), both sets normalized by the valid impl
+  /// ranges, Euclidean distance. A selection with no valid config scores as
+  /// the worst corner of the space. 0 means every true-front point matched.
+  double adrsOf(const std::vector<std::size_t>& selected) const;
+
   /// Config indices of the Pareto front AS SEEN at fidelity f: stage-f
   /// objectives over configs whose stage-f report is valid. At kImpl this
   /// is the true front above; at lower fidelities it is what an optimizer
@@ -41,6 +53,7 @@ class GroundTruth {
   std::vector<std::array<Report, kNumFidelities>> reports_;
   std::vector<pareto::Point> front_;
   std::vector<std::size_t> front_idx_;
+  std::vector<double> lo_, hi_;  // valid impl-objective ranges
 };
 
 }  // namespace cmmfo::sim

@@ -55,16 +55,6 @@ std::string encodeFrame(const std::string& payload) {
   return out;
 }
 
-bool appendFrame(const std::string& path, const std::string& payload) {
-  if (payload.size() >= kMaxPayload) return false;
-  const std::string frame = encodeFrame(payload);
-  std::ofstream f(path, std::ios::binary | std::ios::app);
-  if (!f) return false;
-  f.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  f.flush();
-  return static_cast<bool>(f);
-}
-
 FramedReadResult readFrames(const std::string& path) {
   FramedReadResult out;
   std::ifstream f(path, std::ios::binary);

@@ -6,7 +6,9 @@
 
 namespace cmmfo::util {
 
-/// Length-prefixed, CRC-32C-framed append-only record log.
+/// Length-prefixed, CRC-32C-framed record log: the checkpoint journal. Every
+/// save atomically rewrites the whole file (write-to-temp + rename) with up to
+/// three frames, the newest state and the generations it keeps.
 ///
 /// On-disk layout per frame (little-endian):
 ///   magic   4 bytes  "CMJ1"
@@ -17,9 +19,9 @@ namespace cmmfo::util {
 /// A reader scans frames front-to-back and stops at the first violation
 /// (bad magic, impossible length, short payload, CRC mismatch): everything
 /// before it is the intact prefix, everything from it on is the corrupt
-/// tail. This turns torn writes and truncation — the two crash outcomes an
-/// append can produce — into detectable, recoverable states instead of
-/// parse garbage.
+/// tail. This turns torn writes and truncation — the crash outcomes a
+/// non-atomic write or a damaged disk can leave — into detectable,
+/// recoverable states instead of parse garbage.
 struct FramedReadResult {
   /// Decoded payloads of every intact frame, in write order.
   std::vector<std::string> frames;
@@ -34,12 +36,6 @@ struct FramedReadResult {
 /// Frame `payload` into the on-wire byte string (magic + length + crc +
 /// payload). Exposed for tests and for single-write composition.
 std::string encodeFrame(const std::string& payload);
-
-/// Append one frame to `path` (creating it if absent). The frame is written
-/// with a single write(2)-sized stream op + flush; a crash mid-append leaves
-/// a torn tail that readFrames() detects and discards. Returns false on I/O
-/// error.
-bool appendFrame(const std::string& path, const std::string& payload);
 
 /// Parse every intact frame of `path`. A missing file yields an empty,
 /// clean result. Never throws.

@@ -141,7 +141,7 @@ TEST(ChaosFramedLog, RoundTripTornTailAndQuarantine) {
 
   const std::vector<std::string> payloads = {"first", "second record",
                                              std::string(1000, 'x')};
-  for (const auto& p : payloads) ASSERT_TRUE(util::appendFrame(path, p));
+  ASSERT_TRUE(util::rewriteFrames(path, payloads));
 
   util::FramedReadResult r = util::readFrames(path);
   ASSERT_EQ(r.frames.size(), 3u);

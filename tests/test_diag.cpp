@@ -315,6 +315,34 @@ TEST(DiagCheckpoint, DigestRoundTripsThroughJournalExactly) {
   EXPECT_TRUE(back.diag == st.diag);
 }
 
+// Kind 3 (cache_hit_collapse) is no longer emitted, but journals written
+// while it was hold it: such a digest must still parse, keep its kind and
+// serialize back to the same bytes.
+TEST(DiagCheckpoint, RetiredCacheHitCollapseKindStillParses) {
+  core::CheckpointState st;
+  st.has_diag = true;
+  st.diag.rounds = 11;
+  HealthWarning w;
+  w.kind = static_cast<HealthKind>(3);
+  w.round = 11;
+  w.value = 0.0;
+  w.threshold = 0.01;
+  w.message = "evaluation-cache hit rate collapsed";
+  st.diag.warnings.push_back(w);
+
+  const std::string text = core::serializeCheckpoint(st);
+  EXPECT_NE(text.find("\"kind\": 3"), std::string::npos) << text;
+  core::CheckpointState back;
+  std::string err;
+  ASSERT_TRUE(core::parseCheckpoint(text, &back, &err)) << err;
+  ASSERT_TRUE(back.has_diag);
+  EXPECT_TRUE(back.diag == st.diag);
+  ASSERT_EQ(back.diag.warnings.size(), 1u);
+  EXPECT_STREQ(obs::healthKindName(back.diag.warnings[0].kind),
+               "cache_hit_collapse");
+  EXPECT_EQ(core::serializeCheckpoint(back), text);
+}
+
 TEST(DiagCheckpoint, JournalsWithoutDiagKeyStillLoad) {
   core::CheckpointState st;
   ASSERT_FALSE(st.has_diag);

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <thread>
 
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "gp/gp_regressor.h"
 #include "rng/rng.h"
 
@@ -26,9 +26,7 @@ bool sameBits(const Vec& a, const Vec& b) {
 TEST(GpRegressor, InterpolatesNoiseFreeData) {
   rng::Rng rng(1);
   Matern52Ard proto(1);
-  GpFitOptions opts = fastOpts();
-  opts.init_noise = 1e-3;
-  GpRegressor gp(proto, opts);
+  GpRegressor gp(proto, fastOpts());
 
   Dataset x;
   Vec y;
@@ -144,11 +142,9 @@ TEST(GpRegressor, BatchPredictMatchesScalar) {
 
 TEST(GpRegressor, NoiseFloorRespected) {
   rng::Rng rng(10);
-  GpFitOptions opts = fastOpts();
-  opts.min_noise = 1e-2;
-  GpRegressor gp(Matern52Ard(1), opts);
+  GpRegressor gp(Matern52Ard(1), fastOpts());
   gp.fit({{0.0}, {0.5}, {1.0}}, {0.0, 1.0, 0.0}, rng);
-  EXPECT_GE(gp.noiseStddev(), 1e-2 * 0.999);
+  EXPECT_GE(gp.noiseStddev(), kMinNoise * 0.999);
 }
 
 TEST(GpRegressor, SinglePointFit) {

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/surrogate.h"
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
 #include "linalg/cholesky.h"
@@ -184,7 +184,7 @@ TEST(GpRegressorIncremental, AppendBitwiseEqualsDenseRefit) {
       EXPECT_EQ(a.var, b.var);
     }
   }
-  EXPECT_EQ(inc.denseBaseSize(), 16u);
+  EXPECT_EQ(inc.denseBasePoints(), 16u);
 }
 
 TEST(GpRegressorIncremental, TruncateRollsBackAppendsBitwise) {
@@ -205,7 +205,7 @@ TEST(GpRegressorIncremental, TruncateRollsBackAppendsBitwise) {
   const gp::Posterior before = m.predict(probe);
   const double lml_before = m.logMarginalLikelihood();
   for (std::size_t i = 15; i < 20; ++i) m.appendObservation(x[i], y[i]);
-  m.truncateTo(15);
+  m.truncateToPoints(15);
   const gp::Posterior after = m.predict(probe);
   EXPECT_EQ(before.mean, after.mean);
   EXPECT_EQ(before.var, after.var);

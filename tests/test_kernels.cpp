@@ -3,10 +3,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "linalg/cholesky.h"
 #include "rng/rng.h"
 
@@ -20,23 +19,19 @@ Dataset randomPoints(std::size_t n, std::size_t d, rng::Rng& rng) {
   return x;
 }
 
-/// Factory for the kernel families under test.
-KernelPtr makeKernel(const std::string& name, std::size_t dim) {
-  if (name == "rbf") return std::make_unique<RbfArd>(dim);
-  if (name == "matern") return std::make_unique<Matern52Ard>(dim);
-  if (name == "rbf_unit") return std::make_unique<RbfArd>(dim, true);
-  if (name == "matern_unit") return std::make_unique<Matern52Ard>(dim, true);
-  ADD_FAILURE() << "unknown kernel " << name;
-  return nullptr;
+/// The kernel under test, with a signal variance ("matern") or pinned at
+/// unit variance ("matern_unit").
+Matern52Ard makeKernel(const std::string& name, std::size_t dim) {
+  return Matern52Ard(dim, name == "matern_unit");
 }
 
 class KernelFamilies : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(KernelFamilies, GramIsSymmetricPsd) {
   rng::Rng rng(7);
-  const auto k = makeKernel(GetParam(), 3);
+  Matern52Ard k = makeKernel(GetParam(), 3);
   const Dataset x = randomPoints(12, 3, rng);
-  linalg::Matrix gram = k->gram(x);
+  linalg::Matrix gram = k.gram(x);
   EXPECT_LT(gram.maxAbsDiff(gram.transposed()), 1e-12);
   // PSD: factorizable after adding a whisker of jitter.
   EXPECT_TRUE(linalg::Cholesky::factorizeWithJitter(gram, 1e-10).has_value());
@@ -44,51 +39,53 @@ TEST_P(KernelFamilies, GramIsSymmetricPsd) {
 
 TEST_P(KernelFamilies, DiagonalDominatesOffDiagonal) {
   rng::Rng rng(8);
-  const auto k = makeKernel(GetParam(), 3);
+  Matern52Ard k = makeKernel(GetParam(), 3);
   const Dataset x = randomPoints(8, 3, rng);
   for (std::size_t i = 0; i < x.size(); ++i)
     for (std::size_t j = 0; j < x.size(); ++j)
-      EXPECT_LE(k->eval(x[i], x[j]),
-                k->eval(x[i], x[i]) + 1e-12);  // stationary kernels peak at 0
+      EXPECT_LE(k.eval(x[i], x[j]),
+                k.eval(x[i], x[i]) + 1e-12);  // stationary kernels peak at 0
 }
 
 TEST_P(KernelFamilies, ParamsRoundTrip) {
   rng::Rng rng(9);
-  const auto k = makeKernel(GetParam(), 3);
-  Vec p = k->params();
+  Matern52Ard k = makeKernel(GetParam(), 3);
+  Vec p = k.params();
   for (auto& v : p) v += 0.37;
-  k->setParams(p);
-  const Vec q = k->params();
+  k.setParams(p);
+  const Vec q = k.params();
   ASSERT_EQ(p.size(), q.size());
   for (std::size_t i = 0; i < p.size(); ++i) EXPECT_DOUBLE_EQ(p[i], q[i]);
 }
 
+// A copy is an independent kernel: re-parameterizing it leaves the
+// original untouched.
 TEST_P(KernelFamilies, CloneIsIndependent) {
-  const auto k = makeKernel(GetParam(), 2);
-  auto c = k->clone();
-  Vec p = c->params();
+  const Matern52Ard k = makeKernel(GetParam(), 2);
+  Matern52Ard c = k;
+  Vec p = c.params();
   for (auto& v : p) v += 1.0;
-  c->setParams(p);
+  c.setParams(p);
   const Vec x = {0.1, 0.2}, y = {0.6, -0.4};
-  EXPECT_NE(k->eval(x, y), c->eval(x, y));
+  EXPECT_NE(k.eval(x, y), c.eval(x, y));
 }
 
 TEST_P(KernelFamilies, GramGradMatchesFiniteDifference) {
   rng::Rng rng(10);
-  const auto k = makeKernel(GetParam(), 2);
+  Matern52Ard k = makeKernel(GetParam(), 2);
   const Dataset x = randomPoints(6, 2, rng);
-  const Vec p0 = k->params();
+  const Vec p0 = k.params();
   const double h = 1e-6;
-  for (std::size_t p = 0; p < k->numParams(); ++p) {
-    const linalg::Matrix analytic = k->gramGrad(x, p);
+  for (std::size_t p = 0; p < k.numParams(); ++p) {
+    const linalg::Matrix analytic = k.gramGrad(x, p);
     Vec pp = p0, pm = p0;
     pp[p] += h;
     pm[p] -= h;
-    k->setParams(pp);
-    const linalg::Matrix gp_ = k->gram(x);
-    k->setParams(pm);
-    const linalg::Matrix gm = k->gram(x);
-    k->setParams(p0);
+    k.setParams(pp);
+    const linalg::Matrix gp_ = k.gram(x);
+    k.setParams(pm);
+    const linalg::Matrix gm = k.gram(x);
+    k.setParams(p0);
     for (std::size_t i = 0; i < x.size(); ++i)
       for (std::size_t j = 0; j < x.size(); ++j) {
         const double numeric = (gp_(i, j) - gm(i, j)) / (2.0 * h);
@@ -99,19 +96,10 @@ TEST_P(KernelFamilies, GramGradMatchesFiniteDifference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, KernelFamilies,
-                         ::testing::Values("rbf", "matern", "rbf_unit",
-                                           "matern_unit"));
+                         ::testing::Values("matern", "matern_unit"));
 
-TEST(RbfArd, KnownValue) {
-  RbfArd k(1);
-  k.setLengthscale(0, 1.0);
-  k.setSignalStddev(1.0);
-  EXPECT_NEAR(k.eval({0.0}, {1.0}), std::exp(-0.5), 1e-12);
-  EXPECT_NEAR(k.eval({0.0}, {0.0}), 1.0, 1e-12);
-}
-
-TEST(RbfArd, LengthscaleControlsReach) {
-  RbfArd k(1);
+TEST(Matern52Ard, LengthscaleControlsReach) {
+  Matern52Ard k(1);
   k.setLengthscale(0, 0.2);
   const double near = k.eval({0.0}, {0.1});
   k.setLengthscale(0, 5.0);
@@ -119,8 +107,8 @@ TEST(RbfArd, LengthscaleControlsReach) {
   EXPECT_LT(near, far);
 }
 
-TEST(RbfArd, UnitVarianceHasNoSignalParam) {
-  RbfArd k(3, true);
+TEST(Matern52Ard, UnitVarianceHasNoSignalParam) {
+  Matern52Ard k(3, true);
   EXPECT_EQ(k.numParams(), 3u);
   EXPECT_DOUBLE_EQ(k.signalVariance(), 1.0);
   EXPECT_NEAR(k.eval({1, 2, 3}, {1, 2, 3}), 1.0, 1e-12);
@@ -146,13 +134,6 @@ TEST(Matern52Ard, SmoothAtZeroDistance) {
   EXPECT_TRUE(std::isfinite(g(0, 0)));
 }
 
-TEST(Matern52Ard, HeavierTailsThanRbf) {
-  Matern52Ard m(1);
-  RbfArd r(1);
-  // Same unit hyperparameters: Matern decays slower at large distance.
-  EXPECT_GT(m.eval({0.0}, {3.0}), r.eval({0.0}, {3.0}));
-}
-
 std::uint64_t bits(double v) {
   std::uint64_t b = 0;
   std::memcpy(&b, &v, sizeof b);
@@ -175,13 +156,12 @@ std::vector<Dataset> pairCacheSets(std::size_t dim, rng::Rng& rng) {
   return sets;
 }
 
-std::vector<KernelPtr> ardKernels(std::size_t dim) {
-  std::vector<KernelPtr> kernels;
-  for (const bool unit : {false, true}) {
-    kernels.push_back(std::make_unique<RbfArd>(dim, unit));
-    kernels.push_back(std::make_unique<Matern52Ard>(dim, unit));
-  }
-  return kernels;
+std::vector<Matern52Ard> ardKernels(std::size_t dim) {
+  return {Matern52Ard(dim, false), Matern52Ard(dim, true)};
+}
+
+std::string name(const Matern52Ard& k) {
+  return k.numParams() == k.dim() ? "matern_unit" : "matern";
 }
 
 // The Gram a pair cache fills must be eval() at every entry, every bit, at
@@ -191,22 +171,22 @@ TEST(ArdKernels, PairCacheGramEqualsEval) {
   rng::Rng rng(43);
   const std::size_t dim = 3;
   for (const Dataset& x : pairCacheSets(dim, rng)) {
-    for (const KernelPtr& k : ardKernels(dim)) {
+    for (Matern52Ard& k : ardKernels(dim)) {
       PairCache pairs;
       pairs.bind(x);
       linalg::Matrix kx(1, 5);  // wrongly sized: pairGram must resize
       for (int setting = 0; setting < 3; ++setting) {
-        Vec p = k->params();
+        Vec p = k.params();
         for (auto& v : p) v += rng.uniform(-0.5, 0.5);
-        k->setParams(p);
-        k->pairGram(pairs, kx);
-        const linalg::Matrix ref = k->gram(x);
+        k.setParams(p);
+        k.pairGram(pairs, kx);
+        const linalg::Matrix ref = k.gram(x);
         ASSERT_EQ(kx.rows(), x.size());
         ASSERT_EQ(kx.cols(), x.size());
         for (std::size_t i = 0; i < x.size(); ++i)
           for (std::size_t j = 0; j < x.size(); ++j) {
-            EXPECT_EQ(bits(kx(i, j)), bits(k->eval(x[i], x[j])))
-                << k->name() << " n=" << x.size() << " (" << i << "," << j
+            EXPECT_EQ(bits(kx(i, j)), bits(k.eval(x[i], x[j])))
+                << name(k) << " n=" << x.size() << " (" << i << "," << j
                 << ") setting " << setting;
             EXPECT_EQ(bits(kx(i, j)), bits(ref(i, j)));
           }
@@ -229,15 +209,15 @@ TEST(ArdKernels, FusedTraceEqualsGramGradContraction) {
   const std::size_t dim = 3;
   for (const Dataset& x : pairCacheSets(dim, rng)) {
     const std::size_t n = x.size();
-    for (const KernelPtr& k : ardKernels(dim)) {
+    for (Matern52Ard& k : ardKernels(dim)) {
       PairCache pairs;
       pairs.bind(x);
       linalg::Matrix kx;
-      k->pairGram(pairs, kx);
-      Vec p = k->params();
+      k.pairGram(pairs, kx);
+      Vec p = k.params();
       for (auto& v : p) v += rng.uniform(-0.5, 0.5);
-      k->setParams(p);
-      k->pairGram(pairs, kx);
+      k.setParams(p);
+      k.pairGram(pairs, kx);
       for (const bool jittered : {false, true}) {
         linalg::Matrix w(n, n);
         for (std::size_t i = 0; i < n; ++i)
@@ -245,15 +225,15 @@ TEST(ArdKernels, FusedTraceEqualsGramGradContraction) {
             w(i, j) = jittered && j < i ? w(j, i) * (1.0 + 1e-12 * rng.normal())
                                         : rng.normal();
         Vec tr;
-        k->gramGradTrace(pairs, w, tr);
-        ASSERT_EQ(tr.size(), k->numParams());
+        k.gramGradTrace(pairs, w, tr);
+        ASSERT_EQ(tr.size(), k.numParams());
         for (std::size_t q = 0; q < tr.size(); ++q) {
-          const linalg::Matrix dk = k->gramGrad(x, q);
+          const linalg::Matrix dk = k.gramGrad(x, q);
           double s = 0.0;
           for (std::size_t i = 0; i < n; ++i)
             for (std::size_t j = 0; j < n; ++j) s += w(i, j) * dk(i, j);
           EXPECT_EQ(bits(tr[q]), bits(s))
-              << k->name() << " n=" << n << " jittered=" << jittered
+              << name(k) << " n=" << n << " jittered=" << jittered
               << " param " << q;
         }
       }

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <thread>
 
-#include "gp/ard_kernels.h"
+#include "gp/kernel.h"
 #include "gp/gp_regressor.h"
 #include "gp/multitask_gp.h"
 #include "linalg/cholesky.h"

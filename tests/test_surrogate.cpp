@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <numbers>
+#include <string>
 
 #include "core/surrogate.h"
 #include "rng/rng.h"
@@ -186,6 +190,174 @@ TEST(Surrogate, MleIterBudgetCountsEveryStartRun) {
       EXPECT_EQ(s.lastFitIterations(l), s.mleIterBudget(l)) << "level " << l;
     }
   }
+}
+
+// ---- per-level diagnostics, pinned bit for bit ----------------------------
+
+std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every per-level reduction the surrogate exposes, as raw bits: per level
+/// the log marginal likelihood, MLE iterations and budget, log10 Gram
+/// condition and lower-fidelity relevance; then the committed base counts,
+/// an FNV-1a hash over every hyperState() entry's bits, and the recovery
+/// events drained so far (action length, level, value).
+std::vector<std::uint64_t> levelDiagnostics(MultiFidelitySurrogate& s) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t l = 0; l < s.numLevels(); ++l) {
+    out.push_back(bitsOf(s.logMarginalLikelihood(l)));
+    out.push_back(static_cast<std::uint64_t>(s.lastFitIterations(l)));
+    out.push_back(static_cast<std::uint64_t>(s.mleIterBudget(l)));
+    out.push_back(bitsOf(s.gramConditionLog10(l)));
+    out.push_back(bitsOf(s.lowerFidelityRelevance(l)));
+  }
+  for (std::size_t b : s.committedBaseCounts()) out.push_back(b);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& model : s.hyperState())
+    for (double v : model) h = (h ^ bitsOf(v)) * 0x100000001b3ULL;
+  out.push_back(h);
+  for (const RecoveryEvent& e : s.drainRecoveryEvents()) {
+    out.push_back(e.action.size());
+    out.push_back(static_cast<std::uint64_t>(e.level));
+    out.push_back(bitsOf(e.value));
+  }
+  return out;
+}
+
+std::string hexList(const std::vector<std::uint64_t>& v) {
+  std::string s;
+  char buf[32];
+  for (std::uint64_t x : v) {
+    std::snprintf(buf, sizeof buf, "0x%016llxULL,\n",
+                  static_cast<unsigned long long>(x));
+    s += buf;
+  }
+  return s;
+}
+
+/// The reductions of one variant through fit, a speculative append rolled
+/// back by a commit, a hyperState round trip into a fresh surrogate, and a
+/// near-singular hyperparameter setting whose commit forces dense refits.
+std::vector<std::uint64_t> diagnosticsTrail(ObjModelKind obj) {
+  rng::Rng rng(11);
+  std::vector<FidelityObs> obs = makeObs(12, 8, 5, rng);
+  MultiFidelitySurrogate s(2, 2, 3, fastOpts(MfKind::kNonlinear, obj));
+  s.fit(obs, rng);
+  std::vector<std::uint64_t> trail = levelDiagnostics(s);
+
+  // Two fantasy points on levels 0 and 1, then a commit of one real point:
+  // the fantasies are truncated away (levelPoints, truncateLevel).
+  std::vector<FidelityObs> grown = obs;
+  for (std::size_t l = 0; l < 2; ++l) {
+    grown[l].x.push_back({0.31, 0.72});
+    linalg::Matrix y(grown[l].x.size(), 2);
+    for (std::size_t i = 0; i + 1 < grown[l].x.size(); ++i)
+      for (std::size_t mm = 0; mm < 2; ++mm) y(i, mm) = obs[l].y(i, mm);
+    y(y.rows() - 1, 0) = 0.4;
+    y(y.rows() - 1, 1) = -0.7;
+    grown[l].y = y;
+  }
+  s.appendObservations(grown, /*commit=*/false);
+  std::vector<FidelityObs> committed = obs;
+  committed[0] = grown[0];
+  s.appendObservations(committed, /*commit=*/true);
+  const gp::MultiPosterior top = s.predict(2, {0.5, 0.25});
+  trail.push_back(bitsOf(top.mean[0]));
+  trail.push_back(bitsOf(top.cov(1, 1)));
+  for (std::uint64_t v : levelDiagnostics(s)) trail.push_back(v);
+
+  // setHyperState + restorePosterior rebuild the same posterior.
+  MultiFidelitySurrogate r(2, 2, 3, fastOpts(MfKind::kNonlinear, obj));
+  r.setHyperState(s.hyperState());
+  r.restorePosterior(committed, s.committedBaseCounts());
+  const gp::MultiPosterior top_r = r.predict(2, {0.5, 0.25});
+  trail.push_back(bitsOf(top_r.mean[0]));
+  trail.push_back(bitsOf(top_r.cov(1, 1)));
+
+  // Lengthscales far past the data's spread make every kernel value 1 and a
+  // large output scale over the noise floor leaves the Gram near-singular.
+  std::vector<std::vector<double>> hyper = s.hyperState();
+  const std::size_t tail = obj == ObjModelKind::kCorrelated ? 5 : 2;
+  for (auto& p : hyper) {
+    const std::size_t dim = p.size() - tail;
+    for (std::size_t d = 0; d < dim; ++d) p[d] = 30.0;
+    p[dim] = 7.0;
+    if (obj == ObjModelKind::kCorrelated) {
+      p[dim + 1] = 0.0;
+      p[dim + 2] = 7.0;
+    }
+    for (std::size_t k = tail - (obj == ObjModelKind::kCorrelated ? 2 : 1);
+         k < tail; ++k)
+      p[dim + k] = -20.0;
+  }
+  s.setHyperState(hyper);
+  s.fit(committed, rng, /*optimize_hypers=*/false);
+  s.appendObservations(grown, /*commit=*/true);
+  for (std::uint64_t v : levelDiagnostics(s)) trail.push_back(v);
+  return trail;
+}
+
+TEST(Surrogate, LevelDiagnosticsPinned) {
+  const std::vector<std::uint64_t> correlated = {
+      0x404999b1aa293220ULL, 0x000000000000005aULL, 0x000000000000005aULL,
+      0x40209c1bf1a0b81dULL, 0x7ff8000000000000ULL, 0x3ffc5a6f492e3bc0ULL,
+      0x000000000000005aULL, 0x000000000000005aULL, 0x40050d7f71d2f228ULL,
+      0x3fefffffff22faa8ULL, 0x4001dffb7c5182e8ULL, 0x000000000000005aULL,
+      0x000000000000005aULL, 0x4011a28c09425e3dULL, 0x3feffff890feecf9ULL,
+      0x000000000000000cULL, 0x0000000000000008ULL, 0x0000000000000005ULL,
+      0x80c91a257978c7a8ULL, 0x3ff6ed82e3f90480ULL, 0x3edb515e7795e40bULL,
+      0xc0d0b9b042b90c80ULL, 0x000000000000005aULL, 0x000000000000005aULL,
+      0x402111721f2662faULL, 0x7ff8000000000000ULL, 0xc043d83a92a991deULL,
+      0x000000000000005aULL, 0x000000000000005aULL, 0x4004c725a527ed45ULL,
+      0x3fefffffff22faa8ULL, 0xc09e1602867a4109ULL, 0x000000000000005aULL,
+      0x000000000000005aULL, 0x400c1b1351cb5e4eULL, 0x3feffff890feecf9ULL,
+      0x000000000000000cULL, 0x0000000000000008ULL, 0x0000000000000005ULL,
+      0x80c91a257978c7a8ULL, 0x3ff6ed82e3f90480ULL, 0x3edb515e7795e40bULL,
+      0xc1d3837532c36c2fULL, 0x000000000000005aULL, 0x000000000000005aULL,
+      0x402c14a2a05db359ULL, 0x7ff8000000000000ULL, 0xc1cb9ceb42dec771ULL,
+      0x000000000000005aULL, 0x000000000000005aULL, 0x402c0d543d98979fULL,
+      0x3fe0000000000000ULL, 0xc1bd6b0908af018fULL, 0x000000000000005aULL,
+      0x000000000000005aULL, 0x402bf11828e77fa4ULL, 0x3fe0000000000000ULL,
+      0x000000000000000dULL, 0x0000000000000009ULL, 0x0000000000000005ULL,
+      0x85ff583433a2e9b1ULL, 0x000000000000000bULL, 0x0000000000000000ULL,
+      0x402c14a2a05db359ULL, 0x000000000000000bULL, 0x0000000000000001ULL,
+      0x402c0d543d98979fULL, 0x000000000000000bULL, 0x0000000000000002ULL,
+      0x402bf11828e77fa4ULL,
+  };
+  const std::vector<std::uint64_t> independent = {
+      0x403fd612e6c17b51ULL, 0x00000000000000beULL, 0x00000000000000f0ULL,
+      0x4025f0650c22c750ULL, 0x7ff8000000000000ULL, 0x4025823dde38e48dULL,
+      0x00000000000000bcULL, 0x00000000000000f0ULL, 0x4018ba132b19e7c0ULL,
+      0x3fefbaed0ced0da6ULL, 0x4001627f1d391106ULL, 0x00000000000000bcULL,
+      0x00000000000000f0ULL, 0x401f28dbd8c9963eULL, 0x3fefffffffea6dc6ULL,
+      0x000000000000000cULL, 0x000000000000000cULL, 0x0000000000000008ULL,
+      0x0000000000000008ULL, 0x0000000000000005ULL, 0x0000000000000005ULL,
+      0xbd80c72a4712a430ULL, 0x3ffadc2ac22c7a86ULL, 0x3ed42a5259e75a4eULL,
+      0xc14fe12bed94f3baULL, 0x00000000000000beULL, 0x00000000000000f0ULL,
+      0x4025f0650c22c750ULL, 0x7ff8000000000000ULL, 0xc0bb1ab34718a406ULL,
+      0x00000000000000bcULL, 0x00000000000000f0ULL, 0x4011f1511366e31cULL,
+      0x3fefbaed0ced0da6ULL, 0xc04c3a5603615d1aULL, 0x00000000000000bcULL,
+      0x00000000000000f0ULL, 0x4010b0f413030f88ULL, 0x3fefffffffea6dc6ULL,
+      0x000000000000000cULL, 0x000000000000000cULL, 0x0000000000000008ULL,
+      0x0000000000000008ULL, 0x0000000000000005ULL, 0x0000000000000005ULL,
+      0xbd80c72a4712a430ULL, 0x3ffadc2ac22c7a86ULL, 0x3ed42a5259e75a4eULL,
+      0xc1d382a19007b348ULL, 0x00000000000000beULL, 0x00000000000000f0ULL,
+      0x402c1498ab1379bcULL, 0x7ff8000000000000ULL, 0xc1caaca03c1f8c16ULL,
+      0x00000000000000bcULL, 0x00000000000000f0ULL, 0x402c0c5b9a793791ULL,
+      0x3fe0000000000000ULL, 0xc1bd56a4f23b1b33ULL, 0x00000000000000bcULL,
+      0x00000000000000f0ULL, 0x402bf66bc6e95414ULL, 0x3fe0000000000000ULL,
+      0x000000000000000dULL, 0x000000000000000dULL, 0x0000000000000009ULL,
+      0x0000000000000009ULL, 0x0000000000000005ULL, 0x0000000000000005ULL,
+      0x25d3bdfea26d5465ULL, 0x000000000000000bULL, 0x0000000000000000ULL,
+      0x402c1498ab1379bcULL, 0x000000000000000bULL, 0x0000000000000001ULL,
+      0x402c0c5b9a793791ULL, 0x000000000000000bULL, 0x0000000000000002ULL,
+      0x402bf66bc6e95414ULL,
+  };
+  const std::vector<std::uint64_t> got_c =
+      diagnosticsTrail(ObjModelKind::kCorrelated);
+  EXPECT_EQ(got_c, correlated) << hexList(got_c);
+  const std::vector<std::uint64_t> got_i =
+      diagnosticsTrail(ObjModelKind::kIndependent);
+  EXPECT_EQ(got_i, independent) << hexList(got_i);
 }
 
 // ---- one objective: the Eq. (5) chain against the AR(1) chain ----------
