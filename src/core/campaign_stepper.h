@@ -50,7 +50,6 @@ class CampaignStepper {
   OptimizeResult finish() { return opt_.finish(); }
   /// The in-progress result (valid once started).
   const OptimizeResult& partialResult() const { return opt_.partialResult(); }
-  const MultiFidelitySurrogate& surrogate() const { return opt_.surrogate(); }
 
  private:
   CorrelatedMfMoboOptimizer opt_;

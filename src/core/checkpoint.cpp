@@ -179,7 +179,7 @@ constexpr auto kState = [](auto& io, auto& st) {
 // ---------------------------------------------------------------- Writer ----
 
 struct Writer {
-  std::string out;
+  std::string& out;  ///< appended to
 
   /// Object context. `next` precedes the next entry, `sep` every later one.
   struct Fields {
@@ -357,16 +357,22 @@ bool isFramedFile(const std::string& path) {
   return f.read(magic, 4) && std::memcmp(magic, "CMJ1", 4) == 0;
 }
 
+/// Append the serialized state to `out`.
+void serializeInto(std::string& out, const CheckpointState& st) {
+  Writer w{out};
+  out += '{';
+  Writer::Fields top{w, ",\n", "\n"};
+  kState(top, st);
+  out += "\n}\n";
+}
+
 }  // namespace
 
 std::string serializeCheckpoint(const CheckpointState& st) {
-  Writer w;
-  w.out.reserve(1 << 16);
-  w.out += '{';
-  Writer::Fields top{w, ",\n", "\n"};
-  kState(top, st);
-  w.out += "\n}\n";
-  return std::move(w.out);
+  std::string out;
+  out.reserve(1 << 16);
+  serializeInto(out, st);
+  return out;
 }
 
 bool parseCheckpoint(const std::string& text, CheckpointState* out,
@@ -395,15 +401,15 @@ bool parseCheckpoint(const std::string& text, CheckpointState* out,
   return true;
 }
 
+JournalWriter::JournalWriter(std::string path)
+    : log_(std::move(path), kKeepPrevFrames) {}
+
+bool JournalWriter::save(const CheckpointState& st) {
+  return log_.append([&st](std::string& out) { serializeInto(out, st); });
+}
+
 bool saveCheckpointFramed(const std::string& path, const CheckpointState& st) {
-  const util::FramedReadResult prev = util::readFrames(path);
-  std::vector<std::string> keep;
-  const std::size_t n = prev.frames.size();
-  for (std::size_t i = n > kKeepPrevFrames ? n - kKeepPrevFrames : 0; i < n;
-       ++i)
-    keep.push_back(prev.frames[i]);
-  keep.push_back(serializeCheckpoint(st));
-  return util::rewriteFrames(path, keep);
+  return JournalWriter(path).save(st);
 }
 
 bool loadCheckpointAny(const std::string& path, CheckpointState* out,

@@ -11,6 +11,7 @@
 #include "rng/rng.h"
 #include "runtime/scheduler.h"
 #include "sim/tool.h"
+#include "util/framed_log.h"
 
 namespace cmmfo::core {
 
@@ -131,7 +132,26 @@ struct JournalLoadInfo {
 /// two predecessors). Torn writes / external truncation are detected
 /// frame-by-frame on load; the corrupt tail is quarantined to
 /// `<path>.quarantine` and the load rolls back to the newest frame that
-/// both CRC-checks and parses. Returns false on I/O error.
+/// both CRC-checks and parses.
+///
+/// A campaign keeps one writer for its journal. It reads the file once, at
+/// its first save (after any resume or rollback has rewritten it), and from
+/// then on holds the two generations it keeps in a ring of reused buffers
+/// (util::FramedLogWriter): each save serializes the state straight into a
+/// frame buffer, checksums that frame alone (hardware CRC-32C where the CPU
+/// has it) and rewrites the file from memory. The bytes are those of a
+/// writer that re-read the file before every save.
+class JournalWriter {
+ public:
+  explicit JournalWriter(std::string path);
+  /// Append `st` as the newest frame. Returns false on I/O error.
+  bool save(const CheckpointState& st);
+
+ private:
+  util::FramedLogWriter log_;
+};
+
+/// One save through a fresh JournalWriter (which reads the file first).
 bool saveCheckpointFramed(const std::string& path, const CheckpointState& st);
 
 /// Load `path` in either format: CMJ1-framed (validated, self-repairing as

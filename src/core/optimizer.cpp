@@ -468,8 +468,10 @@ void CorrelatedMfMoboOptimizer::writeCheckpoint(int next_round) {
   if (opts_.checkpoint_path.empty()) return;
   // A run that cannot write its journal only looks durable: fail loudly
   // (the server supervises a throwing step as a campaign failure).
-  if (!saveCheckpointFramed(opts_.checkpoint_path,
-                            captureCheckpoint(next_round)))
+  // The writer is created at the first save, after a resume has read (and
+  // possibly rolled back) the journal: its one read sees the final file.
+  if (!journal_) journal_.emplace(opts_.checkpoint_path);
+  if (!journal_->save(captureCheckpoint(next_round)))
     throw std::runtime_error("checkpoint: cannot write journal " +
                              opts_.checkpoint_path);
 }
@@ -711,7 +713,8 @@ namespace {
 
 /// Host-side telemetry of one proposal: the acq_pick span (causal parent of
 /// the scan phases) and its slo.proposal_seconds latency, both closed once
-/// the pick's believer bookkeeping is done.
+/// the pick is booked. The believer fantasy stacked after it is timed apart,
+/// under phase.believers.
 struct ProposalScope {
   obs::Span span{&obs::tracer(), "acq_pick", "optimizer"};
   bool timed = obs::metrics().enabled();
@@ -777,8 +780,8 @@ void CorrelatedMfMoboOptimizer::logPick(
 }
 
 void CorrelatedMfMoboOptimizer::believe(std::optional<Datasets>& fantasy,
-                                        std::size_t config,
-                                        Fidelity fidelity) {
+                                        std::size_t config, Fidelity fidelity,
+                                        std::size_t read_levels) {
   if (!fantasy) fantasy = data_;
   for (int f = 0; f <= static_cast<int>(fidelity); ++f) {
     (*fantasy)[f].configs.push_back(config);
@@ -786,8 +789,11 @@ void CorrelatedMfMoboOptimizer::believe(std::optional<Datasets>& fantasy,
         surrogate_.predict(f, space_->features(config)).mean);
   }
   // Speculative (uncommitted) rank-appends: the next commit or full fit
-  // rolls the fantasy back by exact factor truncation.
-  surrogate_.appendObservations(buildObsFrom(*fantasy), /*commit=*/false);
+  // rolls the fantasy back by exact factor truncation. Levels at or above
+  // read_levels are not read again before that commit, so the surrogate
+  // skips their refits.
+  surrogate_.appendObservations(buildObsFrom(*fantasy), /*commit=*/false,
+                                read_levels);
 }
 
 std::vector<runtime::EvalJob> CorrelatedMfMoboOptimizer::admitBatch(
@@ -810,18 +816,26 @@ std::vector<runtime::EvalJob> CorrelatedMfMoboOptimizer::admitBatch(
   std::vector<char> taken(space_->size(), 0);
   std::vector<runtime::EvalJob> jobs;
   std::optional<Datasets> fantasy;
-  obs::ScopedPhase acq_phase("acquisition", round);
   for (int b = 0; b < q; ++b) {
-    ProposalScope scope;
-    std::vector<obs::FidelityAudit> audit;
-    const Pick pick = scanBest(
-        fantasy ? *fantasy : data_, cand, taken, stage_seconds_, z,
-        b == 0 ? -1 : static_cast<int>(jobs.front().fidelity),
-        obs::recorder().enabled() ? &audit : nullptr);
-    taken[pick.config] = 1;
-    jobs.push_back({pick.config, pick.fidelity});
-    logPick(scope.span, pick, round, t_ + b, b, std::move(audit));
-    if (b + 1 < q) believe(fantasy, pick.config, pick.fidelity);
+    Pick pick;
+    {
+      obs::ScopedPhase acq_phase("acquisition", round);
+      ProposalScope scope;
+      std::vector<obs::FidelityAudit> audit;
+      pick = scanBest(fantasy ? *fantasy : data_, cand, taken, stage_seconds_,
+                      z, b == 0 ? -1 : static_cast<int>(jobs.front().fidelity),
+                      obs::recorder().enabled() ? &audit : nullptr);
+      taken[pick.config] = 1;
+      jobs.push_back({pick.config, pick.fidelity});
+      logPick(scope.span, pick, round, t_ + b, b, std::move(audit));
+    }
+    // Every later pick of the round scans the first pick's fidelity only,
+    // so the fantasy need not reach the levels above it.
+    if (b + 1 < q) {
+      obs::ScopedPhase believe_phase("believers", round);
+      believe(fantasy, pick.config, pick.fidelity,
+              static_cast<std::size_t>(jobs.front().fidelity) + 1);
+    }
   }
   return jobs;
 }
@@ -834,40 +848,47 @@ void CorrelatedMfMoboOptimizer::admitAsync(int round) {
   // Re-derive believer fantasies for everything still in flight, in
   // dispatch order, each predicted on the posterior INCLUDING the
   // previously stacked fantasies (the greedy Kriging-believer chain).
+  // Every pick re-decides the fidelity, so fantasies reach every level.
+  constexpr std::size_t kAllLevels = kNumFidelities;
   std::optional<Datasets> fantasy;
   if (!inflight_meta_.empty()) {
     obs::ScopedPhase believe_phase("believers", round);
     for (const AsyncInflight& j : inflight_meta_)
-      believe(fantasy, j.config, j.fidelity);
+      believe(fantasy, j.config, j.fidelity, kAllLevels);
   }
 
-  obs::ScopedPhase acq_phase("acquisition", round);
   const std::vector<char> no_taken(space_->size(), 0);
   while (inflight() < cap && t_ + inflight() < opts_.n_iter) {
-    // Candidates are redrawn per proposal because each dispatch shrinks the
-    // open pool.
-    const std::vector<std::size_t> cand = candidates();
-    if (cand.empty()) break;  // in-flight jobs hold the rest of the space
-    const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
-    ProposalScope scope;
-    std::vector<obs::FidelityAudit> audit;
-    // Every pick re-decides the fidelity (Eq. 10) against the believer-
-    // augmented posterior — heterogeneous fidelities in flight is the whole
-    // point of killing the round barrier.
-    const Pick pick =
-        scanBest(fantasy ? *fantasy : data_, cand, no_taken, stage_seconds_,
-                 z, -1, obs::recorder().enabled() ? &audit : nullptr);
-    logPick(scope.span, pick, round, t_ + inflight(), inflight(),
-            std::move(audit));
-    const double sim_start = scheduler_->simNow();
-    const std::uint64_t seq =
-        scheduler_->submitAsync({pick.config, pick.fidelity});
-    inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
+    Pick pick;
+    {
+      obs::ScopedPhase acq_phase("acquisition", round);
+      // Candidates are redrawn per proposal because each dispatch shrinks
+      // the open pool.
+      const std::vector<std::size_t> cand = candidates();
+      if (cand.empty()) break;  // in-flight jobs hold the rest of the space
+      const auto z = drawStdNormals(opts_.mc_samples, kNumObjectives, rng_);
+      ProposalScope scope;
+      std::vector<obs::FidelityAudit> audit;
+      // Every pick re-decides the fidelity (Eq. 10) against the believer-
+      // augmented posterior — heterogeneous fidelities in flight is the
+      // whole point of killing the round barrier.
+      pick = scanBest(fantasy ? *fantasy : data_, cand, no_taken,
+                      stage_seconds_, z, -1,
+                      obs::recorder().enabled() ? &audit : nullptr);
+      logPick(scope.span, pick, round, t_ + inflight(), inflight(),
+              std::move(audit));
+      const double sim_start = scheduler_->simNow();
+      const std::uint64_t seq =
+          scheduler_->submitAsync({pick.config, pick.fidelity});
+      inflight_meta_.push_back({pick.config, pick.fidelity, sim_start, seq});
+    }
     // Stack this pick's own fantasy only if another proposal follows in
     // this step — at W=1 the loop exits here, so the sequential path never
     // speculates and stays bit-identical to Algorithm 2.
-    if (inflight() < cap && t_ + inflight() < opts_.n_iter)
-      believe(fantasy, pick.config, pick.fidelity);
+    if (inflight() < cap && t_ + inflight() < opts_.n_iter) {
+      obs::ScopedPhase believe_phase("believers", round);
+      believe(fantasy, pick.config, pick.fidelity, kAllLevels);
+    }
   }
 }
 
@@ -1007,6 +1028,14 @@ OptimizeResult CorrelatedMfMoboOptimizer::finish() {
   result_.wasted_seconds = totals.retry_seconds_wasted;
   result_.backoff_seconds = totals.backoff_seconds;
   return result_;
+}
+
+const MultiFidelitySurrogate& CorrelatedMfMoboOptimizer::surrogate() {
+  // The commit the next round would open with; it reads no RNG, and that
+  // commit then finds nothing left to do.
+  if (surrogate_.hasSkippedLevels())
+    surrogate_.appendObservations(buildObsFrom(data_), /*commit=*/true);
+  return surrogate_;
 }
 
 OptimizeResult CorrelatedMfMoboOptimizer::run() {

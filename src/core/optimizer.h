@@ -281,8 +281,10 @@ class CorrelatedMfMoboOptimizer {
   /// The in-progress result (valid between start() and finish()).
   const OptimizeResult& partialResult() const { return result_; }
 
-  /// Surrogate state after run() (for inspection / tests).
-  const MultiFidelitySurrogate& surrogate() const { return surrogate_; }
+  /// Surrogate state, e.g. after run() (for inspection / tests). A batch
+  /// round's believers leave the levels above its fidelity unreadable until
+  /// the next commit, so this commits the observations first when they do.
+  const MultiFidelitySurrogate& surrogate();
 
  private:
   struct FidelityData {
@@ -354,9 +356,11 @@ class CorrelatedMfMoboOptimizer {
                int depth, std::vector<obs::FidelityAudit> audit);
   /// Kriging believer: append the posterior mean of (config, fidelity) at
   /// every stage the job will run to `fantasy` (seeded from the real data
-  /// on first use) and condition the surrogate on it, uncommitted.
+  /// on first use) and condition the surrogate on it, uncommitted. Levels
+  /// at or above `read_levels` stay unread until the next commit (see
+  /// MultiFidelitySurrogate::appendObservations).
   void believe(std::optional<Datasets>& fantasy, std::size_t config,
-               sim::Fidelity fidelity);
+               sim::Fidelity fidelity, std::size_t read_levels);
   /// The shared tail of every step: drop consumed predictions, advance the
   /// counters, diag/metrics records, checkpoint, preemption/budget stops.
   RoundOutcome commitStep(int round,
@@ -387,6 +391,8 @@ class CorrelatedMfMoboOptimizer {
   std::unique_ptr<runtime::EvalCache> owned_cache_;
   runtime::EvalCache* cache_ = nullptr;
   std::unique_ptr<runtime::ToolScheduler> scheduler_;
+  /// The journal's writer (see writeCheckpoint); empty until the first save.
+  std::optional<JournalWriter> journal_;
   OptimizeResult result_;
   std::array<double, sim::kNumFidelities> stage_seconds_{};
   int t_ = 0;      ///< global proposal counter

@@ -168,6 +168,10 @@ void MultiFidelitySurrogate::buildLevelTraining(std::size_t level,
 void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
                                  rng::Rng& rng, bool optimize_hypers) {
   assert(obs.size() == levels_);
+  // Every level is rebuilt bottom-up before a level above reads it through
+  // augmented()/predict(), which asserts fitted().
+  fitted_ = true;
+  spec_skipped_.assign(levels_, 0);
   for (std::size_t l = 0; l < levels_; ++l) {
     const FidelityObs& o = obs[l];
     assert(o.x.size() >= 2 && o.y.rows() == o.x.size() && o.y.cols() == m_);
@@ -197,14 +201,17 @@ void MultiFidelitySurrogate::fit(const std::vector<FidelityObs>& obs,
                           obs::MetricsRegistry::conditionBounds());
       met.observe("gp.cond_log10", std::log10(model.gramConditionEstimate()));
     });
-    // The level's LML gauge is the MTGP's own (the independent variant
-    // publishes none).
-    if (opts_.obj == ObjModelKind::kCorrelated && obs::metrics().enabled())
-      obs::metrics().set("gp.lml.level" + std::to_string(l),
-                         mt_models_[l].logMarginalLikelihood());
+    // The level's LML gauge: the MTGP's own, or the sum over the
+    // objectives' GPs (as logMarginalLikelihood() reports it).
+    if (obs::metrics().enabled())
+      obs::metrics().set(
+          "gp.lml.level" + std::to_string(l),
+          foldModels(
+              l, 0.0,
+              [](const auto& model) { return model.logMarginalLikelihood(); },
+              std::plus<>()));
     noteEscalations(l);
   }
-  fitted_ = true;
   // A full (re)fit densifies every factor: the fitted state becomes the new
   // committed baseline for incremental appends and checkpointing.
   committed_n_.resize(levels_);
@@ -273,8 +280,14 @@ void MultiFidelitySurrogate::truncateLevel(std::size_t level, std::size_t n) {
                [n](auto& model, std::size_t) { model.truncateToPoints(n); });
 }
 
+bool MultiFidelitySurrogate::hasSkippedLevels() const {
+  return std::find(spec_skipped_.begin(), spec_skipped_.end(), 1) !=
+         spec_skipped_.end();
+}
+
 void MultiFidelitySurrogate::appendObservations(
-    const std::vector<FidelityObs>& obs, bool commit) {
+    const std::vector<FidelityObs>& obs, bool commit,
+    std::size_t read_levels) {
   assert(fitted_ && obs.size() == levels_ &&
          committed_n_.size() == levels_);
   bool lower_changed = false;
@@ -307,6 +320,7 @@ void MultiFidelitySurrogate::appendObservations(
       }
       committed_n_[l] = target;
       spec_dirty_[l] = 0;
+      spec_skipped_[l] = 0;
       // Self-healing: an incrementally-grown committed factor whose
       // condition estimate has blown past the recovery threshold is refit
       // densely — the dense path re-enters the jitter ladder, which
@@ -326,7 +340,20 @@ void MultiFidelitySurrogate::appendObservations(
       }
     } else {
       assert(target >= cur);
-      if (chained && lower_changed) {
+      if (spec_skipped_[l] && l < read_levels) {
+        // A level skipped for a narrower read set is read now: rebuild it
+        // on the fantasy data (the commit still refits it densely).
+        denseRefitLevel(l, o);
+        spec_skipped_[l] = 0;
+        changed_here = true;
+      } else if (spec_skipped_[l] || (chained && lower_changed &&
+                                      l >= read_levels)) {
+        // Nothing reads this level before the commit, and the commit refits
+        // it densely from the committed data whatever happens here.
+        spec_dirty_[l] = 1;
+        spec_skipped_[l] = 1;
+        changed_here = true;
+      } else if (chained && lower_changed) {
         denseRefitLevel(l, o);
         spec_dirty_[l] = 1;
         changed_here = true;
@@ -356,6 +383,7 @@ void MultiFidelitySurrogate::restorePosterior(
   // Lower levels are rebuilt before a higher level reads them through
   // augmented()/predict(), exactly as in fit().
   fitted_ = true;
+  spec_skipped_.assign(levels_, 0);
   std::size_t bi = 0;
   const auto baseFor = [&](std::size_t n) {
     // Journals without base counts (or pre-fit ones) mean "all dense".
@@ -389,7 +417,7 @@ void MultiFidelitySurrogate::restorePosterior(
 
 gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
                                                    const gp::Vec& x) const {
-  assert(fitted_ && level < levels_);
+  assert(fitted_ && level < levels_ && !spec_skipped_[level]);
   const gp::Vec input = augmented(level, x);
 
   gp::MultiPosterior post;
@@ -451,7 +479,7 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
 std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
     std::size_t level, const gp::Dataset& x,
     const gp::MultiPosterior* lower) const {
-  assert(fitted_ && level < levels_);
+  assert(fitted_ && level < levels_ && !spec_skipped_[level]);
   std::vector<gp::MultiPosterior> out;
   if (x.empty()) return out;
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -91,7 +92,19 @@ class MultiFidelitySurrogate {
   /// `obs`. `commit == false` stacks Kriging-believer fantasy observations
   /// on top of the committed state without advancing it; hyperparameters
   /// are never touched either way.
-  void appendObservations(const std::vector<FidelityObs>& obs, bool commit);
+  ///
+  /// Speculation only pays for the levels it will be read at: a chained
+  /// level at or above `read_levels` whose lower level changed is left as
+  /// it is and marked for the commit's dense refit, which rebuilds it from
+  /// the committed data exactly as it would after a speculative refit. Until
+  /// that commit no predict()/predictBatch() may read such a level (debug
+  /// assert), and its skipped refit records no jitter_escalation event.
+  /// Ignored when `commit` is true.
+  void appendObservations(const std::vector<FidelityObs>& obs, bool commit,
+                          std::size_t read_levels = SIZE_MAX);
+  /// True while uncommitted speculation left some level unreadable (see
+  /// appendObservations).
+  bool hasSkippedLevels() const;
 
   /// Joint posterior over the M objectives at fidelity `level`.
   gp::MultiPosterior predict(std::size_t level, const gp::Vec& x) const;
@@ -233,11 +246,14 @@ class MultiFidelitySurrogate {
   // spec_dirty_[l] means the level's posterior holds speculative content
   // that factor truncation cannot undo (a dense refit on fantasy data, or
   // an internal dense fallback during a speculative append), so the next
-  // commit rebuilds it densely. committed_base_ snapshots the per-model
-  // dense-base counts at the last commit for checkpointing.
+  // commit rebuilds it densely. spec_skipped_[l] means speculation skipped
+  // the level's refit (it is also spec_dirty_): its model is out of date
+  // until that commit. committed_base_ snapshots the per-model dense-base
+  // counts at the last commit for checkpointing.
   std::vector<std::size_t> committed_n_;
   std::vector<std::size_t> committed_base_;
   std::vector<char> spec_dirty_;
+  std::vector<char> spec_skipped_;
 
   // ---- numerical self-healing state ----
   RecoveryOptions recovery_;

@@ -9,16 +9,19 @@
 namespace cmmfo::gp {
 
 bool PosteriorState::refitDense(const linalg::Matrix& gram_with_noise) {
-  chol = linalg::Cholesky::factorizeWithJitter(gram_with_noise);
-  if (!chol) {
+  // Refactorized in the factor's own storage, which keeps the capacity its
+  // rank-appends grew.
+  if (!chol) chol.emplace();
+  if (!chol->refactorize(gram_with_noise)) {
     // Standard ladder exhausted (tops out near 1e-1): escalate from a
     // larger base jitter with more tries (up to ~1e7 — enough to swamp any
     // finite near-singular Gram). Anything still failing here has
     // non-finite entries, which no jitter can fix.
-    chol = linalg::Cholesky::factorizeWithJitter(gram_with_noise,
-                                                 /*initial_jitter=*/1e-6,
-                                                 /*max_tries=*/14);
-    if (!chol) return false;
+    if (!chol->refactorize(gram_with_noise, /*initial_jitter=*/1e-6,
+                           /*max_tries=*/14)) {
+      chol.reset();
+      return false;
+    }
     ++jitter_escalations;
     last_escalation_jitter = chol->jitterUsed();
   }

@@ -45,7 +45,7 @@ std::vector<double> Cholesky::solveLower(const std::vector<double>& b) const {
   std::vector<double> y(n);
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[i];
-    const double* li = l_.rowPtr(i);
+    const double* li = rowPtr(i);
     for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
     y[i] = s / li[i];
   }
@@ -61,14 +61,14 @@ std::vector<double> Cholesky::solve(const std::vector<double>& b) const {
   std::vector<double> x = b;
   for (std::size_t i = 0; i < n; ++i) {
     double s = x[i];
-    const double* li = l_.rowPtr(i);
+    const double* li = rowPtr(i);
     for (std::size_t k = 0; k < i; ++k) s -= li[k] * x[k];
     x[i] = s / li[i];
   }
   for (std::size_t ii = n; ii-- > 0;) {
     double s = x[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-    x[ii] = s / l_(ii, ii);
+    for (std::size_t k = ii + 1; k < n; ++k) s -= rowPtr(k)[ii] * x[k];
+    x[ii] = s / rowPtr(ii)[ii];
   }
   return x;
 }
@@ -110,8 +110,8 @@ constexpr std::size_t kSolveTile = 64;
 /// blocking reorders row interleaving only, never a column's operation
 /// sequence, so results stay bit-identical to the per-vector solveLower.
 CMMFO_SOLVE_TILE_CLONES
-void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
-  const std::size_t n = l.rows();
+void forwardSubTile(const Cholesky& l, double* xb, std::size_t tw) {
+  const std::size_t n = l.dim();
   double a0[kSolveTile], a1[kSolveTile], a2[kSolveTile], a3[kSolveTile];
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -183,18 +183,18 @@ void forwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
 /// its tail terms, changing the per-column order, so this one stays
 /// unblocked).
 CMMFO_SOLVE_TILE_CLONES
-void backwardSubTile(const Matrix& l, double* xb, std::size_t tw) {
-  const std::size_t n = l.rows();
+void backwardSubTile(const Cholesky& l, double* xb, std::size_t tw) {
+  const std::size_t n = l.dim();
   double acc[kSolveTile];
   for (std::size_t ii = n; ii-- > 0;) {
     double* xi = xb + ii * kSolveTile;
     for (std::size_t c = 0; c < tw; ++c) acc[c] = xi[c];
     for (std::size_t k = ii + 1; k < n; ++k) {
-      const double lki = l(k, ii);
+      const double lki = l.rowPtr(k)[ii];
       const double* xk = xb + k * kSolveTile;
       for (std::size_t c = 0; c < tw; ++c) acc[c] -= lki * xk[c];
     }
-    const double lii = l(ii, ii);
+    const double lii = l.rowPtr(ii)[ii];
     for (std::size_t c = 0; c < tw; ++c) xi[c] = acc[c] / lii;
   }
 }
@@ -305,8 +305,9 @@ bool factorLower(const Matrix& a, double jitter, double* lp, double* s) {
   return true;
 }
 
-/// Identity-aware inverse of the column block [c0, c0 + kChunk) of A^{-1},
-/// written into x from the identity (x's prior content is never read, so
+/// Identity-aware inverse of the column block [c0, c0 + kChunk) of A^{-1}
+/// for the n x n factor at lp (row stride s), written into x from the
+/// identity (x's prior content is never read, so
 /// an overlapping last block recomputes the same bits). Forward: column c
 /// of L^{-1} is +0 above row c, and a term l(i, k) * (+0) is +/-0, which
 /// leaves the running 1 or +0 unchanged, so rows start at c0 and terms at
@@ -315,16 +316,15 @@ bool factorLower(const Matrix& a, double jitter, double* lp, double* s) {
 /// arithmetic and stay +0. Backward: the generic sweep, k ascending from
 /// ii + 1, starting from +0 in the rows above c0.
 CMMFO_SOLVE_TILE_CLONES
-void inverseBlock(const Matrix& l, Matrix& x, std::size_t c0) {
+void inverseBlock(const double* lp, std::size_t s, std::size_t n, Matrix& x,
+                  std::size_t c0) {
   // kUnit + kChunk - d holds e_d (lanes 0..kChunk); kUnit + 2 kChunk zeros.
   static constexpr double kUnit[3 * kChunk] = {
       0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1.0};
   const double* zeros = kUnit + 2 * kChunk;
-  const std::size_t n = l.rows();
-  const double* lp = l.rowPtr(0);
   for (std::size_t i = c0; i < n; ++i) {
     const std::size_t d = i - c0;
-    const double* li = lp + i * n;
+    const double* li = lp + i * s;
     Chunk acc(d < kChunk ? kUnit + kChunk - d : zeros);
     for (std::size_t k = c0; k < i; ++k) acc.subScaled(li[k], x.rowPtr(k) + c0);
     acc.storeDivided(x.rowPtr(i) + c0, li[i]);
@@ -333,8 +333,8 @@ void inverseBlock(const Matrix& l, Matrix& x, std::size_t c0) {
     double* xi = x.rowPtr(ii) + c0;
     Chunk acc(ii >= c0 ? xi : zeros);
     for (std::size_t k = ii + 1; k < n; ++k)
-      acc.subScaled(lp[k * n + ii], x.rowPtr(k) + c0);
-    acc.storeDivided(xi, lp[ii * n + ii]);
+      acc.subScaled(lp[k * s + ii], x.rowPtr(k) + c0);
+    acc.storeDivided(xi, lp[ii * s + ii]);
   }
 }
 }  // namespace
@@ -342,13 +342,18 @@ void inverseBlock(const Matrix& l, Matrix& x, std::size_t c0) {
 bool Cholesky::factorInto(const Matrix& a, double jitter) {
   assert(a.rows() == a.cols());
   const std::size_t n = a.rows();
-  if (l_.rows() != n) l_ = Matrix(n, n);
+  // An exact-size allocation when the storage is too small (a growing
+  // resize could double it).
+  if (buf_.capacity() < n * n) buf_ = std::vector<double>(n * n);
+  buf_.resize(n * n);
+  n_ = stride_ = n;
+  double* lp = buf_.data();
   // Entry (i, j) keeps the scalar sequence a(i, j) [+ jitter on the
   // diagonal], minus l(i, k) * l(j, k) for k ascending, then the square root
   // or the division by l_jj; kChunk rows of a column advance together.
   if (n >= kChunk) {
     acc_.resize(n + kChunk);
-    if (!factorLower(a, jitter, l_.rowPtr(0), acc_.data())) return false;
+    if (!factorLower(a, jitter, lp, acc_.data())) return false;
   } else {
     // A register block would read past the end of a smaller L: factor A
     // bordered by an identity block to kChunk rows instead. The leading
@@ -366,7 +371,8 @@ bool Cholesky::factorInto(const Matrix& a, double jitter) {
     if (!factorLower(pad_a_, jitter, pad_l_.rowPtr(0), acc_.data()))
       return false;
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j <= i; ++j) l_(i, j) = pad_l_(i, j);
+      for (std::size_t j = 0; j < n; ++j)
+        lp[i * n + j] = j <= i ? pad_l_(i, j) : 0.0;
   }
   jitter_ = jitter;
   return true;
@@ -390,8 +396,8 @@ void Cholesky::solveInPlace(Matrix& x) const {
   for (std::size_t c0 = 0; c0 < nc; c0 += kSolveTile) {
     const std::size_t tw = std::min(kSolveTile, nc - c0);
     packTile(x, c0, tw, xb.data());
-    forwardSubTile(l_, xb.data(), tw);
-    backwardSubTile(l_, xb.data(), tw);
+    forwardSubTile(*this, xb.data(), tw);
+    backwardSubTile(*this, xb.data(), tw);
     unpackTile(xb.data(), c0, tw, x);
   }
 }
@@ -405,7 +411,7 @@ Matrix Cholesky::solveLower(const Matrix& b) const {
   for (std::size_t c0 = 0; c0 < nc; c0 += kSolveTile) {
     const std::size_t tw = std::min(kSolveTile, nc - c0);
     packTile(x, c0, tw, xb.data());
-    forwardSubTile(l_, xb.data(), tw);
+    forwardSubTile(*this, xb.data(), tw);
     unpackTile(xb.data(), c0, tw, x);
   }
   return x;
@@ -415,13 +421,24 @@ bool Cholesky::appendRow(const std::vector<double>& cross, double diag) {
   const std::size_t n = dim();
   assert(cross.size() == n);
   if (jitter_ != 0.0) return false;
+  // Room for row n: a row below stride_ reuses the dense block's storage;
+  // one past it extends the packed tail, growing the capacity by half.
+  const std::size_t off = rowOffset(n);
+  const std::size_t end = off + n + 1;
+  if (end > buf_.size()) {
+    if (end > buf_.capacity())
+      buf_.reserve(std::max(end, buf_.capacity() + buf_.capacity() / 2));
+    buf_.resize(end);
+  }
   // New bottom row of L, computed with exactly the operations factorize()
   // would spend on the last row of the bordered matrix — one forward
   // substitution against the existing factor, then the Schur complement.
-  std::vector<double> row(n + 1);
+  // Rows 0..n-1 are left as they are, so a refusal leaves the factor
+  // untouched.
+  double* row = buf_.data() + off;
   for (std::size_t j = 0; j < n; ++j) {
     double s = cross[j];
-    const double* lj = l_.rowPtr(j);
+    const double* lj = rowPtr(j);
     for (std::size_t k = 0; k < j; ++k) s -= row[k] * lj[k];
     row[j] = s / lj[j];
   }
@@ -429,34 +446,25 @@ bool Cholesky::appendRow(const std::vector<double>& cross, double diag) {
   for (std::size_t k = 0; k < n; ++k) d -= row[k] * row[k];
   if (!(d > 0.0) || !std::isfinite(d)) return false;
   row[n] = std::sqrt(d);
-
-  Matrix grown(n + 1, n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* src = l_.rowPtr(i);
-    double* dst = grown.rowPtr(i);
-    for (std::size_t k = 0; k <= i; ++k) dst[k] = src[k];
-  }
-  double* last = grown.rowPtr(n);
-  for (std::size_t k = 0; k <= n; ++k) last[k] = row[k];
-  l_ = std::move(grown);
+  n_ = n + 1;
   return true;
 }
 
 void Cholesky::truncateTo(std::size_t n) {
   assert(n <= dim());
-  if (n == dim()) return;
-  Matrix t(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* src = l_.rowPtr(i);
-    double* dst = t.rowPtr(i);
-    for (std::size_t k = 0; k <= i; ++k) dst[k] = src[k];
-  }
-  l_ = std::move(t);
+  n_ = n;
+}
+
+Matrix Cholesky::lower() const {
+  Matrix l(n_, n_);
+  for (std::size_t i = 0; i < n_; ++i)
+    std::copy_n(rowPtr(i), i + 1, l.rowPtr(i));
+  return l;
 }
 
 double Cholesky::logDet() const {
   double s = 0.0;
-  for (std::size_t i = 0; i < dim(); ++i) s += std::log(l_(i, i));
+  for (std::size_t i = 0; i < dim(); ++i) s += std::log(rowPtr(i)[i]);
   return 2.0 * s;
 }
 
@@ -470,9 +478,10 @@ void Cholesky::inverseInto(Matrix& out) const {
   // Bit-identical to solve(Matrix::identity(n)): each column keeps the
   // per-vector substitution sequence, minus terms that cannot change it.
   // Full kChunk-column blocks; when kChunk does not divide n the last block
-  // overlaps the one before it. Below kChunk, the generic solve.
+  // overlaps the one before it. Below kChunk, or with rank-appended rows
+  // past the dense block, the generic solve.
   const std::size_t n = dim();
-  if (n < kChunk) {
+  if (n < kChunk || n > stride_) {
     out.assignZero(n, n);
     for (std::size_t i = 0; i < n; ++i) out(i, i) = 1.0;
     solveInPlace(out);
@@ -480,17 +489,17 @@ void Cholesky::inverseInto(Matrix& out) const {
   }
   if (out.rows() != n || out.cols() != n) out = Matrix(n, n);
   for (std::size_t c0 = 0; c0 + kChunk <= n; c0 += kChunk)
-    inverseBlock(l_, out, c0);
-  if (n % kChunk != 0) inverseBlock(l_, out, n - kChunk);
+    inverseBlock(buf_.data(), stride_, n, out, c0);
+  if (n % kChunk != 0) inverseBlock(buf_.data(), stride_, n, out, n - kChunk);
 }
 
 double Cholesky::conditionEstimate() const {
   const std::size_t n = dim();
   if (n == 0) return 1.0;
-  double lo = l_(0, 0), hi = l_(0, 0);
+  double lo = rowPtr(0)[0], hi = lo;
   for (std::size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, l_(i, i));
-    hi = std::max(hi, l_(i, i));
+    lo = std::min(lo, rowPtr(i)[i]);
+    hi = std::max(hi, rowPtr(i)[i]);
   }
   if (lo <= 0.0) return std::numeric_limits<double>::infinity();
   const double r = hi / lo;
@@ -503,9 +512,8 @@ std::vector<double> mvnSample(const std::vector<double>& mu,
   const std::size_t n = mu.size();
   assert(chol.dim() == n && std_normals.size() == n);
   std::vector<double> z = mu;
-  const Matrix& l = chol.lower();
   for (std::size_t i = 0; i < n; ++i) {
-    const double* li = l.rowPtr(i);
+    const double* li = chol.rowPtr(i);
     double acc = 0.0;
     for (std::size_t k = 0; k <= i; ++k) acc += li[k] * std_normals[k];
     z[i] += acc;

@@ -48,15 +48,18 @@ class Cholesky {
   ///   [A  c; c^T  d]
   /// in O(n^2) — exactly the operations a fresh factorization would spend on
   /// its last row, so the grown factor is bit-identical to refactorizing the
-  /// bordered matrix (when A factorized without jitter). Returns false (and
-  /// leaves the factor untouched) if the Schur complement d - l^T l is not
+  /// bordered matrix (when A factorized without jitter). The new row is
+  /// swept straight into the factor's storage, which grows geometrically,
+  /// so only a growth step copies existing rows. Returns false (and leaves
+  /// the factor untouched) if the Schur complement d - l^T l is not
   /// numerically positive; callers should fall back to a dense refactorize.
   /// Refuses jittered factors: the implied bordered matrix would mix
   /// jittered and unjittered diagonals.
   bool appendRow(const std::vector<double>& cross, double diag);
   /// Shrink the factor to its leading n x n block — the exact factor of the
   /// leading principal submatrix, so append/truncate pairs round-trip
-  /// bit-identically (Kriging-believer speculation rollback).
+  /// bit-identically (Kriging-believer speculation rollback). O(1): the
+  /// storage is kept for the next append.
   void truncateTo(std::size_t n);
 
   /// log det(A) = 2 * sum_i log L_ii.
@@ -67,8 +70,13 @@ class Cholesky {
   /// dim() x dim(); bit-identical to inverse() and to solve(I). Needs a
   /// successfully factorized (finite, positive-diagonal) factor.
   void inverseInto(Matrix& out) const;
-  /// The lower-triangular factor.
-  const Matrix& lower() const { return l_; }
+  /// The lower-triangular factor as an n x n matrix (a copy; zero above the
+  /// diagonal).
+  Matrix lower() const;
+  /// Row i of the factor: its first i + 1 entries are L(i, 0..i).
+  const double* rowPtr(std::size_t i) const {
+    return buf_.data() + rowOffset(i);
+  }
   /// Cheap 2-norm condition estimate of A from the factor diagonal:
   /// (max_i L_ii / min_i L_ii)^2. A lower bound on cond_2(A), accurate
   /// enough to flag ill-conditioned Gram matrices in diagnostics.
@@ -76,15 +84,25 @@ class Cholesky {
   /// Jitter that was actually added to the diagonal (0 if none).
   double jitterUsed() const { return jitter_; }
 
-  std::size_t dim() const { return l_.rows(); }
+  std::size_t dim() const { return n_; }
 
  private:
-  /// Factor A + jitter*I into l_ (resized only when the dimension changes;
-  /// the strict upper triangle is never written, so it stays zero).
+  /// Factor A + jitter*I into buf_ as a row-major n x n matrix, zero above
+  /// the diagonal (the storage is reallocated only when it is too small).
   bool factorInto(const Matrix& a, double jitter);
   /// Multi-RHS solve X <- A^{-1} X in place (the body of solve(Matrix)).
   void solveInPlace(Matrix& x) const;
-  Matrix l_;
+  /// Where row i starts in buf_. Rows below stride_ sit in the square block
+  /// a dense factorization wrote (row stride stride_); rank-appended rows
+  /// past it follow packed, row i holding its i + 1 entries.
+  std::size_t rowOffset(std::size_t i) const {
+    return i < stride_ ? i * stride_
+                       : stride_ * stride_ +
+                             (i * (i + 1) - stride_ * (stride_ + 1)) / 2;
+  }
+  std::vector<double> buf_;
+  std::size_t n_ = 0;       ///< dim(): rows of the factor in use
+  std::size_t stride_ = 0;  ///< dimension of the last dense factorization
   double jitter_ = 0.0;
   // factorInto's scratch, kept so refactorize allocates nothing per call:
   // the column accumulators, and below 16 rows the bordered A and its factor.

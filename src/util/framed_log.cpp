@@ -1,5 +1,10 @@
 #include "util/framed_log.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,11 +22,8 @@ constexpr std::size_t kHeaderBytes = 12;
 // claiming gigabytes is a torn/garbage length field, not a real frame.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-void putLe32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+void putLe32(char* p, std::uint32_t v) {
+  for (int b = 0; b < 4; ++b) p[b] = static_cast<char>((v >> (8 * b)) & 0xFF);
 }
 
 std::uint32_t getLe32(const unsigned char* p) {
@@ -31,28 +33,98 @@ std::uint32_t getLe32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+/// Fill the header gap at the front of `frame` for the payload after it.
+void sealFrame(std::string& frame) {
+  const std::size_t len = frame.size() - kHeaderBytes;
+  std::memcpy(frame.data(), kMagic, 4);
+  putLe32(frame.data() + 4, static_cast<std::uint32_t>(len));
+  putLe32(frame.data() + 8, crc32c(frame.data() + kHeaderBytes, len));
+}
+
+/// Write the buffers to `path`.tmp with one open / writev / close, then
+/// rename it over `path`.
+bool writeBuffersAtomic(const std::string& path, std::vector<iovec>& iov) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) return false;
+  bool ok = true;
+  iovec* v = iov.data();
+  std::size_t left = iov.size(), bytes = 0;
+  for (const iovec& b : iov) bytes += b.iov_len;
+  while (ok && bytes > 0) {
+    const ssize_t w = ::writev(fd, v, static_cast<int>(left));
+    if (w <= 0) {
+      ok = w < 0 && errno == EINTR;
+      continue;
+    }
+    // Skip what a short write took, fully written buffers first.
+    bytes -= static_cast<std::size_t>(w);
+    auto done = static_cast<std::size_t>(w);
+    for (; left > 0 && done >= v->iov_len; ++v, --left) done -= v->iov_len;
+    if (left > 0) {
+      v->iov_base = static_cast<char*>(v->iov_base) + done;
+      v->iov_len -= done;
+    }
+  }
+  ok = ::close(fd) == 0 && ok;
+  return ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
 }  // namespace
 
 bool writeFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return false;
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    f.flush();
-    if (!f) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  std::vector<iovec> iov{{const_cast<char*>(bytes.data()), bytes.size()}};
+  return writeBuffersAtomic(path, iov);
 }
 
 std::string encodeFrame(const std::string& payload) {
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
-  out.append(kMagic, 4);
-  putLe32(out, static_cast<std::uint32_t>(payload.size()));
-  putLe32(out, crc32c(payload.data(), payload.size()));
+  out.assign(kHeaderBytes, '\0');
   out += payload;
+  sealFrame(out);
   return out;
+}
+
+FramedLogWriter::FramedLogWriter(std::string path, std::size_t keep)
+    : path_(std::move(path)), ring_(keep + 1) {}
+
+std::string& FramedLogWriter::beginFrame() {
+  const std::size_t cap = ring_.size();
+  if (!seeded_) {
+    // The one read: the file's last `keep` intact frames (none for a
+    // missing, legacy or wholly corrupt file) are the generations kept.
+    const FramedReadResult prev = readFrames(path_);
+    const std::size_t n = prev.frames.size();
+    head_ = held_ = 0;
+    for (std::size_t i = n > cap - 1 ? n - (cap - 1) : 0; i < n; ++i) {
+      std::string& slot = ring_[held_++];
+      slot.assign(kHeaderBytes, '\0');
+      slot += prev.frames[i];
+      sealFrame(slot);
+    }
+    seeded_ = true;
+  } else if (held_ == cap) {
+    head_ = (head_ + 1) % cap;  // drop the oldest; its buffer is reused
+    --held_;
+  }
+  std::string& slot = ring_[(head_ + held_++) % cap];
+  slot.assign(kHeaderBytes, '\0');
+  return slot;
+}
+
+bool FramedLogWriter::commitFrame() {
+  const std::size_t cap = ring_.size();
+  sealFrame(ring_[(head_ + held_ - 1) % cap]);
+  std::vector<iovec> iov(held_);
+  for (std::size_t i = 0; i < held_; ++i) {
+    std::string& frame = ring_[(head_ + i) % cap];
+    iov[i] = {frame.data(), frame.size()};
+  }
+  if (writeBuffersAtomic(path_, iov)) return true;
+  seeded_ = false;  // the file kept its old bytes: re-read them next save
+  return false;
 }
 
 FramedReadResult readFrames(const std::string& path) {

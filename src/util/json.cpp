@@ -1,7 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,9 +11,12 @@
 namespace cmmfo::util {
 
 void putDouble(std::string& out, double v) {
+  // to_chars in general format at a given precision is specified as printf
+  // %.*g, so these are the %.17g bytes, without the format-string parse.
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
+  const auto r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 void putDoubleOrNull(std::string& out, double v) {
@@ -24,21 +27,19 @@ void putDoubleOrNull(std::string& out, double v) {
 }
 
 void putInt(std::string& out, long long v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", v);
-  out += buf;
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void putU64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "\"%" PRIu64 "\"", v);
-  out += buf;
+  out += '"';
+  putU64Bare(out, v);
+  out += '"';
 }
 
 void putU64Bare(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void putVec(std::string& out, const std::vector<double>& v) {

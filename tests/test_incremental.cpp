@@ -112,6 +112,95 @@ TEST(CholeskyAppend, RefusesJitteredFactors) {
   EXPECT_EQ(chol->dim(), 2u);
 }
 
+// Appended rows live in capacity-backed storage (the dense block, then a
+// packed tail that grows by half): every reader must see the factor a dense
+// factorization of the same leading block gives, bit for bit, whatever
+// mix of appends, truncations, growths and copies produced it.
+TEST(CholeskyAppend, CapacityGrowthIsBitwiseNeutral) {
+  rng::Rng rng(104);
+  const std::size_t big_n = 90;
+  const Matrix big = randomSpd(big_n, rng, 30.0);
+  const auto lead = [&big](std::size_t n) {
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = big(i, j);
+    return a;
+  };
+  const auto append = [&big](Cholesky& c) {
+    const std::size_t n = c.dim();
+    std::vector<double> cross(n);
+    for (std::size_t i = 0; i < n; ++i) cross[i] = big(i, n);
+    return c.appendRow(cross, big(n, n));
+  };
+  Matrix rhs(big_n, 3);
+  for (std::size_t i = 0; i < big_n; ++i)
+    for (std::size_t c = 0; c < 3; ++c) rhs(i, c) = rng.uniform(-1.0, 1.0);
+  const auto expectDenseBits = [&](const Cholesky& c, const char* what) {
+    const std::size_t n = c.dim();
+    if (n == 0) return;
+    const auto dense = Cholesky::factorize(lead(n));
+    ASSERT_TRUE(dense.has_value());
+    const Matrix lc = c.lower(), ld = dense->lower();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(lc(i, j), ld(i, j)) << what << " n=" << n;
+    Matrix b(n, 3);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t k = 0; k < 3; ++k) b(i, k) = rhs(i, k);
+    const Matrix xs = c.solve(b), xd = dense->solve(b);
+    const Matrix ys = c.solveLower(b), yd = dense->solveLower(b);
+    const std::vector<double> vs = c.solve(b.col(0));
+    const std::vector<double> vd = dense->solve(b.col(0));
+    const Matrix is = c.inverse(), id = dense->inverse();
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 0; k < 3; ++k) {
+        ASSERT_EQ(xs(i, k), xd(i, k)) << what << " n=" << n;
+        ASSERT_EQ(ys(i, k), yd(i, k)) << what << " n=" << n;
+      }
+      ASSERT_EQ(vs[i], vd[i]) << what << " n=" << n;
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_EQ(is(i, j), id(i, j)) << what << " n=" << n;
+    }
+    ASSERT_EQ(c.logDet(), dense->logDet()) << what;
+    ASSERT_EQ(c.conditionEstimate(), dense->conditionEstimate()) << what;
+  };
+
+  for (const std::size_t n0 : {std::size_t{3}, std::size_t{20}}) {
+    auto c = Cholesky::factorize(lead(n0));
+    ASSERT_TRUE(c.has_value());
+    // Grow well past several capacity boundaries, checking as we go.
+    while (c->dim() < 60) {
+      ASSERT_TRUE(append(*c));
+      expectDenseBits(*c, "grow");
+    }
+    // Random interleavings: truncate (into the dense block too, down to
+    // empty), append again, and keep copies evolving alongside.
+    for (int step = 0; step < 40; ++step) {
+      if (rng.uniform() < 0.4) {
+        c->truncateTo(rng.index(c->dim() + 1));
+        expectDenseBits(*c, "truncate");
+      } else {
+        const std::size_t k = 1 + rng.index(12);
+        for (std::size_t i = 0; i < k && c->dim() < big_n; ++i)
+          ASSERT_TRUE(append(*c));
+        expectDenseBits(*c, "append");
+      }
+      if (step % 10 == 9) {
+        Cholesky copy = *c;
+        if (copy.dim() < big_n) {
+          ASSERT_TRUE(append(copy));
+          expectDenseBits(copy, "copy");
+        }
+      }
+    }
+    // A dense refactorize into the grown storage is today's dense factor.
+    ASSERT_TRUE(c->refactorize(lead(n0 + 7)));
+    expectDenseBits(*c, "refactorize");
+    ASSERT_TRUE(append(*c));
+    expectDenseBits(*c, "append after refactorize");
+  }
+}
+
 TEST(CholeskyMultiRhs, SolveMatchesPerVectorBitwise) {
   rng::Rng rng(103);
   for (int trial = 0; trial < 6; ++trial) {
@@ -409,6 +498,70 @@ SurrogateOptions fastSurrogate(MfKind mf, ObjModelKind obj) {
 
 class IncrementalSurrogate
     : public ::testing::TestWithParam<std::pair<MfKind, ObjModelKind>> {};
+
+// Believer stacking that will only be read below `read_levels` skips the
+// chained refits above it; the commit then refits those levels densely, so
+// the committed posterior (factors, targets, hyperparameters) is bitwise
+// the eager path's, and the levels that were read agree bitwise meanwhile.
+TEST(SurrogateIncremental, UnreadLevelsSkipSpeculativeRefit) {
+  for (const MfKind mf : {MfKind::kNonlinear, MfKind::kLinear})
+    for (const ObjModelKind obj :
+         {ObjModelKind::kCorrelated, ObjModelKind::kIndependent}) {
+      rng::Rng rng(41);
+      const auto obs = surrogateObs(14, 8, 5, rng);
+      const auto extra = surrogateObs(3, 3, 3, rng);
+      MultiFidelitySurrogate eager(2, 2, 3, fastSurrogate(mf, obj));
+      rng::Rng fit_rng(14);
+      eager.fit(obs, fit_rng);
+      MultiFidelitySurrogate lazy = eager;
+      const gp::Dataset probes = {{0.2, 0.7}, {0.45, 0.55}, {0.9, 0.1}};
+      const auto expectSame = [&](std::size_t levels, const char* when) {
+        for (std::size_t l = 0; l < levels; ++l)
+          for (const gp::Vec& p : probes) {
+            const gp::MultiPosterior a = eager.predict(l, p);
+            const gp::MultiPosterior b = lazy.predict(l, p);
+            for (std::size_t m = 0; m < 2; ++m) {
+              EXPECT_EQ(a.mean[m], b.mean[m]) << when << " level " << l;
+              for (std::size_t k = 0; k < 2; ++k)
+                EXPECT_EQ(a.cov(m, k), b.cov(m, k)) << when << " level " << l;
+            }
+          }
+      };
+
+      for (const std::size_t read_levels : {std::size_t{1}, std::size_t{2}}) {
+        // Two believer picks at the round's fidelity (read_levels - 1).
+        const int f = static_cast<int>(read_levels) - 1;
+        const std::array<int, 3> one = {1, f >= 1 ? 1 : 0, 0};
+        const std::array<int, 3> two = {2, f >= 1 ? 2 : 0, 0};
+        eager.appendObservations(extendObs(obs, extra, one), false);
+        lazy.appendObservations(extendObs(obs, extra, one), false,
+                                read_levels);
+        eager.appendObservations(extendObs(obs, extra, two), false);
+        lazy.appendObservations(extendObs(obs, extra, two), false,
+                                read_levels);
+        EXPECT_TRUE(lazy.hasSkippedLevels());
+        EXPECT_FALSE(eager.hasSkippedLevels());
+        expectSame(read_levels, "speculating");
+
+        // The round's real results commit (one new point per level).
+        const auto committed = extendObs(obs, extra, {1, 1, 1});
+        eager.appendObservations(committed, true);
+        lazy.appendObservations(committed, true);
+        EXPECT_FALSE(lazy.hasSkippedLevels());
+        expectSame(3, "committed");
+        EXPECT_EQ(lazy.committedBaseCounts(), eager.committedBaseCounts());
+        EXPECT_EQ(lazy.hyperState(), eager.hyperState());
+        for (std::size_t l = 0; l < 3; ++l) {
+          EXPECT_EQ(lazy.logMarginalLikelihood(l),
+                    eager.logMarginalLikelihood(l));
+          EXPECT_EQ(lazy.gramConditionLog10(l), eager.gramConditionLog10(l));
+        }
+        // Roll back to the fitted data for the next read set.
+        eager.fit(obs, fit_rng, false);
+        lazy = eager;
+      }
+    }
+}
 
 // Committed appends must track a freshly fitted surrogate to roundoff, and
 // batched prediction must stay bitwise equal to scalar prediction on the
