@@ -780,7 +780,8 @@ TEST(Checkpoint, RetiredRecoveryKeysAreReadAndIgnored) {
   EXPECT_EQ(core::serializeCheckpoint(parsed), text);
 
   const std::string path = tempCheckpointPath("cmmfo_ckpt_retired.json");
-  const std::string legacy_path = tempCheckpointPath("cmmfo_ckpt_legacy.json");
+  const std::string legacy_path =
+      tempCheckpointPath("cmmfo_ckpt_retired_legacy.json");
   std::remove(path.c_str());
   std::remove(legacy_path.c_str());
   core::OptimizerOptions o = fastOpts();
