@@ -19,25 +19,33 @@ std::vector<std::vector<double>> drawStdNormals(std::size_t samples,
   return z;
 }
 
-std::vector<pareto::Point> eipvSamples(
-    const gp::Vec& mu, const linalg::Matrix& cov,
-    const std::vector<std::vector<double>>& std_normals) {
+void eipvSamplesInto(const gp::Vec& mu, const linalg::Matrix& cov,
+                     const std::vector<std::vector<double>>& std_normals,
+                     linalg::Cholesky& chol, std::vector<pareto::Point>& out) {
   const std::size_t m = mu.size();
   assert(cov.rows() == m && cov.cols() == m);
   assert(!std_normals.empty() && std_normals[0].size() == m);
 
   // A (near-)zero covariance is a point mass at mu: answer exactly rather
-  // than sampling jitter noise.
+  // than sampling jitter noise. So is one the jitter ladder cannot factor.
   double max_var = 0.0;
   for (std::size_t i = 0; i < m; ++i) max_var = std::max(max_var, cov(i, i));
-  if (max_var < 1e-24) return {mu};
+  if (max_var < 1e-24 || !chol.refactorize(cov, 1e-12)) {
+    out.resize(1);
+    out[0].assign(mu.begin(), mu.end());
+    return;
+  }
+  out.resize(std_normals.size());
+  for (std::size_t s = 0; s < out.size(); ++s)
+    linalg::mvnSample(mu, chol, std_normals[s], out[s]);
+}
 
-  const auto chol = linalg::Cholesky::factorizeWithJitter(cov, 1e-12);
-  if (!chol) return {mu};
-
+std::vector<pareto::Point> eipvSamples(
+    const gp::Vec& mu, const linalg::Matrix& cov,
+    const std::vector<std::vector<double>>& std_normals) {
+  linalg::Cholesky chol;
   std::vector<pareto::Point> y;
-  y.reserve(std_normals.size());
-  for (const auto& z : std_normals) y.push_back(linalg::mvnSample(mu, *chol, z));
+  eipvSamplesInto(mu, cov, std_normals, chol, y);
   return y;
 }
 
@@ -104,9 +112,12 @@ PeipvScan scanPeipv(const std::vector<ScanCandidate>& candidates,
     util::forkJoin((c1 - c0 + kScanTask - 1) / kScanTask, [&](std::size_t t) {
       const std::size_t lo = c0 + t * kScanTask;
       const std::size_t hi = std::min(c1, lo + kScanTask);
+      // Each thread draws every candidate into the same storage.
+      thread_local linalg::Cholesky chol;
+      thread_local std::vector<pareto::Point> y;
       for (std::size_t i = lo; i < hi; ++i) {
-        const std::vector<pareto::Point> y =
-            eipvSamples(candidates[i].mu, candidates[i].cov, std_normals);
+        eipvSamplesInto(candidates[i].mu, candidates[i].cov, std_normals, chol,
+                        y);
         if (can_prune && penalty * eipvBound(y, ref) <= threshold) continue;
         eipv[i] = eipvOfSamples(y, front, ref);
         ran[i] = 1;

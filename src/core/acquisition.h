@@ -1,6 +1,7 @@
 #pragma once
 
 #include "gp/multitask_gp.h"
+#include "linalg/cholesky.h"
 #include "pareto/dominance.h"
 #include "rng/rng.h"
 
@@ -22,7 +23,15 @@ double mcEipv(const gp::Vec& mu, const linalg::Matrix& cov,
 
 /// The Monte-Carlo draws of mcEipv for one candidate: y_s = mu + L z_s for
 /// every row z_s of `std_normals`, or the mean alone when the covariance is
-/// a (near-)point mass or cannot be factorized.
+/// a (near-)point mass or cannot be factorized. The draws go into `out`,
+/// which keeps its capacity and its points theirs, and `chol` is
+/// refactorized in place, so a caller that reuses both allocates nothing
+/// per candidate once they are sized.
+void eipvSamplesInto(const gp::Vec& mu, const linalg::Matrix& cov,
+                     const std::vector<std::vector<double>>& std_normals,
+                     linalg::Cholesky& chol, std::vector<pareto::Point>& out);
+
+/// eipvSamplesInto on fresh storage.
 std::vector<pareto::Point> eipvSamples(
     const gp::Vec& mu, const linalg::Matrix& cov,
     const std::vector<std::vector<double>>& std_normals);

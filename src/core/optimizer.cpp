@@ -434,9 +434,8 @@ void CorrelatedMfMoboOptimizer::restoreCheckpoint(const CheckpointState& st) {
   const std::uint64_t ns = scheduler_->cacheNamespace();
   for (const auto& [config, fid] : st.cache) {
     std::array<sim::Report, kNumFidelities> stages{};
-    const hls::DirectiveConfig cfg = space_->config(config);
-    for (int f = 0; f <= fid; ++f)
-      stages[f] = sim_->run(cfg, static_cast<Fidelity>(f));
+    const auto all = sim_->runStages(space_->config(config));
+    std::copy_n(all.begin(), fid + 1, stages.begin());
     cache_->storeFlow(config, static_cast<Fidelity>(fid), stages, ns);
   }
   // Counters land on this campaign's ledger only — a co-tenant sharing the

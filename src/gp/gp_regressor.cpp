@@ -45,30 +45,43 @@ struct GpRegressor::LmlWorkspace {
   linalg::Matrix gram;   // noise-augmented Gram, then W
   linalg::Cholesky chol; // refactorized in place
   Vec tr;                // gramGradTrace output
+  // What the last value call left for a gradient request at the same point
+  // (`at`, compared bit for bit; empty when nothing is kept): the kernel
+  // parameters, pair cache and factor above, and its alpha, noise variance
+  // and NLL.
+  Vec at;
+  Vec alpha;
+  double noise_var = 0.0;
+  double nll = 0.0;
 };
 
-double GpRegressor::negLml(const Vec& packed, Vec& grad,
+double GpRegressor::negLml(const Vec& packed, Vec* grad_out,
                            LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
   const std::size_t nk = kernel_.numParams();
-  grad.assign(packed.size(), 0.0);
-
-  ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
-  const double log_noise = clampLogNoise(packed[nk]);
-  const double noise_var = std::exp(2.0 * log_noise);
-
-  ws.kernel.pairGram(ws.pairs, ws.gram);
-  for (std::size_t i = 0; i < n; ++i) ws.gram(i, i) += noise_var;
-  if (!ws.chol.refactorize(ws.gram))
-    return std::numeric_limits<double>::infinity();
-
-  const Vec alpha = ws.chol.solve(state_.y_std);
-  const double data_fit = 0.5 * linalg::dot(state_.y_std, alpha);
-  const double nll = data_fit + 0.5 * ws.chol.logDet() +
-                     0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+  if (!opt::samePoint(ws.at, packed)) {
+    ws.at.clear();
+    ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
+    ws.noise_var = std::exp(2.0 * clampLogNoise(packed[nk]));
+    ws.kernel.pairGram(ws.pairs, ws.gram);
+    for (std::size_t i = 0; i < n; ++i) ws.gram(i, i) += ws.noise_var;
+    if (!ws.chol.refactorize(ws.gram)) {
+      if (grad_out != nullptr) grad_out->assign(packed.size(), 0.0);
+      return std::numeric_limits<double>::infinity();
+    }
+    ws.alpha = ws.chol.solve(state_.y_std);
+    const double data_fit = 0.5 * linalg::dot(state_.y_std, ws.alpha);
+    ws.nll = data_fit + 0.5 * ws.chol.logDet() +
+             0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+    ws.at = packed;
+  }
+  if (grad_out == nullptr) return ws.nll;
 
   // dNLL/dtheta = -1/2 tr(W dK/dtheta), W = alpha alpha^T - K^{-1}, built
   // in the Gram buffer (the factor no longer needs it).
+  Vec& grad = *grad_out;
+  grad.assign(packed.size(), 0.0);
+  const Vec& alpha = ws.alpha;
   linalg::Matrix& w = ws.gram;
   ws.chol.inverseInto(w);
   for (std::size_t i = 0; i < n; ++i)
@@ -78,22 +91,24 @@ double GpRegressor::negLml(const Vec& packed, Vec& grad,
   // dK/d log_noise = 2 * noise_var * I.
   double tr = 0.0;
   for (std::size_t i = 0; i < n; ++i) tr += w(i, i);
-  grad[nk] = -0.5 * tr * 2.0 * noise_var;
+  grad[nk] = -0.5 * tr * 2.0 * ws.noise_var;
   // At a clamp boundary, zero the gradient component pointing outward so
   // the line search does not chase an inert direction.
   if ((packed[nk] <= std::log(kMinNoise) && grad[nk] > 0.0) ||
       (packed[nk] >= std::log(kMaxNoise) && grad[nk] < 0.0))
     grad[nk] = 0.0;
-  return nll;
+  return ws.nll;
+}
+
+opt::GradObjectiveFn GpRegressor::lmlObjective() const {
+  auto ws = std::make_shared<LmlWorkspace>(kernel_, x_);
+  return [this, ws](const Vec& p, Vec* g) { return negLml(p, g, *ws); };
 }
 
 double GpRegressor::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
   LmlWorkspace ws(kernel_, x_);
-  Vec g;
-  const double v = negLml(packed, g, ws);
-  if (grad != nullptr) *grad = std::move(g);
-  return v;
+  return negLml(packed, grad, ws);
 }
 
 void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
@@ -129,13 +144,8 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   }
   opt::LbfgsOptions lopts;
   lopts.max_iters = opts_.max_mle_iters;
-  const auto make_objective = [this] {
-    auto ws = std::make_shared<LmlWorkspace>(kernel_, x_);
-    return opt::GradObjectiveFn(
-        [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
-  };
-  const opt::MultiStartResult r =
-      opt::minimizeFromStarts(make_objective, starts, lopts);
+  const opt::MultiStartResult r = opt::minimizeFromStarts(
+      [this] { return lmlObjective(); }, starts, lopts);
   last_fit_iters_ = r.iterations;
   last_fit_budget_ = r.budget;
   if (std::isfinite(r.best.value)) applyPacked(r.best.x);

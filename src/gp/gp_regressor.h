@@ -4,6 +4,7 @@
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
 #include "linalg/stats.h"
+#include "opt/objective.h"
 #include "rng/rng.h"
 
 namespace cmmfo::gp {
@@ -85,6 +86,12 @@ class GpRegressor {
   /// finite-difference gradient-check test battery; does not mutate state.
   double evalNegLogMarginalLikelihood(const Vec& packed,
                                       Vec* grad = nullptr) const;
+  /// The MLE objective of one fit() start: evalNegLogMarginalLikelihood on
+  /// a workspace the objective owns, which keeps the last value call's
+  /// factor so a gradient request at that same point finishes from it
+  /// (same bits as one full evaluation). Use it from one thread, while the
+  /// model and its training data stay unchanged.
+  opt::GradObjectiveFn lmlObjective() const;
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
@@ -104,8 +111,9 @@ class GpRegressor {
  private:
   /// Scratch buffers of negLml, owned by one MLE start.
   struct LmlWorkspace;
-  /// Negative LML and gradient at packed parameters [kernel..., log noise].
-  double negLml(const Vec& packed, Vec& grad, LmlWorkspace& ws) const;
+  /// Negative LML at packed parameters [kernel..., log noise], and its
+  /// gradient when grad != nullptr.
+  double negLml(const Vec& packed, Vec* grad, LmlWorkspace& ws) const;
   /// Dense rebuild of `state_` from the cached (x_, y_raw_).
   void rebuildDense();
   /// Restandardize y_raw_, refresh state_.y_std, and re-solve targets —

@@ -145,39 +145,57 @@ struct MultiTaskGp::LmlWorkspace {
   Vec tr;                // gramGradTrace output
   bool timed;            // fill `ledger` (metrics on)
   MleLedger ledger{};
+  // What the last value call left for a gradient request at the same point
+  // (`at`, compared bit for bit; empty when nothing is kept): the kernel
+  // parameters, pair cache, kx and factor above, and its alpha, B, clamped
+  // log noise and NLL.
+  Vec at;
+  Vec alpha;
+  linalg::Matrix b;
+  Vec log_noise;
+  double nll = 0.0;
 };
 
-double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
+double MultiTaskGp::negLml(const Vec& packed, Vec* grad_out,
                            LmlWorkspace& ws) const {
   const std::size_t n = x_.size();
   const std::size_t nn = n * m_;
   const std::size_t nk = kernel_.numParams();
   const std::size_t nl = lowerTriCount(m_);
-  grad.assign(packed.size(), 0.0);
   LapClock clock(ws.timed);
 
-  ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
-  Vec l_entries(packed.begin() + nk, packed.begin() + nk + nl);
-  Vec log_noise(packed.begin() + nk + nl, packed.end());
-  for (auto& ln : log_noise)
-    ln = std::clamp(ln, std::log(kMinNoise), std::log(kMaxNoise));
+  if (!opt::samePoint(ws.at, packed)) {
+    ws.at.clear();
+    ws.kernel.setParams(Vec(packed.begin(), packed.begin() + nk));
+    ws.log_noise.assign(packed.begin() + nk + nl, packed.end());
+    for (auto& ln : ws.log_noise)
+      ln = std::clamp(ln, std::log(kMinNoise), std::log(kMaxNoise));
 
-  ws.kernel.pairGram(ws.pairs, ws.kx);
+    ws.kernel.pairGram(ws.pairs, ws.kx);
+    clock.lap(ws.ledger[kGram]);
+    ws.b = buildB(Vec(packed.begin() + nk, packed.begin() + nk + nl), m_);
+    stackGram(ws.kx, ws.b, ws.log_noise, ws.gram);
+    clock.lap(ws.ledger[kStack]);
+    const bool factored = ws.chol.refactorize(ws.gram);
+    clock.lap(ws.ledger[kFactor]);
+    if (!factored) {
+      if (grad_out != nullptr) grad_out->assign(packed.size(), 0.0);
+      return std::numeric_limits<double>::infinity();
+    }
+
+    const Vec& y = ws.y_stacked;
+    ws.alpha = ws.chol.solve(y);
+    ws.nll = 0.5 * linalg::dot(y, ws.alpha) + 0.5 * ws.chol.logDet() +
+             0.5 * static_cast<double>(nn) * std::log(2.0 * std::numbers::pi);
+    clock.lap(ws.ledger[kSolve]);
+    ws.at = packed;
+  }
+  if (grad_out == nullptr) return ws.nll;
+  Vec& grad = *grad_out;
+  grad.assign(packed.size(), 0.0);
   const linalg::Matrix& kx = ws.kx;
-  clock.lap(ws.ledger[kGram]);
-  const linalg::Matrix b = buildB(l_entries, m_);
-  stackGram(kx, b, log_noise, ws.gram);
-  clock.lap(ws.ledger[kStack]);
-  const bool factored = ws.chol.refactorize(ws.gram);
-  clock.lap(ws.ledger[kFactor]);
-  if (!factored) return std::numeric_limits<double>::infinity();
-
-  const Vec& y = ws.y_stacked;
-  const Vec alpha = ws.chol.solve(y);
-  const double nll =
-      0.5 * linalg::dot(y, alpha) + 0.5 * ws.chol.logDet() +
-      0.5 * static_cast<double>(nn) * std::log(2.0 * std::numbers::pi);
-  clock.lap(ws.ledger[kSolve]);
+  const linalg::Matrix& b = ws.b;
+  const Vec& alpha = ws.alpha;
 
   // W = alpha alpha^T - K^{-1}, built in the Gram buffer (the factor no
   // longer needs it); dNLL/dtheta = -1/2 tr(W dK/dtheta).
@@ -226,7 +244,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
     std::size_t idx = 0;
     for (std::size_t r = 0; r < m_; ++r)
       for (std::size_t c = 0; c <= r; ++c, ++idx)
-        lmat(r, c) = (r == c) ? std::exp(l_entries[idx]) : l_entries[idx];
+        lmat(r, c) = (r == c) ? std::exp(packed[nk + idx]) : packed[nk + idx];
   }
   {
     std::size_t idx = 0;
@@ -244,7 +262,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
 
   // Noise parameters: dK = 2 sigma_m^2 I on task-m block.
   for (std::size_t mm = 0; mm < m_; ++mm) {
-    const double nv = std::exp(2.0 * log_noise[mm]);
+    const double nv = std::exp(2.0 * ws.log_noise[mm]);
     double tr = 0.0;
     for (std::size_t i = 0; i < n; ++i) tr += w(mm * n + i, mm * n + i);
     double g = -0.5 * tr * 2.0 * nv;
@@ -254,7 +272,7 @@ double MultiTaskGp::negLml(const Vec& packed, Vec& grad,
     grad[nk + nl + mm] = g;
   }
   clock.lap(ws.ledger[kCollapse]);
-  return nll;
+  return ws.nll;
 }
 
 void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
@@ -296,7 +314,7 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
       workspaces.push_back(ws);
     }
     return opt::GradObjectiveFn(
-        [this, ws](const Vec& p, Vec& g) { return negLml(p, g, *ws); });
+        [this, ws](const Vec& p, Vec* g) { return negLml(p, g, *ws); });
   };
   const opt::MultiStartResult r =
       opt::minimizeFromStarts(make_objective, starts, lopts);
@@ -318,10 +336,12 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
 double MultiTaskGp::evalNegLogMarginalLikelihood(const Vec& packed,
                                                  Vec* grad) const {
   LmlWorkspace ws(*this, /*timed=*/false);
-  Vec g;
-  const double v = negLml(packed, g, ws);
-  if (grad != nullptr) *grad = std::move(g);
-  return v;
+  return negLml(packed, grad, ws);
+}
+
+opt::GradObjectiveFn MultiTaskGp::lmlObjective() const {
+  auto ws = std::make_shared<LmlWorkspace>(*this, /*timed=*/false);
+  return [this, ws](const Vec& p, Vec* g) { return negLml(p, g, *ws); };
 }
 
 void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {

@@ -4,6 +4,7 @@
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
 #include "linalg/stats.h"
+#include "opt/objective.h"
 #include "rng/rng.h"
 
 namespace cmmfo::gp {
@@ -92,6 +93,12 @@ class MultiTaskGp {
   /// finite-difference gradient-check test battery; does not mutate state.
   double evalNegLogMarginalLikelihood(const Vec& packed,
                                       Vec* grad = nullptr) const;
+  /// The MLE objective of one fit() start: evalNegLogMarginalLikelihood on
+  /// a workspace the objective owns, which keeps the last value call's
+  /// factor so a gradient request at that same point finishes from it
+  /// (same bits as one full evaluation). Use it from one thread, while the
+  /// model and its training data stay unchanged.
+  opt::GradObjectiveFn lmlObjective() const;
 
   /// Total L-BFGS iterations spent across all restarts in the last fit().
   int lastFitIterations() const { return last_fit_iters_; }
@@ -113,7 +120,9 @@ class MultiTaskGp {
   static linalg::Matrix buildB(const Vec& l_entries, std::size_t m);
   /// Scratch buffers of negLml, owned by one MLE start.
   struct LmlWorkspace;
-  double negLml(const Vec& packed, Vec& grad, LmlWorkspace& ws) const;
+  /// Negative LML at packed parameters, and its gradient when
+  /// grad != nullptr.
+  double negLml(const Vec& packed, Vec* grad, LmlWorkspace& ws) const;
   /// Noise-augmented task-major stacked Gram B (x) kx + diag(noise), written
   /// into `gram` (storage reused when already nM x nM).
   void stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,

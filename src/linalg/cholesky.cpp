@@ -305,6 +305,27 @@ bool factorLower(const Matrix& a, double jitter, double* lp, double* s) {
   return true;
 }
 
+/// factorLower's loop one entry at a time, each with its lane's operation
+/// sequence (same bits), for n < kChunk, where a block would read past L.
+bool factorSmall(const Matrix& a, double jitter, double* lp) {
+  const std::size_t n = a.rows();
+  std::fill(lp, lp + n * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* lj = lp + j * n;
+    for (std::size_t i = j; i < n; ++i) {
+      double s = i == j ? a(j, j) + jitter : a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= lj[k] * lp[i * n + k];
+      if (i > j) {
+        lp[i * n + j] = s / lj[j];
+      } else {
+        if (!(s > 0.0) || !std::isfinite(s)) return false;
+        lp[j * n + j] = std::sqrt(s);
+      }
+    }
+  }
+  return true;
+}
+
 /// Identity-aware inverse of the column block [c0, c0 + kChunk) of A^{-1}
 /// for the n x n factor at lp (row stride s), written into x from the
 /// identity (x's prior content is never read, so
@@ -354,25 +375,8 @@ bool Cholesky::factorInto(const Matrix& a, double jitter) {
   if (n >= kChunk) {
     acc_.resize(n + kChunk);
     if (!factorLower(a, jitter, lp, acc_.data())) return false;
-  } else {
-    // A register block would read past the end of a smaller L: factor A
-    // bordered by an identity block to kChunk rows instead. The leading
-    // n x n block of that factor depends on the leading block of A alone,
-    // and the border cannot fail (its pivots are 1 + jitter).
-    acc_.resize(2 * kChunk);
-    if (pad_a_.rows() != kChunk) {
-      pad_a_ = Matrix(kChunk, kChunk);
-      pad_l_ = Matrix(kChunk, kChunk);
-    }
-    // factorLower reads only the lower triangle of its input.
-    for (std::size_t i = 0; i < kChunk; ++i)
-      for (std::size_t j = 0; j <= i; ++j)
-        pad_a_(i, j) = i < n ? a(i, j) : (i == j ? 1.0 : 0.0);
-    if (!factorLower(pad_a_, jitter, pad_l_.rowPtr(0), acc_.data()))
-      return false;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        lp[i * n + j] = j <= i ? pad_l_(i, j) : 0.0;
+  } else if (!factorSmall(a, jitter, lp)) {
+    return false;
   }
   jitter_ = jitter;
   return true;
@@ -506,19 +510,18 @@ double Cholesky::conditionEstimate() const {
   return r * r;
 }
 
-std::vector<double> mvnSample(const std::vector<double>& mu,
-                              const Cholesky& chol,
-                              const std::vector<double>& std_normals) {
+void mvnSample(const std::vector<double>& mu, const Cholesky& chol,
+               const std::vector<double>& std_normals,
+               std::vector<double>& out) {
   const std::size_t n = mu.size();
   assert(chol.dim() == n && std_normals.size() == n);
-  std::vector<double> z = mu;
+  out.assign(mu.begin(), mu.end());
   for (std::size_t i = 0; i < n; ++i) {
     const double* li = chol.rowPtr(i);
     double acc = 0.0;
     for (std::size_t k = 0; k <= i; ++k) acc += li[k] * std_normals[k];
-    z[i] += acc;
+    out[i] += acc;
   }
-  return z;
 }
 
 }  // namespace cmmfo::linalg

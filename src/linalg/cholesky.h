@@ -104,16 +104,13 @@ class Cholesky {
   std::size_t n_ = 0;       ///< dim(): rows of the factor in use
   std::size_t stride_ = 0;  ///< dimension of the last dense factorization
   double jitter_ = 0.0;
-  // factorInto's scratch, kept so refactorize allocates nothing per call:
-  // the column accumulators, and below 16 rows the bordered A and its factor.
-  std::vector<double> acc_;
-  Matrix pad_a_, pad_l_;
+  std::vector<double> acc_;  ///< factorInto's accumulators, kept (n >= 16)
 };
 
-/// Sample z ~ N(mu, A) given the Cholesky factor of A and iid standard
-/// normals `std_normals` (length = dim).
-std::vector<double> mvnSample(const std::vector<double>& mu,
-                              const Cholesky& chol,
-                              const std::vector<double>& std_normals);
+/// Sample z ~ N(mu, A) into `out` (storage reused) given the Cholesky
+/// factor of A and iid standard normals `std_normals` (length = dim).
+void mvnSample(const std::vector<double>& mu, const Cholesky& chol,
+               const std::vector<double>& std_normals,
+               std::vector<double>& out);
 
 }  // namespace cmmfo::linalg

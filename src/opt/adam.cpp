@@ -29,7 +29,7 @@ OptResult minimizeAdam(const GradObjectiveFn& f, std::vector<double> x0,
   AdamStepper stepper(x0.size(), opts);
   std::vector<double> grad(x0.size());
   std::vector<double> best_x = x0;
-  double best_f = f(x0, grad);
+  double best_f = f(x0, &grad);
   for (int it = 0; it < opts.max_iters; ++it) {
     res.iterations = it + 1;
     if (linalg::normInf(grad) < opts.grad_tolerance) {
@@ -37,7 +37,7 @@ OptResult minimizeAdam(const GradObjectiveFn& f, std::vector<double> x0,
       break;
     }
     stepper.step(x0, grad);
-    const double fx = f(x0, grad);
+    const double fx = f(x0, &grad);
     if (std::isfinite(fx) && fx < best_f) {
       best_f = fx;
       best_x = x0;

@@ -18,7 +18,7 @@ OptResult minimizeLbfgs(const GradObjectiveFn& f, std::vector<double> x0,
   const std::size_t n = x0.size();
   OptResult res;
   std::vector<double> g(n);
-  double fx = f(x0, g);
+  double fx = f(x0, &g);
   if (!std::isfinite(fx)) {
     // Starting point is outside the numerically valid region; report as-is.
     res.x = std::move(x0);
@@ -76,15 +76,16 @@ OptResult minimizeLbfgs(const GradObjectiveFn& f, std::vector<double> x0,
       dg = -dot(g, g);
     }
 
-    // Armijo backtracking.
+    // Armijo backtracking on values alone: a rejected trial's gradient
+    // would be thrown away, so it is asked for at the accepted point only.
     double step = 1.0;
     double f_new = fx;
-    std::vector<double> x_new = x, g_new = g;
+    std::vector<double> x_new;
     bool ok = false;
     for (int ls = 0; ls < opts.max_line_search; ++ls) {
       x_new = x;
       axpy(step, d, x_new);
-      f_new = f(x_new, g_new);
+      f_new = f(x_new, nullptr);
       if (std::isfinite(f_new) && f_new <= fx + opts.armijo_c * step * dg) {
         ok = true;
         break;
@@ -102,6 +103,8 @@ OptResult minimizeLbfgs(const GradObjectiveFn& f, std::vector<double> x0,
       break;
     }
 
+    std::vector<double> g_new;
+    f(x_new, &g_new);
     auto s = sub(x_new, x);
     auto yv = sub(g_new, g);
     const double sy = dot(s, yv);
@@ -114,7 +117,7 @@ OptResult minimizeLbfgs(const GradObjectiveFn& f, std::vector<double> x0,
 
     const double df = std::fabs(fx - f_new);
     x = std::move(x_new);
-    g = g_new;
+    g = std::move(g_new);
     const double prev = fx;
     fx = f_new;
     // A single tiny improvement can be an artifact of a heavily backtracked

@@ -19,8 +19,7 @@ pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
 GroundTruth::GroundTruth(const hls::DesignSpace& space, const FpgaToolSim& sim) {
   reports_.resize(space.size());
   for (std::size_t i = 0; i < space.size(); ++i)
-    for (int f = 0; f < kNumFidelities; ++f)
-      reports_[i][f] = sim.run(space.config(i), static_cast<Fidelity>(f));
+    reports_[i] = sim.runStages(space.config(i));
 
   pareto::ParetoFront front;
   for (std::size_t i = 0; i < space.size(); ++i)

@@ -45,6 +45,11 @@ FpgaToolSim::FpgaToolSim(const hls::Kernel& kernel, DeviceModel device,
 
 Report FpgaToolSim::run(const hls::DirectiveConfig& cfg,
                         Fidelity fidelity) const {
+  return runStages(cfg)[static_cast<int>(fidelity)];
+}
+
+std::array<Report, kNumFidelities> FpgaToolSim::runStages(
+    const hls::DirectiveConfig& cfg) const {
   const ArchEstimate est = estimateArchitecture(*kernel_, cfg, device_);
   const rng::HashNoise noise(seed_);
   const std::uint64_t ch = cfg.hash();
@@ -134,26 +139,42 @@ Report FpgaToolSim::run(const hls::DirectiveConfig& cfg,
                        dx.feasible;
   }
 
-  const StageState& s = fidelity == Fidelity::kHls   ? hls_state
-                        : fidelity == Fidelity::kSyn ? syn_state
-                                                     : impl_state;
+  // Tool runtime: synthesis and implementation dominate, and both grow with
+  // design size.
+  const double size_factor =
+      1.0 + est.total_op_instances / 2.0e4 + 3.0 * est.util_raw;
+  const double t_hls = params_.base_tool_seconds * (0.4 + 0.2 * size_factor);
+  const double t_syn = t_hls + params_.base_tool_seconds *
+                                   (2.0 + 2.5 * syn_state.util) * size_factor;
+  // Cross-die placement takes the placer longer; 1.0 exactly (and thus
+  // bit-identical times) when the die map is off.
+  const double die_effort = 1.0 + 0.6 * dx.sll_util;
+  const double t_impl =
+      t_syn + params_.base_tool_seconds *
+                  (5.0 + 14.0 * impl_state.util * impl_state.util) *
+                  size_factor * die_effort;
 
-  Report r;
-  r.valid = fidelity == Fidelity::kImpl ? impl_state.valid : true;
-  r.latency_cycles = est.latency_cycles;
-  r.clock_ns = s.clock_ns;
-  r.lut_util = s.util;
-  r.delay_us = est.latency_cycles * s.clock_ns * 1e-3;
+  const StageState* states[kNumFidelities] = {&hls_state, &syn_state,
+                                              &impl_state};
+  const double times[kNumFidelities] = {t_hls, t_syn, t_impl};
+  std::array<Report, kNumFidelities> reports{};
+  for (int f = 0; f < kNumFidelities; ++f) {
+    const StageState& s = *states[f];
+    const bool impl = f == static_cast<int>(Fidelity::kImpl);
+    Report& r = reports[f];
+    r.valid = impl ? impl_state.valid : true;
+    r.latency_cycles = est.latency_cycles;
+    r.clock_ns = s.clock_ns;
+    r.lut_util = s.util;
+    r.delay_us = est.latency_cycles * s.clock_ns * 1e-3;
 
-  // Power: leakage grows with area; dynamic power with switched capacitance
-  // (active LUTs / parallel lanes) times frequency; memory banks add their
-  // own share. Later stages see the refined area/clock, so power inherits
-  // the same non-linear stage-to-stage structure.
-  {
+    // Power: leakage grows with area; dynamic power with switched
+    // capacitance (active LUTs / parallel lanes) times frequency; memory
+    // banks add their own share. Later stages see the refined area/clock,
+    // so power inherits the same non-linear stage-to-stage structure.
     const double stage_noise =
         1.0 + ns * (0.5 + dv) *
-                  (0.7 * corner +
-                   0.3 * noise.normal(ch, 31 + static_cast<int>(fidelity)));
+                  (0.7 * corner + 0.3 * noise.normal(ch, 31 + f));
     const double static_w = 0.18 + 0.9 * s.util;
     const double dynamic_w =
         2.4 * s.util * (10.0 / std::max(s.clock_ns, 1e-3)) *
@@ -161,30 +182,11 @@ Report FpgaToolSim::run(const hls::DirectiveConfig& cfg,
     const double mem_w = 0.004 * est.total_banks;
     r.power_w = (static_w + dynamic_w + mem_w) * stage_noise;
     // SLL drivers burn power only the implemented netlist knows about.
-    if (fidelity == Fidelity::kImpl && die_map_.enabled())
+    if (impl && die_map_.enabled())
       r.power_w += die_map_.crossing_power_w_per_kbit * dx.sll_bits * 1e-3;
+    r.tool_seconds = times[f];
   }
-
-  // Tool runtime: synthesis and implementation dominate, and both grow with
-  // design size.
-  {
-    const double size_factor =
-        1.0 + est.total_op_instances / 2.0e4 + 3.0 * est.util_raw;
-    const double t_hls = params_.base_tool_seconds * (0.4 + 0.2 * size_factor);
-    const double t_syn = t_hls + params_.base_tool_seconds *
-                                     (2.0 + 2.5 * syn_state.util) * size_factor;
-    // Cross-die placement takes the placer longer; 1.0 exactly (and thus
-    // bit-identical times) when the die map is off.
-    const double die_effort = 1.0 + 0.6 * dx.sll_util;
-    const double t_impl =
-        t_syn + params_.base_tool_seconds *
-                    (5.0 + 14.0 * impl_state.util * impl_state.util) *
-                    size_factor * die_effort;
-    r.tool_seconds = fidelity == Fidelity::kHls   ? t_hls
-                     : fidelity == Fidelity::kSyn ? t_syn
-                                                  : t_impl;
-  }
-  return r;
+  return reports;
 }
 
 Report FpgaToolSim::runCounted(const hls::DirectiveConfig& cfg,
@@ -201,13 +203,12 @@ FlowAttempt FpgaToolSim::runFlowAttempt(const hls::DirectiveConfig& cfg,
   const int upto = static_cast<int>(fidelity);
   // Fault-free stage ladder: the reports the attempt would produce, plus the
   // cumulative stage times the fault events perturb.
-  std::array<Report, kNumFidelities> clean{};
-  for (int f = 0; f <= upto; ++f) clean[f] = run(cfg, static_cast<Fidelity>(f));
+  const std::array<Report, kNumFidelities> clean = runStages(cfg);
 
   if (!faults_.enabled() && timeout_seconds <= 0.0) {
     // Fast path, bit-for-bit the legacy accounting: one charged invocation
     // whose cost is the cumulative tool_seconds of the requested stage.
-    fa.stages = clean;
+    std::copy_n(clean.begin(), upto + 1, fa.stages.begin());
     fa.completed_upto = upto;
     fa.attempt_seconds = clean[upto].tool_seconds;
     return fa;
@@ -299,9 +300,9 @@ std::array<double, kNumFidelities> FpgaToolSim::nominalStageSeconds() const {
   hls::DirectiveConfig cfg;
   cfg.loops.resize(kernel_->numLoops());
   cfg.arrays.resize(kernel_->numArrays());
+  const std::array<Report, kNumFidelities> stages = runStages(cfg);
   std::array<double, kNumFidelities> t{};
-  for (int f = 0; f < kNumFidelities; ++f)
-    t[f] = run(cfg, static_cast<Fidelity>(f)).tool_seconds;
+  for (int f = 0; f < kNumFidelities; ++f) t[f] = stages[f].tool_seconds;
   return t;
 }
 

@@ -126,8 +126,13 @@ class FpgaToolSim {
   FpgaToolSim(const hls::Kernel& kernel, DeviceModel device, SimParams params,
               std::uint64_t seed);
 
-  /// Run the flow up to `fidelity` and report that stage's view.
+  /// Run the flow up to `fidelity` and report that stage's view:
+  /// runStages(cfg)[fidelity].
   Report run(const hls::DirectiveConfig& cfg, Fidelity fidelity) const;
+  /// The reports of all three stages from one pass over the configuration
+  /// (one architecture estimate).
+  std::array<Report, kNumFidelities> runStages(
+      const hls::DirectiveConfig& cfg) const;
 
   /// Fault-aware flow execution: run the stages [hls..fidelity] in order
   /// under the configured FaultParams. Pure in (config, fidelity, attempt,

@@ -209,6 +209,57 @@ TEST(Acquisition, BoxBoundDominatesPeipvExactly) {
   EXPECT_GT(outside, 1000);
 }
 
+TEST(Acquisition, ReusedSampleStorageMatchesFreshDraws) {
+  // One thread's storage carried across candidates of alternating M and
+  // sample counts, through point masses and failed factorizations: every
+  // draw equals eipvSamples on fresh storage and the plain factor-and-sample
+  // reference, bit for bit.
+  rng::Rng rng(77);
+  linalg::Cholesky chol;
+  std::vector<pareto::Point> y;
+  int point_mass = 0, failed = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t m = 2 + trial % 3;
+    const std::size_t samples = trial % 2 == 0 ? 32 : 5;
+    const auto z = drawStdNormals(samples, m, rng);
+    const ScanCandidate c = randomCandidate(m, rng);
+    eipvSamplesInto(c.mu, c.cov, z, chol, y);
+    const auto fresh = eipvSamples(c.mu, c.cov, z);
+
+    std::vector<pareto::Point> ref;
+    double max_var = 0.0;
+    for (std::size_t i = 0; i < m; ++i)
+      max_var = std::max(max_var, c.cov(i, i));
+    const auto l = linalg::Cholesky::factorizeWithJitter(c.cov, 1e-12);
+    if (max_var < 1e-24 || !l) {
+      ref.push_back(c.mu);
+      point_mass += max_var < 1e-24;
+      failed += max_var >= 1e-24;
+    } else {
+      for (const auto& zs : z) {
+        pareto::Point p = c.mu;
+        for (std::size_t i = 0; i < m; ++i) {
+          double acc = 0.0;
+          for (std::size_t k = 0; k <= i; ++k) acc += l->rowPtr(i)[k] * zs[k];
+          p[i] += acc;
+        }
+        ref.push_back(p);
+      }
+    }
+    ASSERT_EQ(y.size(), ref.size()) << "trial " << trial;
+    ASSERT_EQ(fresh.size(), ref.size()) << "trial " << trial;
+    for (std::size_t s = 0; s < ref.size(); ++s) {
+      ASSERT_EQ(y[s].size(), m);
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_TRUE(sameBits(y[s][i], ref[s][i])) << "trial " << trial;
+        EXPECT_TRUE(sameBits(fresh[s][i], ref[s][i])) << "trial " << trial;
+      }
+    }
+  }
+  EXPECT_GT(point_mass, 20);
+  EXPECT_GT(failed, 20);
+}
+
 /// The scan as a plain loop over every candidate in order, with the audit's
 /// full stable sort: what scanPeipv must reproduce bit for bit.
 PeipvScan exhaustiveScan(const std::vector<ScanCandidate>& cands,

@@ -192,5 +192,42 @@ TEST(GpRegressor, ConcurrentFitsMatchSoloFits) {
   EXPECT_FALSE(sameBits(a.packed, b.packed));
 }
 
+TEST(GpRegressor, LmlObjectiveFinishesGradientFromKeptValueCall) {
+  // A value call followed by a gradient call at the same point must equal
+  // one full evaluation bit for bit; a gradient request anywhere else must
+  // recompute instead of finishing from the kept state.
+  rng::Rng rng(13);
+  Dataset x;
+  Vec y;
+  for (int i = 0; i < 14; ++i) {
+    x.push_back({rng.uniform(), rng.uniform()});
+    y.push_back(std::sin(4.0 * x.back()[0]) + 0.05 * rng.normal());
+  }
+  GpRegressor gp(Matern52Ard(2), fastOpts());
+  gp.refitPosterior(x, y);
+  Vec p = gp.packedParams(), q = p;
+  for (auto& v : p) v += rng.uniform(-0.4, 0.4);
+  for (auto& v : q) v += rng.uniform(-0.4, 0.4);
+  q.back() = std::log(1e-6);  // below the noise clamp
+  Vec gp_ref, gq_ref;
+  const Vec vp_ref = {gp.evalNegLogMarginalLikelihood(p, &gp_ref)};
+  const Vec vq_ref = {gp.evalNegLogMarginalLikelihood(q, &gq_ref)};
+  ASSERT_FALSE(sameBits(gp_ref, gq_ref));
+
+  const opt::GradObjectiveFn f = gp.lmlObjective();
+  Vec g;
+  EXPECT_TRUE(sameBits({f(p, nullptr)}, vp_ref));
+  EXPECT_TRUE(sameBits({f(p, &g)}, vp_ref));
+  EXPECT_TRUE(sameBits(g, gp_ref));
+  EXPECT_TRUE(sameBits({f(p, &g)}, vp_ref));  // asked twice
+  EXPECT_TRUE(sameBits(g, gp_ref));
+  EXPECT_TRUE(sameBits({f(q, &g)}, vq_ref));  // kept p, asked at q
+  EXPECT_TRUE(sameBits(g, gq_ref));
+  EXPECT_TRUE(sameBits({f(p, nullptr)}, vp_ref));
+  EXPECT_TRUE(sameBits({f(q, nullptr)}, vq_ref));
+  EXPECT_TRUE(sameBits({f(p, &g)}, vp_ref));  // kept q, asked at p
+  EXPECT_TRUE(sameBits(g, gp_ref));
+}
+
 }  // namespace
 }  // namespace cmmfo::gp

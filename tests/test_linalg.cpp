@@ -253,6 +253,25 @@ TEST(Cholesky, BlockedFactorBitwiseEqualsScalarLoop) {
               scalarFactor(bad, 0.0).has_value())
         << "n=" << n;
   }
+
+  // One object refactorized down across the register-block boundary, as a
+  // reused sampler factor is: each size still gets the scalar loop's bits,
+  // also after a failed factorization left stale rows behind.
+  Cholesky shrinking;
+  for (std::size_t n : {20, 3, 1, 16, 2, 15}) {
+    const Matrix spd = randomSpd(n, rng);
+    Matrix bad = spd;
+    bad(0, 0) = -1.0;
+    EXPECT_FALSE(shrinking.refactorize(bad, 1e-12, 1)) << "n=" << n;
+    ASSERT_TRUE(shrinking.refactorize(spd)) << "n=" << n;
+    EXPECT_TRUE(sameBits(shrinking.lower(), *scalarFactor(spd, 0.0)))
+        << "reused down to n=" << n;
+    const Matrix low_rank = rankDeficient(n, rng);
+    ASSERT_TRUE(shrinking.refactorize(low_rank)) << "n=" << n;
+    EXPECT_TRUE(sameBits(shrinking.lower(),
+                         *scalarFactor(low_rank, shrinking.jitterUsed())))
+        << "reused jitter n=" << n;
+  }
 }
 
 TEST(Cholesky, IdentityInverseBitwiseEqualsGenericSolve) {
@@ -281,8 +300,9 @@ TEST(Cholesky, MvnSampleCovarianceMatches) {
   const std::vector<double> mu = {1.0, -1.0};
   const int n = 40000;
   double m0 = 0, m1 = 0, c00 = 0, c01 = 0, c11 = 0;
+  std::vector<double> z;
   for (int i = 0; i < n; ++i) {
-    const auto z = mvnSample(mu, *chol, {rng.normal(), rng.normal()});
+    mvnSample(mu, *chol, {rng.normal(), rng.normal()}, z);
     m0 += z[0];
     m1 += z[1];
     c00 += (z[0] - mu[0]) * (z[0] - mu[0]);

@@ -230,5 +230,42 @@ TEST(MultiTaskGp, ConcurrentFitsMatchSoloFits) {
   EXPECT_FALSE(same(a, b));
 }
 
+TEST(MultiTaskGp, LmlObjectiveFinishesGradientFromKeptValueCall) {
+  // As for GpRegressor: value then gradient at one point equals one full
+  // evaluation bit for bit, and a gradient request elsewhere recomputes.
+  rng::Rng rng(23);
+  Dataset x;
+  linalg::Matrix y;
+  makeCorrelatedData(12, rng, x, y);
+  MultiTaskGp gp(Matern52Ard(1, true), 2, fastOpts());
+  gp.refitPosterior(x, y);
+  Vec p = gp.packedParams(), q = p;
+  for (auto& v : p) v += rng.uniform(-0.4, 0.4);
+  for (auto& v : q) v += rng.uniform(-0.4, 0.4);
+  q.back() = std::log(8.0);  // above the noise clamp
+  const auto same = [](const Vec& a, const Vec& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  Vec gp_ref, gq_ref;
+  const Vec vp_ref = {gp.evalNegLogMarginalLikelihood(p, &gp_ref)};
+  const Vec vq_ref = {gp.evalNegLogMarginalLikelihood(q, &gq_ref)};
+  ASSERT_FALSE(same(gp_ref, gq_ref));
+
+  const opt::GradObjectiveFn f = gp.lmlObjective();
+  Vec g;
+  EXPECT_TRUE(same({f(p, nullptr)}, vp_ref));
+  EXPECT_TRUE(same({f(p, &g)}, vp_ref));
+  EXPECT_TRUE(same(g, gp_ref));
+  EXPECT_TRUE(same({f(p, &g)}, vp_ref));  // asked twice
+  EXPECT_TRUE(same(g, gp_ref));
+  EXPECT_TRUE(same({f(q, &g)}, vq_ref));  // kept p, asked at q
+  EXPECT_TRUE(same(g, gq_ref));
+  EXPECT_TRUE(same({f(p, nullptr)}, vp_ref));
+  EXPECT_TRUE(same({f(q, nullptr)}, vq_ref));
+  EXPECT_TRUE(same({f(p, &g)}, vp_ref));  // kept q, asked at p
+  EXPECT_TRUE(same(g, gp_ref));
+}
+
 }  // namespace
 }  // namespace cmmfo::gp

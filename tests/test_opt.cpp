@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -14,25 +15,27 @@ namespace cmmfo::opt {
 namespace {
 
 // Convex quadratic with minimum at (1, -2, 3).
-double quadratic(const std::vector<double>& x, std::vector<double>& g) {
+double quadratic(const std::vector<double>& x, std::vector<double>* g) {
   const std::vector<double> c = {1.0, -2.0, 3.0};
   double f = 0.0;
-  g.assign(x.size(), 0.0);
+  if (g) g->assign(x.size(), 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double d = x[i] - c[i];
     f += (i + 1) * d * d;
-    g[i] = 2.0 * (i + 1) * d;
+    if (g) (*g)[i] = 2.0 * (i + 1) * d;
   }
   return f;
 }
 
-double rosenbrock(const std::vector<double>& x, std::vector<double>& g) {
+double rosenbrock(const std::vector<double>& x, std::vector<double>* g) {
   const double a = 1.0, b = 100.0;
   const double f = (a - x[0]) * (a - x[0]) +
                    b * (x[1] - x[0] * x[0]) * (x[1] - x[0] * x[0]);
-  g.resize(2);
-  g[0] = -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] * x[0]);
-  g[1] = 2.0 * b * (x[1] - x[0] * x[0]);
+  if (g) {
+    g->resize(2);
+    (*g)[0] = -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] * x[0]);
+    (*g)[1] = 2.0 * b * (x[1] - x[0] * x[0]);
+  }
   return f;
 }
 
@@ -54,8 +57,8 @@ TEST(Lbfgs, SolvesRosenbrock) {
 }
 
 TEST(Lbfgs, HandlesInfiniteStart) {
-  GradObjectiveFn bad = [](const std::vector<double>&, std::vector<double>& g) {
-    g = {0.0};
+  GradObjectiveFn bad = [](const std::vector<double>&, std::vector<double>* g) {
+    if (g) *g = {0.0};
     return std::numeric_limits<double>::infinity();
   };
   const auto res = minimizeLbfgs(bad, {0.0});
@@ -67,6 +70,106 @@ TEST(Lbfgs, RespectsIterationBudget) {
   opts.max_iters = 3;
   const auto res = minimizeLbfgs(rosenbrock, {-1.2, 1.0}, opts);
   EXPECT_LE(res.iterations, 3);
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Rosenbrock that logs every call: the point and whether a gradient was
+// asked for.
+struct CallLog {
+  std::vector<std::vector<double>> x;
+  std::vector<bool> grad;
+};
+
+GradObjectiveFn loggedRosenbrock(CallLog& log) {
+  return [&log](const std::vector<double>& x, std::vector<double>* g) {
+    log.x.push_back(x);
+    log.grad.push_back(g != nullptr);
+    return rosenbrock(x, g);
+  };
+}
+
+TEST(Lbfgs, AsksForGradientsOnlyAtStartAndAcceptedSteps) {
+  CallLog log;
+  LbfgsOptions opts;
+  opts.max_iters = 500;
+  const std::vector<double> x0 = {-1.2, 1.0};
+  const auto res = minimizeLbfgs(loggedRosenbrock(log), x0, opts);
+  ASSERT_FALSE(log.x.empty());
+  EXPECT_TRUE(log.grad[0]);
+  EXPECT_TRUE(samePoint(log.x[0], x0));
+  // Every later gradient request re-asks at the point of the value call
+  // just before it, the trial the line search accepted; every other trial
+  // is value-only, and some were rejected.
+  std::size_t grads = 0, rejected = 0;
+  for (std::size_t i = 1; i < log.x.size(); ++i) {
+    if (log.grad[i]) {
+      ++grads;
+      EXPECT_FALSE(log.grad[i - 1]) << i;
+      EXPECT_TRUE(samePoint(log.x[i], log.x[i - 1])) << i;
+    } else if (i + 1 == log.x.size() || !log.grad[i + 1]) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(grads, 0u);
+  EXPECT_GT(rejected, 0u);
+  // The result is the last accepted point.
+  std::size_t last = log.x.size();
+  while (!log.grad[--last]) {
+  }
+  EXPECT_TRUE(samePoint(res.x, log.x[last]));
+}
+
+TEST(Lbfgs, LazyGradientsMatchAnAlwaysFilledGradient) {
+  // An objective that computes and writes its gradient on every call (into
+  // scratch when none is asked for) must steer the search exactly as one
+  // that skips the gradient on value-only calls. The pinned bits are what
+  // the search returned when every line-search trial computed a gradient.
+  struct Pinned {
+    std::vector<double> x0;
+    std::uint64_t x[2], value;
+    int iterations;
+  };
+  const Pinned pinned[] = {
+      {{-1.2, 1.0}, {0x3ff000000495849bull, 0x3ff0000008f8ebecull},
+       0x3cb8d88209fe031dull, 40},
+      {{0.5, -0.3}, {0x3feffffffe3656c9ull, 0x3feffffffdf8ac70ull},
+       0x3cce4f21e3feffacull, 40},
+      {{2.0, 2.0}, {0x3ff000000b7452d3ull, 0x3ff0000016e762b9ull},
+       0x3ce066930e560826ull, 28},
+      {{-0.7, 0.4}, {0x3fefffffeaf5d4d8ull, 0x3fefffffd5b319b2ull},
+       0x3cdbf8d39acacae8ull, 33}};
+  const auto bitsOf = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  const GradObjectiveFn eager = [](const std::vector<double>& x,
+                                   std::vector<double>* g) {
+    std::vector<double> scratch;
+    const double f = rosenbrock(x, &scratch);
+    if (g) *g = scratch;
+    return f;
+  };
+  LbfgsOptions opts;
+  opts.max_iters = 500;
+  for (const Pinned& p : pinned) {
+    const auto lazy = minimizeLbfgs(rosenbrock, p.x0, opts);
+    const auto full = minimizeLbfgs(eager, p.x0, opts);
+    ASSERT_EQ(lazy.x.size(), 2u);
+    ASSERT_EQ(full.x.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(bitsOf(lazy.x[i]), p.x[i]) << p.x0[0] << " x" << i;
+      EXPECT_TRUE(sameBits(full.x[i], lazy.x[i])) << p.x0[0] << " x" << i;
+    }
+    EXPECT_EQ(bitsOf(lazy.value), p.value) << p.x0[0];
+    EXPECT_TRUE(sameBits(full.value, lazy.value)) << p.x0[0];
+    EXPECT_EQ(lazy.iterations, p.iterations) << p.x0[0];
+    EXPECT_EQ(full.iterations, lazy.iterations) << p.x0[0];
+    EXPECT_TRUE(lazy.converged && full.converged) << p.x0[0];
+  }
 }
 
 TEST(Adam, SolvesQuadratic) {
@@ -90,15 +193,11 @@ TEST(Adam, StepperMovesAgainstGradient) {
 // at x = +-1 are exact mirror images, so starts at +-a end at bit-equal
 // values with opposite x.
 GradObjectiveFn doubleWell(double tilt) {
-  return [tilt](const std::vector<double>& x, std::vector<double>& g) {
+  return [tilt](const std::vector<double>& x, std::vector<double>* g) {
     const double v = x[0] * x[0] - 1.0;
-    g = {4.0 * v * x[0] + tilt};
+    if (g) *g = {4.0 * v * x[0] + tilt};
     return v * v + tilt * x[0];
   };
-}
-
-bool sameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 TEST(MinimizeFromStarts, EscapesBadStart) {
@@ -112,9 +211,9 @@ TEST(MinimizeFromStarts, EscapesBadStart) {
 TEST(MinimizeFromStarts, MatchesSequentialLbfgsLoop) {
   // Rosenbrock from several starts, one start where the objective is
   // infinite, and a duplicate start (an exact tie the earlier copy wins).
-  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>& g) {
+  GradObjectiveFn f = [](const std::vector<double>& x, std::vector<double>* g) {
     if (x[0] > 5.0) {
-      g.assign(2, 0.0);
+      if (g) g->assign(2, 0.0);
       return std::numeric_limits<double>::infinity();
     }
     return rosenbrock(x, g);
@@ -157,8 +256,8 @@ TEST(MinimizeFromStarts, AllStartsInfiniteLeavesNoBest) {
   const auto res = minimizeFromStarts(
       [] {
         return GradObjectiveFn([](const std::vector<double>&,
-                                  std::vector<double>& g) {
-          g = {0.0};
+                                  std::vector<double>* g) {
+          if (g) *g = {0.0};
           return std::numeric_limits<double>::infinity();
         });
       },
@@ -175,7 +274,7 @@ TEST(MinimizeFromStarts, NestedAndConcurrentSearchesComplete) {
     return minimizeFromStarts(
         [] {
           return GradObjectiveFn([](const std::vector<double>& x,
-                                    std::vector<double>& g) {
+                                    std::vector<double>* g) {
             const auto inner = minimizeFromStarts(
                 [] { return doubleWell(0.1); }, {{0.9}, {-0.9}, {0.1}});
             return inner.best.value + quadratic(x, g);
@@ -200,7 +299,7 @@ TEST(MinimizeFromStarts, PropagatesObjectiveExceptions) {
                    [] {
                      return GradObjectiveFn(
                          [](const std::vector<double>&,
-                            std::vector<double>&) -> double {
+                            std::vector<double>*) -> double {
                            throw std::runtime_error("objective failed");
                          });
                    },
