@@ -129,8 +129,8 @@ void BM_MultiTaskNegLml(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiTaskNegLml)->Arg(16)->Arg(32)->Arg(48);
 
-void BM_MultiTaskPredict(benchmark::State& state) {
-  const std::size_t n = state.range(0);
+/// The 3-task GP on n points the single-point predict benchmarks query.
+MultiTaskGp predictedMtGp(std::size_t n) {
   const Dataset x = randomPoints(n, 12, 7);
   rng::Rng rng(7);
   linalg::Matrix y(n, 3);
@@ -141,10 +141,24 @@ void BM_MultiTaskPredict(benchmark::State& state) {
   opts.max_mle_iters = 10;
   MultiTaskGp gp(Matern52Ard(12, true), 3, opts);
   gp.fit(x, y, rng);
+  return gp;
+}
+
+void BM_MultiTaskPredict(benchmark::State& state) {
+  const MultiTaskGp gp = predictedMtGp(state.range(0));
   const Vec q = randomPoints(1, 12, 8)[0];
   for (auto _ : state) benchmark::DoNotOptimize(gp.predict(q));
 }
 BENCHMARK(BM_MultiTaskPredict)->Arg(24)->Arg(48);
+
+// The same query's posterior mean alone (what the Eq. 5 chain reads): no
+// covariance solves.
+void BM_MultiTaskPredictMean(benchmark::State& state) {
+  const MultiTaskGp gp = predictedMtGp(state.range(0));
+  const Vec q = randomPoints(1, 12, 8)[0];
+  for (auto _ : state) benchmark::DoNotOptimize(gp.predictMean(q));
+}
+BENCHMARK(BM_MultiTaskPredictMean)->Arg(24)->Arg(48);
 
 /// Fitted single-output GP on n points (cheap hypers: the posterior-update
 /// benchmarks only exercise linear algebra, not MLE quality).

@@ -785,7 +785,7 @@ void CorrelatedMfMoboOptimizer::believe(std::optional<Datasets>& fantasy,
   for (int f = 0; f <= static_cast<int>(fidelity); ++f) {
     (*fantasy)[f].configs.push_back(config);
     (*fantasy)[f].y.push_back(
-        surrogate_.predict(f, space_->features(config)).mean);
+        surrogate_.predictMean(f, space_->features(config)));
   }
   // Speculative (uncommitted) rank-appends: the next commit or full fit
   // rolls the fantasy back by exact factor truncation. Levels at or above

@@ -36,16 +36,13 @@ gp::Vec targetsOf(const gp::GpRegressor&, const linalg::Matrix& y,
                   std::size_t mm) {
   return y.col(mm);
 }
-// The same for row i alone.
-gp::Vec rowOf(const gp::MultiTaskGp&, const linalg::Matrix& y, std::size_t i,
-              std::size_t) {
-  gp::Vec row(y.cols());
-  for (std::size_t mm = 0; mm < y.cols(); ++mm) row[mm] = y(i, mm);
-  return row;
-}
-double rowOf(const gp::GpRegressor&, const linalg::Matrix& y, std::size_t i,
-             std::size_t mm) {
-  return y(i, mm);
+// Rows [from, to) of the n x M targets y.
+linalg::Matrix rowsOf(const linalg::Matrix& y, std::size_t from,
+                      std::size_t to) {
+  linalg::Matrix out(to - from, y.cols());
+  for (std::size_t i = from; i < to; ++i)
+    for (std::size_t mm = 0; mm < y.cols(); ++mm) out(i - from, mm) = y(i, mm);
+  return out;
 }
 }  // namespace
 
@@ -118,16 +115,10 @@ void MultiFidelitySurrogate::noteEscalations(std::size_t level) {
   esc_seen_[level] = now;
 }
 
-gp::Vec MultiFidelitySurrogate::lowerMeans(std::size_t level,
-                                           const gp::Vec& x) const {
-  assert(level > 0);
-  return predict(level - 1, x).mean;
-}
-
 gp::Vec MultiFidelitySurrogate::augmented(std::size_t level,
                                           const gp::Vec& x) const {
   if (opts_.mf != MfKind::kNonlinear || level == 0) return x;
-  return linalg::concat(x, lowerMeans(level, x));
+  return linalg::concat(x, predictMean(level - 1, x));
 }
 
 void MultiFidelitySurrogate::buildLevelTraining(std::size_t level,
@@ -150,17 +141,18 @@ void MultiFidelitySurrogate::buildLevelTraining(std::size_t level,
   if (opts_.mf == MfKind::kLinear && l > 0) {
     // Estimate the per-objective AR(1) scale against the lower level's
     // posterior mean, then model the residual.
+    std::vector<gp::Vec> mu(o.x.size());
+    for (std::size_t i = 0; i < o.x.size(); ++i)
+      mu[i] = predictMean(l - 1, o.x[i]);
     for (std::size_t mm = 0; mm < m_; ++mm) {
       double num = 0.0, den = 0.0;
-      std::vector<double> mu(o.x.size());
       for (std::size_t i = 0; i < o.x.size(); ++i) {
-        mu[i] = predict(l - 1, o.x[i]).mean[mm];
-        num += mu[i] * o.y(i, mm);
-        den += mu[i] * mu[i];
+        num += mu[i][mm] * o.y(i, mm);
+        den += mu[i][mm] * mu[i][mm];
       }
       rho_[l][mm] = den > 1e-12 ? num / den : 1.0;
       for (std::size_t i = 0; i < o.x.size(); ++i)
-        (*targets)(i, mm) = o.y(i, mm) - rho_[l][mm] * mu[i];
+        (*targets)(i, mm) = o.y(i, mm) - rho_[l][mm] * mu[i][mm];
     }
   }
 }
@@ -253,31 +245,38 @@ void MultiFidelitySurrogate::denseRefitLevel(std::size_t level,
   });
 }
 
-bool MultiFidelitySurrogate::appendLevelRows(std::size_t level,
+bool MultiFidelitySurrogate::updateLevelRows(std::size_t level,
                                              const FidelityObs& o,
-                                             std::size_t from) {
+                                             std::size_t keep) {
+  const std::size_t n = o.x.size();
+  if (keep == n) {  // a rollback alone
+    forEachModel(*this, level, [keep](auto& model, std::size_t) {
+      model.truncateToPoints(keep);
+    });
+    return true;
+  }
   obs::Span span(&obs::tracer(), "gp_fit_level", "gp");
   span.fidelity(static_cast<int>(level)).outcome("append");
-  const bool timed = obs::metrics().enabled();
-  if (timed)
-    obs::metrics().defineHistogram("gp.append_us",
-                                   obs::MetricsRegistry::defaultBounds());
+  const auto t0 = std::chrono::steady_clock::now();
+  gp::Dataset inputs;
+  inputs.reserve(n - keep);
+  for (std::size_t i = keep; i < n; ++i)
+    inputs.push_back(augmented(level, o.x[i]));
+  const linalg::Matrix rows = rowsOf(o.y, keep, n);
   bool all_incremental = true;
-  for (std::size_t i = from; i < o.x.size(); ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const gp::Vec input = augmented(level, o.x[i]);
-    forEachModel(*this, level, [&](auto& model, std::size_t mm) {
-      all_incremental &=
-          model.appendObservation(input, rowOf(model, o.y, i, mm));
-    });
-    if (timed) obs::metrics().observe("gp.append_us", elapsedUs(t0));
+  forEachModel(*this, level, [&](auto& model, std::size_t mm) {
+    all_incremental &=
+        model.updatePoints(keep, inputs, targetsOf(model, rows, mm));
+  });
+  if (obs::metrics().enabled()) {
+    // One observation per appended row: the update's time split evenly
+    // over its rows (their target solve is shared).
+    obs::MetricsRegistry& met = obs::metrics();
+    met.defineHistogram("gp.append_us", obs::MetricsRegistry::defaultBounds());
+    const double per_row = elapsedUs(t0) / static_cast<double>(n - keep);
+    for (std::size_t i = keep; i < n; ++i) met.observe("gp.append_us", per_row);
   }
   return all_incremental;
-}
-
-void MultiFidelitySurrogate::truncateLevel(std::size_t level, std::size_t n) {
-  forEachModel(*this, level,
-               [n](auto& model, std::size_t) { model.truncateToPoints(n); });
 }
 
 bool MultiFidelitySurrogate::hasSkippedLevels() const {
@@ -312,11 +311,10 @@ void MultiFidelitySurrogate::appendObservations(
       } else {
         // Speculation on this level is pure rank-appends on top of the
         // committed factor: truncation is its exact (bitwise) inverse.
-        if (cur > committed_n_[l]) truncateLevel(l, committed_n_[l]);
-        if (grows) {
-          appendLevelRows(l, o, committed_n_[l]);
-          changed_here = true;
-        }
+        assert(cur >= committed_n_[l]);
+        if (cur > committed_n_[l] || grows)
+          updateLevelRows(l, o, committed_n_[l]);
+        changed_here = grows;
       }
       committed_n_[l] = target;
       spec_dirty_[l] = 0;
@@ -361,7 +359,7 @@ void MultiFidelitySurrogate::appendObservations(
         if (append_rewrites_targets) {
           denseRefitLevel(l, o);
           spec_dirty_[l] = 1;
-        } else if (!appendLevelRows(l, o, cur)) {
+        } else if (!updateLevelRows(l, o, cur)) {
           // An internal dense fallback (jittered or non-PD factor) rebuilt
           // the model on fantasy data; truncation can no longer restore the
           // committed factor, so the next commit must refit densely.
@@ -400,13 +398,11 @@ void MultiFidelitySurrogate::restorePosterior(
     buildLevelTraining(l, o, &inputs, &targets);
     forEachModel(*this, l, [&](auto& model, std::size_t mm) {
       const std::size_t base = baseFor(n);
-      gp::Dataset prefix_x(inputs.begin(), inputs.begin() + base);
-      linalg::Matrix prefix_y(base, m_);
-      for (std::size_t i = 0; i < base; ++i)
-        for (std::size_t k = 0; k < m_; ++k) prefix_y(i, k) = targets(i, k);
-      model.refitPosterior(prefix_x, targetsOf(model, prefix_y, mm));
-      for (std::size_t i = base; i < n; ++i)
-        model.appendObservation(inputs[i], rowOf(model, targets, i, mm));
+      model.refitPosterior(
+          gp::Dataset(inputs.begin(), inputs.begin() + base),
+          targetsOf(model, rowsOf(targets, 0, base), mm));
+      model.updatePoints(base, gp::Dataset(inputs.begin() + base, inputs.end()),
+                         targetsOf(model, rowsOf(targets, base, n), mm));
     });
   }
   committed_n_.resize(levels_);
@@ -444,6 +440,26 @@ gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
             rho_[level][mm] * rho_[level][mp] * lower.cov(mm, mp);
   }
   return post;
+}
+
+gp::Vec MultiFidelitySurrogate::predictMean(std::size_t level,
+                                            const gp::Vec& x) const {
+  assert(fitted_ && level < levels_ && !spec_skipped_[level]);
+  const gp::Vec input = augmented(level, x);
+  gp::Vec mean;
+  if (opts_.obj == ObjModelKind::kCorrelated) {
+    mean = mt_models_[level].predictMean(input);
+  } else {
+    mean.resize(m_);
+    for (std::size_t mm = 0; mm < m_; ++mm)
+      mean[mm] = ind_models_[level][mm].predictMean(input);
+  }
+  if (opts_.mf == MfKind::kLinear && level > 0) {
+    const gp::Vec lower = predictMean(level - 1, x);
+    for (std::size_t mm = 0; mm < m_; ++mm)
+      mean[mm] += rho_[level][mm] * lower[mm];
+  }
+  return mean;
 }
 
 std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
@@ -484,9 +500,10 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
   if (x.empty()) return out;
 
   // The level below: its means become this level's fidelity feature
-  // (non-linear chaining) or scale into this level's posterior (AR(1)).
+  // (non-linear chaining), which needs no lower covariance, or its moments
+  // scale into this level's posterior (AR(1)), which does.
   std::vector<gp::MultiPosterior> below;
-  if (opts_.mf != MfKind::kSingleFidelity && level > 0 && lower == nullptr) {
+  if (opts_.mf == MfKind::kLinear && level > 0 && lower == nullptr) {
     below = predictBatchImpl(level - 1, x, nullptr);
     lower = below.data();
   }
@@ -496,7 +513,9 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatchImpl(
   if (opts_.mf == MfKind::kNonlinear && level > 0) {
     inputs.reserve(x.size());
     for (std::size_t c = 0; c < x.size(); ++c)
-      inputs.push_back(linalg::concat(x[c], lower[c].mean));
+      inputs.push_back(lower != nullptr
+                           ? linalg::concat(x[c], lower[c].mean)
+                           : augmented(level, x[c]));
   } else {
     inputs = x;
   }

@@ -108,6 +108,10 @@ class MultiFidelitySurrogate {
 
   /// Joint posterior over the M objectives at fidelity `level`.
   gp::MultiPosterior predict(std::size_t level, const gp::Vec& x) const;
+  /// predict(level, x).mean, bit for bit: the chain walked on posterior
+  /// means alone (Eq. 5 augmentation, AR(1) rho * mu), with no covariance
+  /// solve at any level.
+  gp::Vec predictMean(std::size_t level, const gp::Vec& x) const;
 
   /// Batched posteriors at one fidelity: each level of the chain runs one
   /// cross-Gram + one multi-RHS solve over a candidate block. Large batches
@@ -116,7 +120,8 @@ class MultiFidelitySurrogate {
   /// per call. `lower`, when given, must hold predictBatch(level - 1, x) of
   /// this surrogate: the chain below `level` is taken from it instead of
   /// being predicted again, so a scan of every fidelity predicts each level
-  /// once.
+  /// once. Without it a non-linear chain reads the levels below through
+  /// predictMean(), and an AR(1) chain predicts them in full.
   std::vector<gp::MultiPosterior> predictBatch(
       std::size_t level, const gp::Dataset& x,
       const std::vector<gp::MultiPosterior>* lower = nullptr) const;
@@ -198,9 +203,8 @@ class MultiFidelitySurrogate {
   template <class T, class Value, class Fold>
   T foldModels(std::size_t level, T init, Value value, Fold fold) const;
 
+  /// x, or [x, mu_{level-1}(x)] on a non-linear chain above level 0.
   gp::Vec augmented(std::size_t level, const gp::Vec& x) const;
-  /// Per-objective mean vector of the lower level at x.
-  gp::Vec lowerMeans(std::size_t level, const gp::Vec& x) const;
   /// Recursive body of predictBatch for one block (the public wrapper splits
   /// the batch and times the call). `lower` is null or holds the level
   /// below's posteriors of the block.
@@ -213,12 +217,11 @@ class MultiFidelitySurrogate {
                           gp::Dataset* inputs, linalg::Matrix* targets);
   /// Dense posterior rebuild of one level on `o` (fresh augmentation/rho).
   void denseRefitLevel(std::size_t level, const FidelityObs& o);
-  /// Rank-append rows [from, o.x.size()) into this level's model(s);
-  /// returns true when every append took the incremental path.
-  bool appendLevelRows(std::size_t level, const FidelityObs& o,
-                       std::size_t from);
-  /// Exact rollback of this level's model(s) to the first n points.
-  void truncateLevel(std::size_t level, std::size_t n);
+  /// Exact rollback of this level's model(s) to the first `keep` points,
+  /// then rank-appends of rows [keep, o.x.size()), with one target solve
+  /// per model; returns true when every append took the incremental path.
+  bool updateLevelRows(std::size_t level, const FidelityObs& o,
+                       std::size_t keep);
   /// Training points currently held by this level's model(s).
   std::size_t levelPoints(std::size_t level) const;
   std::vector<std::size_t> currentBaseCounts() const;

@@ -115,8 +115,7 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   assert(!x.empty() && x.size() == y.size());
   x_ = x;
   y_raw_ = y;
-  state_.standardizers.assign(1, linalg::Standardizer::fit(y));
-  state_.y_std = state_.standardizers[0].transform(y);
+  standardizeTargets();
 
   // Informed multi-start: the caller's prototype parameters, the
   // median-distance data-driven initialization, and random perturbations of
@@ -150,7 +149,7 @@ void GpRegressor::fit(const Dataset& x, const Vec& y, rng::Rng& rng) {
   last_fit_budget_ = r.budget;
   if (std::isfinite(r.best.value)) applyPacked(r.best.x);
 
-  refitPosterior(x, y);
+  rebuildDense();
 }
 
 void GpRegressor::rebuildDense() {
@@ -170,72 +169,99 @@ void GpRegressor::rebuildDense() {
   state_.solveTargets();
 }
 
-void GpRegressor::resolveTargets() {
+void GpRegressor::standardizeTargets() {
   state_.standardizers.assign(1, linalg::Standardizer::fit(y_raw_));
   state_.y_std = state_.standardizers[0].transform(y_raw_);
-  state_.solveTargets();
+  state_.solved = false;
 }
 
 void GpRegressor::refitPosterior(const Dataset& x, const Vec& y) {
   assert(!x.empty() && x.size() == y.size());
   x_ = x;
   y_raw_ = y;
-  state_.standardizers.assign(1, linalg::Standardizer::fit(y));
-  state_.y_std = state_.standardizers[0].transform(y);
+  standardizeTargets();
   rebuildDense();
 }
 
-bool GpRegressor::appendObservation(const Vec& x, double y) {
-  if (!fitted() || state_.chol->jitterUsed() != 0.0 ||
-      state_.rows() != x_.size()) {
-    x_.push_back(x);
-    y_raw_.push_back(y);
-    refitPosterior(x_, y_raw_);
-    return false;
-  }
+bool GpRegressor::appendPoint(const Vec& x, double y) {
   // Rank-append: the cross-covariance row and noise-augmented diagonal are
   // exactly the entries a dense Gram of the extended data would hold, so
   // the grown factor (and thus alpha, lml, predictions) is bit-identical to
-  // refitPosterior on x_ + {x}.
-  Vec cross = kernel_.crossVec(x_, x);
-  const double diag = kernel_.eval(x, x) + std::exp(2.0 * log_noise_);
-  if (!state_.appendRow(cross, diag)) {
-    x_.push_back(x);
-    y_raw_.push_back(y);
-    refitPosterior(x_, y_raw_);
-    return false;
-  }
+  // refitPosterior on x_ + {x}. A jittered or mismatched factor, or an
+  // unsafe update, takes the dense path instead.
+  const bool incremental =
+      fitted() && state_.chol->jitterUsed() == 0.0 &&
+      state_.rows() == x_.size() &&
+      state_.appendRow(kernel_.crossVec(x_, x),
+                       kernel_.eval(x, x) + std::exp(2.0 * log_noise_));
   x_.push_back(x);
   y_raw_.push_back(y);
-  resolveTargets();
-  return true;
+  if (!incremental) {
+    standardizeTargets();
+    rebuildDense();
+  }
+  return incremental;
 }
 
-void GpRegressor::truncateToPoints(std::size_t n) {
+void GpRegressor::truncatePoints(std::size_t n) {
   assert(fitted() && n >= 1 && n <= x_.size() && state_.rows() == x_.size());
   if (n == x_.size()) return;
   x_.resize(n);
   y_raw_.resize(n);
   state_.truncateTo(n);
-  resolveTargets();
+}
+
+void GpRegressor::finishUpdate() {
+  if (state_.solved) return;
+  standardizeTargets();
+  state_.solveTargets();
+}
+
+bool GpRegressor::appendObservation(const Vec& x, double y) {
+  const bool incremental = appendPoint(x, y);
+  finishUpdate();
+  return incremental;
+}
+
+void GpRegressor::truncateToPoints(std::size_t n) {
+  truncatePoints(n);
+  finishUpdate();
+}
+
+bool GpRegressor::updatePoints(std::size_t keep, const Dataset& x,
+                               const Vec& y) {
+  assert(x.size() == y.size());
+  truncatePoints(keep);
+  bool incremental = true;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    incremental &= appendPoint(x[i], y[i]);
+  finishUpdate();
+  return incremental;
+}
+
+double GpRegressor::meanFrom(const Vec& kstar) const {
+  assert(fitted() && state_.solved);
+  return state_.standardizers[0].inverse(linalg::dot(kstar, state_.alpha));
+}
+
+double GpRegressor::predictMean(const Vec& x) const {
+  return meanFrom(kernel_.crossVec(x_, x));
 }
 
 Posterior GpRegressor::predict(const Vec& x) const {
-  assert(fitted());
   const Vec kstar = kernel_.crossVec(x_, x);
   Posterior p;
-  const double z_mean = linalg::dot(kstar, state_.alpha);
+  p.mean = meanFrom(kstar);
   const Vec v = state_.chol->solveLower(kstar);
   const double kxx = kernel_.eval(x, x);
   double z_var = kxx - linalg::dot(v, v);
   z_var = std::max(z_var, 0.0);
-  p.mean = state_.standardizers[0].inverse(z_mean);
   p.var = state_.standardizers[0].inverseVar(z_var);
   return p;
 }
 
 std::vector<Posterior> GpRegressor::predictBatch(const Dataset& x) const {
-  assert(fitted());
+  assert(fitted() && state_.solved);
   std::vector<Posterior> out;
   if (x.empty()) return out;
   out.reserve(x.size());

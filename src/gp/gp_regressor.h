@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cassert>
+
 #include "gp/kernel.h"
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
@@ -54,19 +56,30 @@ class GpRegressor {
   /// sequence of appendObservation calls) — Kriging-believer speculation.
   void truncateToPoints(std::size_t n);
 
+  /// truncateToPoints(keep), then appendObservation(x[i], y[i]) for each i,
+  /// with the targets restandardized and solved once at the end instead of
+  /// after every step: the same factor, alpha and lml bits as those calls
+  /// one by one. Returns true when every append took the incremental path.
+  bool updatePoints(std::size_t keep, const Dataset& x, const Vec& y);
+
   /// Observations covered by the last dense factorization (appends sit on
   /// top). Journaled by checkpoints so resume can replay dense(base) +
   /// appends bit-identically.
   std::size_t denseBasePoints() const { return state_.base_rows; }
 
   Posterior predict(const Vec& x) const;
+  /// predict(x).mean, bit for bit, without the variance's triangular solve.
+  double predictMean(const Vec& x) const;
   /// Batched prediction: one cross-Gram build + one multi-RHS triangular
   /// solve for all candidates. Per candidate bit-identical to predict().
   std::vector<Posterior> predictBatch(const Dataset& x) const;
 
   /// Log marginal likelihood of the training data at the fitted
   /// hyperparameters (standardized units).
-  double logMarginalLikelihood() const { return state_.lml; }
+  double logMarginalLikelihood() const {
+    assert(!fitted() || state_.solved);
+    return state_.lml;
+  }
   double noiseStddev() const;
   const Matern52Ard& kernel() const { return kernel_; }
   std::size_t numData() const { return x_.size(); }
@@ -116,9 +129,18 @@ class GpRegressor {
   double negLml(const Vec& packed, Vec* grad, LmlWorkspace& ws) const;
   /// Dense rebuild of `state_` from the cached (x_, y_raw_).
   void rebuildDense();
-  /// Restandardize y_raw_, refresh state_.y_std, and re-solve targets —
-  /// the O(n^2) tail shared by the append and truncate paths.
-  void resolveTargets();
+  /// Restandardize y_raw_ into state_.y_std (alpha is stale until solved).
+  void standardizeTargets();
+  /// appendObservation / truncateToPoints without the target solve; the
+  /// public updates end with finishUpdate().
+  bool appendPoint(const Vec& x, double y);
+  void truncatePoints(std::size_t n);
+  /// Restandardize and re-solve the targets if a step left them stale —
+  /// the O(n^2) tail of an update, once per update.
+  void finishUpdate();
+  /// Posterior mean in original units from the cross-covariance vector:
+  /// the one mean of predict() and predictMean().
+  double meanFrom(const Vec& kstar) const;
 
   Matern52Ard kernel_;
   GpFitOptions opts_;

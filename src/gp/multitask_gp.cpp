@@ -278,7 +278,9 @@ double MultiTaskGp::negLml(const Vec& packed, Vec* grad_out,
 void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
                       rng::Rng& rng) {
   assert(!x.empty() && y.rows() == x.size() && y.cols() == m_);
-  refitPosterior(x, y);  // sets up standardized targets for the objective
+  // The MLE objective reads the inputs, raw targets and standardizers; the
+  // factor is built once, after it, at the hyperparameters it returns.
+  setData(x, y);
 
   // Informed multi-start (see GpRegressor::fit): prototype parameters plus
   // the median-distance data initialization of the input kernel, plus
@@ -330,7 +332,7 @@ void MultiTaskGp::fit(const Dataset& x, const linalg::Matrix& y,
   last_fit_budget_ = r.budget;
   if (std::isfinite(r.best.value)) applyPacked(r.best.x);
 
-  refitPosterior(x, y);
+  rebuildDense();
 }
 
 double MultiTaskGp::evalNegLogMarginalLikelihood(const Vec& packed,
@@ -344,19 +346,10 @@ opt::GradObjectiveFn MultiTaskGp::lmlObjective() const {
   return [this, ws](const Vec& p, Vec* g) { return negLml(p, g, *ws); };
 }
 
-void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
-  assert(!x.empty() && y.rows() == x.size() && y.cols() == m_);
+void MultiTaskGp::setData(const Dataset& x, const linalg::Matrix& y) {
   x_ = x;
   y_raw_ = y;
   const std::size_t n = x_.size();
-  state_.standardizers.resize(m_);
-  state_.y_std.assign(n * m_, 0.0);
-  for (std::size_t mm = 0; mm < m_; ++mm) {
-    const Vec col = y.col(mm);
-    state_.standardizers[mm] = linalg::Standardizer::fit(col);
-    for (std::size_t i = 0; i < n; ++i)
-      state_.y_std[mm * n + i] = state_.standardizers[mm].transform(col[i]);
-  }
   // Task-major factor-row ordering (row = m*n + i).
   row_point_.resize(n * m_);
   row_task_.resize(n * m_);
@@ -365,6 +358,10 @@ void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
       row_point_[mm * n + i] = i;
       row_task_[mm * n + i] = mm;
     }
+  standardizeTargets();
+}
+
+void MultiTaskGp::rebuildDense() {
   linalg::Matrix gram;
   stackGram(kernel_.gram(x_), buildB(l_entries_, m_), log_noise_, gram);
   // Throw (not assert) on an unfactorizable stacked Gram: Release builds
@@ -378,8 +375,14 @@ void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
   state_.solveTargets();
 }
 
-void MultiTaskGp::resolveTargets() {
-  const std::size_t rows = state_.rows();
+void MultiTaskGp::refitPosterior(const Dataset& x, const linalg::Matrix& y) {
+  assert(!x.empty() && y.rows() == x.size() && y.cols() == m_);
+  setData(x, y);
+  rebuildDense();
+}
+
+void MultiTaskGp::standardizeTargets() {
+  const std::size_t rows = row_point_.size();
   state_.standardizers.resize(m_);
   for (std::size_t mm = 0; mm < m_; ++mm)
     state_.standardizers[mm] = linalg::Standardizer::fit(y_raw_.col(mm));
@@ -387,11 +390,10 @@ void MultiTaskGp::resolveTargets() {
   for (std::size_t r = 0; r < rows; ++r)
     state_.y_std[r] = state_.standardizers[row_task_[r]].transform(
         y_raw_(row_point_[r], row_task_[r]));
-  state_.solveTargets();
+  state_.solved = false;
 }
 
-bool MultiTaskGp::appendObservation(const Vec& x, const Vec& y_row) {
-  assert(y_row.size() == m_);
+bool MultiTaskGp::appendPoint(const Vec& x, const double* y_row) {
   const auto appendRaw = [&] {
     const std::size_t n = y_raw_.rows();
     linalg::Matrix grown(n + 1, m_);
@@ -436,11 +438,10 @@ bool MultiTaskGp::appendObservation(const Vec& x, const Vec& y_row) {
     row_point_.push_back(new_pt);
     row_task_.push_back(mm);
   }
-  resolveTargets();
   return true;
 }
 
-void MultiTaskGp::truncateToPoints(std::size_t n) {
+void MultiTaskGp::truncatePoints(std::size_t n) {
   assert(fitted() && n >= 1 && n <= x_.size() &&
          state_.rows() == x_.size() * m_);
   if (n == x_.size()) return;
@@ -454,17 +455,41 @@ void MultiTaskGp::truncateToPoints(std::size_t n) {
   row_point_.resize(n * m_);
   row_task_.resize(n * m_);
   state_.truncateTo(n * m_);
-  resolveTargets();
 }
 
-MultiPosterior MultiTaskGp::predict(const Vec& x) const {
-  assert(fitted());
-  const std::size_t rows = state_.rows();
-  const linalg::Matrix b = buildB(l_entries_, m_);
-  const Vec kxstar = kernel_.crossVec(x_, x);
-  const double kss = kernel_.eval(x, x);
+void MultiTaskGp::finishUpdate() {
+  if (state_.solved) return;
+  standardizeTargets();
+  state_.solveTargets();
+}
 
-  // Cross-covariance K_* is (nM) x M in factor-row order:
+bool MultiTaskGp::appendObservation(const Vec& x, const Vec& y_row) {
+  assert(y_row.size() == m_);
+  const bool incremental = appendPoint(x, y_row.data());
+  finishUpdate();
+  return incremental;
+}
+
+void MultiTaskGp::truncateToPoints(std::size_t n) {
+  truncatePoints(n);
+  finishUpdate();
+}
+
+bool MultiTaskGp::updatePoints(std::size_t keep, const Dataset& x,
+                               const linalg::Matrix& y) {
+  assert(y.rows() == x.size() && (x.empty() || y.cols() == m_));
+  truncatePoints(keep);
+  bool incremental = true;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    incremental &= appendPoint(x[i], y.rowPtr(i));
+  finishUpdate();
+  return incremental;
+}
+
+linalg::Matrix MultiTaskGp::crossCov(const Vec& x,
+                                     const linalg::Matrix& b) const {
+  const std::size_t rows = state_.rows();
+  const Vec kxstar = kernel_.crossVec(x_, x);
   // K_*[r, mp] = B(task(r), mp) kx(point(r)).
   linalg::Matrix kstar(rows, m_);
   for (std::size_t r = 0; r < rows; ++r) {
@@ -473,17 +498,44 @@ MultiPosterior MultiTaskGp::predict(const Vec& x) const {
     const double* brow = b.rowPtr(row_task_[r]);
     for (std::size_t mp = 0; mp < m_; ++mp) dst[mp] = brow[mp] * kval;
   }
+  return kstar;
+}
+
+Vec MultiTaskGp::meanFrom(const linalg::Matrix& kstar) const {
+  assert(fitted() && state_.solved);
+  // K_*^T alpha, per task.
+  Vec mean(m_);
+  for (std::size_t mp = 0; mp < m_; ++mp) {
+    double mu = 0.0;
+    for (std::size_t a = 0; a < kstar.rows(); ++a)
+      mu += kstar(a, mp) * state_.alpha[a];
+    mean[mp] = state_.standardizers[mp].inverse(mu);
+  }
+  return mean;
+}
+
+Vec MultiTaskGp::predictMean(const Vec& x) const {
+  assert(fitted());
+  return meanFrom(crossCov(x, buildB(l_entries_, m_)));
+}
+
+MultiPosterior MultiTaskGp::predict(const Vec& x) const {
+  assert(fitted());
+  const std::size_t rows = state_.rows();
+  const linalg::Matrix b = buildB(l_entries_, m_);
+  const linalg::Matrix kstar = crossCov(x, b);
+  const double kss = kernel_.eval(x, x);
 
   MultiPosterior post;
-  post.mean.resize(m_);
+  post.mean = meanFrom(kstar);
   post.cov = linalg::Matrix(m_, m_);
 
-  // Mean: K_*^T alpha. Covariance: B kss - V^T V with V = L^{-1} K_* —
-  // the same Schur complement as K_*^T K^{-1} K_* but through one forward
-  // substitution instead of two, and V^T V keeps the reduction symmetric
-  // PSD by construction. The single-point path runs one per-vector
-  // substitution per task column, matching GpRegressor::predict; each
-  // column is bit-identical to the multi-RHS path predictBatch takes.
+  // Covariance: B kss - V^T V with V = L^{-1} K_* — the same Schur
+  // complement as K_*^T K^{-1} K_* but through one forward substitution
+  // instead of two, and V^T V keeps the reduction symmetric PSD by
+  // construction. The single-point path runs one per-vector substitution
+  // per task column, matching GpRegressor::predict; each column is
+  // bit-identical to the multi-RHS path predictBatch takes.
   linalg::Matrix v(rows, m_);
   {
     Vec col(rows);
@@ -492,11 +544,6 @@ MultiPosterior MultiTaskGp::predict(const Vec& x) const {
       const Vec vc = state_.chol->solveLower(col);
       for (std::size_t a = 0; a < rows; ++a) v(a, mp) = vc[a];
     }
-  }
-  for (std::size_t mp = 0; mp < m_; ++mp) {
-    double mu = 0.0;
-    for (std::size_t a = 0; a < rows; ++a) mu += kstar(a, mp) * state_.alpha[a];
-    post.mean[mp] = state_.standardizers[mp].inverse(mu);
   }
   for (std::size_t mp = 0; mp < m_; ++mp)
     for (std::size_t mq = 0; mq < m_; ++mq) {
@@ -512,7 +559,7 @@ MultiPosterior MultiTaskGp::predict(const Vec& x) const {
 }
 
 std::vector<MultiPosterior> MultiTaskGp::predictBatch(const Dataset& x) const {
-  assert(fitted());
+  assert(fitted() && state_.solved);
   std::vector<MultiPosterior> out;
   if (x.empty()) return out;
   out.reserve(x.size());

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cassert>
+
 #include "gp/kernel.h"
 #include "gp/posterior_state.h"
 #include "linalg/cholesky.h"
@@ -55,12 +57,23 @@ class MultiTaskGp {
   /// Kriging-believer speculation. n must cover the dense base block.
   void truncateToPoints(std::size_t n);
 
+  /// truncateToPoints(keep), then appendObservation(x[i], row i of y) for
+  /// each i, with the targets restandardized and solved once at the end
+  /// instead of after every step: the same factor, alpha and lml bits as
+  /// those calls one by one. Returns true when every append took the
+  /// incremental path.
+  bool updatePoints(std::size_t keep, const Dataset& x,
+                    const linalg::Matrix& y);
+
   /// Points covered by the last dense factorization (appended points sit on
   /// top in bordered order). Journaled by checkpoints so resume can replay
   /// dense(base) + appends bit-identically.
   std::size_t denseBasePoints() const { return state_.base_rows / m_; }
 
   MultiPosterior predict(const Vec& x) const;
+  /// predict(x).mean, bit for bit, without the covariance's M triangular
+  /// solves.
+  Vec predictMean(const Vec& x) const;
   /// Batched prediction: one cross-Gram build + one multi-RHS solve for the
   /// whole candidate block. Per candidate bit-identical to predict().
   std::vector<MultiPosterior> predictBatch(const Dataset& x) const;
@@ -69,7 +82,10 @@ class MultiTaskGp {
   linalg::Matrix taskCovariance() const;
   /// Task correlation matrix derived from B.
   linalg::Matrix taskCorrelation() const;
-  double logMarginalLikelihood() const { return state_.lml; }
+  double logMarginalLikelihood() const {
+    assert(!fitted() || state_.solved);
+    return state_.lml;
+  }
   std::size_t numData() const { return x_.size(); }
   bool fitted() const { return state_.fitted(); }
   /// The input kernel k_C (unit variance).
@@ -127,9 +143,27 @@ class MultiTaskGp {
   /// into `gram` (storage reused when already nM x nM).
   void stackGram(const linalg::Matrix& kx, const linalg::Matrix& b,
                  const Vec& log_noise, linalg::Matrix& gram) const;
-  /// Restandardize y_raw_, refresh state_.y_std in factor-row order, and
-  /// re-solve targets (shared by the append and truncate paths).
-  void resolveTargets();
+  /// Cache (x, y) as training data in task-major factor-row order, with
+  /// standardized targets; the factor is stale until rebuildDense().
+  void setData(const Dataset& x, const linalg::Matrix& y);
+  /// Dense rebuild of `state_` from the cached data.
+  void rebuildDense();
+  /// Restandardize y_raw_ into state_.y_std in factor-row order (alpha is
+  /// stale until solved).
+  void standardizeTargets();
+  /// appendObservation / truncateToPoints without the target solve; the
+  /// public updates end with finishUpdate().
+  bool appendPoint(const Vec& x, const double* y_row);
+  void truncatePoints(std::size_t n);
+  /// Restandardize and re-solve the targets if a step left them stale —
+  /// the O((nM)^2) tail of an update, once per update.
+  void finishUpdate();
+  /// Cross-covariance K_* ((nM) x M, factor-row order) between the training
+  /// rows and the M tasks at x.
+  linalg::Matrix crossCov(const Vec& x, const linalg::Matrix& b) const;
+  /// Posterior means in original units from K_*: the one mean of predict()
+  /// and predictMean().
+  Vec meanFrom(const linalg::Matrix& kstar) const;
 
   Matern52Ard kernel_;
   std::size_t m_;

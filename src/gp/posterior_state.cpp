@@ -12,6 +12,7 @@ bool PosteriorState::refitDense(const linalg::Matrix& gram_with_noise) {
   // Refactorized in the factor's own storage, which keeps the capacity its
   // rank-appends grew.
   if (!chol) chol.emplace();
+  solved = false;
   if (!chol->refactorize(gram_with_noise)) {
     // Standard ladder exhausted (tops out near 1e-1): escalate from a
     // larger base jitter with more tries (up to ~1e7 — enough to swamp any
@@ -31,12 +32,14 @@ bool PosteriorState::refitDense(const linalg::Matrix& gram_with_noise) {
 
 bool PosteriorState::appendRow(const Vec& cross, double diag) {
   if (!chol) return false;
+  solved = false;
   return chol->appendRow(cross, diag);
 }
 
 void PosteriorState::truncateTo(std::size_t n) {
   assert(chol && n <= chol->dim());
   chol->truncateTo(n);
+  solved = false;
   if (y_std.size() > n) y_std.resize(n);
   if (base_rows > n) base_rows = n;
 }
@@ -47,6 +50,7 @@ void PosteriorState::solveTargets() {
   lml = -(0.5 * linalg::dot(y_std, alpha) + 0.5 * chol->logDet() +
           0.5 * static_cast<double>(chol->dim()) *
               std::log(2.0 * std::numbers::pi));
+  solved = true;
 }
 
 void PosteriorState::reset() {
@@ -56,6 +60,7 @@ void PosteriorState::reset() {
   alpha.clear();
   lml = 0.0;
   base_rows = 0;
+  solved = false;
 }
 
 }  // namespace cmmfo::gp

@@ -42,6 +42,11 @@ struct PosteriorState {
   Vec alpha;
   double lml = 0.0;
   std::size_t base_rows = 0;
+  /// alpha and lml solve the current factor and y_std. Every change of the
+  /// factor or the targets clears it and solveTargets() sets it, so an
+  /// update that grows or shrinks the factor several times solves the
+  /// targets once, at its end; the models' readers assert it.
+  bool solved = false;
   /// Self-healing ledger: refitDense() factorizations that only succeeded
   /// after escalating past the standard jitter ladder, and the jitter the
   /// last such rescue needed. Cumulative over the model's lifetime (not
@@ -66,7 +71,7 @@ struct PosteriorState {
   bool appendRow(const Vec& cross, double diag);
 
   /// Exact rollback to the leading `n` factor rows; alpha/lml are stale
-  /// until the next solveTargets().
+  /// until the next solveTargets() (as after refitDense and appendRow).
   void truncateTo(std::size_t n);
 
   /// Recompute alpha and the LML from y_std (callers restandardize and fill

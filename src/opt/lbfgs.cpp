@@ -103,21 +103,25 @@ OptResult minimizeLbfgs(const GradObjectiveFn& f, std::vector<double> x0,
       break;
     }
 
-    std::vector<double> g_new;
-    f(x_new, &g_new);
-    auto s = sub(x_new, x);
-    auto yv = sub(g_new, g);
-    const double sy = dot(s, yv);
-    // Relative curvature condition: absolute thresholds starve the history
-    // when steps are legitimately small.
-    if (sy > 1e-10 * norm2(s) * norm2(yv) && sy > 0.0) {
-      hist.push_back({std::move(s), std::move(yv), 1.0 / sy});
-      if (static_cast<int>(hist.size()) > opts.history) hist.pop_front();
+    // The accepted point's gradient steers the next iteration; after the
+    // last one nothing reads it, so it is not asked for.
+    if (it + 1 < opts.max_iters) {
+      std::vector<double> g_new;
+      f(x_new, &g_new);
+      auto s = sub(x_new, x);
+      auto yv = sub(g_new, g);
+      const double sy = dot(s, yv);
+      // Relative curvature condition: absolute thresholds starve the
+      // history when steps are legitimately small.
+      if (sy > 1e-10 * norm2(s) * norm2(yv) && sy > 0.0) {
+        hist.push_back({std::move(s), std::move(yv), 1.0 / sy});
+        if (static_cast<int>(hist.size()) > opts.history) hist.pop_front();
+      }
+      g = std::move(g_new);
     }
 
     const double df = std::fabs(fx - f_new);
     x = std::move(x_new);
-    g = std::move(g_new);
     const double prev = fx;
     fx = f_new;
     // A single tiny improvement can be an artifact of a heavily backtracked

@@ -9,8 +9,9 @@ namespace cmmfo::opt {
 /// This is the workhorse for GP hyperparameter MLE: objectives are smooth,
 /// dimension is modest (tens of log-parameters) and analytic gradients are
 /// available, which is exactly L-BFGS territory. The objective is asked for
-/// its gradient at x0 and at each accepted step only; line-search trials ask
-/// for the value alone.
+/// its gradient at x0 and at each accepted step only, except the step of the
+/// last iteration `max_iters` allows; line-search trials ask for the value
+/// alone.
 struct LbfgsOptions {
   int history = 8;
   int max_iters = 120;

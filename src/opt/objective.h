@@ -9,7 +9,8 @@ namespace cmmfo::opt {
 /// Objective of every optimizer in this module (they all MINIMIZE): returns
 /// f(x) and, when `grad` is not null, fills *grad (resized to x.size()) with
 /// its gradient. L-BFGS asks for the value alone at line-search trials and
-/// for the gradient only where it needs one (the start and accepted steps),
+/// for the gradient only where it needs one (the start and the accepted
+/// steps it goes on from),
 /// so an objective may defer the gradient-only part of its work until a
 /// call with a gradient at the point it last evaluated.
 using GradObjectiveFn =

@@ -172,6 +172,60 @@ TEST(Lbfgs, LazyGradientsMatchAnAlwaysFilledGradient) {
   }
 }
 
+// A run that `max_iters` ends asks for no gradient at its last accepted
+// point: nothing reads it. Its x, value, iterations and converged bits are
+// the ones the search returned when it still asked (pinned from that
+// build); runs that converge at the budget's edge keep every gradient.
+TEST(Lbfgs, AsksForNoGradientAfterTheLastIteration) {
+  struct Pinned {
+    std::vector<double> x0;
+    int max_iters;
+    std::uint64_t x[2], value;
+    int iterations;
+    bool converged;
+    int gradients;  // start + accepted steps that later iterations read
+  };
+  const Pinned pinned[] = {
+      {{-1.2, 1.0}, 5, {0xbff055e49b3d8a8dull, 0x3ff0dff8d464f23aull},
+       0x401065d67e1957abull, 5, false, 5},
+      {{0.5, -0.3}, 12, {0xbfd4aff8b4097674ull, 0x3fb79a479bb7fc34ull},
+       0x3ffc41c95071f0f2ull, 12, false, 12},
+      {{2.0, 2.0}, 1, {0x3ff0000000000000ull, 0x4001ff5c5d52c6cbull},
+       0x40638580e0f924a7ull, 1, false, 1},
+      {{-0.7, 0.4}, 25, {0x3fedd344f3d7db46ull, 0x3febc75c16ecad9cull},
+       0x3f73123e551e995bull, 25, false, 25},
+      {{-1.2, 1.0}, 40, {0x3ff000000495849bull, 0x3ff0000008f8ebecull},
+       0x3cb8d88209fe031dull, 40, true, 40},
+      {{2.0, 2.0}, 28, {0x3ff000000b7452d3ull, 0x3ff0000016e762b9ull},
+       0x3ce066930e560826ull, 28, true, 28}};
+  const auto bitsOf = [](double v) {
+    std::uint64_t u;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  for (const Pinned& p : pinned) {
+    CallLog log;
+    LbfgsOptions opts;
+    opts.max_iters = p.max_iters;
+    const auto res = minimizeLbfgs(loggedRosenbrock(log), p.x0, opts);
+    ASSERT_EQ(res.x.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+      EXPECT_EQ(bitsOf(res.x[i]), p.x[i]) << p.max_iters << " x" << i;
+    EXPECT_EQ(bitsOf(res.value), p.value) << p.max_iters;
+    EXPECT_EQ(res.iterations, p.iterations) << p.max_iters;
+    EXPECT_EQ(res.converged, p.converged) << p.max_iters;
+    int gradients = 0;
+    for (const bool g : log.grad) gradients += g ? 1 : 0;
+    EXPECT_EQ(gradients, p.gradients) << p.max_iters;
+    if (!p.converged) {
+      // The run ends on a value-only call at the point it returns.
+      ASSERT_FALSE(log.x.empty());
+      EXPECT_FALSE(log.grad.back()) << p.max_iters;
+      EXPECT_TRUE(samePoint(log.x.back(), res.x)) << p.max_iters;
+    }
+  }
+}
+
 TEST(Adam, SolvesQuadratic) {
   AdamOptions opts;
   opts.max_iters = 2000;

@@ -440,11 +440,14 @@ TEST(ServerProtocol, PauseHoldsProgressAndResumeFinishes) {
   opts.workers = 2;
   opts.slots = 1;
   OptimizationServer srv(opts);
-  srv.start();
 
+  // Submit and pause before the drivers start, so the pause lands before
+  // any step can run: started first, a fast campaign can finish before the
+  // pause and the pause is refused as terminal.
   std::string err;
   ASSERT_TRUE(srv.submit(fastSpec("pc", 5, 21, 6), &err)) << err;
   ASSERT_TRUE(srv.pause("pc", &err)) << err;
+  srv.start();
   srv.drain();  // paused campaigns leave the server drained
   const auto paused = srv.campaign("pc")->snapshot();
   EXPECT_EQ(paused.state, CampaignState::kPaused);

@@ -245,7 +245,7 @@ std::vector<std::uint64_t> diagnosticsTrail(ObjModelKind obj) {
   std::vector<std::uint64_t> trail = levelDiagnostics(s);
 
   // Two fantasy points on levels 0 and 1, then a commit of one real point:
-  // the fantasies are truncated away (levelPoints, truncateLevel).
+  // the fantasies are truncated away (levelPoints, updateLevelRows).
   std::vector<FidelityObs> grown = obs;
   for (std::size_t l = 0; l < 2; ++l) {
     grown[l].x.push_back({0.31, 0.72});
