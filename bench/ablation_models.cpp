@@ -61,8 +61,8 @@ void runVariants(const std::string& bench_name, int repeats, bool fast) {
   std::printf("%-40s %8s %8s %10s %14s\n", "variant", "ADRS", "std",
               "tool-time", "picks h/s/i");
   for (const auto& v : variants) {
-    // Drive the optimizer directly (OursMethod would pin the surrogate to
-    // nonlinear+correlated, defeating the ablation).
+    // Drive the optimizer directly: it reports picks_per_fidelity, which a
+    // DseOutcome does not carry.
     std::vector<double> adrs, times;
     std::array<int, 3> picks{};
     for (int r = 0; r < repeats; ++r) {

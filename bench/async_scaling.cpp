@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
       } else {
         o.batch_size = w;
       }
-      const baselines::OursMethod method(o);
+      const auto method = baselines::BoMethod::ours(o);
       Arm arm;
       arm.workers = w;
       arm.async = async;

@@ -54,7 +54,7 @@ int main() {
     core::OptimizerOptions o = base;
     o.batch_size = b;
     o.n_workers = b;
-    const baselines::OursMethod method(o);
+    const auto method = baselines::BoMethod::ours(o);
     const exp::MethodStats s = exp::evaluateMethod(ctx, method, repeats, 1000);
     const double charged_h = s.time_mean / 3600.0;
     const double wall_h = s.wall_mean / 3600.0;

@@ -60,7 +60,7 @@ int main() {
     faults.transient_crash_prob = rate;
     ctx.sim().setFaultParams(faults);
 
-    const baselines::OursMethod method(base);
+    const auto method = baselines::BoMethod::ours(base);
     Row row;
     row.rate = rate;
     int attempts = 0, runs = 0;

@@ -48,10 +48,10 @@ int main() {
   baselines::MlpOptions mlp;
   if (fast) mlp.epochs = 300;
 
-  const baselines::OursMethod ours(bo);
-  const baselines::Fpl18Method fpl18(bo);
-  const baselines::AnnMethod ann(mlp);
-  const baselines::BtMethod bt;
+  const auto ours = baselines::BoMethod::ours(bo);
+  const auto fpl18 = baselines::BoMethod::fpl18(bo);
+  const auto ann = baselines::RegressionMethod::ann(mlp);
+  const auto bt = baselines::RegressionMethod::bt();
   const baselines::Dac19Method dac19;
 
   for (const std::string name : {"gemm", "spmv_ellpack"}) {

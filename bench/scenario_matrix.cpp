@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
           obs::recorder().setEnabled(true);
         }
 
-        const baselines::OursMethod method(opts);
+        const auto method = baselines::BoMethod::ours(opts);
         const baselines::DseOutcome out =
             method.run(oracle->space(), oracle->sim(), 77);
         cell.adrs = oracle->adrsOf(out.selected);

@@ -38,10 +38,10 @@ int main() {
   if (fast) mlp.epochs = 300;
   baselines::RegressionProtocol proto;  // 48 training configs (paper)
 
-  const baselines::OursMethod ours(bo);
-  const baselines::Fpl18Method fpl18(bo);
-  const baselines::AnnMethod ann(mlp, proto);
-  const baselines::BtMethod bt({}, proto);
+  const auto ours = baselines::BoMethod::ours(bo);
+  const auto fpl18 = baselines::BoMethod::fpl18(bo);
+  const auto ann = baselines::RegressionMethod::ann(mlp, proto);
+  const auto bt = baselines::RegressionMethod::bt({}, proto);
   const baselines::Dac19Method dac19(7, {}, proto);
   const std::vector<const baselines::DseMethod*> methods = {&ours, &fpl18, &ann,
                                                             &bt, &dac19};

@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "rng/rng.h"
+#include "baselines/regressor.h"
 
 namespace cmmfo::baselines {
 
@@ -19,15 +19,15 @@ struct GbrtOptions {
   double subsample = 0.9;
 };
 
-class Gbrt {
+class Gbrt final : public Regressor {
  public:
   using Options = GbrtOptions;
 
   explicit Gbrt(Options opts = {});
 
   void fit(const std::vector<std::vector<double>>& x,
-           const std::vector<double>& y, rng::Rng& rng);
-  double predict(const std::vector<double>& x) const;
+           const std::vector<double>& y, rng::Rng& rng) override;
+  double predict(const std::vector<double>& x) const override;
 
  private:
   struct Node {

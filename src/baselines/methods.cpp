@@ -15,25 +15,16 @@ using sim::kNumObjectives;
 
 namespace {
 
-/// Pareto-filter a set of predicted objective vectors and return the
-/// corresponding design-space indices.
-std::vector<std::size_t> predictedParetoIndices(
-    const std::vector<pareto::Point>& predictions,
-    const std::vector<std::size_t>& index_map, std::size_t cap) {
-  pareto::ParetoFront front;
-  for (std::size_t i = 0; i < predictions.size(); ++i)
-    front.insert(predictions[i], index_map[i]);
-  std::vector<std::size_t> out = front.ids();
-  if (cap > 0 && out.size() > cap) out.resize(cap);
-  return out;
-}
+using Rows = std::vector<std::vector<double>>;
+using Objectives = std::array<double, kNumObjectives>;
+using Models = std::vector<std::unique_ptr<Regressor>>;
 
 /// Training data collected by the regression protocol. Invalid designs are
 /// penalized the same way the BO methods penalize them (10x worst).
 struct TrainData {
-  std::vector<std::vector<double>> x;
-  std::vector<std::array<double, kNumObjectives>> impl_y;
-  std::vector<std::array<double, kNumObjectives>> hls_y;
+  Rows x;
+  std::vector<Objectives> impl_y;
+  std::vector<Objectives> hls_y;
 };
 
 TrainData collect(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
@@ -41,12 +32,12 @@ TrainData collect(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
   TrainData td;
   const auto idx = rng.sampleWithoutReplacement(
       space.size(), std::min<std::size_t>(train_size, space.size()));
-  std::array<double, kNumObjectives> worst{1.0, 1.0, 1.0};
+  Objectives worst{1.0, 1.0, 1.0};
   for (std::size_t i : idx) {
     const sim::Report impl = sim.runCounted(space.config(i), Fidelity::kImpl);
     const sim::Report hls = sim.run(space.config(i), Fidelity::kHls);
     td.x.push_back(space.features(i));
-    std::array<double, kNumObjectives> yi{};
+    Objectives yi{};
     if (impl.valid) {
       const auto obj = impl.objectives();
       for (int m = 0; m < kNumObjectives; ++m) {
@@ -58,24 +49,78 @@ TrainData collect(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
     }
     td.impl_y.push_back(yi);
     const auto hobj = hls.objectives();
-    std::array<double, kNumObjectives> hy{};
+    Objectives hy{};
     for (int m = 0; m < kNumObjectives; ++m) hy[m] = hobj[m];
     td.hls_y.push_back(hy);
   }
   return td;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------- Ours ----
-
-OursMethod::OursMethod(core::OptimizerOptions opts) : opts_(opts) {
-  opts_.surrogate.mf = core::MfKind::kNonlinear;
-  opts_.surrogate.obj = core::ObjModelKind::kCorrelated;
+/// Fits one regressor per objective on (x, y[.][m]), in objective order:
+/// each fit draws from `rng` after the previous one.
+Models fitPerObjective(const RegressorFactory& make, std::size_t input_dim,
+                       const Rows& x, const std::vector<Objectives>& y,
+                       rng::Rng& rng) {
+  Models models;
+  for (int m = 0; m < kNumObjectives; ++m) {
+    std::vector<double> ym(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) ym[i] = y[i][m];
+    models.push_back(make(input_dim));
+    models.back()->fit(x, ym, rng);
+  }
+  return models;
 }
 
-DseOutcome OursMethod::run(const hls::DesignSpace& space,
-                           sim::FpgaToolSim& sim, std::uint64_t seed) const {
+pareto::Point predictObjectives(const Models& models,
+                                const std::vector<double>& x) {
+  pareto::Point p(kNumObjectives);
+  for (int m = 0; m < kNumObjectives; ++m) p[m] = models[m]->predict(x);
+  return p;
+}
+
+/// Predicts every configuration of the space from its features and
+/// proposes the predicted Pareto set, charged for `tool_runs` Impl runs.
+template <class Predict>
+DseOutcome proposePredictedPareto(const hls::DesignSpace& space,
+                                  const sim::FpgaToolSim& sim,
+                                  const RegressionProtocol& proto,
+                                  int tool_runs, Predict predict) {
+  pareto::ParetoFront front;
+  for (std::size_t i = 0; i < space.size(); ++i)
+    front.insert(predict(space.features(i)), i);
+  DseOutcome out;
+  out.selected = front.ids();
+  if (proto.max_selected > 0 && out.selected.size() > proto.max_selected)
+    out.selected.resize(proto.max_selected);
+  out.tool_seconds = sim.totalToolSeconds();
+  out.wall_seconds = out.tool_seconds;
+  out.tool_runs = tool_runs;
+  return out;
+}
+
+}  // namespace
+
+// ------------------------------------------------------------------ BO ----
+
+BoMethod::BoMethod(std::string name, core::MfKind mf, core::ObjModelKind obj,
+                   core::OptimizerOptions opts)
+    : name_(std::move(name)), opts_(std::move(opts)) {
+  opts_.surrogate.mf = mf;
+  opts_.surrogate.obj = obj;
+}
+
+BoMethod BoMethod::ours(core::OptimizerOptions opts) {
+  return {"Ours", core::MfKind::kNonlinear, core::ObjModelKind::kCorrelated,
+          std::move(opts)};
+}
+
+BoMethod BoMethod::fpl18(core::OptimizerOptions opts) {
+  return {"FPL18", core::MfKind::kLinear, core::ObjModelKind::kIndependent,
+          std::move(opts)};
+}
+
+DseOutcome BoMethod::run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
+                         std::uint64_t seed) const {
   sim.resetAccounting();
   core::OptimizerOptions o = opts_;
   o.seed = seed;
@@ -99,109 +144,39 @@ DseOutcome OursMethod::run(const hls::DesignSpace& space,
   return out;
 }
 
-// --------------------------------------------------------------- FPL18 ----
+// ---------------------------------------------------------- ANN and BT ----
 
-Fpl18Method::Fpl18Method(core::OptimizerOptions opts) : opts_(opts) {
-  opts_.surrogate.mf = core::MfKind::kLinear;
-  opts_.surrogate.obj = core::ObjModelKind::kIndependent;
+RegressionMethod::RegressionMethod(std::string name, RegressorFactory make,
+                                   RegressionProtocol proto)
+    : name_(std::move(name)), make_(std::move(make)), proto_(proto) {}
+
+RegressionMethod RegressionMethod::ann(Mlp::Options mlp,
+                                       RegressionProtocol proto) {
+  return {"ANN",
+          [mlp](std::size_t input_dim) {
+            return std::make_unique<Mlp>(input_dim, mlp);
+          },
+          proto};
 }
 
-DseOutcome Fpl18Method::run(const hls::DesignSpace& space,
-                            sim::FpgaToolSim& sim, std::uint64_t seed) const {
-  sim.resetAccounting();
-  core::OptimizerOptions o = opts_;
-  o.seed = seed;
-  core::CorrelatedMfMoboOptimizer opt(space, sim, o);
-  const core::OptimizeResult res = opt.run();
-  DseOutcome out;
-  for (const auto& rec : res.cs) out.selected.push_back(rec.config);
-  out.tool_seconds = res.tool_seconds;
-  out.wall_seconds = res.wall_seconds;
-  out.tool_runs = res.tool_runs;
-  out.attempts = res.attempts;
-  out.transient_failures = res.transient_failures;
-  out.timeouts = res.timeouts;
-  out.persistent_failures = res.persistent_failures;
-  out.degraded_jobs = res.degraded_jobs;
-  out.wasted_seconds = res.wasted_seconds;
-  out.backoff_seconds = res.backoff_seconds;
-  return out;
+RegressionMethod RegressionMethod::bt(Gbrt::Options gbrt,
+                                      RegressionProtocol proto) {
+  return {"BT", [gbrt](std::size_t) { return std::make_unique<Gbrt>(gbrt); },
+          proto};
 }
 
-// ----------------------------------------------------------------- ANN ----
-
-AnnMethod::AnnMethod(Mlp::Options mlp, RegressionProtocol proto)
-    : mlp_(std::move(mlp)), proto_(proto) {}
-
-DseOutcome AnnMethod::run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                          std::uint64_t seed) const {
+DseOutcome RegressionMethod::run(const hls::DesignSpace& space,
+                                 sim::FpgaToolSim& sim,
+                                 std::uint64_t seed) const {
   sim.resetAccounting();
   rng::Rng rng(seed);
   const TrainData td = collect(space, sim, rng, proto_.train_size);
-
-  std::vector<Mlp> nets;
-  for (int m = 0; m < kNumObjectives; ++m) {
-    std::vector<double> y(td.x.size());
-    for (std::size_t i = 0; i < td.x.size(); ++i) y[i] = td.impl_y[i][m];
-    nets.emplace_back(space.featureDim(), mlp_);
-    nets.back().fit(td.x, y, rng);
-  }
-
-  std::vector<pareto::Point> predictions;
-  std::vector<std::size_t> index_map;
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    pareto::Point p(kNumObjectives);
-    for (int m = 0; m < kNumObjectives; ++m)
-      p[m] = nets[m].predict(space.features(i));
-    predictions.push_back(std::move(p));
-    index_map.push_back(i);
-  }
-
-  DseOutcome out;
-  out.selected =
-      predictedParetoIndices(predictions, index_map, proto_.max_selected);
-  out.tool_seconds = sim.totalToolSeconds();
-  out.wall_seconds = out.tool_seconds;
-  out.tool_runs = proto_.train_size;
-  return out;
-}
-
-// ------------------------------------------------------------------ BT ----
-
-BtMethod::BtMethod(Gbrt::Options gbrt, RegressionProtocol proto)
-    : gbrt_(gbrt), proto_(proto) {}
-
-DseOutcome BtMethod::run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                         std::uint64_t seed) const {
-  sim.resetAccounting();
-  rng::Rng rng(seed);
-  const TrainData td = collect(space, sim, rng, proto_.train_size);
-
-  std::vector<Gbrt> models;
-  for (int m = 0; m < kNumObjectives; ++m) {
-    std::vector<double> y(td.x.size());
-    for (std::size_t i = 0; i < td.x.size(); ++i) y[i] = td.impl_y[i][m];
-    models.emplace_back(gbrt_);
-    models.back().fit(td.x, y, rng);
-  }
-
-  std::vector<pareto::Point> predictions;
-  std::vector<std::size_t> index_map;
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    pareto::Point p(kNumObjectives);
-    for (int m = 0; m < kNumObjectives; ++m)
-      p[m] = models[m].predict(space.features(i));
-    predictions.push_back(std::move(p));
-    index_map.push_back(i);
-  }
-
-  DseOutcome out;
-  out.selected =
-      predictedParetoIndices(predictions, index_map, proto_.max_selected);
-  out.tool_seconds = sim.totalToolSeconds();
-  out.wall_seconds = out.tool_seconds;
-  out.tool_runs = proto_.train_size;
-  return out;
+  const Models models =
+      fitPerObjective(make_, space.featureDim(), td.x, td.impl_y, rng);
+  return proposePredictedPareto(space, sim, proto_, proto_.train_size,
+                                [&](const std::vector<double>& x) {
+                                  return predictObjectives(models, x);
+                                });
 }
 
 // --------------------------------------------------------------- DAC19 ----
@@ -218,58 +193,38 @@ DseOutcome Dac19Method::run(const hls::DesignSpace& space,
   // num_sets independent training sets (the paper's 3..11 hyperparameter):
   // each costs a full batch of Impl runs, which is where DAC19's 7x
   // running time in Table I comes from.
-  std::vector<TrainData> sets;
-  for (int s = 0; s < num_sets_; ++s)
-    sets.push_back(collect(space, sim, rng, proto_.train_size));
   TrainData all;
-  for (const auto& s : sets) {
-    all.x.insert(all.x.end(), s.x.begin(), s.x.end());
-    all.impl_y.insert(all.impl_y.end(), s.impl_y.begin(), s.impl_y.end());
-    all.hls_y.insert(all.hls_y.end(), s.hls_y.begin(), s.hls_y.end());
+  for (int s = 0; s < num_sets_; ++s) {
+    const TrainData set = collect(space, sim, rng, proto_.train_size);
+    all.x.insert(all.x.end(), set.x.begin(), set.x.end());
+    all.impl_y.insert(all.impl_y.end(), set.impl_y.begin(), set.impl_y.end());
+    all.hls_y.insert(all.hls_y.end(), set.hls_y.begin(), set.hls_y.end());
   }
 
+  const RegressorFactory make = [this](std::size_t) {
+    return std::make_unique<Gbrt>(gbrt_);
+  };
   // Stage 1: features -> post-HLS objectives ("ASIC-like" cheap reports).
-  std::vector<Gbrt> hls_models;
-  for (int m = 0; m < kNumObjectives; ++m) {
-    std::vector<double> y(all.x.size());
-    for (std::size_t i = 0; i < all.x.size(); ++i) y[i] = all.hls_y[i][m];
-    hls_models.emplace_back(gbrt_);
-    hls_models.back().fit(all.x, y, rng);
-  }
+  const Models hls_models =
+      fitPerObjective(make, space.featureDim(), all.x, all.hls_y, rng);
   // Stage 2: [features, hls objectives] -> post-Impl objectives.
-  std::vector<std::vector<double>> x2;
+  Rows x2;
   for (std::size_t i = 0; i < all.x.size(); ++i) {
-    std::vector<double> xi = all.x[i];
-    for (int m = 0; m < kNumObjectives; ++m) xi.push_back(all.hls_y[i][m]);
-    x2.push_back(std::move(xi));
+    x2.push_back(all.x[i]);
+    x2.back().insert(x2.back().end(), all.hls_y[i].begin(),
+                     all.hls_y[i].end());
   }
-  std::vector<Gbrt> impl_models;
-  for (int m = 0; m < kNumObjectives; ++m) {
-    std::vector<double> y(all.x.size());
-    for (std::size_t i = 0; i < all.x.size(); ++i) y[i] = all.impl_y[i][m];
-    impl_models.emplace_back(gbrt_);
-    impl_models.back().fit(x2, y, rng);
-  }
+  const Models impl_models = fitPerObjective(
+      make, space.featureDim() + kNumObjectives, x2, all.impl_y, rng);
 
-  std::vector<pareto::Point> predictions;
-  std::vector<std::size_t> index_map;
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    std::vector<double> xi = space.features(i);
-    for (int m = 0; m < kNumObjectives; ++m)
-      xi.push_back(hls_models[m].predict(space.features(i)));
-    pareto::Point p(kNumObjectives);
-    for (int m = 0; m < kNumObjectives; ++m) p[m] = impl_models[m].predict(xi);
-    predictions.push_back(std::move(p));
-    index_map.push_back(i);
-  }
-
-  DseOutcome out;
-  out.selected =
-      predictedParetoIndices(predictions, index_map, proto_.max_selected);
-  out.tool_seconds = sim.totalToolSeconds();
-  out.wall_seconds = out.tool_seconds;
-  out.tool_runs = num_sets_ * proto_.train_size;
-  return out;
+  return proposePredictedPareto(
+      space, sim, proto_, num_sets_ * proto_.train_size,
+      [&](const std::vector<double>& x) {
+        std::vector<double> x_impl = x;
+        const pareto::Point hls = predictObjectives(hls_models, x);
+        x_impl.insert(x_impl.end(), hls.begin(), hls.end());
+        return predictObjectives(impl_models, x_impl);
+      });
 }
 
 // -------------------------------------------------------- WeightedSum ----

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,29 +45,26 @@ class DseMethod {
                          std::uint64_t seed) const = 0;
 };
 
-/// "Ours": the paper's correlated non-linear multi-fidelity BO.
-class OursMethod final : public DseMethod {
+/// The BO skeleton of Algorithm 2 with the surrogate's two model kinds
+/// pinned over the caller's options: how fidelities chain (`MfKind`) and how
+/// objectives are modelled (`ObjModelKind`). Every other option, the fit
+/// budgets included, is the caller's.
+class BoMethod final : public DseMethod {
  public:
-  explicit OursMethod(core::OptimizerOptions opts = {});
-  std::string name() const override { return "Ours"; }
+  BoMethod(std::string name, core::MfKind mf, core::ObjModelKind obj,
+           core::OptimizerOptions opts = {});
+  /// "Ours": non-linear Eq. 5 chaining with the correlated Eq. 9 MTGP.
+  static BoMethod ours(core::OptimizerOptions opts = {});
+  /// FPL18 [12]: linear AR(1) chaining with independent per-objective GPs.
+  static BoMethod fpl18(core::OptimizerOptions opts = {});
+
+  std::string name() const override { return name_; }
   DseOutcome run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
                  std::uint64_t seed) const override;
   const core::OptimizerOptions& options() const { return opts_; }
 
  private:
-  core::OptimizerOptions opts_;
-};
-
-/// FPL18 [12]: linear multi-fidelity models with independent per-objective
-/// GPs, same BO skeleton.
-class Fpl18Method final : public DseMethod {
- public:
-  explicit Fpl18Method(core::OptimizerOptions opts = {});
-  std::string name() const override { return "FPL18"; }
-  DseOutcome run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                 std::uint64_t seed) const override;
-
- private:
+  std::string name_;
   core::OptimizerOptions opts_;
 };
 
@@ -80,29 +78,31 @@ struct RegressionProtocol {
   std::size_t max_selected = 0;
 };
 
-/// ANN baseline: 2-hidden-layer MLPs.
-class AnnMethod final : public DseMethod {
+/// Builds an unfitted regressor for inputs of dimension `input_dim`.
+using RegressorFactory =
+    std::function<std::unique_ptr<Regressor>(std::size_t input_dim)>;
+
+/// The single-stage regression baselines: one regressor per objective,
+/// fitted from directive features to post-Impl reports.
+class RegressionMethod final : public DseMethod {
  public:
-  AnnMethod(Mlp::Options mlp = {}, RegressionProtocol proto = {});
-  std::string name() const override { return "ANN"; }
+  /// ANN baseline: 2-hidden-layer MLPs.
+  static RegressionMethod ann(Mlp::Options mlp = {},
+                              RegressionProtocol proto = {});
+  /// Boosting-tree baseline (BT) of [7]-[9].
+  static RegressionMethod bt(Gbrt::Options gbrt = {},
+                             RegressionProtocol proto = {});
+
+  std::string name() const override { return name_; }
   DseOutcome run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
                  std::uint64_t seed) const override;
 
  private:
-  Mlp::Options mlp_;
-  RegressionProtocol proto_;
-};
+  RegressionMethod(std::string name, RegressorFactory make,
+                   RegressionProtocol proto);
 
-/// Boosting-tree baseline (BT) of [7]-[9].
-class BtMethod final : public DseMethod {
- public:
-  BtMethod(Gbrt::Options gbrt = {}, RegressionProtocol proto = {});
-  std::string name() const override { return "BT"; }
-  DseOutcome run(const hls::DesignSpace& space, sim::FpgaToolSim& sim,
-                 std::uint64_t seed) const override;
-
- private:
-  Gbrt::Options gbrt_;
+  std::string name_;
+  RegressorFactory make_;
   RegressionProtocol proto_;
 };
 

@@ -2,8 +2,8 @@
 
 #include <vector>
 
+#include "baselines/regressor.h"
 #include "linalg/matrix.h"
-#include "rng/rng.h"
 
 namespace cmmfo::baselines {
 
@@ -17,7 +17,7 @@ struct MlpOptions {
   double weight_decay = 1e-5;
 };
 
-class Mlp {
+class Mlp final : public Regressor {
  public:
   using Options = MlpOptions;
 
@@ -25,9 +25,9 @@ class Mlp {
 
   /// Full-batch training on (x, y); targets are standardized internally.
   void fit(const std::vector<std::vector<double>>& x,
-           const std::vector<double>& y, rng::Rng& rng);
+           const std::vector<double>& y, rng::Rng& rng) override;
 
-  double predict(const std::vector<double>& x) const;
+  double predict(const std::vector<double>& x) const override;
   /// Training-set MSE after fit (standardized units).
   double trainingLoss() const { return final_loss_; }
 

@@ -408,10 +408,6 @@ bool JournalWriter::save(const CheckpointState& st) {
   return log_.append([&st](std::string& out) { serializeInto(out, st); });
 }
 
-bool saveCheckpointFramed(const std::string& path, const CheckpointState& st) {
-  return JournalWriter(path).save(st);
-}
-
 bool loadCheckpointAny(const std::string& path, CheckpointState* out,
                        std::string* error, JournalLoadInfo* info) {
   if (info) *info = JournalLoadInfo{};

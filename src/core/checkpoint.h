@@ -151,9 +151,6 @@ class JournalWriter {
   util::FramedLogWriter log_;
 };
 
-/// One save through a fresh JournalWriter (which reads the file first).
-bool saveCheckpointFramed(const std::string& path, const CheckpointState& st);
-
 /// Load `path` in either format: CMJ1-framed (validated, self-repairing as
 /// described above) or plain JSON (the legacy unframed format, still read
 /// so old journals resume; the next save upgrades the file to frames). On

@@ -133,7 +133,13 @@ void OptimizationServer::stop() {
   running_ = false;
 }
 
-void OptimizationServer::notifyAll() { cv_.notify_all(); }
+void OptimizationServer::notifyAll() {
+  // Campaign states change under each campaign's own lock, not mu_. Passing
+  // through mu_ orders this wake-up after any driver or drain() that read
+  // the old states under mu_ has parked on cv_, so none of them misses it.
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+}
 
 void OptimizationServer::maybeInjectChaos(Campaign& c) const {
   const ServerOptions::ChaosOptions& ch = opts_.chaos;
@@ -221,6 +227,7 @@ void OptimizationServer::driverLoop() {
         // which case re-scan.
         if (next->beginStep()) {
           claimed = next;
+          ++steps_in_flight_;
           break;
         }
       }
@@ -283,6 +290,10 @@ void OptimizationServer::driverLoop() {
       } else if (st == CampaignState::kPaused) {
         publish(stateEvent(id, st));
       }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --steps_in_flight_;
     }
     notifyAll();  // re-queued work for other drivers / drain() progress
   }
@@ -362,6 +373,7 @@ void OptimizationServer::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this] {
     if (stopping_) return true;
+    if (steps_in_flight_ > 0) return false;
     for (const std::shared_ptr<Campaign>& c : registry_.list()) {
       const CampaignState s = c->state();
       if (s == CampaignState::kQueued || s == CampaignState::kRunning)

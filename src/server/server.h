@@ -120,7 +120,8 @@ class OptimizationServer {
   /// restarted later. Must not be called from a driver/connection thread.
   void stop();
   /// Block until no campaign is queued or running (paused ones keep the
-  /// server drained — they only re-enter on an explicit resume).
+  /// server drained — they only re-enter on an explicit resume) and every
+  /// step's records, final marker and state event are out.
   void drain();
   /// Block until stop() is initiated (the TCP daemon's main-thread park).
   void waitUntilStopped();
@@ -229,6 +230,9 @@ class OptimizationServer {
   std::condition_variable cv_;
   bool running_ = false;
   bool stopping_ = false;
+  /// Claimed steps whose driver has not yet written their records and
+  /// events: a campaign turns terminal before its final marker is written.
+  int steps_in_flight_ = 0;
   std::vector<std::thread> drivers_;
   /// One registered event sink. Deliveries happen outside mu_ under the
   /// subscriber's own lock; unsubscribe flips `active` under that lock, so

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
 #include "baselines/methods.h"
 #include "bench_suite/benchmarks.h"
@@ -109,7 +112,7 @@ TEST(Methods, AnnProposesValidIndices) {
   MethodsFixture f;
   MlpOptions mo;
   mo.epochs = 300;  // keep the test quick
-  AnnMethod ann(mo);
+  const auto ann = RegressionMethod::ann(mo);
   const DseOutcome out = ann.run(f.ctx.space(), f.ctx.sim(), 9);
   EXPECT_FALSE(out.selected.empty());
   for (std::size_t i : out.selected) EXPECT_LT(i, f.ctx.space().size());
@@ -119,7 +122,7 @@ TEST(Methods, AnnProposesValidIndices) {
 
 TEST(Methods, BtProposesValidIndices) {
   MethodsFixture f;
-  BtMethod bt;
+  const auto bt = RegressionMethod::bt();
   const DseOutcome out = bt.run(f.ctx.space(), f.ctx.sim(), 9);
   EXPECT_FALSE(out.selected.empty());
   for (std::size_t i : out.selected) EXPECT_LT(i, f.ctx.space().size());
@@ -130,7 +133,7 @@ TEST(Methods, Dac19CostsRoughlySevenTimesAnn) {
   MethodsFixture f;
   MlpOptions mo;
   mo.epochs = 50;
-  AnnMethod ann(mo);
+  const auto ann = RegressionMethod::ann(mo);
   Dac19Method dac(7);
   const double t_ann = ann.run(f.ctx.space(), f.ctx.sim(), 3).tool_seconds;
   const double t_dac = dac.run(f.ctx.space(), f.ctx.sim(), 3).tool_seconds;
@@ -146,16 +149,93 @@ TEST(Methods, RandomSelectsObservedPareto) {
   EXPECT_EQ(out.tool_runs, 30);
 }
 
-TEST(Methods, OursAndFpl18UseConfiguredModels) {
+TEST(Methods, BoMethodPinsItsModelKinds) {
+  // Each arm pins its two model kinds over whatever the caller's options
+  // carry, and keeps the caller's fit budgets.
   core::OptimizerOptions oo;
-  OursMethod ours(oo);
+  oo.surrogate.mf = core::MfKind::kSingleFidelity;
+  oo.surrogate.obj = core::ObjModelKind::kIndependent;
+  oo.surrogate.gp.max_mle_iters = 7;
+  oo.surrogate.mtgp.max_mle_iters = 9;
+  const auto ours = BoMethod::ours(oo);
+  EXPECT_EQ(ours.name(), "Ours");
   EXPECT_EQ(ours.options().surrogate.mf, core::MfKind::kNonlinear);
   EXPECT_EQ(ours.options().surrogate.obj, core::ObjModelKind::kCorrelated);
-  EXPECT_EQ(ours.name(), "Ours");
-  EXPECT_EQ(Fpl18Method().name(), "FPL18");
-  EXPECT_EQ(AnnMethod().name(), "ANN");
-  EXPECT_EQ(BtMethod().name(), "BT");
+
+  oo.surrogate.obj = core::ObjModelKind::kCorrelated;
+  const auto fpl18 = BoMethod::fpl18(oo);
+  EXPECT_EQ(fpl18.name(), "FPL18");
+  EXPECT_EQ(fpl18.options().surrogate.mf, core::MfKind::kLinear);
+  EXPECT_EQ(fpl18.options().surrogate.obj, core::ObjModelKind::kIndependent);
+
+  for (const BoMethod* m : {&ours, &fpl18}) {
+    EXPECT_EQ(m->options().surrogate.gp.max_mle_iters, 7);
+    EXPECT_EQ(m->options().surrogate.mtgp.max_mle_iters, 9);
+  }
+  EXPECT_EQ(RegressionMethod::ann().name(), "ANN");
+  EXPECT_EQ(RegressionMethod::bt().name(), "BT");
   EXPECT_EQ(Dac19Method().name(), "DAC19");
+}
+
+/// One method's outcome as a line: name, tool runs, the bits of the charged
+/// tool time and the selected design-space indices.
+std::string outcomeLine(const DseMethod& method, const DseOutcome& out) {
+  std::ostringstream line;
+  line << method.name() << " runs=" << out.tool_runs << " secs=0x" << std::hex
+       << std::bit_cast<std::uint64_t>(out.tool_seconds) << std::dec
+       << " sel=";
+  for (std::size_t i : out.selected) line << i << ',';
+  return line.str();
+}
+
+// What every Table I method (and Random) selects on spmv_crs at seed 31 with
+// reduced budgets, pinned bit for bit. A refactor of the methods must leave
+// each line unchanged: the regression fits draw from one rng in objective
+// order, and the BO arms differ only in the two surrogate kinds.
+TEST(Methods, TableOneOutputsArePinned) {
+  MethodsFixture f;
+  core::OptimizerOptions bo;
+  bo.n_iter = 4;
+  bo.mc_samples = 8;
+  bo.max_candidates = 40;
+  bo.refit_every = 2;
+  bo.surrogate.mtgp.max_mle_iters = 10;
+  bo.surrogate.gp.max_mle_iters = 10;
+  bo.surrogate.mtgp.mle_restarts = 0;
+  bo.surrogate.gp.mle_restarts = 0;
+  MlpOptions mlp;
+  mlp.epochs = 40;
+  GbrtOptions gbrt;
+  gbrt.num_trees = 20;
+  RegressionProtocol proto;
+  proto.train_size = 12;
+
+  const auto ours = BoMethod::ours(bo);
+  const auto fpl18 = BoMethod::fpl18(bo);
+  const auto ann = RegressionMethod::ann(mlp, proto);
+  const auto bt = RegressionMethod::bt(gbrt, proto);
+  const Dac19Method dac19(2, gbrt, proto);
+  const RandomMethod random(12);
+  const std::vector<const DseMethod*> methods = {&ours, &fpl18, &ann,
+                                                 &bt,   &dac19, &random};
+  const std::vector<std::string> expected = {
+      "Ours runs=12 secs=0x40a40f6f7777d0c7 "
+      "sel=216,244,182,113,240,207,264,70,255,159,21,209,",
+      "FPL18 runs=12 secs=0x40a53ad2fb2a638d "
+      "sel=216,244,182,113,240,207,264,70,66,78,28,64,",
+      "ANN runs=12 secs=0x40bca0846965850b "
+      "sel=1,2,3,33,45,49,50,51,97,98,99,145,146,147,",
+      "BT runs=12 secs=0x40bca0846965850b "
+      "sel=1,2,5,6,13,145,149,157,181,193,194,245,",
+      "DAC19 runs=24 secs=0x40cd7e104b20b413 "
+      "sel=53,54,58,74,101,106,149,178,225,",
+      "Random runs=12 secs=0x40bca0846965850b sel=70,145,",
+  };
+  ASSERT_EQ(methods.size(), expected.size());
+  for (std::size_t k = 0; k < methods.size(); ++k)
+    EXPECT_EQ(outcomeLine(*methods[k],
+                          methods[k]->run(f.ctx.space(), f.ctx.sim(), 31)),
+              expected[k]);
 }
 
 TEST(Methods, InvalidDesignsDoNotPoisonAnn) {
@@ -164,7 +244,7 @@ TEST(Methods, InvalidDesignsDoNotPoisonAnn) {
   exp::BenchmarkContext ctx(bench_suite::makeStencil3d());
   MlpOptions mo;
   mo.epochs = 200;
-  AnnMethod ann(mo);
+  const auto ann = RegressionMethod::ann(mo);
   const DseOutcome out = ann.run(ctx.space(), ctx.sim(), 17);
   EXPECT_FALSE(out.selected.empty());
   const double adrs = ctx.adrsOf(out.selected);

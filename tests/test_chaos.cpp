@@ -193,7 +193,7 @@ TEST(ChaosCheckpoint, CorruptTailRollsBackToPreviousGeneration) {
   for (int round = 1; round <= 3; ++round) {
     st.next_round = round;
     st.t = round * 2;
-    ASSERT_TRUE(core::saveCheckpointFramed(path, st));
+    ASSERT_TRUE(core::JournalWriter(path).save(st));
   }
 
   // Clean load returns the newest generation.

@@ -644,7 +644,7 @@ TEST(Checkpoint, SaveLoadIsAtomicAndRoundTrips) {
   core::CheckpointState st;
   st.fingerprint = 99;
   st.t = 5;
-  ASSERT_TRUE(core::saveCheckpointFramed(path, st));
+  ASSERT_TRUE(core::JournalWriter(path).save(st));
   core::CheckpointState back;
   std::string err;
   ASSERT_TRUE(core::loadCheckpointAny(path, &back, &err)) << err;

@@ -165,7 +165,7 @@ TEST(Checkpoint, WriterBytesEqualOneShotSaves) {
     core::JournalWriter writer(live);
     for (int k = 0; k < 7; ++k) {
       ASSERT_TRUE(writer.save(stateNo(k)));
-      ASSERT_TRUE(core::saveCheckpointFramed(oneshot, stateNo(k)));
+      ASSERT_TRUE(core::JournalWriter(oneshot).save(stateNo(k)));
       referenceSave(ref, stateNo(k));
       const std::string want = readBytes(ref);
       ASSERT_EQ(readBytes(live), want) << name << " save " << k;

@@ -103,7 +103,7 @@ TEST(Optimizer, BeatsRandomSamplingAtEqualRunCount) {
   exp::BenchmarkContext ctx(bench_suite::makeSpmvCrs());
   OptimizerOptions o = fastOpts();
   o.n_iter = 20;
-  baselines::OursMethod ours(o);
+  const auto ours = baselines::BoMethod::ours(o);
   // Random gets the same number of tool runs, all at impl (more information
   // per run than ours gets!) — BO must still win on ADRS.
   baselines::RandomMethod random(28);

@@ -458,8 +458,8 @@ TEST(ScenarioDeterminism, OptimizerTrajectoryIsReproducible) {
     opts.n_workers = 2;
     opts.surrogate.mtgp.mle_restarts = 0;
     opts.surrogate.gp.mle_restarts = 0;
-    runs[r] = baselines::OursMethod(opts).run(oracle->space(), oracle->sim(),
-                                              77);
+    runs[r] = baselines::BoMethod::ours(opts).run(oracle->space(),
+                                                  oracle->sim(), 77);
   }
   ASSERT_EQ(runs[0].selected.size(), runs[1].selected.size());
   for (std::size_t i = 0; i < runs[0].selected.size(); ++i)
@@ -472,8 +472,8 @@ TEST(ScenarioDeterminism, OptimizerTrajectoryIsReproducible) {
 TEST(ScenarioDeterminism, PinnedSeedGolden) {
   // Pinned golden for the full chain (generator draws, pruner, simulator
   // noise, optimizer trajectory). A change here means the scenario stream
-  // changed for EVERY consumer — matrix cells, archived BENCH_8.json rows,
-  // server campaign names — and must be deliberate.
+  // changed for EVERY consumer — matrix cells, the scenario_matrix.json
+  // that CI uploads, server campaign names — and must be deliberate.
   const scenario::Scenario sc = makeScenario(7, 300.0);
   EXPECT_EQ(sc.name, "scenario:7:size=300");
   EXPECT_DOUBLE_EQ(sc.spec().rawSize(), 1008.0);
@@ -489,7 +489,7 @@ TEST(ScenarioDeterminism, PinnedSeedGolden) {
   opts.surrogate.mtgp.mle_restarts = 0;
   opts.surrogate.gp.mle_restarts = 0;
   const baselines::DseOutcome out =
-      baselines::OursMethod(opts).run(oracle->space(), oracle->sim(), 77);
+      baselines::BoMethod::ours(opts).run(oracle->space(), oracle->sim(), 77);
   const std::vector<std::size_t> golden_selected = {11, 4, 10, 3, 8, 6,
                                                     1,  5, 0,  2, 9, 7};
   EXPECT_EQ(out.selected, golden_selected);

@@ -795,9 +795,13 @@ TEST(ServerDaemon, LostJournalDirFailsTheCampaignNotTheDaemon) {
   ASSERT_TRUE(srv.submit(fastSpec("a", 7, 101, 120), &err)) << err;
   while (srv.campaign("a")->snapshot().rounds < 1)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  // The running campaign may recreate a file between listing and rmdir.
-  std::error_code ec;
-  while (fs::exists(dir)) fs::remove_all(dir, ec);
+  // Remove the directory while the campaign is held at a round boundary:
+  // none of its writes can race the removal, and it cannot finish first.
+  ASSERT_TRUE(srv.pause("a", &err)) << err;
+  srv.drain();  // a paused campaign leaves the server drained
+  ASSERT_EQ(srv.campaign("a")->snapshot().state, CampaignState::kPaused);
+  fs::remove_all(dir);
+  ASSERT_TRUE(srv.resumeCampaign("a", &err)) << err;
   srv.drain();
 
   EXPECT_EQ(srv.campaign("a")->snapshot().state, CampaignState::kFailed);

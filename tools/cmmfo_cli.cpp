@@ -134,10 +134,15 @@ std::unique_ptr<baselines::DseMethod> makeMethod(const std::string& method,
                                                  const core::OptimizerOptions&
                                                      bo,
                                                  int iters) {
-  if (method == "ours") return std::make_unique<baselines::OursMethod>(bo);
-  if (method == "fpl18") return std::make_unique<baselines::Fpl18Method>(bo);
-  if (method == "ann") return std::make_unique<baselines::AnnMethod>();
-  if (method == "bt") return std::make_unique<baselines::BtMethod>();
+  using baselines::BoMethod;
+  using baselines::RegressionMethod;
+  if (method == "ours") return std::make_unique<BoMethod>(BoMethod::ours(bo));
+  if (method == "fpl18")
+    return std::make_unique<BoMethod>(BoMethod::fpl18(bo));
+  if (method == "ann")
+    return std::make_unique<RegressionMethod>(RegressionMethod::ann());
+  if (method == "bt")
+    return std::make_unique<RegressionMethod>(RegressionMethod::bt());
   if (method == "dac19") return std::make_unique<baselines::Dac19Method>();
   if (method == "random")
     return std::make_unique<baselines::RandomMethod>(8 + iters);

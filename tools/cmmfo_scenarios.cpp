@@ -207,7 +207,7 @@ int cmdRun(const Args& args) {
   const double budget = args.getDouble("budget", 0.0);
   if (budget > 0.0) opts.max_charged_seconds = budget;
 
-  const baselines::OursMethod method(opts);
+  const auto method = baselines::BoMethod::ours(opts);
   const baselines::DseOutcome out = method.run(
       oracle->space(), oracle->sim(),
       static_cast<std::uint64_t>(args.getInt("seed", 77)));
