@@ -8,8 +8,9 @@
 #                                  ARCHIVE the merge is skipped
 #   ./run_benches.sh --tsan-smoke  build the test binary under ThreadSanitizer
 #                                  (CMMFO_SANITIZE=thread) and run the
-#                                  runtime, server, parallel MLE and
-#                                  parallel acquisition-scan tests under it
+#                                  runtime, server, parallel MLE,
+#                                  parallel acquisition-scan and blocked
+#                                  context-build tests under it
 
 if [ "$1" = "--tsan-smoke" ]; then
   set -e
@@ -17,7 +18,7 @@ if [ "$1" = "--tsan-smoke" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j --target cmmfo_tests
   exec ./build-tsan/tests/cmmfo_tests \
-    --gtest_filter='EvalCache*:Scheduler*:ToolSim*:BatchedOptimizer*:FaultInjection*:SchedulerFaults*:OptimizerFaults*:Backoff*:Checkpoint*:Obs*:Diag*:Server*:Chaos*:Scenario*:Async*:GpRegressor*:MultiTaskGp*:MinimizeFromStarts*:LmlGradients*:Surrogate*:ForkJoin*:Acquisition*'
+    --gtest_filter='EvalCache*:Scheduler*:ToolSim*:BatchedOptimizer*:FaultInjection*:SchedulerFaults*:OptimizerFaults*:Backoff*:Checkpoint*:Obs*:Diag*:Server*:Chaos*:Scenario*:Async*:GpRegressor*:MultiTaskGp*:MinimizeFromStarts*:LmlGradients*:Surrogate*:ForkJoin*:Acquisition*:Pruner*:GroundTruth*:DesignSpace*'
 fi
 
 OUTDIR=bench-out

@@ -79,7 +79,9 @@ pareto::Point predictObjectives(const Models& models,
 }
 
 /// Predicts every configuration of the space from its features and
-/// proposes the predicted Pareto set, charged for `tool_runs` Impl runs.
+/// proposes the predicted Pareto set, charged for `tool_runs` Impl runs:
+/// the configurations actually collected, which is fewer than asked for
+/// when the training size exceeds the space.
 template <class Predict>
 DseOutcome proposePredictedPareto(const hls::DesignSpace& space,
                                   const sim::FpgaToolSim& sim,
@@ -173,7 +175,8 @@ DseOutcome RegressionMethod::run(const hls::DesignSpace& space,
   const TrainData td = collect(space, sim, rng, proto_.train_size);
   const Models models =
       fitPerObjective(make_, space.featureDim(), td.x, td.impl_y, rng);
-  return proposePredictedPareto(space, sim, proto_, proto_.train_size,
+  return proposePredictedPareto(space, sim, proto_,
+                                static_cast<int>(td.x.size()),
                                 [&](const std::vector<double>& x) {
                                   return predictObjectives(models, x);
                                 });
@@ -218,7 +221,7 @@ DseOutcome Dac19Method::run(const hls::DesignSpace& space,
       make, space.featureDim() + kNumObjectives, x2, all.impl_y, rng);
 
   return proposePredictedPareto(
-      space, sim, proto_, num_sets_ * proto_.train_size,
+      space, sim, proto_, static_cast<int>(all.x.size()),
       [&](const std::vector<double>& x) {
         std::vector<double> x_impl = x;
         const pareto::Point hls = predictObjectives(hls_models, x);

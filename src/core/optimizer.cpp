@@ -782,10 +782,11 @@ void CorrelatedMfMoboOptimizer::believe(std::optional<Datasets>& fantasy,
                                         std::size_t config, Fidelity fidelity,
                                         std::size_t read_levels) {
   if (!fantasy) fantasy = data_;
-  for (int f = 0; f <= static_cast<int>(fidelity); ++f) {
+  std::vector<gp::Vec> means = surrogate_.predictMeans(
+      static_cast<std::size_t>(fidelity), space_->features(config));
+  for (std::size_t f = 0; f < means.size(); ++f) {
     (*fantasy)[f].configs.push_back(config);
-    (*fantasy)[f].y.push_back(
-        surrogate_.predictMean(f, space_->features(config)));
+    (*fantasy)[f].y.push_back(std::move(means[f]));
   }
   // Speculative (uncommitted) rank-appends: the next commit or full fit
   // rolls the fantasy back by exact factor truncation. Levels at or above

@@ -442,10 +442,13 @@ gp::MultiPosterior MultiFidelitySurrogate::predict(std::size_t level,
   return post;
 }
 
-gp::Vec MultiFidelitySurrogate::predictMean(std::size_t level,
-                                            const gp::Vec& x) const {
+gp::Vec MultiFidelitySurrogate::levelMean(std::size_t level,
+                                          const gp::Vec& x,
+                                          const gp::Vec& lower) const {
   assert(fitted_ && level < levels_ && !spec_skipped_[level]);
-  const gp::Vec input = augmented(level, x);
+  const gp::Vec input = opts_.mf == MfKind::kNonlinear && level > 0
+                            ? linalg::concat(x, lower)
+                            : x;
   gp::Vec mean;
   if (opts_.obj == ObjModelKind::kCorrelated) {
     mean = mt_models_[level].predictMean(input);
@@ -454,12 +457,27 @@ gp::Vec MultiFidelitySurrogate::predictMean(std::size_t level,
     for (std::size_t mm = 0; mm < m_; ++mm)
       mean[mm] = ind_models_[level][mm].predictMean(input);
   }
-  if (opts_.mf == MfKind::kLinear && level > 0) {
-    const gp::Vec lower = predictMean(level - 1, x);
+  if (opts_.mf == MfKind::kLinear && level > 0)
     for (std::size_t mm = 0; mm < m_; ++mm)
       mean[mm] += rho_[level][mm] * lower[mm];
-  }
   return mean;
+}
+
+gp::Vec MultiFidelitySurrogate::predictMean(std::size_t level,
+                                            const gp::Vec& x) const {
+  gp::Vec mean = levelMean(0, x, {});
+  for (std::size_t l = 1; l <= level; ++l) mean = levelMean(l, x, mean);
+  return mean;
+}
+
+std::vector<gp::Vec> MultiFidelitySurrogate::predictMeans(
+    std::size_t level, const gp::Vec& x) const {
+  std::vector<gp::Vec> means;
+  means.reserve(level + 1);
+  means.push_back(levelMean(0, x, {}));
+  for (std::size_t l = 1; l <= level; ++l)
+    means.push_back(levelMean(l, x, means.back()));
+  return means;
 }
 
 std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
@@ -471,13 +489,8 @@ std::vector<gp::MultiPosterior> MultiFidelitySurrogate::predictBatch(
   // pool; a smaller batch is one block, solved inline. Every posterior is
   // bit-identical to predict() whichever block solves it, so the split
   // changes timing only.
-  const std::size_t blocks =
-      std::max<std::size_t>(x.size() / kPredictGrain, 1);
-  const std::size_t per = (x.size() + blocks - 1) / blocks;
   std::vector<gp::MultiPosterior> out(x.size());
-  util::forkJoin(blocks, [&](std::size_t b) {
-    const std::size_t lo = std::min(b * per, x.size());
-    const std::size_t hi = std::min(lo + per, x.size());
+  util::forBlocks(x.size(), kPredictGrain, [&](std::size_t lo, std::size_t hi) {
     std::vector<gp::MultiPosterior> part = predictBatchImpl(
         level, gp::Dataset(x.begin() + lo, x.begin() + hi),
         lower != nullptr ? lower->data() + lo : nullptr);

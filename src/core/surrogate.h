@@ -112,6 +112,9 @@ class MultiFidelitySurrogate {
   /// means alone (Eq. 5 augmentation, AR(1) rho * mu), with no covariance
   /// solve at any level.
   gp::Vec predictMean(std::size_t level, const gp::Vec& x) const;
+  /// predictMean(l, x) for l = 0..level, bit for bit, from one walk of the
+  /// chain (a believer fantasy at fidelity f reads every level up to f).
+  std::vector<gp::Vec> predictMeans(std::size_t level, const gp::Vec& x) const;
 
   /// Batched posteriors at one fidelity: each level of the chain runs one
   /// cross-Gram + one multi-RHS solve over a candidate block. Large batches
@@ -205,6 +208,10 @@ class MultiFidelitySurrogate {
 
   /// x, or [x, mu_{level-1}(x)] on a non-linear chain above level 0.
   gp::Vec augmented(std::size_t level, const gp::Vec& x) const;
+  /// The posterior mean at `level` given `lower` = mu_{level-1}(x) (unread
+  /// at level 0): one step of the Eq. 5 chain walk.
+  gp::Vec levelMean(std::size_t level, const gp::Vec& x,
+                    const gp::Vec& lower) const;
   /// Recursive body of predictBatch for one block (the public wrapper splits
   /// the batch and times the call). `lower` is null or holds the level
   /// below's posteriors of the block.

@@ -1,12 +1,18 @@
 #include "hls/design_space.h"
 
+#include "util/fork_join.h"
+
 namespace cmmfo::hls {
 
 DesignSpace::DesignSpace(const Kernel& kernel, const SpaceSpec& spec,
                          std::vector<DirectiveConfig> configs, PruneStats stats)
     : encoder_(kernel, spec), configs_(std::move(configs)), stats_(stats) {
-  features_.reserve(configs_.size());
-  for (const auto& c : configs_) features_.push_back(encoder_.encode(c));
+  features_.resize(configs_.size());
+  util::forBlocks(configs_.size(), kBuildGrain,
+                  [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i)
+                      features_[i] = encoder_.encode(configs_[i]);
+                  });
 }
 
 DesignSpace DesignSpace::buildPruned(const Kernel& kernel,

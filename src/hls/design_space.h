@@ -8,6 +8,9 @@ namespace cmmfo::hls {
 /// A materialized, encoded design space: the finite set X the Bayesian
 /// optimizer samples from (every point is "already known except its
 /// objective values", Sec. II-B).
+///
+/// Features are encoded in blocks of kBuildGrain configs on the fork-join
+/// pool, each into its own pre-sized slot.
 class DesignSpace {
  public:
   /// Build the pruned space (Algorithm 1).

@@ -5,6 +5,8 @@
 #include <map>
 #include <unordered_set>
 
+#include "util/fork_join.h"
+
 namespace cmmfo::hls {
 
 namespace {
@@ -93,12 +95,6 @@ bool unrollCompatible(const Kernel& kernel, LoopId l, ArrayId a,
 
 namespace {
 
-/// A partial assignment produced from one merged tree.
-struct GroupAssign {
-  std::map<LoopId, int> unroll;
-  std::map<ArrayId, ArrayDirective> part;
-};
-
 std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   while (b != 0) {
     const std::int64_t t = a % b;
@@ -107,6 +103,8 @@ std::int64_t gcd64(std::int64_t a, std::int64_t b) {
   }
   return a;
 }
+
+}  // namespace
 
 std::vector<GroupAssign> enumerateGroup(const Kernel& kernel,
                                         const SpaceSpec& spec,
@@ -237,17 +235,11 @@ std::vector<GroupAssign> enumerateGroup(const Kernel& kernel,
   return out;
 }
 
-}  // namespace
-
 std::vector<DirectiveConfig> prunedConfigs(const Kernel& kernel,
                                            const SpaceSpec& spec,
                                            PruneStats* stats) {
   assert(spec.loops.size() == kernel.numLoops());
   assert(spec.arrays.size() == kernel.numArrays());
-
-  // Backstop against combinatorial blowup in pathological specs; real
-  // benchmark spaces stay far below this.
-  constexpr std::size_t kMaxPerGroup = 200000;
 
   const std::vector<MergedTree> trees = buildMergedTrees(kernel);
   std::vector<std::vector<GroupAssign>> per_tree;
@@ -275,59 +267,79 @@ std::vector<DirectiveConfig> prunedConfigs(const Kernel& kernel,
     if (spec.loops[l].allow_pipeline)
       pipe_loops.push_back(static_cast<LoopId>(l));
 
-  // Cross product over trees x free loops x pipeline choices.
-  std::vector<DirectiveConfig> configs;
-  std::unordered_set<std::uint64_t> seen;
+  // Cross product over trees x free loops x pipeline choices, numbered as
+  // one mixed-radix step index: digit k picks option d[k] of site k, with
+  // pipeline choices fastest, then free loops, then trees.
+  std::vector<std::size_t> radix;
+  for (LoopId l : pipe_loops)
+    radix.push_back(1 + spec.loops[l].pipeline_iis.size());
+  for (LoopId l : free_loops)
+    radix.push_back(spec.loops[l].unroll_factors.size());
+  for (const auto& options : per_tree) radix.push_back(options.size());
+  std::size_t steps = 1;
+  for (std::size_t r : radix) steps *= r;
 
-  std::vector<std::size_t> tree_idx(per_tree.size(), 0);
-  std::vector<std::size_t> free_idx(free_loops.size(), 0);
-  std::vector<std::size_t> pipe_idx(pipe_loops.size(), 0);
-
-  auto emit = [&]() {
-    DirectiveConfig cfg;
-    cfg.loops.resize(kernel.numLoops());
-    cfg.arrays.resize(kernel.numArrays());
+  const auto digitsOf = [&](std::size_t step) {
+    std::vector<std::size_t> d(radix.size());
+    for (std::size_t k = 0; k < radix.size(); ++k) {
+      d[k] = step % radix[k];
+      step /= radix[k];
+    }
+    return d;
+  };
+  // Writes every field of the step's configuration into `cfg`.
+  const std::size_t free0 = pipe_loops.size();
+  const std::size_t tree0 = free0 + free_loops.size();
+  const auto fill = [&](const std::vector<std::size_t>& d,
+                        DirectiveConfig& cfg) {
+    cfg.loops.assign(kernel.numLoops(), LoopDirective{});
+    cfg.arrays.assign(kernel.numArrays(), ArrayDirective{});
     for (std::size_t t = 0; t < per_tree.size(); ++t) {
-      const GroupAssign& ga = per_tree[t][tree_idx[t]];
+      const GroupAssign& ga = per_tree[t][d[tree0 + t]];
       for (const auto& [l, u] : ga.unroll) cfg.loops[l].unroll = u;
-      for (const auto& [a, d] : ga.part) cfg.arrays[a] = d;
+      for (const auto& [a, ad] : ga.part) cfg.arrays[a] = ad;
     }
     for (std::size_t i = 0; i < free_loops.size(); ++i)
       cfg.loops[free_loops[i]].unroll =
-          spec.loops[free_loops[i]].unroll_factors[free_idx[i]];
-    for (std::size_t i = 0; i < pipe_loops.size(); ++i) {
-      const std::size_t c = pipe_idx[i];
-      if (c > 0) {
+          spec.loops[free_loops[i]].unroll_factors[d[free0 + i]];
+    for (std::size_t i = 0; i < pipe_loops.size(); ++i)
+      if (d[i] > 0) {
         cfg.loops[pipe_loops[i]].pipeline = true;
         cfg.loops[pipe_loops[i]].ii =
-            spec.loops[pipe_loops[i]].pipeline_iis[c - 1];
+            spec.loops[pipe_loops[i]].pipeline_iis[d[i] - 1];
       }
-    }
-    if (seen.insert(cfg.hash()).second) configs.push_back(std::move(cfg));
   };
 
-  // Nested odometers.
-  for (;;) {
-    emit();
-    // Advance: pipeline fastest, then free loops, then trees.
-    std::size_t i = 0;
-    for (; i < pipe_loops.size(); ++i) {
-      if (++pipe_idx[i] <= spec.loops[pipe_loops[i]].pipeline_iis.size()) break;
-      pipe_idx[i] = 0;
+  // Hash every step in contiguous blocks on the fork-join pool, one scratch
+  // configuration per block.
+  std::vector<std::uint64_t> hashes(steps);
+  util::forBlocks(steps, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::size_t> d = digitsOf(lo);
+    DirectiveConfig scratch;
+    for (std::size_t s = lo; s < hi; ++s) {
+      fill(d, scratch);
+      hashes[s] = scratch.hash();
+      for (std::size_t k = 0; k < d.size() && ++d[k] == radix[k]; ++k)
+        d[k] = 0;
     }
-    if (i < pipe_loops.size()) continue;
-    for (i = 0; i < free_loops.size(); ++i) {
-      if (++free_idx[i] < spec.loops[free_loops[i]].unroll_factors.size())
-        break;
-      free_idx[i] = 0;
-    }
-    if (i < free_loops.size()) continue;
-    for (i = 0; i < per_tree.size(); ++i) {
-      if (++tree_idx[i] < per_tree[i].size()) break;
-      tree_idx[i] = 0;
-    }
-    if (i == per_tree.size()) break;
-  }
+  });
+
+  // Deduplicate in step order through one set: the first step with a given
+  // hash wins, exactly as in a sequential walk (a later step with a
+  // colliding hash is dropped even if its configuration differs). The kept
+  // configurations are then built in blocks, each into its own slot.
+  std::vector<std::size_t> kept;
+  std::unordered_set<std::uint64_t> seen;
+  seen.reserve(steps);
+  for (std::size_t s = 0; s < steps; ++s)
+    if (seen.insert(hashes[s]).second) kept.push_back(s);
+
+  std::vector<DirectiveConfig> configs(kept.size());
+  util::forBlocks(kept.size(), kBuildGrain,
+                  [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i)
+                      fill(digitsOf(kept[i]), configs[i]);
+                  });
 
   if (stats) {
     stats->raw_size = spec.rawSize();

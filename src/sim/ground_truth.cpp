@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "pareto/adrs.h"
+#include "util/fork_join.h"
 
 namespace cmmfo::sim {
 
@@ -17,9 +18,14 @@ pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
 }
 
 GroundTruth::GroundTruth(const hls::DesignSpace& space, const FpgaToolSim& sim) {
+  // runStages is const and reads only the config, so blocks of configs run
+  // on the fork-join pool; the front and the ranges below stay serial.
   reports_.resize(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i)
-    reports_[i] = sim.runStages(space.config(i));
+  util::forBlocks(space.size(), hls::kBuildGrain,
+                  [&](std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i)
+                      reports_[i] = sim.runStages(space.config(i));
+                  });
 
   pareto::ParetoFront front;
   for (std::size_t i = 0; i < space.size(); ++i)

@@ -20,6 +20,9 @@ pareto::Point normalizeBy(const pareto::Point& p, const std::vector<double>& lo,
 /// exhaustive runs.
 class GroundTruth {
  public:
+  /// Runs every config's stages in blocks of hls::kBuildGrain configs on
+  /// the fork-join pool; the reports, front and ranges equal a sequential
+  /// build's bit for bit.
   GroundTruth(const hls::DesignSpace& space, const FpgaToolSim& sim);
 
   const Report& report(std::size_t config, Fidelity f) const {
@@ -34,6 +37,10 @@ class GroundTruth {
   /// True Pareto front (impl fidelity, valid configs only).
   const std::vector<pareto::Point>& paretoFront() const { return front_; }
   const std::vector<std::size_t>& paretoIndices() const { return front_idx_; }
+  /// Per-objective min and max of the valid impl objectives: the ranges
+  /// adrsOf normalizes by.
+  const std::vector<double>& rangeLo() const { return lo_; }
+  const std::vector<double>& rangeHi() const { return hi_; }
 
   /// Oracle ADRS (Eq. 11) of a selection of config indices against the
   /// true front: the selection is scored at its TRUE impl objectives

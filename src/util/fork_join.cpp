@@ -101,4 +101,13 @@ void forkJoin(std::size_t count, const std::function<void(std::size_t)>& body) {
   pool.run(count, body);
 }
 
+void forBlocks(std::size_t count, std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body) {
+  if (count == 0) return;
+  const std::size_t blocks = std::max<std::size_t>(count / grain, 1);
+  forkJoin(blocks, [&](std::size_t b) {
+    body(b * count / blocks, (b + 1) * count / blocks);
+  });
+}
+
 }  // namespace cmmfo::util

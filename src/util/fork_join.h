@@ -21,4 +21,13 @@ namespace cmmfo::util {
 /// and the first exception recorded is rethrown to the caller.
 void forkJoin(std::size_t count, const std::function<void(std::size_t)>& body);
 
+/// Split [0, count) into count / grain contiguous blocks (at least one) of
+/// near-equal size, at least `grain` (> 0) items each when count >= grain,
+/// and run body(lo, hi) once per block on forkJoin. A count below 2 * grain
+/// is one block, run inline on the calling thread; a count of 0 runs
+/// nothing. The split depends on count and grain only, never on the number
+/// of threads.
+void forBlocks(std::size_t count, std::size_t grain,
+               const std::function<void(std::size_t, std::size_t)>& body);
+
 }  // namespace cmmfo::util

@@ -1,11 +1,14 @@
 // The process-wide fork-join pool behind the parallel MLE starts, the
-// blocked batch prediction and the acquisition scan. ForkJoin* runs under
-// TSan (run_benches.sh --tsan-smoke).
+// blocked batch prediction, the acquisition scan and the blocked context
+// build. ForkJoin* runs under TSan (run_benches.sh --tsan-smoke).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/fork_join.h"
@@ -37,6 +40,41 @@ TEST(ForkJoin, RunsEveryTaskExactlyOnce) {
     forkJoin(n, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   }
+}
+
+// forBlocks splits [0, count) into count / grain contiguous blocks of at
+// least `grain` items each (one inline block below 2 * grain), whatever
+// the number of threads.
+TEST(ForkJoin, ForBlocksCoversTheRangeInContiguousBlocks) {
+  struct Case {
+    std::size_t count, grain, blocks;
+  };
+  for (const Case c : {Case{0, 4, 0}, Case{1, 4, 1}, Case{7, 4, 1},
+                       Case{8, 4, 2}, Case{9, 4, 2}, Case{6436, 64, 100},
+                       Case{10287, 1024, 10}, Case{18432, 1024, 18}}) {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> seen;
+    forBlocks(c.count, c.grain, [&](std::size_t lo, std::size_t hi) {
+      std::lock_guard<std::mutex> lk(mu);
+      seen.emplace_back(lo, hi);
+    });
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), c.blocks) << c.count;
+    std::size_t next = 0;
+    for (const auto& [lo, hi] : seen) {
+      EXPECT_EQ(lo, next) << c.count;
+      EXPECT_GE(hi - lo, std::min(c.grain, c.count)) << c.count;
+      next = hi;
+    }
+    EXPECT_EQ(next, c.count);
+  }
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  forBlocks(2047, 1024, [&](std::size_t, std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ForkJoin, NestedCallsComplete) {

@@ -5,7 +5,8 @@
 //    truncation;
 //  - MultiFidelitySurrogate::predictMean(level, x) is
 //    predict(level, x).mean at every level of every chaining and objective
-//    model, and predictBatch(level, x) without the level below's posteriors
+//    model, predictMeans(level, x) holds predictMean(l, x) for every l up to
+//    level, and predictBatch(level, x) without the level below's posteriors
 //    equals the call handed them;
 //  - updatePoints(keep, x, y), which solves the targets once, leaves the
 //    same posterior as truncateToPoints(keep) and appendObservation calls
@@ -317,7 +318,12 @@ void expectChainMeans(const MultiFidelitySurrogate& s,
     }
 }
 
-TEST(SurrogateMean, EqualsPredictAtEveryLevelOfEveryChain) {
+// Fits a surrogate of every chaining and objective model, runs
+// check(s, probes, "fitted"), commits appends at every level (rank-appends
+// where the chain allows them, dense refits above a changed level
+// elsewhere) and runs check(s, probes, "appended").
+template <class Check>
+void forEveryChainFittedAndAppended(Check check) {
   for (const MfKind mf : kChains)
     for (const ObjModelKind obj : kObjModels) {
       SCOPED_TRACE(::testing::Message() << "mf " << static_cast<int>(mf)
@@ -328,10 +334,8 @@ TEST(SurrogateMean, EqualsPredictAtEveryLevelOfEveryChain) {
       rng::Rng fit_rng(15);
       s.fit(obs, fit_rng);
       const gp::Dataset probes = randomInputs(6, 2, rng);
-      expectChainMeans(s, probes, "fitted");
+      check(s, probes, "fitted");
 
-      // Committed appends at every level (rank-appends where the chain
-      // allows them, dense refits above a changed level elsewhere).
       const auto extra = chainObs({3, 2, 1}, rng);
       auto grown = obs;
       for (int l = 0; l < 3; ++l) {
@@ -347,8 +351,34 @@ TEST(SurrogateMean, EqualsPredictAtEveryLevelOfEveryChain) {
         grown[l].y = std::move(y);
       }
       s.appendObservations(grown, /*commit=*/true);
-      expectChainMeans(s, probes, "appended");
+      check(s, probes, "appended");
     }
+}
+
+TEST(SurrogateMean, EqualsPredictAtEveryLevelOfEveryChain) {
+  forEveryChainFittedAndAppended(expectChainMeans);
+}
+
+// One walk of the chain up to level L yields every level's mean, each
+// bit for bit the mean predictMean(l, x) walks to on its own.
+TEST(SurrogateMean, OneWalkEqualsPerLevelPredictMean) {
+  forEveryChainFittedAndAppended([](const MultiFidelitySurrogate& s,
+                                    const gp::Dataset& probes,
+                                    const char* when) {
+    for (std::size_t top = 0; top < s.numLevels(); ++top)
+      for (const gp::Vec& p : probes) {
+        const std::vector<gp::Vec> means = s.predictMeans(top, p);
+        ASSERT_EQ(means.size(), top + 1);
+        for (std::size_t l = 0; l <= top; ++l) {
+          const gp::Vec mean = s.predictMean(l, p);
+          ASSERT_EQ(means[l].size(), mean.size());
+          for (std::size_t mm = 0; mm < mean.size(); ++mm)
+            EXPECT_EQ(bitsOf(means[l][mm]), bitsOf(mean[mm]))
+                << when << " walk to " << top << " level " << l
+                << " objective " << mm;
+        }
+      }
+  });
 }
 
 // A believer pick scans one fidelity without the level below's posteriors:
