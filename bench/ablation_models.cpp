@@ -84,17 +84,16 @@ void runVariants(const std::string& bench_name, int repeats, bool fast) {
 
   // Pruning-off ablation: same optimizer on the RAW (capped) space.
   {
-    const auto bm = bench_suite::makeBenchmark(bench_name);
+    const bench_suite::Benchmark& bm = ctx.benchmark();
     const auto raw_space =
         hls::DesignSpace::buildRaw(bm.kernel, bm.spec, ctx.space().size() * 4);
-    sim::FpgaToolSim raw_sim(bm.kernel, sim::DeviceModel::virtex7Vc707(),
-                             bm.sim_params, 42);
+    const auto raw_sim = bench_suite::makeToolSim(bm, 42);
     std::vector<double> adrs;
     for (int r = 0; r < repeats; ++r) {
-      raw_sim.resetAccounting();
+      raw_sim->resetAccounting();
       core::OptimizerOptions o = baseOpts(fast);
       o.seed = 900 + 31 * r;
-      core::CorrelatedMfMoboOptimizer opt(raw_space, raw_sim, o);
+      core::CorrelatedMfMoboOptimizer opt(raw_space, *raw_sim, o);
       const auto res = opt.run();
       // Score against the PRUNED ground truth: proposals are matched by
       // directive-config hash.

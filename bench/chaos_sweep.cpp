@@ -39,6 +39,7 @@
 
 #include "core/campaign_stepper.h"
 #include "exp/harness.h"
+#include "scenario/generator.h"
 #include "server/server.h"
 #include "util/json.h"
 
@@ -49,8 +50,8 @@ namespace {
 
 core::OptimizeResult runIsolated(const server::CampaignSpec& spec) {
   const auto space = server::makeSpaceFor(spec.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec.benchmark);
-  const auto sim = server::makeSimFor(spec, *bm);
+  const auto bm = scenario::resolveBenchmark(spec.benchmark);
+  const auto sim = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CampaignStepper stepper(*space, *sim, spec.opts);
   while (!stepper.done()) stepper.step();
   return stepper.finish();

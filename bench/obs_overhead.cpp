@@ -82,14 +82,13 @@ struct RunOutcome {
 RunOutcome runDirect(bool async) {
   const auto bm = bench_suite::makeSpmvCrs();
   const auto space = hls::DesignSpace::buildPruned(bm.kernel, bm.spec);
-  sim::FpgaToolSim sim(bm.kernel, sim::DeviceModel::virtex7Vc707(),
-                       bm.sim_params, 42);
+  const auto sim = bench_suite::makeToolSim(bm, 42);
   core::OptimizerOptions opts = goldenOpts();
   if (async) {
     opts.async = true;
     opts.n_workers = 2;
   }
-  core::CorrelatedMfMoboOptimizer opt(space, sim, opts);
+  core::CorrelatedMfMoboOptimizer opt(space, *sim, opts);
 
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = opt.run();

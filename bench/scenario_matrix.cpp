@@ -28,8 +28,8 @@
 #include "baselines/methods.h"
 #include "exp/harness.h"
 #include "obs/obs.h"
+#include "scenario/audit.h"
 #include "scenario/generator.h"
-#include "scenario/oracle.h"
 #include "util/json.h"
 
 using namespace cmmfo;
@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
         cell.name = sc.name;
         cell.raw_size = sc.spec().rawSize();
 
-        const auto oracle = scenario::Oracle::build(sc);
-        if (!oracle) {
+        const auto ctx = exp::enumerableContext(*sc.benchmark);
+        if (!ctx) {
           // Over the enumeration cap: no ground truth, no gates. The CI
           // grid is sized to never hit this; report it loudly if it does.
           std::printf("%-28s %10.3g %7s  (over oracle cap; ungated)\n",
@@ -115,9 +115,10 @@ int main(int argc, char** argv) {
           continue;
         }
         cell.oracle_built = true;
-        cell.pruned_size = oracle->space().size();
+        cell.pruned_size = ctx->space().size();
 
-        const scenario::PruningAudit audit = oracle->auditPruning(kEps);
+        const scenario::PruningAudit audit = scenario::auditPruning(
+            ctx->benchmark(), ctx->sim(), ctx->groundTruth(), kEps);
         cell.raw_enumerated = audit.raw_enumerated;
         cell.raw_complete = audit.raw_complete;
         cell.audit_violations = audit.violations;
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
         // proposals; the charged-seconds budget below is the hard stop.
         opts.n_iter =
             fast ? 20
-                 : 30 + static_cast<int>(oracle->space().size() / 2);
+                 : 30 + static_cast<int>(ctx->space().size() / 2);
         opts.batch_size = 2;
         opts.n_workers = 2;
         opts.max_candidates = fast ? 80 : 200;
@@ -141,7 +142,7 @@ int main(int argc, char** argv) {
           opts.surrogate.gp.mle_restarts = 0;
         }
         const double nominal_impl =
-            oracle->sim().nominalStageSeconds()[sim::kNumFidelities - 1];
+            ctx->sim().nominalStageSeconds()[sim::kNumFidelities - 1];
         opts.max_charged_seconds = nominal_impl * (fast ? 120.0 : 200.0);
         cell.budget_seconds = opts.max_charged_seconds;
 
@@ -156,8 +157,8 @@ int main(int argc, char** argv) {
 
         const auto method = baselines::BoMethod::ours(opts);
         const baselines::DseOutcome out =
-            method.run(oracle->space(), oracle->sim(), 77);
-        cell.adrs = oracle->adrsOf(out.selected);
+            method.run(ctx->space(), ctx->sim(), 77);
+        cell.adrs = ctx->adrsOf(out.selected);
         cell.charged_seconds = out.tool_seconds;
         cell.tool_runs = out.tool_runs;
         if (cell.adrs > kAdrsGate) cell.ok = false;
@@ -174,7 +175,8 @@ int main(int argc, char** argv) {
         }
 
         if (d > 1) {
-          cell.gap_hls = oracle->fidelityGap(sim::Fidelity::kHls);
+          cell.gap_hls =
+              scenario::fidelityGap(ctx->groundTruth(), sim::Fidelity::kHls);
           max_gap = std::max(max_gap, cell.gap_hls);
         }
 

@@ -35,6 +35,7 @@
 
 #include "core/campaign_stepper.h"
 #include "exp/harness.h"
+#include "scenario/generator.h"
 #include "server/server.h"
 #include "util/json.h"
 
@@ -105,10 +106,10 @@ int main(int argc, char** argv) {
   for (const server::CampaignSpec& spec : specs) {
     const std::shared_ptr<const hls::DesignSpace> space =
         server::makeSpaceFor(spec.benchmark);
-    const std::shared_ptr<const bench_suite::Benchmark> bm =
-        server::makeBenchmarkFor(spec.benchmark);
+    const bench_suite::Benchmark bm =
+        scenario::resolveBenchmark(spec.benchmark);
     const std::unique_ptr<sim::FpgaToolSim> sim =
-        server::makeSimFor(spec, *bm);
+        bench_suite::makeToolSim(bm, spec.sim_seed);
     core::OptimizerOptions o = spec.opts;
     o.n_workers = kWorkers;  // equal farm width, private to this campaign
     core::CampaignStepper stepper(*space, *sim, o);

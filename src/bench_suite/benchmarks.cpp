@@ -370,4 +370,12 @@ Benchmark makeBenchmark(const std::string& name) {
   throw std::invalid_argument("unknown benchmark: " + name);
 }
 
+std::unique_ptr<sim::FpgaToolSim> makeToolSim(const Benchmark& bm,
+                                              std::uint64_t seed) {
+  auto sim = std::make_unique<sim::FpgaToolSim>(
+      bm.kernel, sim::DeviceModel::virtex7Vc707(), bm.sim_params, seed);
+  sim->setDieMap(bm.die_map);
+  return sim;
+}
+
 }  // namespace cmmfo::bench_suite

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,5 +41,11 @@ Benchmark makeIsmart2();
 /// All six benchmarks of Sec. V-A, in the paper's order.
 std::vector<std::string> benchmarkNames();
 Benchmark makeBenchmark(const std::string& name);
+
+/// The simulated tool flow for a benchmark: its kernel and sim params on the
+/// Virtex-7 VC707, its die map installed. The simulator keeps a pointer into
+/// `bm.kernel`, so `bm` must outlive it and must not move.
+std::unique_ptr<sim::FpgaToolSim> makeToolSim(const Benchmark& bm,
+                                              std::uint64_t seed);
 
 }  // namespace cmmfo::bench_suite

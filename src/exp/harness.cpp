@@ -1,6 +1,7 @@
 #include "exp/harness.h"
 
 #include <cstdlib>
+#include <limits>
 
 #include "linalg/stats.h"
 
@@ -8,13 +9,26 @@ namespace cmmfo::exp {
 
 BenchmarkContext::BenchmarkContext(bench_suite::Benchmark bm,
                                    std::uint64_t sim_seed)
+    : BenchmarkContext(std::move(bm), sim_seed,
+                       std::numeric_limits<std::size_t>::max()) {}
+
+BenchmarkContext::BenchmarkContext(bench_suite::Benchmark bm,
+                                   std::uint64_t sim_seed,
+                                   std::size_t enum_cap)
     : bm_(std::move(bm)) {
   space_ = std::make_unique<hls::DesignSpace>(
       hls::DesignSpace::buildPruned(bm_.kernel, bm_.spec));
-  sim_ = std::make_unique<sim::FpgaToolSim>(
-      bm_.kernel, sim::DeviceModel::virtex7Vc707(), bm_.sim_params, sim_seed);
-  sim_->setDieMap(bm_.die_map);
+  if (space_->size() > enum_cap) return;
+  sim_ = bench_suite::makeToolSim(bm_, sim_seed);
   gt_ = std::make_unique<sim::GroundTruth>(*space_, *sim_);
+}
+
+std::unique_ptr<BenchmarkContext> enumerableContext(bench_suite::Benchmark bm,
+                                                    std::size_t enum_cap) {
+  std::unique_ptr<BenchmarkContext> ctx(
+      new BenchmarkContext(std::move(bm), 42, enum_cap));
+  if (ctx->gt_ == nullptr) ctx.reset();
+  return ctx;
 }
 
 MethodStats evaluateMethod(BenchmarkContext& ctx,

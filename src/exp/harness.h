@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,13 +13,21 @@
 
 namespace cmmfo::exp {
 
+/// Pruned spaces larger than this are not enumerated exhaustively by
+/// enumerableContext: the ground truth runs every config at every fidelity.
+constexpr std::size_t kEnumCap = 50000;
+
 /// Everything needed to evaluate methods on one benchmark: the pruned
 /// design space, the simulated tool and the exhaustive ground truth.
 /// Construction is the expensive part; reuse across methods and repeats.
+/// Neither copyable nor movable: the simulator and the space's encoder
+/// point into the context's own benchmark.
 class BenchmarkContext {
  public:
   explicit BenchmarkContext(bench_suite::Benchmark bm,
                             std::uint64_t sim_seed = 42);
+  BenchmarkContext(const BenchmarkContext&) = delete;
+  BenchmarkContext& operator=(const BenchmarkContext&) = delete;
 
   const hls::DesignSpace& space() const { return *space_; }
   sim::FpgaToolSim& sim() { return *sim_; }
@@ -32,11 +41,23 @@ class BenchmarkContext {
   }
 
  private:
+  friend std::unique_ptr<BenchmarkContext> enumerableContext(
+      bench_suite::Benchmark bm, std::size_t enum_cap);
+  /// Stops after pruning, leaving sim_ and gt_ null, when the pruned space
+  /// has more than `enum_cap` configs.
+  BenchmarkContext(bench_suite::Benchmark bm, std::uint64_t sim_seed,
+                   std::size_t enum_cap);
+
   bench_suite::Benchmark bm_;
   std::unique_ptr<hls::DesignSpace> space_;
   std::unique_ptr<sim::FpgaToolSim> sim_;
   std::unique_ptr<sim::GroundTruth> gt_;
 };
+
+/// The context with simulator seed 42, or nullptr, before any simulation,
+/// when the pruned space has more than `enum_cap` configs.
+std::unique_ptr<BenchmarkContext> enumerableContext(
+    bench_suite::Benchmark bm, std::size_t enum_cap = kEnumCap);
 
 struct RunMetrics {
   double adrs = 0.0;

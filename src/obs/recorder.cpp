@@ -106,10 +106,10 @@ void DiagRecorder::setRunMeta(RunMeta meta) {
   meta_ = std::move(meta);
 }
 
-void DiagRecorder::setAdrsOracle(
-    std::function<double(const std::vector<std::size_t>&)> oracle) {
+void DiagRecorder::setAdrsScorer(
+    std::function<double(const std::vector<std::size_t>&)> scorer) {
   std::lock_guard<std::mutex> lock(mu_);
-  adrs_oracle_ = std::move(oracle);
+  adrs_scorer_ = std::move(scorer);
 }
 
 void DiagRecorder::addCalibrationSample(CalibrationSample s) {
@@ -276,7 +276,7 @@ void DiagRecorder::endRound(int round, double hypervolume,
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   double adrs = std::numeric_limits<double>::quiet_NaN();
-  if (adrs_oracle_) adrs = adrs_oracle_(selected);
+  if (adrs_scorer_) adrs = adrs_scorer_(selected);
 
   std::string out = "{\"type\": \"convergence\", \"round\": ";
   putInt(out, round);

@@ -183,11 +183,11 @@ class DiagRecorder {
   void setThresholds(const HealthThresholds& t);
   /// Run provenance, rendered as the journal's first ("manifest") line.
   void setRunMeta(RunMeta meta);
-  /// Optional ADRS oracle (the optimizer has no ground truth; the harness
+  /// Optional ADRS scorer (the optimizer has no ground truth; the harness
   /// does). Called at endRound with the currently selected config ids;
   /// convergence records carry NaN ADRS when unset.
-  void setAdrsOracle(
-      std::function<double(const std::vector<std::size_t>&)> oracle);
+  void setAdrsScorer(
+      std::function<double(const std::vector<std::size_t>&)> scorer);
 
   // ---- record ingestion (all no-ops while disabled) ----
   void addCalibrationSample(CalibrationSample s);
@@ -231,7 +231,7 @@ class DiagRecorder {
   mutable std::mutex mu_;
   RunMeta meta_;
   HealthThresholds thresholds_;
-  std::function<double(const std::vector<std::size_t>&)> adrs_oracle_;
+  std::function<double(const std::vector<std::size_t>&)> adrs_scorer_;
 
   std::vector<std::string> lines_;  // pre-rendered record JSON, in order
   LevelAggs agg_{};

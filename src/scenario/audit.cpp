@@ -1,8 +1,10 @@
-#include "scenario/oracle.h"
+#include "scenario/audit.h"
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "hls/design_space.h"
 #include "hls/pruner.h"
 #include "pareto/dominance.h"
 
@@ -60,33 +62,17 @@ bool premiseAccepts(const hls::Kernel& k, const hls::SpaceSpec& spec,
 
 }  // namespace
 
-std::unique_ptr<Oracle> Oracle::build(const Scenario& sc,
-                                      const OracleOptions& opts) {
-  auto space = std::make_unique<hls::DesignSpace>(
-      hls::DesignSpace::buildPruned(sc.kernel(), sc.spec()));
-  if (space->size() > opts.enum_cap) return nullptr;
-
-  std::unique_ptr<Oracle> o(new Oracle());
-  o->benchmark_ = sc.benchmark;
-  o->opts_ = opts;
-  o->space_ = std::move(space);
-  o->sim_ = std::make_unique<sim::FpgaToolSim>(
-      o->benchmark_->kernel, sim::DeviceModel::virtex7Vc707(),
-      o->benchmark_->sim_params, opts.sim_seed);
-  o->sim_->setDieMap(o->benchmark_->die_map);
-  o->gt_ = std::make_unique<sim::GroundTruth>(*o->space_, *o->sim_);
-  return o;
-}
-
-PruningAudit Oracle::auditPruning(double eps) const {
+PruningAudit auditPruning(const bench_suite::Benchmark& bm,
+                          const sim::FpgaToolSim& tool,
+                          const sim::GroundTruth& gt, double eps,
+                          std::size_t raw_cap) {
   PruningAudit audit;
   audit.eps = eps;
 
-  const hls::DesignSpace raw = hls::DesignSpace::buildRaw(
-      benchmark_->kernel, benchmark_->spec, opts_.raw_cap);
+  const hls::DesignSpace raw =
+      hls::DesignSpace::buildRaw(bm.kernel, bm.spec, raw_cap);
   audit.raw_enumerated = raw.size();
-  audit.raw_complete =
-      benchmark_->spec.rawSize() <= static_cast<double>(opts_.raw_cap);
+  audit.raw_complete = bm.spec.rawSize() <= static_cast<double>(raw_cap);
 
   // Evaluate the raw space at impl fidelity; keep valid points, tagged with
   // whether Algorithm 1's own compatibility premises accept the config.
@@ -95,7 +81,7 @@ PruningAudit Oracle::auditPruning(double eps) const {
   std::vector<double> rlo(sim::kNumObjectives, 1e300);
   std::vector<double> rhi(sim::kNumObjectives, -1e300);
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    const sim::Report r = sim_->run(raw.config(i), sim::Fidelity::kImpl);
+    const sim::Report r = tool.run(raw.config(i), sim::Fidelity::kImpl);
     if (!r.valid) continue;
     const std::vector<double> obj = r.objectives();
     pareto::Point y(sim::kNumObjectives);
@@ -104,7 +90,7 @@ PruningAudit Oracle::auditPruning(double eps) const {
       rlo[m] = std::min(rlo[m], y[m]);
       rhi[m] = std::max(rhi[m], y[m]);
     }
-    if (premiseAccepts(benchmark_->kernel, benchmark_->spec, raw.config(i)))
+    if (premiseAccepts(bm.kernel, bm.spec, raw.config(i)))
       compat_pts.push_back(y);
     raw_pts.push_back(std::move(y));
   }
@@ -118,9 +104,9 @@ PruningAudit Oracle::auditPruning(double eps) const {
   // Pruned candidates, normalized by the RAW valid ranges so regret is
   // commensurate with the fronts being audited.
   std::vector<pareto::Point> pruned;
-  for (std::size_t i = 0; i < gt_->size(); ++i)
-    if (gt_->valid(i))
-      pruned.push_back(sim::normalizeBy(gt_->implObjectives(i), rlo, rhi));
+  for (std::size_t i = 0; i < gt.size(); ++i)
+    if (gt.valid(i))
+      pruned.push_back(sim::normalizeBy(gt.implObjectives(i), rlo, rhi));
 
   // Regret of a front point = how far the closest-from-above pruned config
   // is, in the worst objective (0 when some pruned config weakly dominates
@@ -156,6 +142,10 @@ PruningAudit Oracle::auditPruning(double eps) const {
   }
   audit.full_mean_regret = sum / static_cast<double>(raw_front.size());
   return audit;
+}
+
+double fidelityGap(const sim::GroundTruth& gt, sim::Fidelity f) {
+  return gt.adrsOf(gt.frontIndicesAt(f));
 }
 
 }  // namespace cmmfo::scenario

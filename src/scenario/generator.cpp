@@ -5,6 +5,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "bench_suite/extended_benchmarks.h"
 #include "rng/rng.h"
 
 namespace cmmfo::scenario {
@@ -421,6 +422,11 @@ Scenario generateFromName(const std::string& name) {
     }
   }
   return generate(p);
+}
+
+bench_suite::Benchmark resolveBenchmark(const std::string& name) {
+  if (isScenarioName(name)) return *generateFromName(name).benchmark;
+  return bench_suite::makeAnyBenchmark(name);
 }
 
 }  // namespace cmmfo::scenario

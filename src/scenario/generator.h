@@ -39,7 +39,7 @@ struct GeneratorParams {
 /// A generated benchmark plus its provenance. The benchmark rides a
 /// shared_ptr because FpgaToolSim keeps a raw pointer into the kernel:
 /// anything building a simulator from a scenario must co-own the benchmark
-/// (the server's makeBenchmarkFor lifetime pattern) or the kernel dangles.
+/// or the kernel dangles.
 struct Scenario {
   std::string name;  ///< canonical "scenario:<seed>[:dies=d][:size=S]"
   GeneratorParams params;
@@ -67,5 +67,10 @@ bool isScenarioName(const std::string& name);
 /// Parse a scenario name and generate it. Throws std::invalid_argument on
 /// a malformed name (bad seed, unknown key, dies < 1, size < 1).
 Scenario generateFromName(const std::string& name);
+
+/// The one benchmark-name resolver of the CLI, the server and the benches:
+/// a paper-suite or extended-suite name, or a scenario name. Throws
+/// std::invalid_argument on an unknown or malformed name.
+bench_suite::Benchmark resolveBenchmark(const std::string& name);
 
 }  // namespace cmmfo::scenario

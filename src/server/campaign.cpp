@@ -173,32 +173,11 @@ bool terminal(CampaignState s) {
          s == CampaignState::kFailed;
 }
 
-std::shared_ptr<const bench_suite::Benchmark> makeBenchmarkFor(
-    const std::string& benchmark) {
-  // "scenario:<seed>[:dies=d][:size=S]" names resolve to the procedural
-  // generator; anything else is a suite benchmark. Either way the campaign
-  // co-owns the benchmark so the simulator's kernel pointer stays alive.
-  if (scenario::isScenarioName(benchmark))
-    return scenario::generateFromName(benchmark).benchmark;
-  return std::make_shared<const bench_suite::Benchmark>(
-      bench_suite::makeBenchmark(benchmark));
-}
-
-std::unique_ptr<sim::FpgaToolSim> makeSimFor(const CampaignSpec& spec,
-                                             const bench_suite::Benchmark& bm) {
-  auto sim = std::make_unique<sim::FpgaToolSim>(
-      bm.kernel, sim::DeviceModel::virtex7Vc707(), bm.sim_params,
-      spec.sim_seed);
-  sim->setDieMap(bm.die_map);
-  return sim;
-}
-
 std::shared_ptr<const hls::DesignSpace> makeSpaceFor(
     const std::string& benchmark) {
-  const std::shared_ptr<const bench_suite::Benchmark> bm =
-      makeBenchmarkFor(benchmark);
+  const bench_suite::Benchmark bm = scenario::resolveBenchmark(benchmark);
   return std::make_shared<const hls::DesignSpace>(
-      hls::DesignSpace::buildPruned(bm->kernel, bm->spec));
+      hls::DesignSpace::buildPruned(bm.kernel, bm.spec));
 }
 
 Campaign::Campaign(CampaignSpec spec,
@@ -206,9 +185,9 @@ Campaign::Campaign(CampaignSpec spec,
                    core::SharedRuntime shared)
     : spec_(std::move(spec)),
       space_(std::move(space)),
-      bench_(makeBenchmarkFor(spec_.benchmark)),
+      bench_(scenario::resolveBenchmark(spec_.benchmark)),
       shared_(shared),
-      sim_(makeSimFor(spec_, *bench_)),
+      sim_(bench_suite::makeToolSim(bench_, spec_.sim_seed)),
       stepper_(std::make_unique<core::CampaignStepper>(*space_, *sim_,
                                                        spec_.opts, shared_)),
       trace_id_(cacheLedgerOf(spec_)) {}
@@ -305,7 +284,7 @@ CampaignState Campaign::scheduleRestart(std::chrono::milliseconds backoff,
   CampaignSpec rspec = spec_;
   rspec.opts.resume = true;
   rspec.opts.resume_lenient = true;
-  sim_ = makeSimFor(rspec, *bench_);
+  sim_ = bench_suite::makeToolSim(bench_, rspec.sim_seed);
   stepper_ = std::make_unique<core::CampaignStepper>(*space_, *sim_,
                                                      rspec.opts, shared_);
   ++restarts_;

@@ -159,7 +159,7 @@ class Campaign {
   const CampaignSpec spec_;
   std::shared_ptr<const hls::DesignSpace> space_;
   /// Owns the kernel the simulator points into — must outlive sim_.
-  std::shared_ptr<const bench_suite::Benchmark> bench_;
+  const bench_suite::Benchmark bench_;
   /// Shared farm width/cache handles, kept so scheduleRestart can rebuild the
   /// stepper against the same runtime.
   core::SharedRuntime shared_;
@@ -186,15 +186,6 @@ class Campaign {
   std::atomic<std::uint64_t> chaos_ticks_{0};
 };
 
-/// Build the benchmark definition for a name. The simulator keeps a pointer
-/// into the benchmark's kernel, so the returned object must outlive any
-/// simulator built from it. Throws on an unknown benchmark.
-std::shared_ptr<const bench_suite::Benchmark> makeBenchmarkFor(
-    const std::string& benchmark);
-/// Build the simulator for a spec (`bm`'s kernel + sim params on the
-/// standard device, seeded with spec.sim_seed).
-std::unique_ptr<sim::FpgaToolSim> makeSimFor(
-    const CampaignSpec& spec, const bench_suite::Benchmark& bm);
 /// Build (and prune) the design space for a benchmark name. Throws on an
 /// unknown benchmark.
 std::shared_ptr<const hls::DesignSpace> makeSpaceFor(

@@ -754,7 +754,7 @@ void OptimizationServer::serveStdio(std::istream& in, std::ostream& out) {
   if (quit) stop();
 }
 
-int OptimizationServer::listenTcp(int port) {
+int OptimizationServer::bindLoopback(int port, int* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   const int one = 1;
@@ -770,30 +770,26 @@ int OptimizationServer::listenTcp(int port) {
   }
   socklen_t len = sizeof(addr);
   ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *bound_port = static_cast<int>(ntohs(addr.sin_port));
+  return fd;
+}
+
+int OptimizationServer::listenTcp(int port) {
+  int bound = -1;
+  const int fd = bindLoopback(port, &bound);
+  if (fd < 0) return -1;
   listen_fd_.store(fd);
   accept_thread_ = std::thread([this] { acceptLoop(); });
-  return static_cast<int>(ntohs(addr.sin_port));
+  return bound;
 }
 
 int OptimizationServer::listenMetricsHttp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int bound = -1;
+  const int fd = bindLoopback(port, &bound);
   if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(fd, 16) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
   metrics_listen_fd_.store(fd);
   metrics_accept_thread_ = std::thread([this] { metricsAcceptLoop(); });
-  return static_cast<int>(ntohs(addr.sin_port));
+  return bound;
 }
 
 void OptimizationServer::metricsAcceptLoop() {

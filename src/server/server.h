@@ -180,6 +180,9 @@ class OptimizationServer {
     std::atomic<bool> reaped{false};
   };
 
+  /// Listening socket on 127.0.0.1:`port` (0 = ephemeral) with
+  /// SO_REUSEADDR; sets `*bound_port`. Returns the fd, -1 on error.
+  static int bindLoopback(int port, int* bound_port);
   void driverLoop();
   void watchdogLoop();
   void acceptLoop();

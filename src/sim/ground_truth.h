@@ -42,7 +42,7 @@ class GroundTruth {
   const std::vector<double>& rangeLo() const { return lo_; }
   const std::vector<double>& rangeHi() const { return hi_; }
 
-  /// Oracle ADRS (Eq. 11) of a selection of config indices against the
+  /// ADRS (Eq. 11) of a selection of config indices against the
   /// true front: the selection is scored at its TRUE impl objectives
   /// (invalid configs dropped), both sets normalized by the valid impl
   /// ranges, Euclidean distance. A selection with no valid config scores as

@@ -9,7 +9,6 @@
 #include "bench_suite/benchmarks.h"
 #include "exp/harness.h"
 #include "scenario/generator.h"
-#include "scenario/oracle.h"
 
 namespace cmmfo::baselines {
 namespace {
@@ -244,18 +243,16 @@ TEST(Methods, TableOneOutputsArePinned) {
 // the tool runs reported are the configurations collected: 12 per training
 // set on the 12-configuration scenario, not the 48 asked for.
 TEST(Methods, ToolRunsCountTheConfigsCollected) {
-  const auto oracle = scenario::Oracle::build(
-      scenario::generateFromName("scenario:7:size=300"));
-  ASSERT_NE(oracle, nullptr);
-  ASSERT_EQ(oracle->space().size(), 12u);
+  exp::BenchmarkContext ctx(scenario::resolveBenchmark("scenario:7:size=300"));
+  ASSERT_EQ(ctx.space().size(), 12u);
   GbrtOptions gbrt;
   gbrt.num_trees = 5;
   RegressionProtocol proto;
   proto.train_size = 48;
   const auto bt = RegressionMethod::bt(gbrt, proto);
   const Dac19Method dac19(3, gbrt, proto);
-  EXPECT_EQ(bt.run(oracle->space(), oracle->sim(), 5).tool_runs, 12);
-  EXPECT_EQ(dac19.run(oracle->space(), oracle->sim(), 5).tool_runs, 3 * 12);
+  EXPECT_EQ(bt.run(ctx.space(), ctx.sim(), 5).tool_runs, 12);
+  EXPECT_EQ(dac19.run(ctx.space(), ctx.sim(), 5).tool_runs, 3 * 12);
 }
 
 TEST(Methods, InvalidDesignsDoNotPoisonAnn) {

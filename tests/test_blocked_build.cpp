@@ -209,12 +209,16 @@ TEST(GroundTruthBlocked, MatchesTheSequentialBuild) {
     const bench_suite::Benchmark bm = bench_suite::makeBenchmark(name);
     const auto space = hls::DesignSpace::buildPruned(bm.kernel, bm.spec);
     const std::string n = name;
-    if (n == "sort_radix") EXPECT_EQ(space.size(), 18 * hls::kBuildGrain);
+    if (n == "sort_radix") {
+      EXPECT_EQ(space.size(), 18 * hls::kBuildGrain);
+    }
     if (n == "ismart2") {
       EXPECT_GE(space.size(), 2 * hls::kBuildGrain);
       EXPECT_NE(space.size() % hls::kBuildGrain, 0u);
     }
-    if (n == "spmv_crs") EXPECT_LT(space.size(), 2 * hls::kBuildGrain);
+    if (n == "spmv_crs") {
+      EXPECT_LT(space.size(), 2 * hls::kBuildGrain);
+    }
     expectSameGroundTruth(bm, space, n);
   }
 }

@@ -32,6 +32,7 @@
 #include "linalg/matrix.h"
 #include "rng/rng.h"
 #include "runtime/eval_cache.h"
+#include "scenario/generator.h"
 #include "server/campaign.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -78,8 +79,8 @@ CampaignSpec fastSpec(const std::string& id, std::uint64_t seed,
 /// chaos-injected / resumed execution must reproduce bit-for-bit.
 core::OptimizeResult runIsolated(const CampaignSpec& spec) {
   const auto space = server::makeSpaceFor(spec.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec.benchmark);
-  const auto sim = server::makeSimFor(spec, *bm);
+  const auto bm = scenario::resolveBenchmark(spec.benchmark);
+  const auto sim = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CampaignStepper stepper(*space, *sim, spec.opts);
   while (!stepper.done()) stepper.step();
   return stepper.finish();

@@ -51,7 +51,7 @@ struct GlobalDiagGuard {
     obs::recorder().setEnabled(false);
     obs::recorder().clear();
     obs::recorder().setThresholds(HealthThresholds{});
-    obs::recorder().setAdrsOracle({});
+    obs::recorder().setAdrsScorer({});
   }
 };
 
@@ -137,7 +137,7 @@ TEST(DiagCalibration, AggregateMatchesDirectComputation) {
 // the charged seconds must come out bit-for-bit identical.
 TEST(DiagInvariance, GoldenTrajectoryIdenticalWithRecorderOn) {
   GlobalDiagGuard guard;
-  obs::recorder().setAdrsOracle(
+  obs::recorder().setAdrsScorer(
       [](const std::vector<std::size_t>& sel) -> double {
         return static_cast<double>(sel.size());
       });

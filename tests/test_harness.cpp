@@ -3,12 +3,19 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "exp/harness.h"
 #include "exp/table.h"
 
 namespace cmmfo::exp {
 namespace {
+
+// The simulator and the space's encoder point into the context's own
+// benchmark, so a moved or copied context would read a moved-from kernel.
+static_assert(!std::is_move_constructible_v<BenchmarkContext>);
+static_assert(!std::is_copy_constructible_v<BenchmarkContext>);
+static_assert(!std::is_move_assignable_v<BenchmarkContext>);
 
 TEST(Harness, AdrsZeroForTrueParetoIndices) {
   BenchmarkContext ctx(bench_suite::makeSpmvCrs());

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,12 +20,13 @@
 
 #include "baselines/methods.h"
 #include "core/optimizer.h"
+#include "exp/harness.h"
 #include "hls/design_space.h"
 #include "hls/encoding.h"
 #include "hls/space_parser.h"
 #include "pareto/dominance.h"
+#include "scenario/audit.h"
 #include "scenario/generator.h"
-#include "scenario/oracle.h"
 #include "server/campaign.h"
 #include "sim/die.h"
 #include "sim/tool.h"
@@ -176,7 +179,7 @@ TEST(ScenarioGenerator, DieCountDoesNotPerturbKernelOrSpace) {
 }
 
 // ---------------------------------------------------------------------------
-// ScenarioOracle: pruning soundness, ADRS references, caps.
+// Exhaustive ground truth: pruning soundness, ADRS references, caps.
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioOracle, PruningNeverEpsDiscardsACompatibleFrontPoint) {
@@ -187,9 +190,10 @@ TEST(ScenarioOracle, PruningNeverEpsDiscardsACompatibleFrontPoint) {
   // and far below genuine enumeration bugs (0.2-0.8 measured while live).
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const scenario::Scenario sc = makeScenario(seed, 300.0);
-    const auto oracle = scenario::Oracle::build(sc);
-    ASSERT_NE(oracle, nullptr) << "seed " << seed;
-    const scenario::PruningAudit audit = oracle->auditPruning(0.10);
+    const auto ctx = exp::enumerableContext(*sc.benchmark);
+    ASSERT_NE(ctx, nullptr) << "seed " << seed;
+    const scenario::PruningAudit audit = scenario::auditPruning(
+        ctx->benchmark(), ctx->sim(), ctx->groundTruth(), 0.10);
     EXPECT_TRUE(audit.raw_complete) << "seed " << seed;
     EXPECT_EQ(audit.violations, 0u)
         << "seed " << seed << " max_regret " << audit.max_regret;
@@ -204,13 +208,13 @@ TEST(ScenarioOracle, AdrsMatchesHandComputedReference) {
   // ranges, Pareto-filter the selection, average over true-front points the
   // Euclidean distance to the nearest selected point. Must agree to 1e-12.
   const scenario::Scenario sc = makeScenario(3, 300.0);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
-  const sim::GroundTruth& gt = oracle->groundTruth();
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
+  const sim::GroundTruth& gt = ctx->groundTruth();
 
   std::vector<std::size_t> selected;
   for (std::size_t i = 0; i < gt.size(); i += 2) selected.push_back(i);
-  const double got = oracle->adrsOf(selected);
+  const double got = ctx->adrsOf(selected);
 
   std::vector<double> lo(sim::kNumObjectives, 1e300);
   std::vector<double> hi(sim::kNumObjectives, -1e300);
@@ -254,13 +258,13 @@ TEST(ScenarioOracle, AdrsMatchesHandComputedReference) {
 TEST(ScenarioOracle, FullSelectionHasZeroAdrs) {
   for (std::uint64_t seed : {1ull, 7ull, 19ull}) {
     const scenario::Scenario sc = makeScenario(seed, 300.0);
-    const auto oracle = scenario::Oracle::build(sc);
-    ASSERT_NE(oracle, nullptr) << "seed " << seed;
-    std::vector<std::size_t> all(oracle->groundTruth().size());
+    const auto ctx = exp::enumerableContext(*sc.benchmark);
+    ASSERT_NE(ctx, nullptr) << "seed " << seed;
+    std::vector<std::size_t> all(ctx->groundTruth().size());
     for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    EXPECT_NEAR(oracle->adrsOf(all), 0.0, 1e-12) << "seed " << seed;
+    EXPECT_NEAR(ctx->adrsOf(all), 0.0, 1e-12) << "seed " << seed;
     // Selecting exactly the true-front indices is equally perfect.
-    EXPECT_NEAR(oracle->adrsOf(oracle->groundTruth().paretoIndices()), 0.0,
+    EXPECT_NEAR(ctx->adrsOf(ctx->groundTruth().paretoIndices()), 0.0,
                 1e-12)
         << "seed " << seed;
   }
@@ -268,30 +272,31 @@ TEST(ScenarioOracle, FullSelectionHasZeroAdrs) {
 
 TEST(ScenarioOracle, EmptySelectionScoresWorstCorner) {
   const scenario::Scenario sc = makeScenario(3, 300.0);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
   // No valid selection: the learned front degenerates to the worst corner
-  // (1,1,...,1) in normalized space, the same fallback BenchmarkContext
-  // uses, so the score is large but finite.
-  const double adrs = oracle->adrsOf({});
+  // (1,1,...,1) in normalized space, so the score is large but finite.
+  const double adrs = ctx->adrsOf({});
   EXPECT_GT(adrs, 0.0);
   EXPECT_LT(adrs, std::sqrt(static_cast<double>(sim::kNumObjectives)) + 1e-9);
 }
 
 TEST(ScenarioOracle, RefusesSpacesOverTheEnumerationCap) {
-  scenario::OracleOptions opts;
-  opts.enum_cap = 2;  // any real scenario exceeds this
-  EXPECT_EQ(scenario::Oracle::build(makeScenario(1, 300.0), opts), nullptr);
+  // Any real scenario exceeds a cap of 2.
+  EXPECT_EQ(exp::enumerableContext(*makeScenario(1, 300.0).benchmark, 2),
+            nullptr);
   // The default cap accepts the CI-grid sizes.
-  EXPECT_NE(scenario::Oracle::build(makeScenario(1, 300.0)), nullptr);
+  EXPECT_NE(exp::enumerableContext(*makeScenario(1, 300.0).benchmark), nullptr);
 }
 
 TEST(ScenarioOracle, FidelityGapIsZeroAtImplByConstruction) {
   const scenario::Scenario sc = makeScenario(5, 300.0, 2);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
-  EXPECT_NEAR(oracle->fidelityGap(sim::Fidelity::kImpl), 0.0, 1e-12);
-  EXPECT_GE(oracle->fidelityGap(sim::Fidelity::kHls), 0.0);
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_NEAR(scenario::fidelityGap(ctx->groundTruth(), sim::Fidelity::kImpl),
+              0.0, 1e-12);
+  EXPECT_GE(scenario::fidelityGap(ctx->groundTruth(), sim::Fidelity::kHls),
+            0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -311,13 +316,12 @@ void expectReportsBitIdentical(const sim::Report& a, const sim::Report& b) {
 TEST(ScenarioDie, LowFidelitiesAreDieBlind) {
   // FADO-style failure mode: HLS and synthesis never see the floorplan, so
   // their reports are bit-identical with and without the die map; only the
-  // impl stage diverges.
+  // impl stage diverges. `aware` is the standard simulator every context
+  // and campaign builds, so this also checks that it installs the die map.
   const scenario::Scenario sc = makeScenario(12, 300.0, 2);
   sim::FpgaToolSim blind(sc.kernel(), sim::DeviceModel::virtex7Vc707(),
                          sc.benchmark->sim_params, 42);
-  sim::FpgaToolSim aware(sc.kernel(), sim::DeviceModel::virtex7Vc707(),
-                         sc.benchmark->sim_params, 42);
-  aware.setDieMap(sc.benchmark->die_map);
+  const auto aware = bench_suite::makeToolSim(*sc.benchmark, 42);
 
   const hls::DesignSpace space =
       hls::DesignSpace::buildPruned(sc.kernel(), sc.spec());
@@ -325,11 +329,11 @@ TEST(ScenarioDie, LowFidelitiesAreDieBlind) {
   for (std::size_t i = 0; i < space.size(); ++i) {
     const hls::DirectiveConfig& cfg = space.config(i);
     expectReportsBitIdentical(blind.run(cfg, sim::Fidelity::kHls),
-                              aware.run(cfg, sim::Fidelity::kHls));
+                              aware->run(cfg, sim::Fidelity::kHls));
     expectReportsBitIdentical(blind.run(cfg, sim::Fidelity::kSyn),
-                              aware.run(cfg, sim::Fidelity::kSyn));
+                              aware->run(cfg, sim::Fidelity::kSyn));
     const sim::Report bi = blind.run(cfg, sim::Fidelity::kImpl);
-    const sim::Report ai = aware.run(cfg, sim::Fidelity::kImpl);
+    const sim::Report ai = aware->run(cfg, sim::Fidelity::kImpl);
     if (bi.valid != ai.valid || bi.clock_ns != ai.clock_ns ||
         bi.power_w != ai.power_w)
       impl_diverged = true;
@@ -418,9 +422,11 @@ TEST(ScenarioDie, CrossingsMatchHandComputedReference) {
 TEST(ScenarioDie, MultiDieScenarioHasMeasurableFidelityGap) {
   // scenario:12:dies=2:size=300 is a matrix cell whose die-blind hls front
   // provably mis-ranks the true impl front.
-  const auto oracle = scenario::Oracle::build(makeScenario(12, 300.0, 2));
-  ASSERT_NE(oracle, nullptr);
-  EXPECT_GT(oracle->fidelityGap(sim::Fidelity::kHls), 1e-4);
+  const auto ctx =
+      exp::enumerableContext(*makeScenario(12, 300.0, 2).benchmark);
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_GT(scenario::fidelityGap(ctx->groundTruth(), sim::Fidelity::kHls),
+            1e-4);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,16 +456,17 @@ TEST(ScenarioDeterminism, OptimizerTrajectoryIsReproducible) {
   // pinned seed 77 must agree on every proposal and every charged second.
   baselines::DseOutcome runs[2];
   for (int r = 0; r < 2; ++r) {
-    const auto oracle = scenario::Oracle::build(makeScenario(7, 300.0, 2));
-    ASSERT_NE(oracle, nullptr);
+    const auto ctx =
+        exp::enumerableContext(*makeScenario(7, 300.0, 2).benchmark);
+    ASSERT_NE(ctx, nullptr);
     core::OptimizerOptions opts;
     opts.n_iter = 6;
     opts.batch_size = 2;
     opts.n_workers = 2;
     opts.surrogate.mtgp.mle_restarts = 0;
     opts.surrogate.gp.mle_restarts = 0;
-    runs[r] = baselines::BoMethod::ours(opts).run(oracle->space(),
-                                                  oracle->sim(), 77);
+    runs[r] =
+        baselines::BoMethod::ours(opts).run(ctx->space(), ctx->sim(), 77);
   }
   ASSERT_EQ(runs[0].selected.size(), runs[1].selected.size());
   for (std::size_t i = 0; i < runs[0].selected.size(); ++i)
@@ -477,10 +484,10 @@ TEST(ScenarioDeterminism, PinnedSeedGolden) {
   const scenario::Scenario sc = makeScenario(7, 300.0);
   EXPECT_EQ(sc.name, "scenario:7:size=300");
   EXPECT_DOUBLE_EQ(sc.spec().rawSize(), 1008.0);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
-  EXPECT_EQ(oracle->space().size(), 12u);
-  EXPECT_EQ(oracle->groundTruth().paretoFront().size(), 5u);
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
+  EXPECT_EQ(ctx->space().size(), 12u);
+  EXPECT_EQ(ctx->groundTruth().paretoFront().size(), 5u);
 
   core::OptimizerOptions opts;
   opts.n_iter = 6;
@@ -489,7 +496,7 @@ TEST(ScenarioDeterminism, PinnedSeedGolden) {
   opts.surrogate.mtgp.mle_restarts = 0;
   opts.surrogate.gp.mle_restarts = 0;
   const baselines::DseOutcome out =
-      baselines::BoMethod::ours(opts).run(oracle->space(), oracle->sim(), 77);
+      baselines::BoMethod::ours(opts).run(ctx->space(), ctx->sim(), 77);
   const std::vector<std::size_t> golden_selected = {11, 4, 10, 3, 8, 6,
                                                     1,  5, 0,  2, 9, 7};
   EXPECT_EQ(out.selected, golden_selected);
@@ -502,38 +509,32 @@ TEST(ScenarioDeterminism, PinnedSeedGolden) {
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioLifetime, ServerResolvesScenarioNames) {
-  std::shared_ptr<const bench_suite::Benchmark> bm =
-      server::makeBenchmarkFor("scenario:3:size=300");
-  ASSERT_NE(bm, nullptr);
-  EXPECT_EQ(bm->kernel.validate(), "");
+  const bench_suite::Benchmark bm =
+      scenario::resolveBenchmark("scenario:3:size=300");
+  EXPECT_EQ(bm.kernel.validate(), "");
 
-  // The simulator holds a raw pointer into bm->kernel: run it after every
+  // The simulator holds a raw pointer into bm.kernel: run it after every
   // other handle to the scenario is gone, so ASan sees any dangling use.
-  sim::FpgaToolSim sim(bm->kernel, sim::DeviceModel::virtex7Vc707(),
-                       bm->sim_params, 42);
-  sim.setDieMap(bm->die_map);
+  const auto sim = bench_suite::makeToolSim(bm, 42);
   const auto space = server::makeSpaceFor("scenario:3:size=300");
   ASSERT_NE(space, nullptr);
   ASSERT_GE(space->size(), 1u);
-  const sim::Report r = sim.run(space->config(0), sim::Fidelity::kImpl);
+  const sim::Report r = sim->run(space->config(0), sim::Fidelity::kImpl);
   EXPECT_GT(r.tool_seconds, 0.0);
 }
 
 TEST(ScenarioLifetime, SimulatorOutlivesEveryOtherHandle) {
   // The kernel-lifetime pattern: the simulator's raw kernel pointer is only
-  // valid while something co-owns the benchmark. Keep exactly that one
-  // shared_ptr alive, let every other scenario handle (the generateFromName
-  // temporary, the design space) die, then run — ASan flags any dangling
-  // kernel access.
-  std::shared_ptr<const bench_suite::Benchmark> keeper;
+  // valid while something owns the benchmark. Keep exactly that one copy
+  // alive, let every other scenario handle (the generateFromName temporary
+  // inside the resolver, the design space) die, then run — ASan flags any
+  // dangling kernel access.
+  std::optional<bench_suite::Benchmark> keeper;
   std::unique_ptr<sim::FpgaToolSim> sim;
   hls::DirectiveConfig cfg;
   {
-    keeper = server::makeBenchmarkFor("scenario:5:dies=2:size=300");
-    sim = std::make_unique<sim::FpgaToolSim>(
-        keeper->kernel, sim::DeviceModel::virtex7Vc707(), keeper->sim_params,
-        7);
-    sim->setDieMap(keeper->die_map);
+    keeper.emplace(scenario::resolveBenchmark("scenario:5:dies=2:size=300"));
+    sim = bench_suite::makeToolSim(*keeper, 7);
     cfg = hls::DesignSpace::buildPruned(keeper->kernel, keeper->spec).config(0);
   }
   const sim::Report r = sim->run(cfg, sim::Fidelity::kImpl);
@@ -541,7 +542,7 @@ TEST(ScenarioLifetime, SimulatorOutlivesEveryOtherHandle) {
 }
 
 TEST(ScenarioLifetime, ServerRejectsMalformedScenarioNames) {
-  EXPECT_THROW(server::makeBenchmarkFor("scenario:nope"),
+  EXPECT_THROW(scenario::resolveBenchmark("scenario:nope"),
                std::invalid_argument);
   EXPECT_THROW(server::makeSpaceFor("scenario:1:dies=99"),
                std::invalid_argument);
@@ -553,19 +554,15 @@ TEST(ScenarioLifetime, ServerRejectsMalformedScenarioNames) {
 
 // FpgaToolSim is neither copyable nor movable (atomic charge accumulator),
 // so each optimizer run below gets a fresh heap simulator built exactly
-// like the oracle's (same device, params and seed — bit-identical reports).
+// like the context's (same device, params and seed — bit-identical reports).
 std::unique_ptr<sim::FpgaToolSim> freshSim(const scenario::Scenario& sc) {
-  auto s = std::make_unique<sim::FpgaToolSim>(
-      sc.kernel(), sim::DeviceModel::virtex7Vc707(), sc.benchmark->sim_params,
-      scenario::OracleOptions{}.sim_seed);
-  s->setDieMap(sc.benchmark->die_map);
-  return s;
+  return bench_suite::makeToolSim(*sc.benchmark, 42);
 }
 
 TEST(ScenarioBudget, ChargedSecondsBudgetStopsTheRun) {
   const scenario::Scenario sc = makeScenario(7, 300.0);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
 
   core::OptimizerOptions opts;
   opts.n_iter = 8;
@@ -575,11 +572,11 @@ TEST(ScenarioBudget, ChargedSecondsBudgetStopsTheRun) {
   core::OptimizerOptions tight = opts;
   tight.max_charged_seconds = 1.0;  // initialization alone exceeds this
   const auto sim_a = freshSim(sc);
-  core::CorrelatedMfMoboOptimizer budgeted(oracle->space(), *sim_a, tight);
+  core::CorrelatedMfMoboOptimizer budgeted(ctx->space(), *sim_a, tight);
   const core::OptimizeResult r_tight = budgeted.run();
 
   const auto sim_b = freshSim(sc);
-  core::CorrelatedMfMoboOptimizer free_run(oracle->space(), *sim_b, opts);
+  core::CorrelatedMfMoboOptimizer free_run(ctx->space(), *sim_b, opts);
   const core::OptimizeResult r_free = free_run.run();
 
   EXPECT_LT(r_tight.rounds_run, r_free.rounds_run);
@@ -593,8 +590,8 @@ TEST(ScenarioBudget, BudgetIsPartOfTheCheckpointFingerprint) {
   // fingerprint, so old journals still resume — covered by the runtime
   // suite's goldens staying green.)
   const scenario::Scenario sc = makeScenario(7, 300.0);
-  const auto oracle = scenario::Oracle::build(sc);
-  ASSERT_NE(oracle, nullptr);
+  const auto ctx = exp::enumerableContext(*sc.benchmark);
+  ASSERT_NE(ctx, nullptr);
   const std::string path = testing::TempDir() + "/scenario_budget_fp.journal";
   std::remove(path.c_str());
 
@@ -606,13 +603,13 @@ TEST(ScenarioBudget, BudgetIsPartOfTheCheckpointFingerprint) {
   opts.max_charged_seconds = 1e9;  // non-binding but fingerprinted
 
   const auto sim_a = freshSim(sc);
-  core::CorrelatedMfMoboOptimizer first(oracle->space(), *sim_a, opts);
+  core::CorrelatedMfMoboOptimizer first(ctx->space(), *sim_a, opts);
   (void)first.run();
 
   core::OptimizerOptions same = opts;
   same.resume = true;
   const auto sim_b = freshSim(sc);
-  core::CorrelatedMfMoboOptimizer resumed(oracle->space(), *sim_b, same);
+  core::CorrelatedMfMoboOptimizer resumed(ctx->space(), *sim_b, same);
   EXPECT_TRUE(resumed.run().resumed);
 
   core::OptimizerOptions other = opts;
@@ -621,14 +618,14 @@ TEST(ScenarioBudget, BudgetIsPartOfTheCheckpointFingerprint) {
   {
     // Strict resume refuses the foreign journal outright.
     const auto sim_c = freshSim(sc);
-    core::CorrelatedMfMoboOptimizer strict(oracle->space(), *sim_c, other);
+    core::CorrelatedMfMoboOptimizer strict(ctx->space(), *sim_c, other);
     EXPECT_THROW(strict.run(), std::runtime_error);
   }
   {
     // The daemon's lenient regime quarantines it and starts cold instead.
     other.resume_lenient = true;
     const auto sim_d = freshSim(sc);
-    core::CorrelatedMfMoboOptimizer lenient(oracle->space(), *sim_d, other);
+    core::CorrelatedMfMoboOptimizer lenient(ctx->space(), *sim_d, other);
     EXPECT_FALSE(lenient.run().resumed);
   }
   std::remove(path.c_str());

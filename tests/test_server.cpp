@@ -20,11 +20,13 @@
 #include <thread>
 #include <vector>
 
+#include "bench_suite/extended_benchmarks.h"
 #include "core/campaign_stepper.h"
 #include "core/optimizer.h"
 #include "obs/obs.h"
 #include "runtime/eval_cache.h"
 #include "runtime/scheduler.h"
+#include "scenario/generator.h"
 #include "server/campaign.h"
 #include "server/fair_scheduler.h"
 #include "server/farm_model.h"
@@ -73,8 +75,8 @@ CampaignSpec fastSpec(const std::string& id, std::uint64_t seed,
 /// golden the multiplexed server must reproduce bit-for-bit.
 core::OptimizeResult runIsolated(const CampaignSpec& spec) {
   const auto space = server::makeSpaceFor(spec.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec.benchmark);
-  const auto sim = server::makeSimFor(spec, *bm);
+  const auto bm = scenario::resolveBenchmark(spec.benchmark);
+  const auto sim = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CampaignStepper stepper(*space, *sim, spec.opts);
   while (!stepper.done()) stepper.step();
   return stepper.finish();
@@ -193,8 +195,8 @@ TEST(ServerStepper, StepLoopMatchesMonolithicRunExactly) {
   CampaignSpec spec = fastSpec("golden", 77, 42, 10);
 
   const auto space = server::makeSpaceFor(spec.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec.benchmark);
-  const auto sim_a = server::makeSimFor(spec, *bm);
+  const auto bm = scenario::resolveBenchmark(spec.benchmark);
+  const auto sim_a = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CorrelatedMfMoboOptimizer monolithic(*space, *sim_a, spec.opts);
   const core::OptimizeResult golden = monolithic.run();
 
@@ -210,8 +212,8 @@ TEST(ServerStepper, ResumedFirstStepReportsJournaledRounds) {
   spec.opts.checkpoint_path = dir + "/rr.ckpt.json";
 
   const auto space = server::makeSpaceFor(spec.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec.benchmark);
-  const auto sim_a = server::makeSimFor(spec, *bm);
+  const auto bm = scenario::resolveBenchmark(spec.benchmark);
+  const auto sim_a = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CampaignStepper a(*space, *sim_a, spec.opts);
   EXPECT_EQ(a.step().round, -1);  // init
   EXPECT_EQ(a.step().round, 0);
@@ -221,7 +223,7 @@ TEST(ServerStepper, ResumedFirstStepReportsJournaledRounds) {
   // the last completed round — not the init sentinel, which would make a
   // status snapshot claim 0 rounds of prior progress.
   spec.opts.resume = true;
-  const auto sim_b = server::makeSimFor(spec, *bm);
+  const auto sim_b = bench_suite::makeToolSim(bm, spec.sim_seed);
   core::CampaignStepper b(*space, *sim_b, spec.opts);
   const core::RoundOutcome r0 = b.step();
   EXPECT_TRUE(r0.resumed);
@@ -435,6 +437,33 @@ TEST(ServerProtocol, StdioSessionRunsACampaignAndRejectsBadInput) {
   EXPECT_TRUE(saw_final_status);
 }
 
+// The daemon and the CLI resolve names through one function, so a submit
+// accepts every name `cmmfo run --benchmark` accepts: the paper suite, the
+// extended suite and generated scenarios.
+TEST(ServerProtocol, SubmitAcceptsEveryBenchmarkNameTheCliAccepts) {
+  std::vector<std::string> names = bench_suite::benchmarkNames();
+  for (const std::string& n : bench_suite::extendedBenchmarkNames())
+    names.push_back(n);
+  names.push_back("scenario:7:size=300");
+  // Never started: every submit is admitted and queued, none runs.
+  OptimizationServer srv(ServerOptions{});
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_NO_THROW(scenario::resolveBenchmark(names[i])) << names[i];
+    const std::string line = "{\"op\":\"submit\",\"id\":\"c" +
+                             std::to_string(i) + "\",\"benchmark\":\"" +
+                             names[i] + "\"}";
+    util::Json j;
+    ASSERT_TRUE(util::parseJson(
+        srv.handleLine(line, nullptr, nullptr, nullptr), &j))
+        << names[i];
+    const util::Json* ok = j.find("ok");
+    ASSERT_NE(ok, nullptr) << names[i];
+    EXPECT_TRUE(ok->kind == util::Json::kBool && ok->b)
+        << names[i] << ": " << j.strOr("error", "");
+  }
+  EXPECT_EQ(srv.list().size(), names.size());
+}
+
 TEST(ServerProtocol, PauseHoldsProgressAndResumeFinishes) {
   ServerOptions opts;
   opts.workers = 2;
@@ -613,9 +642,9 @@ TEST(ServerTrace, CoalescedJobLinksFollowerSpanToLeaderAcrossCampaigns) {
   ASSERT_NE(root_a, root_b);
 
   const auto space = server::makeSpaceFor(spec_a.benchmark);
-  const auto bm = server::makeBenchmarkFor(spec_a.benchmark);
-  const auto sim_a = server::makeSimFor(spec_a, *bm);
-  const auto sim_b = server::makeSimFor(spec_b, *bm);
+  const auto bm = scenario::resolveBenchmark(spec_a.benchmark);
+  const auto sim_a = bench_suite::makeToolSim(bm, spec_a.sim_seed);
+  const auto sim_b = bench_suite::makeToolSim(bm, spec_b.sim_seed);
   runtime::EvalCache cache;
   runtime::ToolScheduler sched_b(*space, *sim_b, cache, 2, {}, ns, root_b);
 

@@ -1,21 +1,32 @@
 // cmmfo — command-line driver for the library.
 //
-//   cmmfo list
+//   cmmfo list [--seeds N] [--size S] [--dies D]
 //       List available benchmarks (paper suite + extended) with design-space
-//       statistics.
+//       statistics. With any of the flags, tabulate generated scenarios
+//       instead: seeds 1..N (default 10) at raw size S on D dies.
 //   cmmfo run --benchmark <name> [--method ours|fpl18|ann|bt|dac19|random]
 //             [--iters N] [--repeats R] [--seed S] [--batch B] [--workers W]
-//             [--async]
+//             [--async] [--budget X]
 //       Run a DSE method against the simulated FPGA flow and report ADRS,
 //       tool time and the learned Pareto set. --batch proposes B configs per
 //       BO round (Kriging-believer q-PEIPV) and --workers runs them on a
 //       simulated W-wide tool farm (BO methods only). --async drops the
 //       round barrier: each worker pulls a fresh believer-conditioned
 //       proposal the moment it frees (the window is the worker count).
+//       --budget stops a BO run once X charged tool-seconds are spent.
+//   cmmfo describe --benchmark <name>
+//       Print the loop nest, array refs, die map and space-spec text.
+//   cmmfo oracle --benchmark <name> [--eps E]
+//       Enumerate the exhaustive ground truth, audit Algorithm 1 against the
+//       raw space and print per-fidelity front gaps. Exits 1 on an audit
+//       violation.
 //   cmmfo prune --benchmark <name>
 //       Print tree-pruning statistics and a sample of surviving configs.
 //   cmmfo tcl --benchmark <name> [--config IDX]
 //       Emit the Vivado HLS TCL run script for one configuration.
+//
+// <name> is a suite benchmark (see `cmmfo list`) or a generated scenario
+// `scenario:<seed>[:dies=D][:size=S]`.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,8 +39,11 @@
 
 #include "bench_suite/extended_benchmarks.h"
 #include "exp/harness.h"
+#include "hls/pruner.h"
+#include "hls/space_parser.h"
 #include "hls/tcl_emitter.h"
 #include "obs/obs.h"
+#include "scenario/audit.h"
 #include "scenario/generator.h"
 
 using namespace cmmfo;
@@ -76,11 +90,13 @@ Args parseArgs(int argc, char** argv) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cmmfo <list|run|prune|tcl> [--benchmark NAME] "
-               "[--method M] [--iters N] [--repeats R] [--seed S] "
-               "[--batch B] [--workers W] [--async] [--config IDX]\n"
+               "usage: cmmfo <list|run|describe|oracle|prune|tcl> "
+               "[--benchmark NAME] [--method M] [--iters N] [--repeats R] "
+               "[--seed S] [--batch B] [--workers W] [--async] [--budget X] "
+               "[--eps E] [--config IDX]\n"
                "  NAME: a suite benchmark (see `cmmfo list`) or a generated "
                "scenario `scenario:<seed>[:dies=D][:size=S]`\n"
+               "  scenario table (list): [--seeds N] [--size S] [--dies D]\n"
                "  fault tolerance (run): [--fault-rate P] [--hang-rate P] "
                "[--stall-rate P] [--persistent-rate P] [--timeout SECS] "
                "[--retries K]\n"
@@ -95,15 +111,6 @@ int usage() {
   return 2;
 }
 
-/// Every command accepts either a suite benchmark name or a generated
-/// scenario name ("scenario:<seed>[:dies=d][:size=S]"). The returned
-/// Benchmark is a value copy, so the caller owns the kernel outright.
-bench_suite::Benchmark resolveBenchmark(const std::string& name) {
-  if (scenario::isScenarioName(name))
-    return *scenario::generateFromName(name).benchmark;
-  return bench_suite::makeAnyBenchmark(name);
-}
-
 std::vector<std::string> allNames() {
   auto names = bench_suite::benchmarkNames();
   for (const auto& n : bench_suite::extendedBenchmarkNames())
@@ -111,21 +118,42 @@ std::vector<std::string> allNames() {
   return names;
 }
 
-int cmdList() {
+int listScenarios(const Args& args) {
+  const long n = args.getInt("seeds", 10);
+  scenario::GeneratorParams base;
+  base.target_raw_size = args.getDouble("size", base.target_raw_size);
+  base.num_dies = static_cast<int>(args.getInt("dies", base.num_dies));
+
+  std::printf("%-28s %6s %7s %10s %8s %7s\n", "name", "loops", "arrays",
+              "raw", "pruned", "reduce");
+  for (long s = 1; s <= n; ++s) {
+    scenario::GeneratorParams p = base;
+    p.seed = static_cast<std::uint64_t>(s);
+    const scenario::Scenario sc = scenario::generate(p);
+    hls::PruneStats stats;
+    hls::prunedConfigs(sc.kernel(), sc.spec(), &stats);
+    std::printf("%-28s %6zu %7zu %10.3g %8zu %6.0fx\n", sc.name.c_str(),
+                sc.kernel().numLoops(), sc.kernel().numArrays(),
+                stats.raw_size, stats.pruned_size, stats.reduction_factor());
+  }
+  return 0;
+}
+
+int cmdList(const Args& args) {
+  if (args.has("seeds") || args.has("size") || args.has("dies"))
+    return listScenarios(args);
+  const auto paper = bench_suite::benchmarkNames();
   std::printf("%-14s %-8s %14s %10s %8s  %s\n", "benchmark", "suite",
               "raw space", "pruned", "pareto", "description");
   for (const auto& name : allNames()) {
-    const auto bm = bench_suite::makeAnyBenchmark(name);
-    const auto core = bench_suite::benchmarkNames();
-    const bool is_core =
-        std::find(core.begin(), core.end(), name) != core.end();
-    const auto space = hls::DesignSpace::buildPruned(bm.kernel, bm.spec);
-    const sim::FpgaToolSim sim(bm.kernel, sim::DeviceModel::virtex7Vc707(),
-                               bm.sim_params, 42);
-    const sim::GroundTruth gt(space, sim);
+    const exp::BenchmarkContext ctx(bench_suite::makeAnyBenchmark(name));
+    const bool is_paper =
+        std::find(paper.begin(), paper.end(), name) != paper.end();
     std::printf("%-14s %-8s %14.3g %10zu %8zu  %s\n", name.c_str(),
-                is_core ? "paper" : "extended", space.stats().raw_size,
-                space.size(), gt.paretoFront().size(), bm.description.c_str());
+                is_paper ? "paper" : "extended",
+                ctx.space().stats().raw_size, ctx.space().size(),
+                ctx.groundTruth().paretoFront().size(),
+                ctx.benchmark().description.c_str());
   }
   return 0;
 }
@@ -182,6 +210,7 @@ int cmdRun(const Args& args, int argc, char** argv) {
   bo.checkpoint_path = args.get("checkpoint");
   bo.resume = args.has("resume");
   bo.max_rounds = static_cast<int>(args.getInt("max-rounds", 0));
+  bo.max_charged_seconds = args.getDouble("budget", 0.0);
 
   const auto m = makeMethod(method, bo, iters);
   if (!m) {
@@ -211,7 +240,7 @@ int cmdRun(const Args& args, int argc, char** argv) {
     meta.flags += argv[i];
   }
 
-  exp::BenchmarkContext ctx(resolveBenchmark(name));
+  exp::BenchmarkContext ctx(scenario::resolveBenchmark(name));
   ctx.sim().setFaultParams(faults);
   std::printf("%s: %zu configurations, %zu true Pareto points\n", name.c_str(),
               ctx.space().size(), ctx.groundTruth().paretoFront().size());
@@ -233,7 +262,7 @@ int cmdRun(const Args& args, int argc, char** argv) {
   // does not perturb the run (pinned by the seed-77 golden test).
   if (!diag_path.empty()) {
     obs::recorder().setRunMeta(meta);
-    obs::recorder().setAdrsOracle(
+    obs::recorder().setAdrsScorer(
         [&ctx](const std::vector<std::size_t>& sel) { return ctx.adrsOf(sel); });
     obs::recorder().setEnabled(true);
   }
@@ -271,7 +300,7 @@ int cmdRun(const Args& args, int argc, char** argv) {
     else
       std::fprintf(stderr, "diag: cannot write %s\n", diag_path.c_str());
     std::fputs(obs::recorder().summaryText().c_str(), stdout);
-    obs::recorder().setAdrsOracle({});
+    obs::recorder().setAdrsScorer({});
   }
 
   if (!trace_path.empty()) {
@@ -299,10 +328,99 @@ int cmdRun(const Args& args, int argc, char** argv) {
   return 0;
 }
 
+int cmdDescribe(const Args& args) {
+  const std::string name = args.get("benchmark");
+  if (name.empty()) return usage();
+  const bench_suite::Benchmark bm = scenario::resolveBenchmark(name);
+  const hls::Kernel& k = bm.kernel;
+  std::printf("%s  (%s)\n\n", name.c_str(), bm.description.c_str());
+
+  for (std::size_t li = 0; li < k.numLoops(); ++li) {
+    const auto l = static_cast<hls::LoopId>(li);
+    const hls::Loop& loop = k.loop(l);
+    std::printf("loop %-4s trip=%-4d depth=%d%s%s\n", loop.name.c_str(),
+                loop.trip_count, k.depth(l),
+                k.isInnermost(l) ? " innermost" : "",
+                loop.loop_carried_dep ? " recurrence" : "");
+    for (const hls::ArrayRef& ref : loop.refs) {
+      std::printf("  %s %s x%d  [", ref.is_write ? "store" : "load ",
+                  k.array(ref.array).name.c_str(), ref.count);
+      for (std::size_t i = 0; i < ref.index.size(); ++i) {
+        if (i) std::printf(", ");
+        std::printf("%s:%s", k.loop(ref.index[i].first).name.c_str(),
+                    ref.index[i].second == hls::IndexRole::kMinor ? "minor"
+                                                                  : "major");
+      }
+      std::printf("]\n");
+    }
+  }
+  std::printf("\n");
+  for (std::size_t ai = 0; ai < k.numArrays(); ++ai) {
+    const hls::ArrayDecl& a = k.array(static_cast<hls::ArrayId>(ai));
+    std::printf("array %-4s size=%-5d elem=%d bits\n", a.name.c_str(), a.size,
+                a.elem_bits);
+  }
+
+  const sim::DieMap& dm = bm.die_map;
+  if (dm.enabled()) {
+    std::printf("\ndie map (%d dies, sll pool %.0f bits, crossing %.1f ns):\n",
+                dm.num_dies, dm.sll_capacity_bits, dm.crossing_delay_ns);
+    for (std::size_t li = 0; li < k.numLoops(); ++li)
+      std::printf("  loop %-4s -> die %d\n",
+                  k.loop(static_cast<hls::LoopId>(li)).name.c_str(),
+                  dm.dieOfLoop(static_cast<hls::LoopId>(li)));
+    for (std::size_t ai = 0; ai < k.numArrays(); ++ai)
+      std::printf("  array %-4s -> die %d\n",
+                  k.array(static_cast<hls::ArrayId>(ai)).name.c_str(),
+                  dm.dieOfArray(static_cast<hls::ArrayId>(ai)));
+  }
+
+  std::printf("\nspace spec (raw size %.3g):\n%s", bm.spec.rawSize(),
+              hls::formatSpaceSpec(k, bm.spec).c_str());
+  return 0;
+}
+
+int cmdAudit(const Args& args) {
+  const std::string name = args.get("benchmark");
+  if (name.empty()) return usage();
+  const double eps = args.getDouble("eps", 0.10);
+  const auto ctx = exp::enumerableContext(scenario::resolveBenchmark(name));
+  if (!ctx) {
+    std::fprintf(stderr,
+                 "pruned space too large for exhaustive enumeration "
+                 "(cap %zu); pick a smaller :size=\n",
+                 exp::kEnumCap);
+    return 1;
+  }
+  const sim::GroundTruth& gt = ctx->groundTruth();
+  std::printf("%s: pruned %zu configs, true front %zu points\n", name.c_str(),
+              ctx->space().size(), gt.paretoFront().size());
+
+  const scenario::PruningAudit audit =
+      scenario::auditPruning(ctx->benchmark(), ctx->sim(), gt, eps);
+  std::printf("\npruning audit (eps %.2f, raw %zu configs%s):\n", eps,
+              audit.raw_enumerated, audit.raw_complete ? "" : ", TRUNCATED");
+  std::printf("  compatible front: %zu points, %zu violation(s), "
+              "max regret %.4f, mean %.4f\n",
+              audit.compat_front_size, audit.violations, audit.max_regret,
+              audit.mean_regret);
+  std::printf("  full raw front:   %zu points, max regret %.4f, mean %.4f "
+              "(heuristic cost, not gated)\n",
+              audit.raw_front_size, audit.full_max_regret,
+              audit.full_mean_regret);
+
+  std::printf("\nfidelity gaps (front seen at stage vs true impl front):\n");
+  const char* names[] = {"hls", "syn", "impl"};
+  for (int f = 0; f < sim::kNumFidelities; ++f)
+    std::printf("  %-4s %.4f\n", names[f],
+                scenario::fidelityGap(gt, static_cast<sim::Fidelity>(f)));
+  return audit.violations == 0 ? 0 : 1;
+}
+
 int cmdPrune(const Args& args) {
   const std::string name = args.get("benchmark");
   if (name.empty()) return usage();
-  const auto bm = resolveBenchmark(name);
+  const auto bm = scenario::resolveBenchmark(name);
   const auto space = hls::DesignSpace::buildPruned(bm.kernel, bm.spec);
   std::printf("%s: raw %.4g -> pruned %zu (%.0fx), %zu features\n",
               name.c_str(), space.stats().raw_size, space.size(),
@@ -319,7 +437,7 @@ int cmdPrune(const Args& args) {
 int cmdTcl(const Args& args) {
   const std::string name = args.get("benchmark");
   if (name.empty()) return usage();
-  const auto bm = resolveBenchmark(name);
+  const auto bm = scenario::resolveBenchmark(name);
   const auto space = hls::DesignSpace::buildPruned(bm.kernel, bm.spec);
   const std::size_t idx = args.getInt("config", 0);
   if (idx >= space.size()) {
@@ -338,17 +456,18 @@ int cmdTcl(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parseArgs(argc, argv);
-  if (args.command == "list") return cmdList();
-  if (args.command == "run") {
-    try {
-      return cmdRun(args, argc, argv);
-    } catch (const std::exception& e) {
-      // An unwritable journal or a strict --resume mismatch ends the run.
-      std::fprintf(stderr, "cmmfo: %s\n", e.what());
-      return 1;
-    }
+  try {
+    if (args.command == "list") return cmdList(args);
+    if (args.command == "run") return cmdRun(args, argc, argv);
+    if (args.command == "describe") return cmdDescribe(args);
+    if (args.command == "oracle") return cmdAudit(args);
+    if (args.command == "prune") return cmdPrune(args);
+    if (args.command == "tcl") return cmdTcl(args);
+  } catch (const std::exception& e) {
+    // An unknown benchmark, an unwritable journal or a strict --resume
+    // mismatch ends the command.
+    std::fprintf(stderr, "cmmfo: %s\n", e.what());
+    return 1;
   }
-  if (args.command == "prune") return cmdPrune(args);
-  if (args.command == "tcl") return cmdTcl(args);
   return usage();
 }
